@@ -1,61 +1,11 @@
 """ProofSeek: whole-proof generation with automated repair, policy
 formalization, and benchmark tooling over pluggable prover/model backends."""
 
-from .engine import (
-    AttemptRecord,
-    AttemptState,
-    BudgetConfig,
-    Stage,
-    TacticCascade,
-    default_cascade,
-    prove,
-)
+from .engine import BudgetConfig, prove
 from .errors import ProofSeekError
-from .formalize import (
-    FormalizationRecord,
-    TheorySkeleton,
-    compile_policy,
-    formalize_nl,
-    render_theory,
-    validate_formal_statement,
-    wrap_theory,
-)
-from .isar import (
-    Block,
-    BlockRef,
-    ProofScript,
-    Step,
-    StepKind,
-    Tactic,
-    find_placeholders,
-    innermost_block,
-    parse_script,
-    render,
-    splice,
-    token_equivalent,
-    truncate_to_block,
-)
-from .model import ChatModelClient, MockModel, ModelParams, PromptRecord, ReplayModel
-from .policy import (
-    AccessRequest,
-    Decision,
-    Effect,
-    PolicyDocument,
-    PolicyStatement,
-    enumerate_universe,
-    evaluate,
-    match_pattern,
-    parse_policy,
-)
-from .prover import (
-    HAMMER_STEP,
-    MockOutcome,
-    MockProver,
-    ProverConfig,
-    ReplayProver,
-    StepResult,
-    WireProver,
-    check_script,
-)
+from .formalize import compile_policy, render_theory
+from .model import MockModel
+from .policy import parse_policy
+from .prover import MockProver
 
 __version__ = "0.1.0"

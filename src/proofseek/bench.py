@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import logging
+import os
 import threading
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -33,6 +36,8 @@ __all__ = [
     "load_benchmark",
     "run_benchmark",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,20 @@ def _undetermined_record(problem_name: str) -> AttemptRecord:
         has_sc=False, wall_time_s=0.0, undetermined=True)
 
 
+def _cut_torn_tail(path: Path) -> None:
+    """Log and cut off a torn final line (no trailing newline) left by a
+    killed run, so the next append does not glue a record onto it."""
+    data = path.read_bytes() if path.exists() else b""
+    if not data or data.endswith(b"\n"):
+        return
+    cut = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[cut:])
+    except ValueError:
+        log.warning("%s: dropping torn final line %r", path, data[cut:][:80])
+        os.truncate(path, cut)
+
+
 def run_benchmark(
     spec: BenchmarkSpec, model: ModelBackend, prover: ProverBackend,
     records_path: Union[str, Path],
@@ -92,6 +111,7 @@ def run_benchmark(
     backend aborts become undetermined records rather than failures.
     """
     records_path = Path(records_path)
+    _cut_torn_tail(records_path)
     existing = {row["problem_name"]: AttemptRecord.from_json(row)
                 for row in read_jsonl(records_path)}
     todo = [p for p in spec.problems if p.problem_name not in existing]

@@ -101,9 +101,6 @@ class FilterResult:
     sft_pool: tuple[TheoremProofPair, ...]
     undetermined: tuple[tuple[TheoremProofPair, str], ...] = ()
 
-    def __iter__(self):
-        return iter((self.rl_pool, self.sft_pool))
-
 
 def filter_self_contained(pairs: Sequence[TheoremProofPair],
                           prover: ProverBackend,

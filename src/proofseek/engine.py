@@ -10,6 +10,10 @@ attempt on the closing placeholder.  The engine never declares success on its
 own judgment — only the prover's terminal accepted state (``is_done``)
 counts.
 
+Every prover call goes through ``SessionCursor.advance``, which applies
+steps until one fails, the proof is done, or the steps run out: an attempt
+advances up to a placeholder or failure and hands over to the repair chain.
+
 Placeholder discharge is two-phase: the goal body is applied on its own and
 the cascade then tries bare ``by <tactic>`` steps; a failed tactic step is
 instead rewritten and re-applied whole.  Failed applies never advance the
@@ -23,11 +27,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, takewhile
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     BackendUnavailable,
     ParseError,
+    PrefixReplayFailed,
     TheoryLoadError,
     TransportError,
 )
@@ -39,13 +45,12 @@ from .isar import (
     parse_script,
     slice_steps,
     splice,
-    strip_terminal_marker,
     truncate_to_block,
     with_steps,
 )
 from .model import ModelBackend, ModelParams
 from .prompts import erp_prompt, whole_proof_prompt
-from .prover import HAMMER_STEP, TIMEOUT, ProverBackend, ProverConfig, StepResult
+from .prover import HAMMER_STEP, ProverBackend, ProverConfig, SessionCursor, StepResult
 
 __all__ = [
     "AttemptRecord",
@@ -53,7 +58,6 @@ __all__ = [
     "BudgetConfig",
     "RAW_CASCADE_METHODS",
     "RepairOutcome",
-    "SessionCursor",
     "Stage",
     "TacticCascade",
     "atp_substitute",
@@ -63,7 +67,6 @@ __all__ = [
     "heuristic_repair",
     "prove",
     "run_pool",
-    "validate_candidate",
 ]
 
 
@@ -136,9 +139,6 @@ class BudgetConfig:
 class AttemptState:
     """Mutable bookkeeping for one candidate attempt."""
 
-    i_try: int
-    script: Optional[ProofScript] = None
-    cursor: int = 0
     extra_calls: int = 0
     stage: Stage = Stage.INIT_PROOF
     timed_out: bool = False
@@ -198,47 +198,6 @@ class AttemptRecord:
 
 
 # ---------------------------------------------------------------------------
-# session cursor
-
-class SessionCursor:
-    """One prover session plus the validated step texts behind it.
-
-    Knows how to rebuild itself (fresh session, prefix replayed) after the
-    two-phase placeholder probe leaves the state mid-goal.
-    """
-
-    def __init__(self, prover: ProverBackend, theory: str, config: ProverConfig):
-        self.prover = prover
-        self.theory = theory
-        self.config = config
-        self.applied: list[str] = []
-        self.session = prover.init_session(theory)
-
-    def try_step(self, text: str, timeout_s: float) -> StepResult:
-        result = self.prover.apply(self.session, text, timeout_s)
-        if result.ok:
-            self.applied.append(text)
-        return result
-
-    def rebuild(self, prefix: Sequence[str]) -> None:
-        self.prover.close(self.session)
-        self.session = self.prover.init_session(self.theory)
-        self.applied = []
-        for text in prefix:
-            result = self.try_step(text, self.config.step_timeout_s)
-            if not result.ok:
-                raise TheoryLoadError(
-                    f"validated prefix no longer replays: {result.message}")
-
-    def close(self) -> None:
-        self.prover.close(self.session)
-
-
-def _theory_for(statement: str, config: ProverConfig) -> str:
-    return config.theory_header + "\n\n" + strip_terminal_marker(statement)
-
-
-# ---------------------------------------------------------------------------
 # repair operations
 
 @dataclass(frozen=True)
@@ -253,7 +212,7 @@ class RepairOutcome:
 
 
 def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
-                   cascade: TacticCascade, config: ProverConfig) -> RepairOutcome:
+                   cascade: TacticCascade) -> RepairOutcome:
     """Try each cascade tactic as the step's justification, then Sledgehammer.
 
     Sorry placeholders are discharged two-phase (goal body alone, then bare
@@ -267,45 +226,38 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
     extra = 0
     timed_out = False
     placeholder = step.is_sorry
+    body_applied = False
+
+    def apply(text: str) -> StepResult:
+        nonlocal timed_out
+        run = cursor.advance((text,))
+        timed_out = timed_out or run.timed_out
+        return run.last
 
     def win(justification: str, result: StepResult) -> RepairOutcome:
         repaired = splice(script, position, step.with_justification(justification))
         return RepairOutcome(True, repaired, extra, placeholder,
                              timed_out, result.is_done)
 
-    body_applied = False
-    if placeholder:
-        if step.body_text:
-            body_result = cursor.try_step(step.body_text, config.step_timeout_s)
-            if not body_result.ok:
-                return RepairOutcome(False, script, extra, False,
-                                     body_result.status == TIMEOUT)
-            body_applied = True
-        for tactic in cascade.tactics:
-            extra += 1
-            result = cursor.try_step(_justification(tactic), config.step_timeout_s)
-            timed_out = timed_out or result.status == TIMEOUT
-            if result.ok:
-                return win(_justification(tactic), result)
-    else:
-        for tactic in cascade.tactics:
-            extra += 1
-            rewritten = step.with_justification(_justification(tactic))
-            result = cursor.try_step(rewritten.text, config.step_timeout_s)
-            timed_out = timed_out or result.status == TIMEOUT
-            if result.ok:
-                return win(_justification(tactic), result)
-        if cascade.use_hammer and step.body_text:
-            body_result = cursor.try_step(step.body_text, config.step_timeout_s)
-            timed_out = timed_out or body_result.status == TIMEOUT
-            if not body_result.ok:
-                return RepairOutcome(False, script, extra, False, timed_out)
-            body_applied = True
+    if placeholder and step.body_text:
+        if not apply(step.body_text).ok:
+            return RepairOutcome(False, script, extra, False, timed_out)
+        body_applied = True
+    for tactic in cascade.tactics:
+        extra += 1
+        justification = _justification(tactic)
+        result = apply(justification if placeholder else
+                       step.with_justification(justification).text)
+        if result.ok:
+            return win(justification, result)
 
     if cascade.use_hammer:
+        if not placeholder and step.body_text:
+            if not apply(step.body_text).ok:
+                return RepairOutcome(False, script, extra, False, timed_out)
+            body_applied = True
         extra += 1
-        result = cursor.try_step(HAMMER_STEP, config.hammer_timeout_s)
-        timed_out = timed_out or result.status == TIMEOUT
+        result = apply(HAMMER_STEP)
         if result.ok:
             return win(_justification(result.message or "smt"), result)
 
@@ -325,9 +277,9 @@ def erp_repair(script: ProofScript, position: int, model: ModelBackend,
     failure and the original script is returned unchanged.
     """
     prefix_steps = script.steps[:position]
-    prefix_text = "\n".join(s.text for s in prefix_steps)
+    prefix_texts = [s.text for s in prefix_steps]
     completion = model.complete(
-        budget.model, erp_prompt(statement, prefix_text, few_shots), 1)
+        budget.model, erp_prompt(statement, "\n".join(prefix_texts), few_shots), 1)
     if not completion or not completion[0].strip():
         return RepairOutcome(False, script)
     try:
@@ -337,24 +289,17 @@ def erp_repair(script: ProofScript, position: int, model: ModelBackend,
     if not continuation.steps:
         return RepairOutcome(False, script)
 
-    probe = SessionCursor(prover, _theory_for(statement, budget.prover),
-                          budget.prover)
-    timed_out = False
+    probe = SessionCursor(prover, statement, budget.prover)
     try:
-        for text in (s.text for s in prefix_steps):
-            if not probe.try_step(text, budget.prover.step_timeout_s).ok:
-                return RepairOutcome(False, script)
-        for offset, step in enumerate(continuation.steps):
-            result = probe.try_step(step.text, budget.prover.step_timeout_s)
-            timed_out = timed_out or result.status == TIMEOUT
-            if not result.ok:
-                return RepairOutcome(False, script, timed_out=timed_out)
-            if result.is_done:
-                merged = with_steps(
-                    script, [*prefix_steps, *continuation.steps[:offset + 1]])
-                return RepairOutcome(True, merged, timed_out=timed_out,
-                                     is_done=True)
-        return RepairOutcome(False, script, timed_out=timed_out)
+        if probe.advance(prefix_texts).failed:
+            return RepairOutcome(False, script)
+        run = probe.advance(s.text for s in continuation.steps)
+        if not run.done:
+            return RepairOutcome(False, script, timed_out=run.timed_out)
+        merged = with_steps(script,
+                            [*prefix_steps, *continuation.steps[:run.count]])
+        return RepairOutcome(True, merged, timed_out=run.timed_out,
+                             is_done=True)
     finally:
         probe.close()
 
@@ -395,26 +340,6 @@ def backtrack(script: ProofScript, position: int) -> ProofScript:
     return truncate_to_block(script, ref, target)
 
 
-def validate_candidate(prover: ProverBackend, session: str,
-                       script: ProofScript,
-                       step_timeout_s: Optional[float] = None) -> Optional[int]:
-    """Apply steps in order from the session's current state.
-
-    Returns the position of the first non-ok step, None when the prover
-    reports completion, or len(script.steps) if the script runs out with
-    goals remaining.  Stops issuing prover calls at the first failure.
-    """
-    timeout = step_timeout_s if step_timeout_s is not None \
-        else prover.config.step_timeout_s
-    for index, step in enumerate(script.steps):
-        result = prover.apply(session, step.text, timeout)
-        if not result.ok:
-            return index
-        if result.is_done:
-            return None
-    return len(script.steps)
-
-
 # ---------------------------------------------------------------------------
 # the prove loop
 
@@ -443,15 +368,15 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
         raise BackendUnavailable(f"model backend unavailable: {exc}") from exc
 
     has_timeout = False
-    state = AttemptState(i_try=0)
-    tried = 0
+    state = AttemptState()
+    i_try = 0
     for i_try, candidate in enumerate(candidates):
-        state = AttemptState(i_try=i_try)
-        tried = i_try + 1
+        state = AttemptState()
         try:
             success, final = _attempt(statement, candidate, state, model,
                                       prover, budget, few_shots)
-        except TransportError as exc:
+        except (TransportError, PrefixReplayFailed) as exc:
+            # Neither says anything about the proof: the run is undetermined.
             raise BackendUnavailable(f"prover backend unavailable: {exc}") from exc
         except TheoryLoadError:
             # The statement itself will not load; no candidate can do better.
@@ -472,7 +397,7 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
     return AttemptRecord(
         problem_name=problem_name,
         success=False,
-        i_try=max(0, tried - 1),
+        i_try=i_try,
         success_stage=Stage.FAILED.value,
         has_timeout=has_timeout,
         extra_calls=state.extra_calls,
@@ -494,8 +419,7 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
     if not script.steps:
         return False, None
 
-    cursor = SessionCursor(prover, _theory_for(statement, budget.prover),
-                           budget.prover)
+    cursor = SessionCursor(prover, statement, budget.prover)
     erp_used: dict[int, int] = {}
     heuristic_tried: set[int] = set()
     index = 0
@@ -504,20 +428,15 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
     chain_budget = 6 * len(script.steps) + 32
     try:
         while True:
+            pending = takewhile(lambda s: not s.is_sorry,
+                                islice(script.steps, index, None))
+            run = cursor.advance(s.text for s in pending)
+            index += run.count
+            if run.done:
+                return True, _final_text(script, index)
             if index >= len(script.steps):
                 return False, None
-            state.script = script
-            state.cursor = index
-            step = script.steps[index]
-
-            if not step.is_sorry:
-                result = cursor.try_step(step.text, budget.prover.step_timeout_s)
-                if result.ok:
-                    if result.is_done:
-                        return True, _final_text(script, index + 1)
-                    index += 1
-                    continue
-                state.timed_out = state.timed_out or result.status == TIMEOUT
+            state.timed_out = state.timed_out or run.timed_out
 
             chain_budget -= 1
             if chain_budget < 0:
@@ -550,9 +469,7 @@ def _repair_chain(
 
     Returns (proof_done, script, applied_count_or_next_index, alive).
     """
-    prefix = [s.text for s in script.steps[:index]]
-
-    outcome = atp_substitute(cursor, script, index, budget.cascade, budget.prover)
+    outcome = atp_substitute(cursor, script, index, budget.cascade)
     state.extra_calls += outcome.extra_calls
     state.timed_out = state.timed_out or outcome.timed_out
     if outcome.success:
@@ -560,7 +477,7 @@ def _repair_chain(
         state.has_sc = state.has_sc or outcome.replaced_sorry
         return outcome.is_done, outcome.script, index + 1, True
     if outcome.session_dirty:
-        cursor.rebuild(prefix)
+        cursor.rebuild(s.text for s in script.steps[:index])
 
     if budget.erp_enabled and erp_used.get(index, 0) < budget.erp_rounds:
         erp_used[index] = erp_used.get(index, 0) + 1
@@ -587,9 +504,8 @@ def _repair_chain(
         return False, script, index, False
     if target < index:
         # the collapsed block's steps were already applied; re-align
-        cursor.rebuild([s.text for s in truncated.steps[:target]])
-    outcome = atp_substitute(cursor, truncated, target, budget.cascade,
-                             budget.prover)
+        cursor.rebuild(s.text for s in truncated.steps[:target])
+    outcome = atp_substitute(cursor, truncated, target, budget.cascade)
     state.extra_calls += outcome.extra_calls
     state.timed_out = state.timed_out or outcome.timed_out
     if outcome.success:

@@ -47,6 +47,11 @@ class TheoryLoadError(ProofSeekError):
     """The prover rejected the theory text at session setup."""
 
 
+class PrefixReplayFailed(ProofSeekError):
+    """A validated prefix was not accepted again in a fresh session: the
+    prover misbehaved, which says nothing about the statement or the proof."""
+
+
 class SessionClosed(ProofSeekError):
     """A step was applied to a session that is no longer open."""
 

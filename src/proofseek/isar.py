@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -32,7 +32,6 @@ __all__ = [
     "ProofScript",
     "Step",
     "StepKind",
-    "Tactic",
     "Token",
     "extract_proof_text",
     "find_placeholders",
@@ -212,16 +211,6 @@ FACT_KEYWORDS = frozenset({"using", "unfolding", "supply"})
 
 
 @dataclass(frozen=True)
-class Tactic:
-    name: str
-    args: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("tactic name must be non-empty")
-
-
-@dataclass(frozen=True)
 class Step:
     """One Isar command with its chained prefix and terminal justification.
 
@@ -256,14 +245,14 @@ class Step:
         return self.kind is StepKind.SORRY
 
     @property
-    def terminal_tactic(self) -> Optional[Tactic]:
+    def terminal_tactic(self) -> Optional[str]:
+        """Method of a terminal ``by``/``apply``, e.g. ``simp add: defs``."""
         toks = self.just_tokens
         if len(toks) >= 2 and toks[0] in ("by", "apply"):
             method = " ".join(toks[1:])
             if method.startswith("(") and method.endswith(")"):
                 method = method[1:-1].strip()
-            name, _, args = method.partition(" ")
-            return Tactic(name, args.strip()) if name else None
+            return method or None
         return None
 
     def with_justification(self, justification: str) -> "Step":
@@ -338,12 +327,6 @@ class Block:
         lo, hi = self.span()
         return lo <= step_index <= hi
 
-    def iter_blocks(self) -> Iterator["Block"]:
-        yield self
-        for child in self.children:
-            if isinstance(child, Block):
-                yield from child.iter_blocks()
-
 
 @dataclass(frozen=True)
 class BlockRef:
@@ -369,7 +352,6 @@ class ProofScript:
     preamble: str
     steps: tuple[Step, ...]
     root: Block
-    source_span: tuple[int, int] = (0, 0)
     balanced: bool = True
     trailing_comments: tuple[str, ...] = ()
 
@@ -378,9 +360,6 @@ class ProofScript:
             raise IndexOutOfRange(f"step index {step_index} out of range "
                                   f"(script has {len(self.steps)} steps)")
         return self.steps[step_index]
-
-    def depth_of(self, step_index: int) -> int:
-        return len(innermost_block(self, step_index).path)
 
     @property
     def text(self) -> str:
@@ -421,19 +400,15 @@ def _split_preamble(tokens: list[Token]) -> tuple[list[Token], list[Token]]:
     return tokens, []
 
 
-def parse_script(text: str, unwrap_comment: bool = False) -> ProofScript:
+def parse_script(text: str) -> ProofScript:
     """Parse proof text into a ProofScript.
 
     Any text before the first recognized command (a theorem/lemma header,
     say) becomes the preamble, kept verbatim.  Unbalanced proof/qed structure
-    yields a best-effort tree with ``balanced=False``.  With
-    ``unwrap_comment`` a proof delivered entirely inside one ``(* ... *)``
-    comment is unwrapped before parsing (whole proofs often arrive that way).
+    yields a best-effort tree with ``balanced=False``.
     """
     if not text or not text.strip():
         raise ParseError("empty proof text")
-    if unwrap_comment:
-        text = unwrap_proof_comment(text)
     tokens = tokenize(text)
     pre_tokens, body_tokens = _split_preamble(tokens)
     preamble = ""
@@ -537,7 +512,6 @@ def parse_script(text: str, unwrap_comment: bool = False) -> ProofScript:
         preamble=preamble,
         steps=tuple(steps),
         root=root,
-        source_span=(body_start, len(text)),
         balanced=balanced,
         trailing_comments=tuple(pending_comments),
     )

@@ -24,9 +24,10 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
+    PrefixReplayFailed,
     ReplayMismatch,
     SessionClosed,
     TheoryLoadError,
@@ -35,6 +36,7 @@ from .errors import (
 from .isar import ProofScript, strip_terminal_marker
 
 __all__ = [
+    "Advance",
     "CheckReport",
     "HAMMER_STEP",
     "MockOutcome",
@@ -43,6 +45,7 @@ __all__ = [
     "ProverServer",
     "RecordingProver",
     "ReplayProver",
+    "SessionCursor",
     "StepResult",
     "WireProver",
     "check_script",
@@ -185,7 +188,6 @@ class MockProver(ProverBackend):
         self.reject_theory = reject_theory
         self._sessions: dict[str, _SessionState] = {}
         self._ids = itertools.count(1)
-        self.theories: dict[str, str] = {}
 
     # -- protocol ----------------------------------------------------------
 
@@ -197,7 +199,6 @@ class MockProver(ProverBackend):
                 raise TheoryLoadError(reason)
             sid = f"s-{next(self._ids)}"
             self._sessions[sid] = _SessionState()
-            self.theories[sid] = theory_text
             return sid
 
     def apply(self, session_id: str, step_text: str,
@@ -433,10 +434,12 @@ class WireProver(ProverBackend):
             pass
 
     def shutdown(self) -> None:
+        # Until the reader is closed too the server never sees EOF.
         with self._lock:
-            if self._sock is not None:
-                self._sock.close()
-                self._sock = None
+            for handle in (self._reader, self._sock):
+                if handle is not None:
+                    handle.close()
+            self._reader = self._sock = None
 
 
 class ProverServer:
@@ -465,7 +468,6 @@ class ProverServer:
 
         self._server = Server((host, port), Handler)
         self.address = "{}:{}".format(*self._server.server_address)
-        self._thread: Optional[threading.Thread] = None
 
     def _dispatch(self, line: str) -> dict:
         try:
@@ -499,14 +501,74 @@ class ProverServer:
                     "is_done": False, "error_kind": "internal"}
 
     def start(self) -> "ProverServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._server.serve_forever, daemon=True).start()
         return self
 
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# stepping
+
+@dataclass(frozen=True)
+class Advance:
+    """Where ``SessionCursor.advance`` stopped: ``count`` steps accepted,
+    then a non-ok step at index ``count`` (``failed``), the terminal
+    accepted state (``done``), or the end of the steps (neither).  ``last``
+    is the final prover result, None when no step was given."""
+
+    count: int
+    last: Optional[StepResult] = None
+    failed: bool = False
+    done: bool = False
+
+    @property
+    def timed_out(self) -> bool:
+        return self.failed and self.last.status == TIMEOUT
+
+
+class SessionCursor:
+    """One prover session on a statement's theory.  ``advance`` is the one
+    stepping loop: every check, repair probe and prefix replay goes through
+    it.  ``rebuild`` opens a fresh session and replays a validated prefix,
+    for when the two-phase placeholder probe has left the state mid-goal."""
+
+    def __init__(self, prover: ProverBackend, statement: str,
+                 config: ProverConfig):
+        self.prover = prover
+        self.config = config
+        self.theory = config.theory_header + "\n\n" + strip_terminal_marker(statement)
+        self.session = prover.init_session(self.theory)
+
+    def advance(self, texts: Iterable[str]) -> Advance:
+        """Apply step texts in order until one is not ok, the prover reports
+        completion, or the texts run out.  Texts are consumed lazily, so none
+        past the stop is built.  The hammer pseudo-step gets the hammer
+        timeout, every other step the step timeout."""
+        count, result = 0, None
+        for text in texts:
+            timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
+                         else self.config.step_timeout_s)
+            result = self.prover.apply(self.session, text, timeout_s)
+            if not result.ok:
+                return Advance(count, result, failed=True)
+            count += 1
+            if result.is_done:
+                return Advance(count, result, done=True)
+        return Advance(count, result)
+
+    def rebuild(self, prefix: Iterable[str]) -> None:
+        self.prover.close(self.session)
+        self.session = self.prover.init_session(self.theory)
+        replay = self.advance(prefix)
+        if replay.failed:
+            raise PrefixReplayFailed(
+                f"validated prefix no longer replays: {replay.last.message}")
+
+    def close(self) -> None:
+        self.prover.close(self.session)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +578,6 @@ class ProverServer:
 class CheckReport:
     success: bool
     failing_index: Optional[int]
-    results: tuple[StepResult, ...]
 
 
 def check_script(prover: ProverBackend, statement: str,
@@ -528,19 +589,10 @@ def check_script(prover: ProverBackend, statement: str,
     accepted state; an empty script fails at index 0 since goals remain.
     """
     if not script.steps:
-        return CheckReport(False, 0, ())
-    theory = prover.config.theory_header + "\n\n" + strip_terminal_marker(statement)
-    session = prover.init_session(theory)
-    results: list[StepResult] = []
+        return CheckReport(False, 0)
+    cursor = SessionCursor(prover, statement, prover.config)
     try:
-        for index, step in enumerate(script.steps):
-            result = prover.apply(session, step.text,
-                                  prover.config.step_timeout_s)
-            results.append(result)
-            if not result.ok:
-                return CheckReport(False, index, tuple(results))
-            if result.is_done:
-                return CheckReport(True, None, tuple(results))
-        return CheckReport(False, None, tuple(results))
+        run = cursor.advance(step.text for step in script.steps)
     finally:
-        prover.close(session)
+        cursor.close()
+    return CheckReport(run.done, run.count if run.failed else None)

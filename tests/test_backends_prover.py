@@ -148,7 +148,7 @@ def test_check_script_golden_success(golden_proof_body, golden_mock):
                           parse_script(golden_proof_body))
     assert report.success
     assert report.failing_index is None
-    assert len(report.results) == 9
+    assert len(golden_mock.applies()) == 9
 
 
 def test_check_script_failing_step():
@@ -157,7 +157,7 @@ def test_check_script_failing_step():
     report = check_script(mock, "thm", script)
     assert not report.success
     assert report.failing_index == 2
-    assert [r.ok for r in report.results] == [True, True, False]
+    assert len(mock.applies()) == 3
 
 
 def test_check_script_empty_script():
@@ -165,6 +165,10 @@ def test_check_script_empty_script():
     empty = slice_steps(parse_script("by simp"), 0)
     report = check_script(MockProver(default="ok"), "thm", empty)
     assert not report.success and report.failing_index == 0
+    # a script that runs out with goals remaining has no failing step
+    mock = MockProver(table={"have a by x": MockOutcome("ok", is_done=False)})
+    report = check_script(mock, "thm", parse_script("have a by x"))
+    assert (report.success, report.failing_index) == (False, None)
 
 
 def test_check_script_stops_after_first_failure():
@@ -296,3 +300,14 @@ def test_wire_requests_carry_timeouts(served_mock):
     assert applies[0]["timeout_s"] == 10.0
     assert applies[1]["timeout_s"] == 40.0
     client.shutdown()
+
+
+def test_wire_shutdown_ends_the_server_connection_thread(served_mock):
+    before = set(threading.enumerate())
+    client = WireProver(ProverConfig(endpoint=served_mock[0].address))
+    client.init_session("theory T")
+    handlers = set(threading.enumerate()) - before  # one per connection
+    client.shutdown()
+    for thread in handlers:
+        thread.join(1.0)
+    assert handlers and not any(t.is_alive() for t in handlers)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from proofseek.bench import (
@@ -190,6 +192,26 @@ def test_run_benchmark_resumes_skipping_existing(tmp_path):
     assert calls == ["p3", "p4"]
     assert [r.problem_name for r in records] == ["p1", "p2", "p3", "p4"]
     assert not records[1].success  # preserved from the first run
+
+
+def test_run_benchmark_resumes_past_a_torn_final_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(_record("p1", False).to_json())
+                    + '\n{"extra_calls": 0, "has_sc": false, "has_ti')
+    records = run_benchmark(_spec(["p1", "p2", "p3"]), None, None, path,
+                            pool_size=1,
+                            prove_fn=_fake_prove({"p2": True, "p3": True}))
+    assert [r.success for r in records] == [False, True, True]
+    assert [row["problem_name"] for row in read_jsonl(path)] == [
+        "p1", "p2", "p3"]
+
+
+def test_run_benchmark_malformed_inner_line_still_raises(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"problem_name": "p1", "succ\n{}\n')
+    with pytest.raises(json.JSONDecodeError):
+        run_benchmark(_spec(["p1"]), None, None, path, pool_size=1,
+                      prove_fn=_fake_prove({}))
 
 
 def test_run_benchmark_rerun_is_noop(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 from proofseek.engine import (
     AttemptRecord,
     BudgetConfig,
-    SessionCursor,
     TacticCascade,
     atp_substitute,
     backtrack,
@@ -12,13 +11,12 @@ from proofseek.engine import (
     heuristic_repair,
     prove,
     run_pool,
-    validate_candidate,
 )
 from proofseek.errors import BackendUnavailable, TransportError
 from proofseek.isar import find_placeholders, parse_script
 from proofseek.model import MockModel, ReplayModel, prompt_digest
 from proofseek.prompts import whole_proof_prompt
-from proofseek.prover import MockOutcome, MockProver
+from proofseek.prover import MockOutcome, MockProver, RecordingProver, SessionCursor
 
 from fixtures import (
     GOLDEN_FORMAL_STATEMENT,
@@ -286,6 +284,27 @@ def test_theory_load_error_fails_without_retrying_candidates():
     assert len(prover.applies("init")) == 1
 
 
+def test_prefix_replay_failure_is_undetermined_not_a_proof_failure():
+    # The prefix step is accepted once, then times out when it is replayed
+    # after the placeholder probe dirtied the session.
+    once = 'have a: "x" by simp'
+
+    class FlakyOnReplay(MockProver):
+        def apply(self, session_id, step_text, timeout_s=None):
+            result = super().apply(session_id, step_text, timeout_s)
+            if step_text == once:
+                self.table[once] = MockOutcome("ok", delay_s=99.0)
+            return result
+
+    prover = FlakyOnReplay(table={"proof -": "ok", once: "ok",
+                                  'have "b"': "ok", "by meson": "ok"})
+    model = MockModel({"whole_proof": [[
+        f'proof -\n  {once}\n  have "b" sorry\nqed', "by meson"]]})
+    with pytest.raises(BackendUnavailable):
+        prove(STATEMENT, model, prover,
+              BudgetConfig(sample_budget=2, erp_enabled=False))
+
+
 def test_timeout_sets_has_timeout():
     prover = MockProver(table={
         "proof -": "ok",
@@ -315,40 +334,14 @@ def test_timeout_plumbing_step_vs_hammer():
 # operation-level tests
 
 def _cursor(prover):
-    return SessionCursor(prover, "theory T", prover.config)
-
-
-def test_validate_candidate_all_ok(golden_proof_body, golden_mock):
-    cursor = _cursor(golden_mock)
-    script = parse_script(golden_proof_body)
-    assert validate_candidate(golden_mock, cursor.session, script) is None
-
-
-def test_validate_candidate_reports_position_and_stops():
-    steps = "have a by x have b by y have c by z have d by w " \
-            "have e by v have f by u have g by t"
-    script = parse_script(steps)
-    table = {f"have {c} by {j}": "ok" for c, j in
-             [("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"), ("e", "v")]}
-    prover = MockProver(table=table)
-    session = prover.init_session("t")
-    assert validate_candidate(prover, session, script) == 5
-    assert len(prover.applies()) == 6
-
-
-def test_validate_candidate_exhausted_without_done():
-    prover = MockProver(table={"have a by x": MockOutcome("ok", is_done=False)})
-    session = prover.init_session("t")
-    script = parse_script("have a by x")
-    assert validate_candidate(prover, session, script) == 1
+    return SessionCursor(prover, STATEMENT, prover.config)
 
 
 def test_atp_substitute_sorry_position_arithmetic():
     prover = MockProver(table={'have "g"': "ok", "by fastforce": "ok"})
     cursor = _cursor(prover)
     script = parse_script('have "g" sorry')
-    outcome = atp_substitute(cursor, script, 0, default_cascade(),
-                             prover.config)
+    outcome = atp_substitute(cursor, script, 0, default_cascade())
     assert outcome.success
     assert outcome.extra_calls == 4  # auto, simp, blast, fastforce
     assert outcome.replaced_sorry
@@ -359,8 +352,7 @@ def test_atp_substitute_hammer_result_spliced():
     prover = MockProver(table={'have "g"': "ok"}, hammer="by (metis foo)")
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
-    outcome = atp_substitute(cursor, script, 0, default_cascade(),
-                             prover.config)
+    outcome = atp_substitute(cursor, script, 0, default_cascade())
     assert outcome.success
     assert outcome.extra_calls == 10  # 9 tactics + hammer
     assert outcome.script.steps[0].text == 'have "g" by (metis foo)'
@@ -370,8 +362,7 @@ def test_atp_substitute_total_failure_leaves_script_unchanged():
     prover = MockProver(table={'have "g"': "ok"})
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
-    outcome = atp_substitute(cursor, script, 0, default_cascade(),
-                             prover.config)
+    outcome = atp_substitute(cursor, script, 0, default_cascade())
     assert not outcome.success
     assert outcome.script is script
     assert outcome.session_dirty  # goal body was opened for the hammer
@@ -471,3 +462,60 @@ def test_attempt_record_invariants():
                       final_script=None)
     with pytest.raises(ValueError):
         AttemptRecord("p", False, 0, "atp", False, 0, False, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# golden request trace through every repair stage
+
+INIT = ("init", 'theory Scratch\n  imports Main\nbegin\n\ntheorem t:\n  shows "P"',
+        120.0)
+CLOSE = ("close", "", None)
+HAMMER = ("apply", "\u27e8hammer\u27e9", 40.0)
+CASCADE = [("apply", "by auto", 10.0), ("apply", "by simp", 10.0),
+           ("apply", "by blast", 10.0)]
+PREFIX = [("apply", "proof -", 10.0), ("apply", 'have "a" by simp', 10.0),
+          ("apply", 'have "c"', 10.0)]
+GOLDEN_REQUESTS = [
+    # cascade fix of a timed-out tactic step
+    INIT, ("apply", "proof -", 10.0), ("apply", 'have "a" by foo', 10.0),
+    ("apply", 'have "a" by auto', 10.0), *PREFIX[1:], ("apply", "proof -", 10.0),
+    # two-phase placeholder falls through to a failing hammer: rebuild
+    ("apply", 'have "d"', 10.0), *CASCADE, HAMMER, CLOSE,
+    INIT, *PREFIX, ("apply", "proof -", 10.0),
+    # ERP round: the probe replays the prefix, the continuation is rejected
+    INIT, *PREFIX, ("apply", "proof -", 10.0), ("apply", 'have "d" by e2', 10.0),
+    CLOSE,
+    # heuristic placeholders, discharged by the hammer
+    ("apply", 'have "d"', 10.0), *CASCADE, HAMMER,
+    ("apply", "show ?thesis", 10.0), *CASCADE, HAMMER,
+    # the block closer fails: backtrack, re-align with a rebuild, close
+    ("apply", "oops", 10.0), ("apply", "oops by auto", 10.0),
+    ("apply", "oops by simp", 10.0), ("apply", "oops by blast", 10.0),
+    ("apply", "oops", 10.0), CLOSE,
+    INIT, *PREFIX, *CASCADE, HAMMER, ("apply", "show ?thesis", 10.0), *CASCADE,
+    HAMMER, ("apply", "qed", 10.0), CLOSE,
+]
+
+
+def test_golden_request_trace_through_every_repair_stage():
+    candidate = ('proof -\n  have "a" by foo\n  have "c"\n  proof -\n'
+                 '    have "d" sorry\n    show ?thesis by e1\n  oops\n'
+                 '  show ?thesis by x\nqed')
+    erp = 'have "d" by e2\nshow ?thesis by e3\noops\nshow ?thesis by e4\nqed'
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a" by foo': MockOutcome("ok", delay_s=30.0),
+        'have "a" by simp': "ok", 'have "c"': "ok", 'have "d"': "ok",
+        "show ?thesis": "ok", "qed": "ok",
+    }, hammer=[None, "by (metis h)"]))
+    model = MockModel({"whole_proof": [[candidate]], "erp": [[erp], [""]]})
+    record = prove(STATEMENT, model, prover, BudgetConfig(
+        sample_budget=1, cascade=TacticCascade(("auto", "simp", "blast"))))
+    assert [(e["request"]["command"], e["request"]["step"],
+             e["request"]["timeout_s"]) for e in prover.trace] == GOLDEN_REQUESTS
+    assert [r["purpose"] for r in model.request_log] == [
+        "whole_proof", "erp", "erp"]
+    assert (record.success_stage, record.extra_calls) == ("heuristic", 25)
+    assert record.has_timeout and record.has_sc
+    assert record.final_script == ('proof -\n  have "a" by simp\n  have "c"\n'
+                                   '  by (metis h)\n'
+                                   '  show ?thesis by (metis h)\nqed')

@@ -69,8 +69,7 @@ def test_golden_proof_block_tree(golden_proof_body):
     assert kinds[2:7] == [StepKind.MOREOVER] * 5
     assert kinds[7] is StepKind.ULTIMATELY
     assert kinds[8] is StepKind.QED
-    assert script.steps[1].terminal_tactic.name == "simp"
-    assert script.steps[1].terminal_tactic.args == "add: ec2_instance_policy_def"
+    assert script.steps[1].terminal_tactic == "simp add: ec2_instance_policy_def"
 
 
 def test_minimal_script():
