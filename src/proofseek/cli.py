@@ -264,26 +264,16 @@ def cmd_policy(args: argparse.Namespace) -> int:
     records, errors = [], []
     for index, policy in enumerate(policies):
         name = _sanitize_name(policy.source_name or f"policy_{index}")
-        statements = []
-        for s in policy.statements:
-            raw = {"Effect": s.effect.value, "Action": list(s.actions),
-                   "Resource": list(s.resources)}
-            if s.principals != ("*",):
-                raw["Principal"] = list(s.principals)
-            if s.conditions:
-                raw["Condition"] = {k: json.loads(v) for k, v in s.conditions}
-            statements.append(raw)
-        policy_text = json.dumps({"Statement": statements}, sort_keys=True)
         try:
             if args.llm:
-                record = formalize_nl(policy_text, model,
+                record = formalize_nl(policy.source_text, model,
                                       few_shots=formalize_shots,
                                       params=config.model, problem_name=name)
             else:
                 skeleton = compile_policy(policy)
                 body = render_theory(skeleton)
                 record = FormalizationRecord(
-                    problem_name=name, natural_statement=policy_text,
+                    problem_name=name, natural_statement=policy.source_text,
                     informal_description="", informal_proof="",
                     formal_statement=body, theory_text=body,
                     provenance="compiled")

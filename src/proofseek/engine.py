@@ -274,7 +274,8 @@ def erp_repair(script: ProofScript, position: int, model: ModelBackend,
     Success means the prover reached its terminal accepted state on
     prefix + continuation; the merged script is returned.  Anything less —
     parse failure, rejection mid-continuation, running out of steps — is a
-    failure and the original script is returned unchanged.
+    failure and the original script is returned unchanged.  A prefix that no
+    longer replays raises PrefixReplayFailed, as in ``SessionCursor.rebuild``.
     """
     prefix_steps = script.steps[:position]
     prefix_texts = [s.text for s in prefix_steps]
@@ -291,8 +292,7 @@ def erp_repair(script: ProofScript, position: int, model: ModelBackend,
 
     probe = SessionCursor(prover, statement, budget.prover)
     try:
-        if probe.advance(prefix_texts).failed:
-            return RepairOutcome(False, script)
+        probe.replay(prefix_texts)
         run = probe.advance(s.text for s in continuation.steps)
         if not run.done:
             return RepairOutcome(False, script, timed_out=run.timed_out)

@@ -224,7 +224,6 @@ class Step:
     tokens: tuple[str, ...]
     just_tokens: tuple[str, ...] = ()
     lead_comments: tuple[str, ...] = ()
-    span: Optional[tuple[int, int]] = None
 
     @property
     def text(self) -> str:
@@ -281,12 +280,11 @@ def make_step(
     tokens: tuple[str, ...] = (),
     just_tokens: tuple[str, ...] = (),
     lead_comments: tuple[str, ...] = (),
-    span: Optional[tuple[int, int]] = None,
 ) -> Step:
     if not tokens and not just_tokens:
         raise ValueError("a step needs at least one token")
     return Step(_kind_for(tuple(tokens), tuple(just_tokens)), tuple(tokens),
-                tuple(just_tokens), tuple(lead_comments), span)
+                tuple(just_tokens), tuple(lead_comments))
 
 
 SORRY_STEP = make_step(just_tokens=("sorry",))
@@ -365,20 +363,15 @@ class ProofScript:
     def text(self) -> str:
         return render(self)
 
-    def rendered_step_spans(self) -> list[tuple[int, int]]:
-        """(start, end) offsets of each step's text within render(self)."""
-        _, spans = _render_with_spans(self)
-        return spans
-
 
 # ---------------------------------------------------------------------------
 # parsing
 
 class _StepBuilder:
     __slots__ = ("tokens", "just", "lead", "goal_pending", "chain_open",
-                 "justifying", "closed", "start")
+                 "justifying", "closed")
 
-    def __init__(self, lead: list[str], start: int):
+    def __init__(self, lead: list[str]):
         self.tokens: list[str] = []
         self.just: list[str] = []
         self.lead = lead
@@ -386,11 +379,9 @@ class _StepBuilder:
         self.chain_open = False
         self.justifying = False
         self.closed = False
-        self.start = start
 
-    def build(self, end: int) -> Step:
-        return make_step(tuple(self.tokens), tuple(self.just), tuple(self.lead),
-                         span=(self.start, end))
+    def build(self) -> Step:
+        return make_step(tuple(self.tokens), tuple(self.just), tuple(self.lead))
 
 
 def _split_preamble(tokens: list[Token]) -> tuple[list[Token], list[Token]]:
@@ -421,16 +412,16 @@ def parse_script(text: str) -> ProofScript:
     current: Optional[_StepBuilder] = None
     pending_comments: list[str] = []
 
-    def flush(end_offset: int) -> None:
+    def flush() -> None:
         nonlocal current
         if current is not None:
-            steps.append(current.build(end_offset))
+            steps.append(current.build())
             current = None
 
-    def open_step(word: Token) -> None:
+    def open_step() -> None:
         nonlocal current
-        flush(word.offset)
-        current = _StepBuilder(pending_comments[:], word.offset)
+        flush()
+        current = _StepBuilder(pending_comments[:])
         pending_comments.clear()
 
     def drain_into_body() -> None:
@@ -445,7 +436,7 @@ def parse_script(text: str) -> ProofScript:
         is_keyword = word is not None and word in STEP_KEYWORDS
 
         if is_keyword and word in ("proof", "qed", "oops", "next"):
-            open_step(tok)
+            open_step()
             current.tokens.append(word)
             continue
 
@@ -478,7 +469,7 @@ def parse_script(text: str) -> ProofScript:
                 continue
 
         if is_keyword:
-            open_step(tok)
+            open_step()
             if word in ("by", "apply"):
                 current.just.append(word)
                 current.justifying = True
@@ -493,9 +484,7 @@ def parse_script(text: str) -> ProofScript:
 
         # Non-keyword token (word/string/cartouche): continue current step.
         if current is None or current.closed:
-            flush(tok.offset)
-            current = _StepBuilder(pending_comments[:], tok.offset)
-            pending_comments.clear()
+            open_step()
         elif current.justifying:
             current.just.extend(pending_comments)
             pending_comments.clear()
@@ -506,7 +495,7 @@ def parse_script(text: str) -> ProofScript:
         else:
             current.tokens.append(tok.text)
 
-    flush(len(text))
+    flush()
     root, balanced = _build_tree(steps)
     return ProofScript(
         preamble=preamble,
@@ -575,29 +564,16 @@ def _build_tree(steps: list[Step]) -> tuple[Block, bool]:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_with_spans(script: ProofScript) -> tuple[str, list[tuple[int, int]]]:
-    lines: list[str] = []
-    spans: dict[int, tuple[int, int]] = {}
-    offset = 0
-
-    def emit(line: str) -> tuple[int, int]:
-        nonlocal offset
-        lines.append(line)
-        start = offset
-        offset += len(line) + 1  # newline
-        return (start, offset - 1)
-
-    if script.preamble:
-        for line in script.preamble.splitlines():
-            emit(line)
+def render(script: ProofScript) -> str:
+    """Canonical text: preamble verbatim, one step per line, tokens
+    single-spaced, nesting indented two spaces per depth."""
+    lines = script.preamble.splitlines()
 
     def emit_step(idx: int, depth: int) -> None:
         step = script.steps[idx]
         indent = "  " * depth
-        for comment in step.lead_comments:
-            emit(indent + comment)
-        start, end = emit(indent + step.text)
-        spans[idx] = (start + len(indent), end)
+        lines.extend(indent + comment for comment in step.lead_comments)
+        lines.append(indent + step.text)
 
     def walk(block: Block, depth: int) -> None:
         if block.opener is not None:
@@ -612,18 +588,8 @@ def _render_with_spans(script: ProofScript) -> tuple[str, list[tuple[int, int]]]
             emit_step(block.closer, depth)
 
     walk(script.root, 0)
-    for comment in script.trailing_comments:
-        emit(comment)
-    text = "\n".join(lines)
-    ordered = [spans[i] for i in range(len(script.steps))]
-    return text, ordered
-
-
-def render(script: ProofScript) -> str:
-    """Canonical text: preamble verbatim, one step per line, tokens
-    single-spaced, nesting indented two spaces per depth."""
-    text, _ = _render_with_spans(script)
-    return text
+    lines.extend(script.trailing_comments)
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 deterministic replay and mock implementations every test runs against.
 
 All backends share one surface: ``complete(params, prompt, n) -> list[str]``.
-Requests are logged (purpose, sampling parameters, n) so tests can assert
-budget and sampling contracts by inspection.  Replay fixtures are JSONL
+Backends only answer requests; wrapping one in ``RecordingModel`` captures
+each request (purpose, sampling parameters, n, completions) for budget and
+sampling audits and for writing replay fixtures.  Replay fixtures are JSONL
 records ``{"digest": ..., "completions": [...]}`` keyed by a stable digest of
 (purpose, prompt text); identical prompts always replay identical outputs.
 """
@@ -40,6 +41,7 @@ ENV_MODEL_KEY = "PROOFSEEK_MODEL_KEY"
 PURPOSES = (
     "whole_proof",
     "erp",
+    "nl_statement",
     "stage_description",
     "stage_informal_proof",
     "stage_formal_statement",
@@ -89,11 +91,10 @@ def prompt_digest(prompt: PromptRecord) -> str:
 
 
 class ModelBackend:
-    """Base: request logging plus sample-budget enforcement."""
+    """Base: sample-budget enforcement; ``_complete`` runs under the lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.request_log: list[dict] = []
 
     def complete(self, params: ModelParams, prompt: PromptRecord,
                  n: int = 1) -> list[str]:
@@ -101,14 +102,6 @@ class ModelBackend:
             raise BudgetExceeded(
                 f"requested {n} samples, max_samples is {params.max_samples}")
         with self._lock:
-            self.request_log.append({
-                "purpose": prompt.purpose,
-                "n": n,
-                "temperature": params.temperature,
-                "top_p": params.top_p,
-                "few_shot_count": prompt.few_shot_count,
-                "digest": prompt_digest(prompt),
-            })
             return self._complete(params, prompt, n)
 
     def _complete(self, params: ModelParams, prompt: PromptRecord,
@@ -216,20 +209,31 @@ class MockModel(ModelBackend):
 
 
 class RecordingModel(ModelBackend):
-    """Wraps a backend and records (digest, completions) replay fixtures."""
+    """Wraps a backend and records every answered request, in order: its
+    purpose, sampling parameters, n, digest and completions.  ``dump``
+    writes the replay fixtures (the last completions per digest)."""
 
     def __init__(self, inner: ModelBackend):
         super().__init__()
         self.inner = inner
-        self.fixtures: dict[str, list[str]] = {}
+        self.requests: list[dict] = []
 
     def _complete(self, params: ModelParams, prompt: PromptRecord,
                   n: int) -> list[str]:
         out = self.inner.complete(params, prompt, n)
-        self.fixtures[prompt_digest(prompt)] = list(out)
+        self.requests.append({
+            "purpose": prompt.purpose,
+            "n": n,
+            "temperature": params.temperature,
+            "top_p": params.top_p,
+            "few_shot_count": prompt.few_shot_count,
+            "digest": prompt_digest(prompt),
+            "completions": list(out),
+        })
         return out
 
     def dump(self, path: Union[str, Path]) -> None:
+        fixtures = {r["digest"]: r["completions"] for r in self.requests}
         lines = [json.dumps({"digest": d, "completions": c})
-                 for d, c in sorted(self.fixtures.items())]
+                 for d, c in sorted(fixtures.items())]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Union
 
@@ -66,6 +66,8 @@ class PolicyStatement:
 class PolicyDocument:
     statements: tuple[PolicyStatement, ...]
     source_name: str = ""
+    # The policy as the user wrote it, for prompts and records.
+    source_text: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not self.statements:
@@ -122,7 +124,8 @@ def parse_policy(source: Union[str, dict], source_name: str = "") -> PolicyDocum
     Scalar Action/Resource/Principal fields are normalized to lists; a
     missing Principal means anyone.  A top-level ``policy_json`` wrapper is
     unwrapped.  NotAction/NotResource/NotPrincipal are rejected — negated
-    statements are outside this evaluator's semantics.
+    statements are outside this evaluator's semantics.  The source is kept
+    verbatim as ``source_text`` (a dict source as its JSON).
     """
     if isinstance(source, str):
         try:
@@ -171,7 +174,9 @@ def parse_policy(source: Union[str, dict], source_name: str = "") -> PolicyDocum
                                     for k, v in conditions.items())),
             extras=extras,
         ))
-    return PolicyDocument(tuple(statements), source_name=source_name)
+    return PolicyDocument(
+        tuple(statements), source_name=source_name,
+        source_text=source if isinstance(source, str) else json.dumps(source))
 
 
 def load_policy_csv(text: str) -> list[PolicyDocument]:

@@ -1,7 +1,8 @@
 """Prompt construction for every model call the pipeline makes.
 
-Builders return PromptRecords tagged with their purpose so call logs can be
-audited (the no-ERP configurations must show zero erp-tagged prompts).
+Builders return PromptRecords tagged with their purpose so the requests a
+``RecordingModel`` captures can be audited (the no-ERP configurations must
+show zero erp-tagged prompts).
 Few-shot examples are inlined as user/assistant turns; the default setup is
 1-shot.
 """
@@ -109,4 +110,4 @@ def nl_statement_prompt(statement: str, proof: str) -> PromptRecord:
             f"Statement:\n{statement.strip()}\n\n"
             f"Proof (context only):\n{proof.strip()}")
     return PromptRecord(_messages(_FORMALIZER_SYSTEM, (), user),
-                        purpose="stage_description", few_shot_count=0)
+                        purpose="nl_statement", few_shot_count=0)

@@ -1,9 +1,12 @@
 """Interactive-prover backends over a line-delimited JSON wire protocol.
 
 Requests carry ``{command, session_id, step, timeout_s}`` and responses
-``{status, state_id, message, is_done}``; ``command`` is one of ``init``
-(step holds the theory text), ``apply``, or ``close``.  Two conventions make
-tactic cascades possible without state addressing:
+``{status, state_id, message, is_done}``, plus ``error_kind`` (``theory``,
+``session``, ``protocol`` or ``internal``) when the server refuses a request;
+``command`` is one of ``init`` (step holds the theory text), ``apply``, or
+``close``.  Each shape is built by one helper below, so the wire, recorded
+traces and their replay agree byte for byte.  Two conventions make tactic
+cascades possible without state addressing:
 
 * a failed ``apply`` never advances the session, so the next attempt runs
   against the same state;
@@ -12,7 +15,8 @@ tactic cascades possible without state addressing:
   pseudo-step, is what lands in the proof).
 
 Transport faults raise TransportError and are never confused with
-prover-reported proof errors.
+prover-reported proof errors.  Backends do protocol work only; requests are
+captured by wrapping a backend in ``RecordingProver``.
 """
 
 from __future__ import annotations
@@ -99,22 +103,53 @@ def normalize_step(text: str) -> str:
     return " ".join(text.split())
 
 
+# ---------------------------------------------------------------------------
+# message shapes
+
+def _request(command: str, session_id: Optional[str], step: str,
+             timeout_s: Optional[float]) -> dict:
+    return {"command": command, "session_id": session_id, "step": step,
+            "timeout_s": timeout_s}
+
+
+def _response(status: str, state_id: Optional[str] = None, message: str = "",
+              is_done: bool = False, error_kind: Optional[str] = None) -> dict:
+    response = {"status": status, "state_id": state_id, "message": message,
+                "is_done": is_done}
+    if error_kind is not None:
+        response["error_kind"] = error_kind
+    return response
+
+
+def _step_response(result: StepResult) -> dict:
+    return _response(result.status, result.new_state_id, result.message,
+                     result.is_done)
+
+
+def _step_result(response: dict) -> StepResult:
+    return StepResult(response["status"], response.get("state_id"),
+                      response.get("message", ""),
+                      bool(response.get("is_done", False)))
+
+
+def _opened(session_id: str) -> dict:
+    """The response to an accepted ``init``."""
+    return _response(OK, f"{session_id}/0")
+
+
+def _session_of(response: dict) -> str:
+    """Session id from an ``init`` response, or TheoryLoadError."""
+    if response["status"] != OK:
+        raise TheoryLoadError(response.get("message", "theory rejected"))
+    return response["state_id"].split("/")[0]
+
+
 class ProverBackend:
-    """Base: session bookkeeping hooks plus a request log for assertions."""
+    """Base: the protocol surface, the config, and a lock for subclasses."""
 
     def __init__(self, config: Optional[ProverConfig] = None):
         self.config = config or ProverConfig()
         self._lock = threading.Lock()
-        self.request_log: list[dict] = []
-
-    def _log(self, command: str, session_id: Optional[str], step: str,
-             timeout_s: Optional[float]) -> None:
-        self.request_log.append({
-            "command": command,
-            "session_id": session_id,
-            "step": step,
-            "timeout_s": timeout_s,
-        })
 
     def init_session(self, theory_text: str) -> str:
         raise NotImplementedError
@@ -125,10 +160,6 @@ class ProverBackend:
 
     def close(self, session_id: str) -> None:
         raise NotImplementedError
-
-    def applies(self, command: str = "apply") -> list[dict]:
-        """Logged requests of one command kind (test helper)."""
-        return [r for r in self.request_log if r["command"] == command]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +224,6 @@ class MockProver(ProverBackend):
 
     def init_session(self, theory_text: str) -> str:
         with self._lock:
-            self._log("init", None, theory_text, self.config.init_timeout_s)
             reason = self._rejection(theory_text)
             if reason is not None:
                 raise TheoryLoadError(reason)
@@ -205,7 +235,6 @@ class MockProver(ProverBackend):
               timeout_s: Optional[float] = None) -> StepResult:
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
         with self._lock:
-            self._log("apply", session_id, step_text, timeout_s)
             state = self._sessions.get(session_id)
             if state is None or not state.open:
                 raise SessionClosed(f"session {session_id} is not open")
@@ -234,7 +263,6 @@ class MockProver(ProverBackend):
 
     def close(self, session_id: str) -> None:
         with self._lock:
-            self._log("close", session_id, "", None)
             state = self._sessions.get(session_id)
             if state is not None:
                 state.open = False
@@ -290,32 +318,24 @@ class ReplayProver(ProverBackend):
 
     def init_session(self, theory_text: str) -> str:
         with self._lock:
-            self._log("init", None, theory_text, self.config.init_timeout_s)
-            response = self._next("init", theory_text)
-            if response["status"] != OK:
-                raise TheoryLoadError(response.get("message", "rejected"))
-            return response["state_id"].split("/")[0]
+            return _session_of(self._next("init", theory_text))
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
         with self._lock:
-            self._log("apply", session_id, step_text,
-                      self.config.step_timeout_s if timeout_s is None else timeout_s)
-            response = self._next("apply", step_text)
-            return StepResult(response["status"], response.get("state_id"),
-                              response.get("message", ""),
-                              bool(response.get("is_done", False)))
+            return _step_result(self._next("apply", step_text))
 
     def close(self, session_id: str) -> None:
         with self._lock:
-            self._log("close", session_id, "", None)
             if self._pos < len(self.trace) and \
                     self.trace[self._pos]["request"]["command"] == "close":
                 self._pos += 1
 
 
 class RecordingProver(ProverBackend):
-    """Wraps a backend and captures a replayable request/response trace."""
+    """Wraps a backend and captures a replayable request/response trace:
+    the one record of what was sent to the prover (``requests``), and the
+    fixture ``ReplayProver`` plays back (``dump``)."""
 
     def __init__(self, inner: ProverBackend):
         super().__init__(inner.config)
@@ -326,35 +346,30 @@ class RecordingProver(ProverBackend):
         self.trace.append({"request": request, "response": response})
 
     def init_session(self, theory_text: str) -> str:
-        request = {"command": "init", "session_id": None, "step": theory_text,
-                   "timeout_s": self.config.init_timeout_s}
+        request = _request("init", None, theory_text, self.config.init_timeout_s)
         try:
             sid = self.inner.init_session(theory_text)
         except TheoryLoadError as exc:
-            self._record(request, {"status": ERROR, "state_id": None,
-                                   "message": str(exc), "is_done": False})
+            self._record(request, _response(ERROR, message=str(exc)))
             raise
-        self._record(request, {"status": OK, "state_id": f"{sid}/0",
-                               "message": "", "is_done": False})
+        self._record(request, _opened(sid))
         return sid
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
         result = self.inner.apply(session_id, step_text, timeout_s)
-        self._record(
-            {"command": "apply", "session_id": session_id, "step": step_text,
-             "timeout_s": timeout_s},
-            {"status": result.status, "state_id": result.new_state_id,
-             "message": result.message, "is_done": result.is_done},
-        )
+        self._record(_request("apply", session_id, step_text, timeout_s),
+                     _step_response(result))
         return result
 
     def close(self, session_id: str) -> None:
         self.inner.close(session_id)
-        self._record({"command": "close", "session_id": session_id, "step": "",
-                      "timeout_s": None},
-                     {"status": OK, "state_id": None, "message": "",
-                      "is_done": False})
+        self._record(_request("close", session_id, "", None), _response(OK))
+
+    def requests(self, command: str = "apply") -> list[dict]:
+        """The recorded requests of one command kind, in order."""
+        return [entry["request"] for entry in self.trace
+                if entry["request"]["command"] == command]
 
     def dump(self, path: Union[str, Path]) -> None:
         Path(path).write_text(
@@ -366,7 +381,12 @@ class RecordingProver(ProverBackend):
 # wire client and reference server
 
 class WireProver(ProverBackend):
-    """Socket client for the line-delimited JSON protocol."""
+    """Socket client for the line-delimited JSON protocol.
+
+    Any transport fault (a socket error or timeout, EOF, a malformed line)
+    fails the call with TransportError and drops the connection; the next
+    call reconnects.  Sessions live on the server, so they survive that.
+    """
 
     def __init__(self, config: ProverConfig):
         super().__init__(config)
@@ -385,61 +405,53 @@ class WireProver(ProverBackend):
             raise TransportError(f"cannot reach prover at "
                                  f"{self.config.endpoint}: {exc}") from exc
 
-    def _rpc(self, request: dict, timeout_s: float) -> dict:
+    def _disconnect(self) -> None:
+        # Until the reader is closed too the server never sees EOF.
+        for handle in (self._reader, self._sock):
+            if handle is not None:
+                handle.close()
+        self._reader = self._sock = None
+
+    def _rpc(self, command: str, session_id: Optional[str], step: str,
+             timeout_s: Optional[float]) -> dict:
+        wait_s = (self.config.step_timeout_s if timeout_s is None
+                  else timeout_s) + 10.0
+        request = _request(command, session_id, step, timeout_s)
         with self._lock:
             if self._sock is None:
                 self._connect()
-            self._log(request["command"], request.get("session_id"),
-                      request.get("step", ""), request.get("timeout_s"))
             try:
-                self._sock.settimeout(timeout_s + 10.0)
+                self._sock.settimeout(wait_s)
                 self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
                 line = self._reader.readline()
-            except OSError as exc:
-                raise TransportError(f"prover connection failed: {exc}") from exc
-            if not line:
-                raise TransportError("prover closed the connection")
-            try:
+                if not line:
+                    raise EOFError("prover closed the connection")
                 return json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TransportError(f"malformed prover response: {exc}") from exc
+            except (OSError, EOFError, ValueError) as exc:
+                self._disconnect()
+                raise TransportError(f"prover connection failed: {exc}") from exc
 
     def init_session(self, theory_text: str) -> str:
-        response = self._rpc(
-            {"command": "init", "session_id": None, "step": theory_text,
-             "timeout_s": self.config.init_timeout_s},
-            self.config.init_timeout_s)
-        if response["status"] != OK:
-            raise TheoryLoadError(response.get("message", "theory rejected"))
-        return response["state_id"].split("/")[0]
+        return _session_of(self._rpc("init", None, theory_text,
+                                     self.config.init_timeout_s))
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
-        response = self._rpc(
-            {"command": "apply", "session_id": session_id, "step": step_text,
-             "timeout_s": timeout_s},
-            timeout_s)
+        response = self._rpc("apply", session_id, step_text, timeout_s)
         if response.get("error_kind") == "session":
             raise SessionClosed(response.get("message", session_id))
-        return StepResult(response["status"], response.get("state_id"),
-                          response.get("message", ""),
-                          bool(response.get("is_done", False)))
+        return _step_result(response)
 
     def close(self, session_id: str) -> None:
         try:
-            self._rpc({"command": "close", "session_id": session_id, "step": "",
-                       "timeout_s": None}, self.config.step_timeout_s)
+            self._rpc("close", session_id, "", None)
         except TransportError:
             pass
 
     def shutdown(self) -> None:
-        # Until the reader is closed too the server never sees EOF.
         with self._lock:
-            for handle in (self._reader, self._sock):
-                if handle is not None:
-                    handle.close()
-            self._reader = self._sock = None
+            self._disconnect()
 
 
 class ProverServer:
@@ -474,31 +486,20 @@ class ProverServer:
             request = json.loads(line)
             command = request["command"]
             if command == "init":
-                sid = self.backend.init_session(request.get("step", ""))
-                return {"status": OK, "state_id": f"{sid}/0", "message": "",
-                        "is_done": False}
+                return _opened(self.backend.init_session(request.get("step", "")))
             if command == "apply":
-                result = self.backend.apply(request["session_id"],
-                                            request.get("step", ""),
-                                            request.get("timeout_s"))
-                return {"status": result.status, "state_id": result.new_state_id,
-                        "message": result.message, "is_done": result.is_done}
+                return _step_response(self.backend.apply(
+                    request["session_id"], request.get("step", ""),
+                    request.get("timeout_s")))
             if command == "close":
                 self.backend.close(request["session_id"])
-                return {"status": OK, "state_id": None, "message": "",
-                        "is_done": False}
-            return {"status": ERROR, "state_id": None,
-                    "message": f"unknown command {command!r}",
-                    "is_done": False, "error_kind": "protocol"}
-        except TheoryLoadError as exc:
-            return {"status": ERROR, "state_id": None, "message": str(exc),
-                    "is_done": False, "error_kind": "theory"}
-        except SessionClosed as exc:
-            return {"status": ERROR, "state_id": None, "message": str(exc),
-                    "is_done": False, "error_kind": "session"}
+                return _response(OK)
+            return _response(ERROR, message=f"unknown command {command!r}",
+                             error_kind="protocol")
         except Exception as exc:  # protocol server must not die mid-connection
-            return {"status": ERROR, "state_id": None, "message": str(exc),
-                    "is_done": False, "error_kind": "internal"}
+            kind = ("theory" if isinstance(exc, TheoryLoadError) else
+                    "session" if isinstance(exc, SessionClosed) else "internal")
+            return _response(ERROR, message=str(exc), error_kind=kind)
 
     def start(self) -> "ProverServer":
         threading.Thread(target=self._server.serve_forever, daemon=True).start()
@@ -532,8 +533,9 @@ class Advance:
 class SessionCursor:
     """One prover session on a statement's theory.  ``advance`` is the one
     stepping loop: every check, repair probe and prefix replay goes through
-    it.  ``rebuild`` opens a fresh session and replays a validated prefix,
-    for when the two-phase placeholder probe has left the state mid-goal."""
+    it.  ``replay`` re-applies a validated prefix, and ``rebuild`` does so in
+    a fresh session, for when the two-phase placeholder probe has left the
+    state mid-goal."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -559,13 +561,19 @@ class SessionCursor:
                 return Advance(count, result, done=True)
         return Advance(count, result)
 
+    def replay(self, prefix: Iterable[str]) -> None:
+        """Re-apply steps the prover accepted before.  A refusal now is the
+        prover misbehaving (a timeout under load, say), not a verdict on the
+        proof, so it raises PrefixReplayFailed."""
+        run = self.advance(prefix)
+        if run.failed:
+            raise PrefixReplayFailed(
+                f"validated prefix no longer replays: {run.last.message}")
+
     def rebuild(self, prefix: Iterable[str]) -> None:
         self.prover.close(self.session)
         self.session = self.prover.init_session(self.theory)
-        replay = self.advance(prefix)
-        if replay.failed:
-            raise PrefixReplayFailed(
-                f"validated prefix no longer replays: {replay.last.message}")
+        self.replay(prefix)
 
     def close(self) -> None:
         self.prover.close(self.session)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 import re
+import socketserver
+import threading
 
 from proofseek.prover import MockOutcome, MockProver, normalize_step
 
@@ -256,3 +258,40 @@ def oracle_decision(policy_dict: dict, action: str, resource: str,
     denies = any(s["Effect"] == "Deny" and stmt_matches(s)
                  for s in policy_dict["Statement"])
     return allows and not denies
+
+
+# ---------------------------------------------------------------------------
+# wire test server
+
+class LineServer:
+    """Canned-response TCP server: records every request line it reads and
+    answers each with ``respond(connection_index, line)``; a None answer
+    drops the connection."""
+
+    def __init__(self, respond):
+        self.lines: list[bytes] = []
+        self.connections = 0
+        outer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self) -> None:
+                index = outer.connections
+                outer.connections += 1
+                for raw in self.rfile:
+                    outer.lines.append(raw)
+                    answer = respond(index, raw)
+                    if answer is None:
+                        return
+                    self.wfile.write(answer)
+
+        class Server(socketserver.ThreadingTCPServer):
+            allow_reuse_address = True
+            daemon_threads = True
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self.address = "{}:{}".format(*self._server.server_address)
+        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+
+    def stop(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()

@@ -21,10 +21,10 @@ from proofseek.engine import AttemptRecord, BudgetConfig, prove
 from proofseek.formalize import compile_policy, render_theory
 from proofseek.isar import parse_script, render, token_equivalent
 from proofseek.jsonl import read_jsonl, write_jsonl
-from proofseek.model import MockModel, ReplayModel, prompt_digest
+from proofseek.model import MockModel, RecordingModel, ReplayModel, prompt_digest
 from proofseek.policy import AccessRequest, evaluate, parse_policy
 from proofseek.prompts import whole_proof_prompt
-from proofseek.prover import MockProver
+from proofseek.prover import MockProver, RecordingProver
 
 from fixtures import (
     GOLDEN_FORMAL_STATEMENT,
@@ -167,21 +167,22 @@ def test_criterion_5_repair_path_coverage():
 
     # fifth scenario: backtracking then failure
     model = MockModel({"whole_proof": [[NESTED_CANDIDATE]]})
-    prover = MockProver(table={"proof -": "ok", 'have "a"': "ok",
-                               'have "b" by s2': "ok"})
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", 'have "b" by s2': "ok"}))
     record = prove(STATEMENT, model, prover,
                    BudgetConfig(sample_budget=1, erp_enabled=False))
     assert not record.success
     assert record.success_stage == "failed"
-    assert any(r["step"] == "by auto" for r in prover.applies()), \
+    assert any(r["step"] == "by auto" for r in prover.requests()), \
         "no cascade attempt on the post-backtrack placeholder"
 
     # ERP disabled: the erp scenario degrades and no erp prompts are issued
     model, prover, _ = _scenarios()["erp"]
+    model = RecordingModel(model)
     record = prove(STATEMENT, model, prover,
                    BudgetConfig(sample_budget=1, erp_enabled=False))
     assert record.success_stage in ("heuristic", "failed")
-    assert [r for r in model.request_log if r["purpose"] == "erp"] == []
+    assert [r for r in model.requests if r["purpose"] == "erp"] == []
     _pass(5, "scenarios forced init_proof/atp/erp/heuristic stages, "
              "backtracking failure recorded, no-ERP run issued zero "
              "erp prompts")
@@ -189,16 +190,17 @@ def test_criterion_5_repair_path_coverage():
 
 def test_criterion_6_budget_and_timeout_contracts():
     model, prover, budget = _scenarios()["erp"]
+    model, prover = RecordingModel(model), RecordingProver(prover)
     record = prove(STATEMENT, model, prover, budget)
     assert record.success
 
-    whole = [r for r in model.request_log if r["purpose"] == "whole_proof"]
+    whole = [r for r in model.requests if r["purpose"] == "whole_proof"]
     assert sum(r["n"] for r in whole) <= 10, "sample budget exceeded"
-    for request in model.request_log:
+    for request in model.requests:
         assert request["temperature"] == 0.6
         assert request["top_p"] == 0.95
 
-    applies = prover.applies()
+    applies = prover.requests()
     hammer = [r for r in applies if r["step"] == "\u27e8hammer\u27e9"]
     plain = [r for r in applies if r["step"] != "\u27e8hammer\u27e9"]
     assert hammer, "hammer was never exercised"
@@ -207,7 +209,7 @@ def test_criterion_6_budget_and_timeout_contracts():
     _pass(6, f"{sum(r['n'] for r in whole)} whole-proof samples <= 10; "
              f"{len(plain)} step requests at 10s, {len(hammer)} hammer "
              f"requests at 40s; T=0.6/top-p=0.95 on all "
-             f"{len(model.request_log)} model requests")
+             f"{len(model.requests)} model requests")
 
 
 def test_criterion_7_metric_arithmetic():
@@ -252,9 +254,9 @@ def test_criterion_8_curator_partition():
     assert [p.statement for p in second.sft_pool] == \
         [p.statement for p in first.sft_pool]
 
-    prover = fresh_prover()
+    prover = RecordingProver(fresh_prover())
     assert reward_verification("by simp", 'lemma v: "Q"', prover) == 1
-    done_steps = [r for r in prover.applies() if r["step"] == "by simp"]
+    done_steps = [r for r in prover.requests() if r["step"] == "by simp"]
     assert done_steps, "verification reward without a prover-accepted step"
     assert reward_verification("by nope", 'lemma v: "Q"', fresh_prover()) == 0
     # accepted steps without a terminal accepted state still score 0

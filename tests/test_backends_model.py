@@ -94,6 +94,20 @@ def test_replay_fixture_file_round_trip(tmp_path):
     assert replay.complete(ModelParams(), prompt, 1) == ["answer"]
 
 
+def test_recording_dump_keeps_last_completions_sorted_by_digest(tmp_path):
+    recorder = RecordingModel(MockModel({"whole_proof": [["one"], ["two"]],
+                                         "erp": [["cont"]]}))
+    for prompt in (_prompt(), _prompt("erp", "go on"), _prompt()):
+        recorder.complete(ModelParams(), prompt, 1)
+    assert [r["completions"] for r in recorder.requests] == [
+        ["one"], ["cont"], ["two"]]
+    path = tmp_path / "fixtures.jsonl"
+    recorder.dump(path)
+    assert path.read_bytes() == (
+        b'{"digest": "0f77f04e6ddfe26b", "completions": ["two"]}\n'
+        b'{"digest": "b1c9c34c73c6cd96", "completions": ["cont"]}\n')
+
+
 # ---------------------------------------------------------------------------
 # budget enforcement
 
@@ -111,7 +125,7 @@ def test_budget_boundary_allows_max():
 
 
 # ---------------------------------------------------------------------------
-# mock backend and request log
+# mock backend and recorded requests
 
 def test_mock_model_sequences_per_purpose():
     model = MockModel({"erp": [["first"], ["second"]]})
@@ -129,9 +143,9 @@ def test_mock_model_missing_purpose():
 
 def test_request_log_carries_sampling_params():
     prompt = _prompt()
-    model = ReplayModel({prompt_digest(prompt): ["x"]})
+    model = RecordingModel(ReplayModel({prompt_digest(prompt): ["x"]}))
     model.complete(ModelParams(temperature=0.6, top_p=0.95), prompt, 1)
-    entry = model.request_log[0]
+    entry = model.requests[0]
     assert entry["temperature"] == 0.6
     assert entry["top_p"] == 0.95
     assert entry["purpose"] == "whole_proof"
@@ -140,7 +154,7 @@ def test_request_log_carries_sampling_params():
 
 def test_request_log_thread_safe():
     prompt = _prompt()
-    model = ReplayModel({prompt_digest(prompt): ["x"]})
+    model = RecordingModel(ReplayModel({prompt_digest(prompt): ["x"]}))
     params = ModelParams()
 
     def hammer():
@@ -152,7 +166,7 @@ def test_request_log_thread_safe():
         t.start()
     for t in threads:
         t.join()
-    assert len(model.request_log) == 200
+    assert len(model.requests) == 200
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from proofseek.prover import (
     check_script,
 )
 
-from fixtures import accepting_mock
+from fixtures import LineServer, accepting_mock
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +144,22 @@ def test_concurrent_inits_distinct_ids():
 # check_script
 
 def test_check_script_golden_success(golden_proof_body, golden_mock):
+    golden_mock = RecordingProver(golden_mock)
     report = check_script(golden_mock, "theorem t: shows \"A\" oops",
                           parse_script(golden_proof_body))
     assert report.success
     assert report.failing_index is None
-    assert len(golden_mock.applies()) == 9
+    assert len(golden_mock.requests()) == 9
 
 
 def test_check_script_failing_step():
     script = parse_script("have a by x have b by y have c by z")
-    mock = MockProver(table={"have a by x": "ok", "have b by y": "ok"})
+    mock = RecordingProver(
+        MockProver(table={"have a by x": "ok", "have b by y": "ok"}))
     report = check_script(mock, "thm", script)
     assert not report.success
     assert report.failing_index == 2
-    assert len(mock.applies()) == 3
+    assert len(mock.requests()) == 3
 
 
 def test_check_script_empty_script():
@@ -174,13 +176,13 @@ def test_check_script_empty_script():
 def test_check_script_stops_after_first_failure():
     script = parse_script("have a by x have b by y have c by z "
                           "have d by w have e by v have f by u")
-    mock = MockProver(table={f"have {c} by {j}": "ok" for c, j in
-                             [("a", "x"), ("b", "y"), ("c", "z"),
-                              ("d", "w"), ("e", "v")]})
+    mock = RecordingProver(MockProver(table={
+        f"have {c} by {j}": "ok" for c, j in
+        [("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"), ("e", "v")]}))
     # step 5 fails: exactly 6 apply calls issued
     report = check_script(mock, "thm", script)
     assert report.failing_index == 5
-    assert len(mock.applies()) == 6
+    assert len(mock.requests()) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +235,8 @@ def test_replay_mismatch_detected():
 
 @pytest.fixture
 def served_mock(golden_proof_body):
-    mock = accepting_mock([golden_proof_body],
-                          hammer="by (metis served)")
+    mock = RecordingProver(accepting_mock([golden_proof_body],
+                                          hammer="by (metis served)"))
     server = ProverServer(mock).start()
     yield server, mock
     server.stop()
@@ -296,7 +298,7 @@ def test_wire_requests_carry_timeouts(served_mock):
     session = client.init_session("theory T")
     client.apply(session, "proof -", timeout_s=10.0)
     client.apply(session, HAMMER_STEP, timeout_s=40.0)
-    applies = mock.applies()
+    applies = mock.requests()
     assert applies[0]["timeout_s"] == 10.0
     assert applies[1]["timeout_s"] == 40.0
     client.shutdown()
@@ -311,3 +313,19 @@ def test_wire_shutdown_ends_the_server_connection_thread(served_mock):
     for thread in handlers:
         thread.join(1.0)
     assert handlers and not any(t.is_alive() for t in handlers)
+
+
+def test_wire_reconnects_after_a_dropped_connection():
+    # The first connection is dropped after one request; the failing call is
+    # a transport fault, and the next call reconnects.
+    ok = b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'
+    server = LineServer(lambda index, _line: None if index == 0 else ok)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError):
+            client.init_session("theory T")
+        assert client.init_session("theory T") == "s-1"
+        assert server.connections == 2
+    finally:
+        client.shutdown()
+        server.stop()

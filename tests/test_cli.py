@@ -179,6 +179,37 @@ def test_cmd_policy_llm_path_provenance(tmp_path, capsys):
     assert records and all(r["provenance"] == "llm" for r in records)
 
 
+POLICY_WITH_METADATA = """{
+  "Version": "2012-10-17",
+  "Statement": [
+    {"Sid": "RunAnywhere", "Effect": "Allow", "Principal": {"AWS": "*"},
+     "Action": "ec2:RunInstances", "Resource": "arn:aws:ec2:us-east-1:1234:*"}
+  ]
+}"""
+
+
+def test_cmd_policy_keeps_the_source_policy_text_verbatim(tmp_path, capsys):
+    (tmp_path / "policy.json").write_text(POLICY_WITH_METADATA,
+                                          encoding="utf-8")
+    model_mock = {
+        "stage_description": [["described"]],
+        "stage_informal_proof": [["argued"]],
+        "stage_formal_statement": [[GOLDEN_FORMAL_STATEMENT]],
+    }
+    (tmp_path / "model_mock.json").write_text(json.dumps(model_mock),
+                                              encoding="utf-8")
+    config = write_config(tmp_path, mode="mock", fixtures={
+        "model_mock": "model_mock.json",
+        "prover_mock": write_mock_prover(tmp_path, {}),
+    })
+    for extra in ([], ["--llm"]):
+        assert main(["policy", str(tmp_path / "policy.json"), *extra,
+                     "--config", config]) == 0
+        [record] = read_jsonl(tmp_path / "out" / "formalizations.jsonl")
+        assert record["natural_statement"] == POLICY_WITH_METADATA
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # formalize
 
@@ -296,7 +327,7 @@ def _curate_fixture(tmp_path):
         pairs.append({"statement": f'lemma l{i}: "P{i}"', "proof": proof,
                       "source_theory": "T"})
     write_jsonl(tmp_path / "corpus.jsonl", pairs)
-    model_mock = {"stage_description": [["plain text"]]}
+    model_mock = {"nl_statement": [["plain text"]]}
     (tmp_path / "model_mock.json").write_text(json.dumps(model_mock),
                                               encoding="utf-8")
     fixtures = {

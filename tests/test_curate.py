@@ -10,10 +10,10 @@ from proofseek.curate import (
     reward_verification,
 )
 from proofseek.errors import TransportError
-from proofseek.model import MockModel
-from proofseek.prover import MockProver
+from proofseek.model import MockModel, RecordingModel
+from proofseek.prover import MockProver, RecordingProver
 
-from fixtures import accepting_mock
+from fixtures import GOLDEN_FORMAL_STATEMENT, accepting_mock
 
 ACCEPTED = ["by simp", "by auto", "by blast"]
 
@@ -82,7 +82,7 @@ def test_pair_requires_nonempty_fields():
 
 def test_build_sft_records_all_valid():
     pool = _pairs(5)
-    model = MockModel({"stage_description": [["a plain description"]]})
+    model = MockModel({"nl_statement": [["a plain description"]]})
     records, drops = build_sft_records(pool, model, 5, seed=3)
     assert len(records) == 5 and not drops
     assert all(r.natural_language_statement == "a plain description"
@@ -106,10 +106,10 @@ def test_build_sft_records_drop_after_double_failure():
 
 def test_build_sft_records_seeded_sample_deterministic():
     pool = _pairs(8)
-    model = MockModel({"stage_description": [["text"]]})
+    model = MockModel({"nl_statement": [["text"]]})
     first, _ = build_sft_records(pool, model, 4, seed=11)
     second, _ = build_sft_records(pool, MockModel(
-        {"stage_description": [["text"]]}), 4, seed=11)
+        {"nl_statement": [["text"]]}), 4, seed=11)
     assert [r.statement for r in first] == [r.statement for r in second]
 
 
@@ -120,11 +120,29 @@ def test_build_sft_records_sample_count_bound():
 
 def test_build_rl_records():
     pool = _pairs(3)
-    model = MockModel({"stage_description": [["nl text"]]})
+    model = MockModel({"nl_statement": [["nl text"]]})
     records, drops = build_rl_records(pool, model)
     assert len(records) == 3 and not drops
     assert all(set(r.to_json()) == {"natural_language_statement",
                                     "formal_proof"} for r in records)
+
+
+def test_curation_and_formalization_have_separate_purposes():
+    from proofseek.formalize import formalize_nl
+
+    model = RecordingModel(MockModel({
+        "nl_statement": [["nl text"]],
+        "stage_description": [["described"]],
+        "stage_informal_proof": [["argued"]],
+        "stage_formal_statement": [[GOLDEN_FORMAL_STATEMENT]],
+    }))
+    build_rl_records(_pairs(3), model)
+    build_sft_records(_pairs(5), model, 2, seed=1)
+    assert [r["purpose"] for r in model.requests] == ["nl_statement"] * 5
+    model.requests.clear()
+    formalize_nl("allow running instances", model)
+    assert model.requests and all(r["purpose"] != "nl_statement"
+                                  for r in model.requests)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +193,11 @@ def test_reward_verification_rejected():
 
 
 def test_reward_verification_requires_prover_done():
-    prover = _prover()
+    prover = RecordingProver(_prover())
     result = reward_verification("by simp", 'lemma x: "P"', prover)
     assert result == 1
     # the call log must show a successful terminal apply, not engine judgment
-    assert any(r["step"] == "by simp" for r in prover.applies())
+    assert any(r["step"] == "by simp" for r in prover.requests())
 
 
 def test_reward_verification_transport_is_undetermined():

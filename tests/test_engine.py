@@ -14,7 +14,7 @@ from proofseek.engine import (
 )
 from proofseek.errors import BackendUnavailable, TransportError
 from proofseek.isar import find_placeholders, parse_script
-from proofseek.model import MockModel, ReplayModel, prompt_digest
+from proofseek.model import MockModel, RecordingModel, ReplayModel, prompt_digest
 from proofseek.prompts import whole_proof_prompt
 from proofseek.prover import MockOutcome, MockProver, RecordingProver, SessionCursor
 
@@ -39,7 +39,7 @@ def _model(candidate, erp=None):
     script = {"whole_proof": [[candidate]]}
     if erp is not None:
         script["erp"] = [[erp]]
-    return MockModel(script)
+    return RecordingModel(MockModel(script))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_scenario_erp_stage():
     assert record.success
     assert record.success_stage == "erp"
     assert record.extra_calls == 10  # 9 cascade tactics + hammer
-    erp_requests = [r for r in model.request_log if r["purpose"] == "erp"]
+    erp_requests = [r for r in model.requests if r["purpose"] == "erp"]
     assert len(erp_requests) == 1
     assert 'have "x" by (meson helper)' in record.final_script
 
@@ -147,7 +147,7 @@ def test_scenario_erp_disabled_degrades_with_zero_erp_prompts():
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, model, _erp_prover(), budget)
     assert record.success_stage in ("heuristic", "failed")
-    assert [r for r in model.request_log if r["purpose"] == "erp"] == []
+    assert [r for r in model.requests if r["purpose"] == "erp"] == []
 
 
 def test_scenario_erp_rejected_completion_falls_through():
@@ -189,18 +189,18 @@ def test_scenario_heuristic_stage():
 
 def test_scenario_backtrack_then_failure():
     model = _model(NESTED_CANDIDATE)
-    prover = MockProver(table={
+    prover = RecordingProver(MockProver(table={
         "proof -": "ok",
         'have "a"': "ok",
         'have "b" by s2': "ok",
-    })
+    }))
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, model, prover, budget)
     assert not record.success
     assert record.success_stage == "failed"
     assert record.i_try == 0
     # the block-closing placeholder was offered to the cascade after truncation
-    bare_by_auto = [r for r in prover.applies() if r["step"] == "by auto"]
+    bare_by_auto = [r for r in prover.requests() if r["step"] == "by auto"]
     assert bare_by_auto
 
 
@@ -229,7 +229,7 @@ def test_budget_exhaustion_failure_record():
 def test_single_whole_proof_request_within_budget():
     model = _model(ATP_CANDIDATE)
     prove(STATEMENT, model, _atp_prover(), BudgetConfig(sample_budget=10))
-    whole = [r for r in model.request_log if r["purpose"] == "whole_proof"]
+    whole = [r for r in model.requests if r["purpose"] == "whole_proof"]
     assert len(whole) == 1
     assert whole[0]["n"] <= 10
 
@@ -276,26 +276,31 @@ def test_first_step_failure_abandons_candidate():
 def test_theory_load_error_fails_without_retrying_candidates():
     from proofseek.errors import TheoryLoadError
 
-    prover = MockProver(reject_theory="malformed statement")
+    prover = RecordingProver(MockProver(reject_theory="malformed statement"))
     model = MockModel({"whole_proof": [["by simp", "by auto", "by blast"]]})
     record = prove(STATEMENT, model, prover, BudgetConfig(sample_budget=3))
     assert not record.success
     assert record.i_try == 0
-    assert len(prover.applies("init")) == 1
+    assert len(prover.requests("init")) == 1
+
+
+ONCE = 'have a: "x" by simp'
+
+
+class FlakyOnReplay(MockProver):
+    """Accepts ``ONCE`` the first time, then times out on it."""
+
+    def apply(self, session_id, step_text, timeout_s=None):
+        result = super().apply(session_id, step_text, timeout_s)
+        if step_text == ONCE:
+            self.table[ONCE] = MockOutcome("ok", delay_s=99.0)
+        return result
 
 
 def test_prefix_replay_failure_is_undetermined_not_a_proof_failure():
     # The prefix step is accepted once, then times out when it is replayed
     # after the placeholder probe dirtied the session.
-    once = 'have a: "x" by simp'
-
-    class FlakyOnReplay(MockProver):
-        def apply(self, session_id, step_text, timeout_s=None):
-            result = super().apply(session_id, step_text, timeout_s)
-            if step_text == once:
-                self.table[once] = MockOutcome("ok", delay_s=99.0)
-            return result
-
+    once = ONCE
     prover = FlakyOnReplay(table={"proof -": "ok", once: "ok",
                                   'have "b"': "ok", "by meson": "ok"})
     model = MockModel({"whole_proof": [[
@@ -303,6 +308,23 @@ def test_prefix_replay_failure_is_undetermined_not_a_proof_failure():
     with pytest.raises(BackendUnavailable):
         prove(STATEMENT, model, prover,
               BudgetConfig(sample_budget=2, erp_enabled=False))
+
+
+def test_erp_probe_prefix_replay_failure_is_undetermined(tmp_path):
+    # The ERP probe session replays the prefix, which now times out; the
+    # continuation would verify, so this is a prover fault, not a rejection.
+    from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
+
+    prover = FlakyOnReplay(table={"proof -": "ok", ONCE: "ok",
+                                  'have "b" by good': "ok", "qed": "ok"})
+    model = MockModel({
+        "whole_proof": [[f'proof -\n  {ONCE}\n  have "b" by bad\nqed']],
+        "erp": [['have "b" by good\nqed']]})
+    spec = BenchmarkSpec("flaky", (BenchmarkProblem("p", STATEMENT),),
+                         BudgetConfig(sample_budget=1))
+    [record] = run_benchmark(spec, model, prover, tmp_path / "records.jsonl",
+                             pool_size=1)
+    assert record.undetermined and not record.success
 
 
 def test_timeout_sets_has_timeout():
@@ -321,9 +343,9 @@ def test_timeout_sets_has_timeout():
 
 def test_timeout_plumbing_step_vs_hammer():
     model = _model(ATP_CANDIDATE, erp=ERP_COMPLETION)
-    prover = _erp_prover()
+    prover = RecordingProver(_erp_prover())
     prove(STATEMENT, model, prover)
-    applies = prover.applies()
+    applies = prover.requests()
     hammer = [r for r in applies if r["step"] == "\u27e8hammer\u27e9"]
     others = [r for r in applies if r["step"] != "\u27e8hammer\u27e9"]
     assert hammer and all(r["timeout_s"] == 40.0 for r in hammer)
@@ -507,12 +529,13 @@ def test_golden_request_trace_through_every_repair_stage():
         'have "a" by simp': "ok", 'have "c"': "ok", 'have "d"': "ok",
         "show ?thesis": "ok", "qed": "ok",
     }, hammer=[None, "by (metis h)"]))
-    model = MockModel({"whole_proof": [[candidate]], "erp": [[erp], [""]]})
+    model = RecordingModel(
+        MockModel({"whole_proof": [[candidate]], "erp": [[erp], [""]]}))
     record = prove(STATEMENT, model, prover, BudgetConfig(
         sample_budget=1, cascade=TacticCascade(("auto", "simp", "blast"))))
     assert [(e["request"]["command"], e["request"]["step"],
              e["request"]["timeout_s"]) for e in prover.trace] == GOLDEN_REQUESTS
-    assert [r["purpose"] for r in model.request_log] == [
+    assert [r["purpose"] for r in model.requests] == [
         "whole_proof", "erp", "erp"]
     assert (record.success_stage, record.extra_calls) == ("heuristic", 25)
     assert record.has_timeout and record.has_sc

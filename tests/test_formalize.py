@@ -15,7 +15,7 @@ from proofseek.formalize import (
     wrap_theory,
 )
 from proofseek.isar import parse_script, token_equivalent
-from proofseek.model import MockModel
+from proofseek.model import MockModel, RecordingModel
 from proofseek.policy import parse_policy
 
 from fixtures import EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT, oracle_decision
@@ -165,18 +165,18 @@ def test_validate_missing_terminal():
 # staged workflow
 
 def _staged_model(formal_outputs):
-    return MockModel({
+    return RecordingModel(MockModel({
         "stage_description": [["the policy grants run access"]],
         "stage_informal_proof": [["each grant follows from the wildcard"]],
         "stage_formal_statement": [[out] for out in formal_outputs],
-    })
+    }))
 
 
 def test_formalize_nl_stage_order_and_record():
     model = _staged_model([GOLDEN_FORMAL_STATEMENT])
     record = formalize_nl("allow running instances", model,
                           problem_name="ec2_sample")
-    purposes = [r["purpose"] for r in model.request_log]
+    purposes = [r["purpose"] for r in model.requests]
     assert purposes == ["stage_description", "stage_informal_proof",
                         "stage_formal_statement"]
     assert record.informal_description == "the policy grants run access"
@@ -191,7 +191,7 @@ def test_formalize_nl_retry_then_success():
                            GOLDEN_FORMAL_STATEMENT])
     record = formalize_nl("allow running instances", model)
     assert record.retry_count == 1
-    assert sum(1 for r in model.request_log
+    assert sum(1 for r in model.requests
                if r["purpose"] == "stage_formal_statement") == 2
 
 
