@@ -1,11 +1,15 @@
 """Language-model backends: a chat-completion HTTP client plus the
 deterministic replay and mock implementations every test runs against.
 
-All backends share one surface: ``complete(params, prompt, n) -> list[str]``.
-Backends only answer requests; wrapping one in ``RecordingModel`` captures
-each request (purpose, sampling parameters, n, completions) for budget and
-sampling audits and for writing replay fixtures.  Replay fixtures are JSONL
-records ``{"digest": ..., "completions": [...]}`` keyed by a stable digest of
+All backends share one surface: ``complete(params, prompt, n) -> list[str]``,
+safe to call from many threads at once.  No lock is held across a request,
+so ``ChatModelClient`` sends concurrent requests in parallel; only the
+backends that mutate shared state lock it (``MockModel`` its per-purpose
+cursor, ``RecordingModel`` its ``requests`` list).  Backends only answer
+requests; wrapping one in ``RecordingModel`` captures each request (purpose,
+sampling parameters, n, completions) for budget and sampling audits and for
+writing replay fixtures.  Replay fixtures are JSONL records
+``{"digest": ..., "completions": [...]}`` keyed by a stable digest of
 (purpose, prompt text); identical prompts always replay identical outputs.
 """
 
@@ -91,7 +95,8 @@ def prompt_digest(prompt: PromptRecord) -> str:
 
 
 class ModelBackend:
-    """Base: sample-budget enforcement; ``_complete`` runs under the lock."""
+    """Base: sample-budget enforcement, and a lock for subclasses that
+    mutate shared state; ``_complete`` itself runs unlocked."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -101,8 +106,7 @@ class ModelBackend:
         if n > params.max_samples:
             raise BudgetExceeded(
                 f"requested {n} samples, max_samples is {params.max_samples}")
-        with self._lock:
-            return self._complete(params, prompt, n)
+        return self._complete(params, prompt, n)
 
     def _complete(self, params: ModelParams, prompt: PromptRecord,
                   n: int) -> list[str]:
@@ -203,8 +207,9 @@ class MockModel(ModelBackend):
         batches = self._script.get(prompt.purpose)
         if not batches:
             raise MissingFixture(f"mock has no script for purpose={prompt.purpose}")
-        pos = min(self._cursor[prompt.purpose], len(batches) - 1)
-        self._cursor[prompt.purpose] += 1
+        with self._lock:
+            pos = min(self._cursor[prompt.purpose], len(batches) - 1)
+            self._cursor[prompt.purpose] += 1
         return list(batches[pos][:n])
 
 
@@ -221,15 +226,16 @@ class RecordingModel(ModelBackend):
     def _complete(self, params: ModelParams, prompt: PromptRecord,
                   n: int) -> list[str]:
         out = self.inner.complete(params, prompt, n)
-        self.requests.append({
-            "purpose": prompt.purpose,
-            "n": n,
-            "temperature": params.temperature,
-            "top_p": params.top_p,
-            "few_shot_count": prompt.few_shot_count,
-            "digest": prompt_digest(prompt),
-            "completions": list(out),
-        })
+        with self._lock:
+            self.requests.append({
+                "purpose": prompt.purpose,
+                "n": n,
+                "temperature": params.temperature,
+                "top_p": params.top_p,
+                "few_shot_count": prompt.few_shot_count,
+                "digest": prompt_digest(prompt),
+                "completions": list(out),
+            })
         return out
 
     def dump(self, path: Union[str, Path]) -> None:

@@ -15,8 +15,12 @@ cascades possible without state addressing:
   pseudo-step, is what lands in the proof).
 
 Transport faults raise TransportError and are never confused with
-prover-reported proof errors.  Backends do protocol work only; requests are
-captured by wrapping a backend in ``RecordingProver``.
+prover-reported proof errors; a server-side ``internal`` or ``protocol``
+error is a transport fault, since the request was never judged.  The wire
+client holds one connection per concurrent caller and locks only its list of
+idle connections, never an exchange; sessions live on the server, so any
+connection can drive any session.  Backends do protocol work only; requests
+are captured by wrapping a backend in ``RecordingProver``.
 """
 
 from __future__ import annotations
@@ -380,37 +384,50 @@ class RecordingProver(ProverBackend):
 # ---------------------------------------------------------------------------
 # wire client and reference server
 
+class _Connection:
+    """One socket to the server and the line reader over it."""
+
+    def __init__(self, endpoint: str, timeout_s: float):
+        host, _, port = endpoint.rpartition(":")
+        try:
+            self.sock = socket.create_connection(
+                (host or "127.0.0.1", int(port)), timeout=timeout_s)
+        except (OSError, ValueError) as exc:
+            raise TransportError(f"cannot reach prover at {endpoint}: {exc}") from exc
+        self.reader = self.sock.makefile("r", encoding="utf-8")
+
+    def exchange(self, request: dict, timeout_s: float) -> dict:
+        self.sock.settimeout(timeout_s)
+        self.sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
+        line = self.reader.readline()
+        if not line:
+            raise EOFError("prover closed the connection")
+        return json.loads(line)
+
+    def close(self) -> None:
+        # Until the reader is closed too the server never sees EOF.
+        self.reader.close()
+        self.sock.close()
+
+
 class WireProver(ProverBackend):
     """Socket client for the line-delimited JSON protocol.
 
-    Any transport fault (a socket error or timeout, EOF, a malformed line)
-    fails the call with TransportError and drops the connection; the next
-    call reconnects.  Sessions live on the server, so they survive that.
+    Each call takes an idle connection, or opens one, and runs its exchange
+    with no lock held, so concurrent callers overlap their round-trips and
+    the client holds at most one connection per concurrent caller.  Sessions
+    live on the server, so any connection can drive any session.  Any
+    transport fault (a socket error or timeout, EOF, a malformed line) fails
+    the call with TransportError and closes that connection only; a server
+    fault (``error_kind`` ``internal`` or ``protocol``) is a TransportError
+    too, since the request was never judged.
     """
 
     def __init__(self, config: ProverConfig):
         super().__init__(config)
         if not config.endpoint:
             raise TransportError("prover endpoint not configured")
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
-
-    def _connect(self) -> None:
-        host, _, port = self.config.endpoint.rpartition(":")
-        try:
-            self._sock = socket.create_connection(
-                (host or "127.0.0.1", int(port)), timeout=self.config.init_timeout_s)
-            self._reader = self._sock.makefile("r", encoding="utf-8")
-        except (OSError, ValueError) as exc:
-            raise TransportError(f"cannot reach prover at "
-                                 f"{self.config.endpoint}: {exc}") from exc
-
-    def _disconnect(self) -> None:
-        # Until the reader is closed too the server never sees EOF.
-        for handle in (self._reader, self._sock):
-            if handle is not None:
-                handle.close()
-        self._reader = self._sock = None
+        self._idle: list[_Connection] = []  # guarded by self._lock
 
     def _rpc(self, command: str, session_id: Optional[str], step: str,
              timeout_s: Optional[float]) -> dict:
@@ -418,18 +435,20 @@ class WireProver(ProverBackend):
                   else timeout_s) + 10.0
         request = _request(command, session_id, step, timeout_s)
         with self._lock:
-            if self._sock is None:
-                self._connect()
-            try:
-                self._sock.settimeout(wait_s)
-                self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
-                line = self._reader.readline()
-                if not line:
-                    raise EOFError("prover closed the connection")
-                return json.loads(line)
-            except (OSError, EOFError, ValueError) as exc:
-                self._disconnect()
-                raise TransportError(f"prover connection failed: {exc}") from exc
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = _Connection(self.config.endpoint, self.config.init_timeout_s)
+        try:
+            response = conn.exchange(request, wait_s)
+        except (OSError, EOFError, ValueError) as exc:
+            conn.close()
+            raise TransportError(f"prover connection failed: {exc}") from exc
+        with self._lock:
+            self._idle.append(conn)
+        if response.get("error_kind") in ("internal", "protocol"):
+            raise TransportError(
+                f"prover fault: {response.get('message', command)}")
+        return response
 
     def init_session(self, theory_text: str) -> str:
         return _session_of(self._rpc("init", None, theory_text,
@@ -450,8 +469,11 @@ class WireProver(ProverBackend):
             pass
 
     def shutdown(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
         with self._lock:
-            self._disconnect()
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 class ProverServer:

@@ -3,10 +3,12 @@ reference implementations used as test oracles."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import socketserver
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from proofseek.prover import MockOutcome, MockProver, normalize_step
 
@@ -261,7 +263,7 @@ def oracle_decision(policy_dict: dict, action: str, resource: str,
 
 
 # ---------------------------------------------------------------------------
-# wire test server
+# wire and HTTP test servers
 
 class LineServer:
     """Canned-response TCP server: records every request line it reads and
@@ -290,6 +292,43 @@ class LineServer:
 
         self._server = Server(("127.0.0.1", 0), Handler)
         self.address = "{}:{}".format(*self._server.server_address)
+        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+
+    def stop(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+
+
+class ChatServer:
+    """OpenAI-compatible chat-completion stub: answers each POST, on its own
+    thread, with the completions ``answer(body)`` returns; an exception from
+    ``answer`` becomes an HTTP 500."""
+
+    def __init__(self, answer):
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self) -> None:
+                body = json.loads(self.rfile.read(
+                    int(self.headers["Content-Length"])))
+                try:
+                    payload = {"choices": [{"message": {"content": text}}
+                                           for text in answer(body)]}
+                    status = 200
+                except Exception as exc:
+                    payload, status = {"error": str(exc)}, 500
+                data = json.dumps(payload).encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args) -> None:
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self.url = "http://{}:{}/v1/chat/completions".format(
+            *self._server.server_address)
         threading.Thread(target=self._server.serve_forever, daemon=True).start()
 
     def stop(self) -> None:

@@ -1,4 +1,6 @@
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,6 +16,8 @@ from proofseek.model import (
     prompt_digest,
 )
 from proofseek.prompts import erp_prompt, whole_proof_prompt
+
+from fixtures import ChatServer
 
 
 def _prompt(purpose="whole_proof", text="prove it"):
@@ -169,6 +173,27 @@ def test_request_log_thread_safe():
     assert len(model.requests) == 200
 
 
+def test_mock_model_concurrent_calls_consume_each_batch_once():
+    # 16 threads race for 20,000 scripted batches; a lost cursor update
+    # would hand one batch out twice.
+    batches = [[f"c{i}"] for i in range(20000)] + [["sticky"]]
+    model = MockModel({"whole_proof": batches})
+    params, prompt = ModelParams(), _prompt()
+
+    def drain():
+        return [model.complete(params, prompt, 1)[0] for _ in range(1250)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(16) as pool:
+            futures = [pool.submit(drain) for _ in range(16)]
+            outputs = [text for f in futures for text in f.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(outputs) == sorted(f"c{i}" for i in range(20000))
+
+
 # ---------------------------------------------------------------------------
 # live client configuration
 
@@ -176,6 +201,27 @@ def test_chat_client_requires_endpoint(monkeypatch):
     monkeypatch.delenv("PROOFSEEK_MODEL_URL", raising=False)
     with pytest.raises(TransportError):
         ChatModelClient()
+
+
+def test_chat_client_sends_concurrent_requests_at_once():
+    # The stub answers only once both requests are in flight together.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def answer(body):
+        barrier.wait()
+        return [body["messages"][-1]["content"]] * body["n"]
+
+    server = ChatServer(answer)
+    client = ChatModelClient(url=server.url, api_key="", timeout_s=30)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(client.complete, ModelParams(),
+                                   _prompt(text=text), 1)
+                       for text in ("first", "second")]
+            assert [f.result(timeout=30) for f in futures] == [
+                ["first"], ["second"]]
+    finally:
+        server.stop()
 
 
 def test_chat_client_unreachable_endpoint_is_transport_error():

@@ -1,7 +1,10 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
+from proofseek.engine import BudgetConfig
 from proofseek.errors import (
     ReplayMismatch,
     SessionClosed,
@@ -9,6 +12,7 @@ from proofseek.errors import (
     TransportError,
 )
 from proofseek.isar import parse_script
+from proofseek.model import MockModel
 from proofseek.prover import (
     HAMMER_STEP,
     MockOutcome,
@@ -22,7 +26,7 @@ from proofseek.prover import (
     check_script,
 )
 
-from fixtures import LineServer, accepting_mock
+from fixtures import GOLDEN_FORMAL_STATEMENT, LineServer, accepting_mock
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +308,61 @@ def test_wire_requests_carry_timeouts(served_mock):
     client.shutdown()
 
 
-def test_wire_shutdown_ends_the_server_connection_thread(served_mock):
+class BarrierProver(MockProver):
+    """Accepts every step, but an apply returns only once ``parties``
+    applies are in flight at the same time."""
+
+    def __init__(self, parties: int):
+        super().__init__(default="ok")
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def apply(self, session_id, step_text, timeout_s=None):
+        self.barrier.wait()
+        return super().apply(session_id, step_text, timeout_s)
+
+
+def _apply_at_once(client, parties):
+    """One session per caller, then one apply per caller, all at once."""
+    sessions = [client.init_session("theory T") for _ in range(parties)]
+    with ThreadPoolExecutor(parties) as pool:
+        futures = [pool.submit(client.apply, sid, "by simp")
+                   for sid in sessions]
+        return [f.result(timeout=30) for f in futures]
+
+
+def test_wire_concurrent_callers_are_in_flight_at_once():
+    server = ProverServer(BarrierProver(2)).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        assert [r.ok for r in _apply_at_once(client, 2)] == [True, True]
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+def test_wire_shutdown_ends_the_server_connection_thread():
+    # Four callers at once hold four connections; shutdown closes them all,
+    # so every server connection thread sees EOF and exits.
+    server = ProverServer(BarrierProver(4)).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
     before = set(threading.enumerate())
-    client = WireProver(ProverConfig(endpoint=served_mock[0].address))
-    client.init_session("theory T")
-    handlers = set(threading.enumerate()) - before  # one per connection
-    client.shutdown()
-    for thread in handlers:
-        thread.join(1.0)
-    assert handlers and not any(t.is_alive() for t in handlers)
+    try:
+        assert all(r.ok for r in _apply_at_once(client, 4))
+        handlers = set(threading.enumerate()) - before  # one per connection
+        assert len(handlers) == 4
+        client.shutdown()
+        for thread in handlers:
+            thread.join(1.0)
+        assert not any(t.is_alive() for t in handlers)
+    finally:
+        client.shutdown()
+        server.stop()
 
 
 def test_wire_reconnects_after_a_dropped_connection():
     # The first connection is dropped after one request; the failing call is
-    # a transport fault, and the next call reconnects.
+    # a transport fault, and the next call reconnects.  The dropped
+    # connection is not reused, and the new one is.
     ok = b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'
     server = LineServer(lambda index, _line: None if index == 0 else ok)
     client = WireProver(ProverConfig(endpoint=server.address))
@@ -325,7 +370,64 @@ def test_wire_reconnects_after_a_dropped_connection():
         with pytest.raises(TransportError):
             client.init_session("theory T")
         assert client.init_session("theory T") == "s-1"
+        assert client.init_session("theory T") == "s-1"
         assert server.connections == 2
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+def test_wire_call_after_shutdown_reconnects():
+    ok = b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'
+    server = LineServer(lambda _index, _line: ok)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        assert client.init_session("theory T") == "s-1"
+        client.shutdown()
+        assert client.init_session("theory T") == "s-1"
+        assert server.connections == 2
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+def _crash(*args, **kwargs):
+    raise RuntimeError("backend crashed")
+
+
+@pytest.mark.parametrize("method", ["init_session", "apply"])
+def test_wire_server_fault_is_a_transport_error(method, tmp_path):
+    # A backend crash says nothing about the proof: it is neither a rejected
+    # step nor a theory that will not load, so the problem is undetermined.
+    backend = MockProver(default="ok")
+    setattr(backend, method, _crash)
+    server = ProverServer(backend).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError, match="backend crashed"):
+            client.apply(client.init_session("theory T"), "by simp")
+        spec = BenchmarkSpec(
+            "crash", (BenchmarkProblem("p", GOLDEN_FORMAL_STATEMENT),),
+            BudgetConfig(sample_budget=1))
+        model = MockModel({"whole_proof": [["by simp"]]})
+        [record] = run_benchmark(spec, model, client,
+                                 tmp_path / "records.jsonl", pool_size=1)
+        assert record.undetermined and not record.success
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+def test_wire_protocol_fault_is_a_transport_error():
+    fault = (b'{"status": "error", "state_id": null, "message": "bad request", '
+             b'"is_done": false, "error_kind": "protocol"}\n')
+    server = LineServer(lambda _index, _line: fault)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError, match="bad request"):
+            client.init_session("theory T")
+        with pytest.raises(TransportError, match="bad request"):
+            client.apply("s-1", "by simp")
     finally:
         client.shutdown()
         server.stop()
