@@ -10,15 +10,20 @@ attempt on the closing placeholder.  The engine never declares success on its
 own judgment — only the prover's terminal accepted state (``is_done``)
 counts.
 
-Every prover call goes through ``SessionCursor.advance``, which applies
-steps until one fails, the proof is done, or the steps run out: an attempt
-advances up to a placeholder or failure and hands over to the repair chain.
+Every prover call goes through one ``SessionCursor`` per candidate, whose
+``advance`` applies steps until one fails, the proof is done, or the steps
+run out: an attempt advances up to a placeholder or failure and hands over
+to the repair chain.  The whole chain, ERP's continuation included, runs in
+that one session.
 
 Placeholder discharge is two-phase: the goal body is applied on its own and
 the cascade then tries bare ``by <tactic>`` steps; a failed tactic step is
 instead rewritten and re-applied whole.  Failed applies never advance the
-prover session; positions the two-phase probe has dirtied are restored by
-replaying the validated prefix into a fresh session.
+prover session.  A repair that leaves the session past the validated prefix
+(a goal body opened for a failed cascade, a partly accepted ERP
+continuation, a backtrack over applied steps) marks the cursor stale, and
+the next user seeks the prefix: the cursor replays it into a fresh session
+then, and only then.
 """
 
 from __future__ import annotations
@@ -208,7 +213,6 @@ class RepairOutcome:
     replaced_sorry: bool = False
     timed_out: bool = False
     is_done: bool = False
-    session_dirty: bool = False
 
 
 def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
@@ -219,8 +223,7 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
     ``by <tactic>``); failed tactic steps are rewritten and re-applied whole.
     Every tactic and hammer invocation counts one extra call; goal-body
     applications do not.  On overall failure after a body application the
-    session is left mid-goal (``session_dirty``) and must be rebuilt to the
-    validated prefix before further use.
+    session is left mid-goal, so the cursor is marked stale.
     """
     step = script.step_at(position)
     extra = 0
@@ -261,20 +264,21 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
         if result.ok:
             return win(_justification(result.message or "smt"), result)
 
-    return RepairOutcome(False, script, extra, False, timed_out,
-                         session_dirty=body_applied)
+    cursor.stale = body_applied
+    return RepairOutcome(False, script, extra, False, timed_out)
 
 
-def erp_repair(script: ProofScript, position: int, model: ModelBackend,
-               prover: ProverBackend, statement: str, budget: BudgetConfig,
+def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
+               model: ModelBackend, statement: str, budget: BudgetConfig,
                few_shots: Sequence[tuple[str, str]] = ()) -> RepairOutcome:
     """Ask the model to continue from the verified prefix, then validate the
-    continuation stepwise in a fresh session.
+    continuation stepwise in the cursor's session, sought to that prefix.
 
     Success means the prover reached its terminal accepted state on
     prefix + continuation; the merged script is returned.  Anything less —
     parse failure, rejection mid-continuation, running out of steps — is a
-    failure and the original script is returned unchanged.  A prefix that no
+    failure and the original script is returned unchanged; the cursor is
+    marked stale when some continuation step was accepted.  A prefix that no
     longer replays raises PrefixReplayFailed, as in ``SessionCursor.rebuild``.
     """
     prefix_steps = script.steps[:position]
@@ -290,18 +294,13 @@ def erp_repair(script: ProofScript, position: int, model: ModelBackend,
     if not continuation.steps:
         return RepairOutcome(False, script)
 
-    probe = SessionCursor(prover, statement, budget.prover)
-    try:
-        probe.replay(prefix_texts)
-        run = probe.advance(s.text for s in continuation.steps)
-        if not run.done:
-            return RepairOutcome(False, script, timed_out=run.timed_out)
-        merged = with_steps(script,
-                            [*prefix_steps, *continuation.steps[:run.count]])
-        return RepairOutcome(True, merged, timed_out=run.timed_out,
-                             is_done=True)
-    finally:
-        probe.close()
+    cursor.seek(prefix_texts)
+    run = cursor.advance(s.text for s in continuation.steps)
+    if not run.done:
+        cursor.stale = run.count > 0
+        return RepairOutcome(False, script, timed_out=run.timed_out)
+    merged = with_steps(script, [*prefix_steps, *continuation.steps[:run.count]])
+    return RepairOutcome(True, merged, timed_out=run.timed_out, is_done=True)
 
 
 _STRUCTURAL_HEADS = ("proof", "qed", "oops", "next")
@@ -428,6 +427,7 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
     chain_budget = 6 * len(script.steps) + 32
     try:
         while True:
+            cursor.seek(s.text for s in script.steps[:index])
             pending = takewhile(lambda s: not s.is_sorry,
                                 islice(script.steps, index, None))
             run = cursor.advance(s.text for s in pending)
@@ -442,8 +442,8 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
             if chain_budget < 0:
                 return False, None
             done, script, index, alive = _repair_chain(
-                cursor, script, index, state, statement, model, prover,
-                budget, few_shots, erp_used, heuristic_tried)
+                cursor, script, index, state, statement, model, budget,
+                few_shots, erp_used, heuristic_tried)
             if done:
                 return True, _final_text(script, index)
             if not alive:
@@ -461,9 +461,8 @@ def _final_text(script: ProofScript, applied_count: int) -> str:
 def _repair_chain(
     cursor: SessionCursor, script: ProofScript, index: int,
     state: AttemptState, statement: str, model: ModelBackend,
-    prover: ProverBackend, budget: BudgetConfig,
-    few_shots: Sequence[tuple[str, str]], erp_used: dict[int, int],
-    heuristic_tried: set[int],
+    budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
+    erp_used: dict[int, int], heuristic_tried: set[int],
 ) -> tuple[bool, ProofScript, int, bool]:
     """Repair at a failing or placeholder position.
 
@@ -476,12 +475,10 @@ def _repair_chain(
         state.stage = _advance(state.stage, Stage.ATP)
         state.has_sc = state.has_sc or outcome.replaced_sorry
         return outcome.is_done, outcome.script, index + 1, True
-    if outcome.session_dirty:
-        cursor.rebuild(s.text for s in script.steps[:index])
 
     if budget.erp_enabled and erp_used.get(index, 0) < budget.erp_rounds:
         erp_used[index] = erp_used.get(index, 0) + 1
-        erp = erp_repair(script, index, model, prover, statement, budget,
+        erp = erp_repair(cursor, script, index, model, statement, budget,
                          few_shots)
         state.timed_out = state.timed_out or erp.timed_out
         if erp.success:
@@ -503,8 +500,9 @@ def _repair_chain(
     if truncated.steps == script.steps or target == 0:
         return False, script, index, False
     if target < index:
-        # the collapsed block's steps were already applied; re-align
-        cursor.rebuild(s.text for s in truncated.steps[:target])
+        # the collapsed block's steps were already applied
+        cursor.stale = True
+    cursor.seek(s.text for s in truncated.steps[:target])
     outcome = atp_substitute(cursor, truncated, target, budget.cascade)
     state.extra_calls += outcome.extra_calls
     state.timed_out = state.timed_out or outcome.timed_out

@@ -476,6 +476,9 @@ class WireProver(ProverBackend):
             conn.close()
 
 
+SERVER_POLL_S = 0.05
+
+
 class ProverServer:
     """Serves any ProverBackend over the wire protocol (reference server).
 
@@ -524,7 +527,10 @@ class ProverServer:
             return _response(ERROR, message=str(exc), error_kind=kind)
 
     def start(self) -> "ProverServer":
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        # the serve loop notices stop() only at its next poll
+        threading.Thread(target=self._server.serve_forever,
+                         kwargs={"poll_interval": SERVER_POLL_S},
+                         daemon=True).start()
         return self
 
     def stop(self) -> None:
@@ -553,11 +559,16 @@ class Advance:
 
 
 class SessionCursor:
-    """One prover session on a statement's theory.  ``advance`` is the one
-    stepping loop: every check, repair probe and prefix replay goes through
-    it.  ``replay`` re-applies a validated prefix, and ``rebuild`` does so in
-    a fresh session, for when the two-phase placeholder probe has left the
-    state mid-goal."""
+    """One prover session on a statement's theory, and the one owner of
+    whether that session stands at the prefix its caller validated.
+    ``advance`` is the one stepping loop: every check, repair step and prefix
+    replay goes through it.  A caller that leaves the session anywhere else
+    (a goal body opened for a failed cascade, a partly accepted continuation,
+    steps a backtrack cut away) sets ``stale``; ``seek`` then rebuilds the
+    session at the validated prefix, and does nothing on a cursor that is not
+    stale, so two stale marks with no use in between cost one rebuild.
+    ``advance`` on a stale cursor raises, so a missed ``seek`` can never send
+    steps into a session that is mid-goal."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -565,12 +576,15 @@ class SessionCursor:
         self.config = config
         self.theory = config.theory_header + "\n\n" + strip_terminal_marker(statement)
         self.session = prover.init_session(self.theory)
+        self.stale = False
 
     def advance(self, texts: Iterable[str]) -> Advance:
         """Apply step texts in order until one is not ok, the prover reports
         completion, or the texts run out.  Texts are consumed lazily, so none
         past the stop is built.  The hammer pseudo-step gets the hammer
         timeout, every other step the step timeout."""
+        if self.stale:
+            raise RuntimeError("stale session cursor: seek before advancing")
         count, result = 0, None
         for text in texts:
             timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
@@ -583,19 +597,23 @@ class SessionCursor:
                 return Advance(count, result, done=True)
         return Advance(count, result)
 
-    def replay(self, prefix: Iterable[str]) -> None:
-        """Re-apply steps the prover accepted before.  A refusal now is the
-        prover misbehaving (a timeout under load, say), not a verdict on the
-        proof, so it raises PrefixReplayFailed."""
+    def seek(self, prefix: Iterable[str]) -> None:
+        """Stand at the validated ``prefix``: rebuild when stale, else the
+        session is already there and no prover call is made."""
+        if self.stale:
+            self.rebuild(prefix)
+
+    def rebuild(self, prefix: Iterable[str]) -> None:
+        """Re-apply a validated prefix in a fresh session.  A refusal now is
+        the prover misbehaving (a timeout under load, say), not a verdict on
+        the proof, so it raises PrefixReplayFailed."""
+        self.prover.close(self.session)
+        self.session = self.prover.init_session(self.theory)
+        self.stale = False
         run = self.advance(prefix)
         if run.failed:
             raise PrefixReplayFailed(
                 f"validated prefix no longer replays: {run.last.message}")
-
-    def rebuild(self, prefix: Iterable[str]) -> None:
-        self.prover.close(self.session)
-        self.session = self.prover.init_session(self.theory)
-        self.replay(prefix)
 
     def close(self) -> None:
         self.prover.close(self.session)

@@ -10,7 +10,7 @@ import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from proofseek.prover import MockOutcome, MockProver, normalize_step
+from proofseek.prover import SERVER_POLL_S, MockOutcome, MockProver, normalize_step
 
 PROBLEM_NAME = "s3_samples_mutations_ec2_exp_single_ec2_prevent_running_classic_policy_6_0"
 
@@ -292,7 +292,9 @@ class LineServer:
 
         self._server = Server(("127.0.0.1", 0), Handler)
         self.address = "{}:{}".format(*self._server.server_address)
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        threading.Thread(target=self._server.serve_forever,
+                         kwargs={"poll_interval": SERVER_POLL_S},
+                         daemon=True).start()
 
     def stop(self) -> None:
         self._server.shutdown()
@@ -329,7 +331,9 @@ class ChatServer:
         self._server.daemon_threads = True
         self.url = "http://{}:{}/v1/chat/completions".format(
             *self._server.server_address)
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        threading.Thread(target=self._server.serve_forever,
+                         kwargs={"poll_interval": SERVER_POLL_S},
+                         daemon=True).start()
 
     def stop(self) -> None:
         self._server.shutdown()

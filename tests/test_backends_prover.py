@@ -1,4 +1,5 @@
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -287,6 +288,16 @@ def test_wire_theory_rejection():
         client.shutdown()
     finally:
         server.stop()
+
+
+def test_server_stop_returns_without_waiting_out_a_long_poll():
+    server = ProverServer(MockProver()).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
+    client.close(client.init_session("theory T"))
+    client.shutdown()
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.25
 
 
 def test_wire_unreachable_is_transport_error():

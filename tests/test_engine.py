@@ -285,15 +285,21 @@ def test_theory_load_error_fails_without_retrying_candidates():
 
 
 ONCE = 'have a: "x" by simp'
+SLOW = MockOutcome("ok", delay_s=99.0)
 
 
 class FlakyOnReplay(MockProver):
-    """Accepts ``ONCE`` the first time, then times out on it."""
+    """A mock whose verdict on each step in ``then`` changes after the
+    step's first apply: say, accepted once and timed out on when replayed."""
+
+    def __init__(self, then, **kwargs):
+        super().__init__(**kwargs)
+        self.then = dict(then)
 
     def apply(self, session_id, step_text, timeout_s=None):
         result = super().apply(session_id, step_text, timeout_s)
-        if step_text == ONCE:
-            self.table[ONCE] = MockOutcome("ok", delay_s=99.0)
+        if step_text in self.then:
+            self.table[step_text] = MockOutcome.of(self.then.pop(step_text))
         return result
 
 
@@ -301,7 +307,8 @@ def test_prefix_replay_failure_is_undetermined_not_a_proof_failure():
     # The prefix step is accepted once, then times out when it is replayed
     # after the placeholder probe dirtied the session.
     once = ONCE
-    prover = FlakyOnReplay(table={"proof -": "ok", once: "ok",
+    prover = FlakyOnReplay({once: SLOW},
+                           table={"proof -": "ok", once: "ok",
                                   'have "b"': "ok", "by meson": "ok"})
     model = MockModel({"whole_proof": [[
         f'proof -\n  {once}\n  have "b" sorry\nqed', "by meson"]]})
@@ -310,21 +317,71 @@ def test_prefix_replay_failure_is_undetermined_not_a_proof_failure():
               BudgetConfig(sample_budget=2, erp_enabled=False))
 
 
-def test_erp_probe_prefix_replay_failure_is_undetermined(tmp_path):
-    # The ERP probe session replays the prefix, which now times out; the
-    # continuation would verify, so this is a prover fault, not a rejection.
+def test_erp_seek_prefix_replay_failure_is_undetermined(tmp_path):
+    # The hammer attempt opens the goal body of `have "b"` and fails, so
+    # ERP's seek rebuilds the session and replays the prefix, which now times
+    # out; the continuation would verify, so this is a prover fault, not a
+    # rejection.
     from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
 
-    prover = FlakyOnReplay(table={"proof -": "ok", ONCE: "ok",
-                                  'have "b" by good': "ok", "qed": "ok"})
-    model = MockModel({
-        "whole_proof": [[f'proof -\n  {ONCE}\n  have "b" by bad\nqed']],
-        "erp": [['have "b" by good\nqed']]})
+    prover = FlakyOnReplay({ONCE: SLOW}, table={
+        "proof -": "ok", ONCE: "ok", 'have "b"': "ok",
+        'have "b" by good': "ok", "qed": "ok"})
+    model = _model(f'proof -\n  {ONCE}\n  have "b" by bad\nqed',
+                   erp='have "b" by good\nqed')
     spec = BenchmarkSpec("flaky", (BenchmarkProblem("p", STATEMENT),),
                          BudgetConfig(sample_budget=1))
     [record] = run_benchmark(spec, model, prover, tmp_path / "records.jsonl",
                              pool_size=1)
     assert record.undetermined and not record.success
+    # the replay that failed was ERP's, after its model request
+    assert [r["purpose"] for r in model.requests] == ["whole_proof", "erp"]
+
+
+def test_erp_after_a_clean_cascade_continues_in_the_same_session():
+    # No cascade attempt opened a goal body, so the session still stands at
+    # the validated prefix: ERP sends no second init and replays nothing.
+    prover = RecordingProver(_erp_prover())
+    model = _model(ATP_CANDIDATE, erp=ERP_COMPLETION)
+    cascade = TacticCascade(("auto",), use_hammer=False)
+    record = prove(STATEMENT, model, prover, BudgetConfig(cascade=cascade))
+    assert record.success and record.success_stage == "erp"
+    assert len(prover.requests("init")) == 1
+    assert [r["step"] for r in prover.requests()] == [
+        "proof -", 'have "x" by foo', 'have "x" by auto',
+        'have "x" by (meson helper)', "show ?thesis by simp", "qed"]
+
+
+def test_dirty_cascade_then_backtrack_costs_one_rebuild():
+    # The inner qed times out once.  The hammer attempt reopens it as a goal
+    # body and fails, leaving the session stale; the backtrack over the inner
+    # block then rebuilds once for both.
+    prover = RecordingProver(FlakyOnReplay({"qed": "ok"}, table={
+        "proof -": "ok", 'have "a"': "ok", 'have "b" by s2': "ok",
+        "qed": SLOW}))
+    candidate = 'proof -\n  have "a"\n  proof -\n    have "b" by s2\n  qed\nqed'
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto",)))
+    prove(STATEMENT, _model(candidate), prover, budget)
+    requests = [e["request"]["step"] if e["request"]["command"] == "apply"
+                else e["request"]["command"] for e in prover.trace]
+    assert requests[:14] == [
+        "init", "proof -", 'have "a"', "proof -", 'have "b" by s2', "qed",
+        "qed by auto", "qed", "\u27e8hammer\u27e9",
+        "close", "init", "proof -", 'have "a"', "by auto"]
+    assert requests.count("init") == 2
+
+
+def test_advance_on_a_stale_cursor_raises_until_it_seeks():
+    prover = RecordingProver(MockProver(table={"proof -": "ok"}))
+    cursor = _cursor(prover)
+    cursor.stale = True
+    with pytest.raises(RuntimeError):
+        cursor.advance(["proof -"])
+    assert prover.requests() == []
+    cursor.seek([])
+    assert not cursor.stale and len(prover.requests("init")) == 2
+    assert cursor.advance(["proof -"]).count == 1
 
 
 def test_timeout_sets_has_timeout():
@@ -387,15 +444,18 @@ def test_atp_substitute_total_failure_leaves_script_unchanged():
     outcome = atp_substitute(cursor, script, 0, default_cascade())
     assert not outcome.success
     assert outcome.script is script
-    assert outcome.session_dirty  # goal body was opened for the hammer
+    assert cursor.stale  # goal body was opened for the hammer
 
 
 def test_erp_repair_merges_validated_continuation():
-    prover = _erp_prover()
+    prover = RecordingProver(_erp_prover())
     model = MockModel({"erp": [[ERP_COMPLETION]]})
     script = parse_script(ATP_CANDIDATE)
-    outcome = erp_repair(script, 1, model, prover, STATEMENT, BudgetConfig())
+    cursor = _cursor(prover)
+    cursor.advance(["proof -"])
+    outcome = erp_repair(cursor, script, 1, model, STATEMENT, BudgetConfig())
     assert outcome.success
+    assert len(prover.requests("init")) == 1  # no probe session
     texts = [s.text for s in outcome.script.steps]
     assert texts == ["proof -", 'have "x" by (meson helper)',
                      "show ?thesis by simp", "qed"]
@@ -501,16 +561,15 @@ GOLDEN_REQUESTS = [
     # cascade fix of a timed-out tactic step
     INIT, ("apply", "proof -", 10.0), ("apply", 'have "a" by foo', 10.0),
     ("apply", 'have "a" by auto', 10.0), *PREFIX[1:], ("apply", "proof -", 10.0),
-    # two-phase placeholder falls through to a failing hammer: rebuild
-    ("apply", 'have "d"', 10.0), *CASCADE, HAMMER, CLOSE,
-    INIT, *PREFIX, ("apply", "proof -", 10.0),
-    # ERP round: the probe replays the prefix, the continuation is rejected
-    INIT, *PREFIX, ("apply", "proof -", 10.0), ("apply", 'have "d" by e2', 10.0),
-    CLOSE,
+    # two-phase placeholder falls through to a failing hammer: stale
+    ("apply", 'have "d"', 10.0), *CASCADE, HAMMER,
+    # ERP round: its seek rebuilds, the continuation is rejected
+    CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0),
+    ("apply", 'have "d" by e2', 10.0),
     # heuristic placeholders, discharged by the hammer
     ("apply", 'have "d"', 10.0), *CASCADE, HAMMER,
     ("apply", "show ?thesis", 10.0), *CASCADE, HAMMER,
-    # the block closer fails: backtrack, re-align with a rebuild, close
+    # the block closer fails: backtrack, seek with a rebuild, close
     ("apply", "oops", 10.0), ("apply", "oops by auto", 10.0),
     ("apply", "oops by simp", 10.0), ("apply", "oops by blast", 10.0),
     ("apply", "oops", 10.0), CLOSE,
