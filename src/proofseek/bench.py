@@ -168,8 +168,7 @@ class EvalReport:
             raise ValueError("n_success exceeds n_problems")
 
 
-def aggregate(records: Sequence[AttemptRecord],
-              attempts_over_successes_only: bool = False) -> EvalReport:
+def aggregate(records: Sequence[AttemptRecord]) -> EvalReport:
     """Success rate (half-up, 1 decimal), mean attempts (2 decimals), and
     total wall time over the determined records."""
     if not records:
@@ -180,10 +179,7 @@ def aggregate(records: Sequence[AttemptRecord],
         raise EmptyInput("all records are undetermined")
     n_problems = len(determined)
     n_success = sum(1 for r in determined if r.success)
-    attempt_pool = [r for r in determined if r.success] \
-        if attempts_over_successes_only else determined
-    avg_attempts = (sum(r.i_try for r in attempt_pool) / len(attempt_pool)) \
-        if attempt_pool else 0.0
+    avg_attempts = sum(r.i_try for r in determined) / n_problems
     return EvalReport(
         success_rate=_round_half_up(100.0 * n_success / n_problems, 1),
         avg_attempts=_round_half_up(avg_attempts, 2),

@@ -5,10 +5,10 @@ The repair chain at a failing position is, in order: the tactic cascade plus
 Sledgehammer (``atp_substitute``), a model-driven continuation from the
 verified prefix (``erp_repair``), placeholder rewriting of remaining tactic
 steps (``heuristic_repair``, whose placeholders feed back into the cascade),
-and finally truncation of the innermost enclosing block with one last cascade
-attempt on the closing placeholder.  The engine never declares success on its
-own judgment — only the prover's terminal accepted state (``is_done``)
-counts.
+and finally truncation of the innermost enclosing block (or ``next`` segment)
+with one last cascade attempt on the closing placeholder.  The engine never
+declares success on its own judgment — only the prover's terminal accepted
+state (``is_done``) counts.
 
 Every prover call goes through one ``SessionCursor`` per candidate, whose
 ``advance`` applies steps until one fails, the proof is done, or the steps
@@ -43,10 +43,9 @@ from .errors import (
     TransportError,
 )
 from .isar import (
-    BlockRef,
     ProofScript,
+    enclosing_block,
     extract_proof_text,
-    innermost_block,
     parse_script,
     slice_steps,
     splice,
@@ -130,14 +129,11 @@ class BudgetConfig:
     model: ModelParams = field(default_factory=ModelParams)
     prover: ProverConfig = field(default_factory=ProverConfig)
     erp_enabled: bool = True
-    erp_rounds: int = 1  # model-repair attempts per failure position
     cascade: TacticCascade = field(default_factory=default_cascade)
 
     def __post_init__(self) -> None:
         if self.sample_budget < 1:
             raise ValueError("sample_budget must be >= 1")
-        if self.erp_rounds < 1:
-            raise ValueError("erp_rounds must be >= 1")
 
 
 @dataclass
@@ -320,23 +316,20 @@ def heuristic_repair(script: ProofScript, position: int) -> ProofScript:
     return result
 
 
-def _backtrack_target(script: ProofScript, position: int) -> tuple[BlockRef, int]:
-    """Innermost block plus the cut point: a failure at the block's own
-    delimiter means the block as a whole is broken, so the cut moves to its
-    opener and the entire block collapses into one placeholder."""
-    ref = innermost_block(script, position)
-    node = ref.resolve(script)
-    if node.opener is not None and script.steps[position].head in ("qed", "oops"):
-        return ref, node.opener
-    return ref, position
+def _backtrack_target(script: ProofScript, position: int) -> int:
+    """The cut point for ``truncate_to_block``: the failing step, except that
+    a failure at its block's own closer means the block as a whole is broken,
+    so the cut moves to the opener and the entire block collapses into one
+    placeholder."""
+    _, _, opener, closer = enclosing_block(script, position)
+    return opener if position == closer else position
 
 
 def backtrack(script: ProofScript, position: int) -> ProofScript:
-    """Truncate the innermost block containing the failure, re-closing it
-    with a placeholder (collapsing the block entirely when its delimiter is
-    what failed)."""
-    ref, target = _backtrack_target(script, position)
-    return truncate_to_block(script, ref, target)
+    """Truncate the innermost block (or ``next`` segment) containing the
+    failure, re-closing it with a placeholder (collapsing the block entirely
+    when its closer is what failed)."""
+    return truncate_to_block(script, _backtrack_target(script, position))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
         return False, None
 
     cursor = SessionCursor(prover, statement, budget.prover)
-    erp_used: dict[int, int] = {}
+    erp_tried: set[int] = set()
     heuristic_tried: set[int] = set()
     index = 0
     # Defensive bound: legitimate repair activity is linear in script size;
@@ -443,7 +436,7 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
                 return False, None
             done, script, index, alive = _repair_chain(
                 cursor, script, index, state, statement, model, budget,
-                few_shots, erp_used, heuristic_tried)
+                few_shots, erp_tried, heuristic_tried)
             if done:
                 return True, _final_text(script, index)
             if not alive:
@@ -462,7 +455,7 @@ def _repair_chain(
     cursor: SessionCursor, script: ProofScript, index: int,
     state: AttemptState, statement: str, model: ModelBackend,
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
-    erp_used: dict[int, int], heuristic_tried: set[int],
+    erp_tried: set[int], heuristic_tried: set[int],
 ) -> tuple[bool, ProofScript, int, bool]:
     """Repair at a failing or placeholder position.
 
@@ -476,8 +469,8 @@ def _repair_chain(
         state.has_sc = state.has_sc or outcome.replaced_sorry
         return outcome.is_done, outcome.script, index + 1, True
 
-    if budget.erp_enabled and erp_used.get(index, 0) < budget.erp_rounds:
-        erp_used[index] = erp_used.get(index, 0) + 1
+    if budget.erp_enabled and index not in erp_tried:
+        erp_tried.add(index)
         erp = erp_repair(cursor, script, index, model, statement, budget,
                          few_shots)
         state.timed_out = state.timed_out or erp.timed_out
@@ -495,8 +488,8 @@ def _repair_chain(
 
     if index == 0:
         return False, script, index, False
-    ref, target = _backtrack_target(script, index)
-    truncated = truncate_to_block(script, ref, target)
+    target = _backtrack_target(script, index)
+    truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:
         return False, script, index, False
     if target < index:

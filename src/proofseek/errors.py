@@ -1,14 +1,24 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class ProofSeekError(Exception):
     """Base class for all package errors."""
 
 
 class ParseError(ProofSeekError):
-    """Tokenization failed (unterminated string, comment, or cartouche)."""
+    """Tokenization failed (unterminated string, comment, or cartouche).
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    ``line`` and ``column`` (1-based) locate ``offset`` in ``text``; both are
+    0 when no offset is given.
+    """
+
+    def __init__(self, message: str, text: str = "", offset: Optional[int] = None):
+        line = column = 0
+        if offset is not None:
+            line = text.count("\n", 0, offset) + 1
+            column = offset - text.rfind("\n", 0, offset)
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column

@@ -1,16 +1,16 @@
 """Structural analysis of Isar proof scripts.
 
-Scripts are modeled as a flat, immutable sequence of steps plus a block tree
-over step indices.  A step is one outer-syntax command together with any
-chained prefix (``moreover have ... by simp`` is one step) and its terminal
-justification (``by ...`` or ``sorry``).  Only ``proof``/``qed``/``oops``
-delimit blocks; ``next`` marks sibling segments inside a block.
+A script is a flat, immutable sequence of steps.  A step is one outer-syntax
+command together with any chained prefix (``moreover have ... by simp`` is
+one step) and its terminal justification (``by ...`` or ``sorry``).  Nothing
+stores the block structure: it is read off the step heads when needed.  Only
+``proof``/``qed``/``oops`` delimit blocks; ``next`` separates sibling
+segments inside a block (``enclosing_block``).
 
 The parser is structural, not semantic: quoted strings, cartouches, and
-``(* ... *)`` comments are atomic tokens, unknown commands map to
-``StepKind.OTHER``, and imbalance produces a best-effort tree with
-``ProofScript.balanced == False`` instead of an error.  Semantic validity is
-the prover's job.
+``(* ... *)`` comments are atomic tokens, unknown commands still form steps,
+and imbalance yields a script with ``ProofScript.balanced == False`` instead
+of an error.  Semantic validity is the prover's job.
 
 Equality of two script texts is judged token-wise: ``token_equivalent`` treats
 any two texts with identical whitespace-separated token sequences as the same
@@ -21,21 +21,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .errors import IndexOutOfRange, ParseError
 
 __all__ = [
-    "Block",
-    "BlockRef",
     "ProofScript",
     "Step",
-    "StepKind",
     "Token",
+    "enclosing_block",
     "extract_proof_text",
     "find_placeholders",
-    "innermost_block",
     "make_step",
     "parse_script",
     "render",
@@ -61,8 +57,6 @@ CARTOUCHE_CLOSE = ("\\<close>", "›")
 class Token:
     kind: str  # "word" | "string" | "cartouche" | "comment"
     text: str
-    line: int
-    column: int
     offset: int
 
 
@@ -83,24 +77,11 @@ def tokenize(text: str) -> list[Token]:
     """
     tokens: list[Token] = []
     i, n = 0, len(text)
-    line, col = 1, 1
-
-    def advance(span: str) -> None:
-        nonlocal line, col
-        newlines = span.count("\n")
-        if newlines:
-            line += newlines
-            col = len(span) - span.rfind("\n")
-        else:
-            col += len(span)
-
     while i < n:
         ch = text[i]
         if ch.isspace():
-            advance(ch)
             i += 1
             continue
-        start, start_line, start_col = i, line, col
         if text.startswith("(*", i):
             depth, j = 1, i + 2
             while j < n and depth:
@@ -111,14 +92,14 @@ def tokenize(text: str) -> list[Token]:
                 else:
                     j += 1
             if depth:
-                raise ParseError("unterminated comment", start_line, start_col)
+                raise ParseError("unterminated comment", text, i)
             kind = "comment"
         elif ch == '"':
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
             if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
+                raise ParseError("unterminated string", text, i)
             j += 1
             kind = "string"
         elif _startswith_any(text, i, CARTOUCHE_OPEN):
@@ -133,7 +114,7 @@ def tokenize(text: str) -> list[Token]:
                 else:
                     j += 1
             if depth:
-                raise ParseError("unterminated cartouche", start_line, start_col)
+                raise ParseError("unterminated cartouche", text, i)
             kind = "cartouche"
         else:
             j = i
@@ -146,9 +127,7 @@ def tokenize(text: str) -> list[Token]:
             ):
                 j += 1
             kind = "word"
-        span = text[i:j]
-        tokens.append(Token(kind, span, start_line, start_col, start))
-        advance(span)
+        tokens.append(Token(kind, text[i:j], i))
         i = j
     return tokens
 
@@ -161,30 +140,7 @@ def token_equivalent(a: str, b: str) -> bool:
 # ---------------------------------------------------------------------------
 # steps
 
-class StepKind(str, Enum):
-    HAVE = "have"
-    SHOW = "show"
-    MOREOVER = "moreover"
-    ULTIMATELY = "ultimately"
-    THEN = "then"
-    THUS = "thus"
-    HENCE = "hence"
-    BY = "by"
-    APPLY = "apply"
-    SORRY = "sorry"
-    LET = "let"
-    FIX = "fix"
-    ASSUME = "assume"
-    OBTAIN = "obtain"
-    USING = "using"
-    QED = "qed"
-    PROOF = "proof"
-    OTHER = "other"
-
-
-_KIND_BY_WORD = {k.value: k for k in StepKind if k is not StepKind.OTHER}
-
-# Commands that may open a step.  Unknown commands still parse (as OTHER);
+# Commands that may open a step.  Unknown commands still parse as steps;
 # this set is what separates one step from the next.
 STEP_KEYWORDS = frozenset(
     {
@@ -216,11 +172,9 @@ class Step:
 
     ``tokens`` hold the body (including any interleaved comments); the
     justification tokens are kept separate so it can be rewritten without
-    re-parsing.  ``kind`` is SORRY exactly when the terminal justification is
-    the literal keyword ``sorry``.
+    re-parsing.
     """
 
-    kind: StepKind
     tokens: tuple[str, ...]
     just_tokens: tuple[str, ...] = ()
     lead_comments: tuple[str, ...] = ()
@@ -241,7 +195,7 @@ class Step:
 
     @property
     def is_sorry(self) -> bool:
-        return self.kind is StepKind.SORRY
+        return self.just_tokens[:1] == ("sorry",)
 
     @property
     def terminal_tactic(self) -> Optional[str]:
@@ -265,17 +219,6 @@ class Step:
                          lead_comments=self.lead_comments)
 
 
-def _kind_for(tokens: tuple[str, ...], just_tokens: tuple[str, ...]) -> StepKind:
-    if just_tokens and just_tokens[0] == "sorry":
-        return StepKind.SORRY
-    for tok in tokens:
-        if not tok.startswith("(*"):
-            return _KIND_BY_WORD.get(tok, StepKind.OTHER)
-    if just_tokens:
-        return _KIND_BY_WORD.get(just_tokens[0], StepKind.OTHER)
-    return StepKind.OTHER
-
-
 def make_step(
     tokens: tuple[str, ...] = (),
     just_tokens: tuple[str, ...] = (),
@@ -283,74 +226,25 @@ def make_step(
 ) -> Step:
     if not tokens and not just_tokens:
         raise ValueError("a step needs at least one token")
-    return Step(_kind_for(tuple(tokens), tuple(just_tokens)), tuple(tokens),
-                tuple(just_tokens), tuple(lead_comments))
+    return Step(tuple(tokens), tuple(just_tokens), tuple(lead_comments))
 
 
 SORRY_STEP = make_step(just_tokens=("sorry",))
 
 
 # ---------------------------------------------------------------------------
-# blocks
+# scripts
 
-@dataclass(frozen=True)
-class Block:
-    """A proof block: opener/closer step indices and ordered children.
-
-    ``opener`` is None for the virtual root and for ``next``-separated sibling
-    segments; ``closer`` is None when the block is unclosed or virtual.
-    Children are step indices or nested Blocks, in source order.
-    """
-
-    opener: Optional[int]
-    children: tuple[Union[int, "Block"], ...]
-    closer: Optional[int]
-
-    def span(self) -> tuple[int, int]:
-        lo = hi = None
-        if self.opener is not None:
-            lo = self.opener
-        for child in self.children:
-            c_lo, c_hi = (child.span() if isinstance(child, Block) else (child, child))
-            lo = c_lo if lo is None else min(lo, c_lo)
-            hi = c_hi if hi is None else max(hi, c_hi)
-        if self.closer is not None:
-            hi = self.closer if hi is None else max(hi, self.closer)
-            lo = self.closer if lo is None else lo
-        if lo is None:
-            return (0, -1)  # empty block
-        return (lo, hi if hi is not None else lo)
-
-    def contains(self, step_index: int) -> bool:
-        lo, hi = self.span()
-        return lo <= step_index <= hi
-
-
-@dataclass(frozen=True)
-class BlockRef:
-    """Path of child indices from the root block."""
-
-    path: tuple[int, ...] = ()
-
-    def resolve(self, script: "ProofScript") -> Block:
-        node = script.root
-        for idx in self.path:
-            if not isinstance(node, Block) or idx >= len(node.children):
-                raise IndexOutOfRange(f"block path {self.path} does not resolve")
-            node = node.children[idx]
-        if not isinstance(node, Block):
-            raise IndexOutOfRange(f"block path {self.path} addresses a step")
-        return node
+OPENER = "proof"
+CLOSERS = ("qed", "oops")
 
 
 @dataclass(frozen=True)
 class ProofScript:
-    """Immutable parsed proof: preamble text, flat steps, block tree."""
+    """Immutable parsed proof: preamble text and flat steps."""
 
     preamble: str
     steps: tuple[Step, ...]
-    root: Block
-    balanced: bool = True
     trailing_comments: tuple[str, ...] = ()
 
     def step_at(self, step_index: int) -> Step:
@@ -362,6 +256,21 @@ class ProofScript:
     @property
     def text(self) -> str:
         return render(self)
+
+    @property
+    def balanced(self) -> bool:
+        """Every ``proof`` is closed and every ``qed`` closes one.  A
+        top-level ``oops`` legitimately abandons the statement's goal."""
+        depth = 0
+        for step in self.steps:
+            head = step.head
+            if head == OPENER:
+                depth += 1
+            elif head in CLOSERS and depth:
+                depth -= 1
+            elif head == "qed":
+                return False
+        return depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +305,7 @@ def parse_script(text: str) -> ProofScript:
 
     Any text before the first recognized command (a theorem/lemma header,
     say) becomes the preamble, kept verbatim.  Unbalanced proof/qed structure
-    yields a best-effort tree with ``balanced=False``.
+    still parses, into a script whose ``balanced`` is False.
     """
     if not text or not text.strip():
         raise ParseError("empty proof text")
@@ -496,69 +405,7 @@ def parse_script(text: str) -> ProofScript:
             current.tokens.append(tok.text)
 
     flush()
-    root, balanced = _build_tree(steps)
-    return ProofScript(
-        preamble=preamble,
-        steps=tuple(steps),
-        root=root,
-        balanced=balanced,
-        trailing_comments=tuple(pending_comments),
-    )
-
-
-class _Frame:
-    __slots__ = ("opener", "items", "boundaries")
-
-    def __init__(self, opener: Optional[int]):
-        self.opener = opener
-        self.items: list[Union[int, Block]] = []
-        self.boundaries: list[int] = []  # (items position, next-step index) pairs flattened
-
-    def finish(self, closer: Optional[int]) -> Block:
-        if not self.boundaries:
-            return Block(self.opener, tuple(self.items), closer)
-        children: list[Union[int, Block]] = []
-        run: list[Union[int, Block]] = []
-        bounds = set(self.boundaries)
-        for pos, item in enumerate(self.items):
-            if pos in bounds:
-                children.append(Block(None, tuple(run), None))
-                children.append(item)  # the `next` step itself
-                run = []
-            else:
-                run.append(item)
-        children.append(Block(None, tuple(run), None))
-        return Block(self.opener, tuple(children), closer)
-
-
-def _build_tree(steps: list[Step]) -> tuple[Block, bool]:
-    stack = [_Frame(None)]
-    balanced = True
-    for idx, step in enumerate(steps):
-        head = step.head
-        if head == "proof":
-            frame = _Frame(idx)
-            stack.append(frame)
-        elif head in ("qed", "oops"):
-            if len(stack) > 1:
-                frame = stack.pop()
-                stack[-1].items.append(frame.finish(idx))
-            else:
-                # A top-level `oops` legitimately abandons the statement's
-                # goal; a `qed` with no open block is an imbalance.
-                if head == "qed":
-                    balanced = False
-                stack[-1].items.append(idx)
-        elif head == "next":
-            stack[-1].boundaries.append(len(stack[-1].items))
-            stack[-1].items.append(idx)
-        else:
-            stack[-1].items.append(idx)
-    while len(stack) > 1:
-        balanced = False
-        frame = stack.pop()
-        stack[-1].items.append(frame.finish(None))
-    return stack[0].finish(None), balanced
+    return ProofScript(preamble, tuple(steps), tuple(pending_comments))
 
 
 # ---------------------------------------------------------------------------
@@ -568,26 +415,16 @@ def render(script: ProofScript) -> str:
     """Canonical text: preamble verbatim, one step per line, tokens
     single-spaced, nesting indented two spaces per depth."""
     lines = script.preamble.splitlines()
-
-    def emit_step(idx: int, depth: int) -> None:
-        step = script.steps[idx]
+    depth = 0
+    for step in script.steps:
+        head = step.head
+        if head in CLOSERS and depth:
+            depth -= 1
         indent = "  " * depth
         lines.extend(indent + comment for comment in step.lead_comments)
         lines.append(indent + step.text)
-
-    def walk(block: Block, depth: int) -> None:
-        if block.opener is not None:
-            emit_step(block.opener, depth)
-        child_depth = depth + 1 if block.opener is not None else depth
-        for child in block.children:
-            if isinstance(child, Block):
-                walk(child, child_depth)
-            else:
-                emit_step(child, child_depth)
-        if block.closer is not None:
-            emit_step(block.closer, depth)
-
-    walk(script.root, 0)
+        if head == OPENER:
+            depth += 1
     lines.extend(script.trailing_comments)
     return "\n".join(lines)
 
@@ -600,26 +437,47 @@ def find_placeholders(script: ProofScript) -> list[int]:
     return [i for i, step in enumerate(script.steps) if step.is_sorry]
 
 
-def innermost_block(script: ProofScript, step_index: int) -> BlockRef:
-    """Deepest block whose span contains step_index."""
+def enclosing_block(script: ProofScript, step_index: int
+                    ) -> tuple[int, int, Optional[int], Optional[int]]:
+    """The innermost block containing the step, as ``(lo, hi, opener,
+    closer)`` step indices with ``lo <= step_index <= hi``.
+
+    A ``proof`` step belongs to the block it opens and a ``qed``/``oops`` to
+    the block it closes.  ``opener`` is None at top level; ``closer`` is None
+    there and for an unclosed block, which then runs to the last step.  When
+    the block has ``next`` separators and the step is not one of its
+    delimiters, the result narrows to the step's segment, which has neither
+    opener nor closer.
+    """
     script.step_at(step_index)
-    path: list[int] = []
-    node = script.root
-    while True:
-        descended = False
-        for pos, child in enumerate(node.children):
-            if isinstance(child, Block) and child.contains(step_index):
-                path.append(pos)
-                node = child
-                descended = True
-                break
-        if not descended:
-            return BlockRef(tuple(path))
-
-
-def _rebuild(script: ProofScript, steps: list[Step]) -> ProofScript:
-    root, balanced = _build_tree(steps)
-    return replace(script, steps=tuple(steps), root=root, balanced=balanced)
+    steps = script.steps
+    # Per step: the opener of the innermost block it belongs to.
+    owners: list[Optional[int]] = []
+    stack: list[int] = []
+    for index, step in enumerate(steps):
+        if step.head == OPENER:
+            stack.append(index)
+            owners.append(index)
+        elif step.head in CLOSERS and stack:
+            owners.append(stack.pop())
+        else:
+            owners.append(stack[-1] if stack else None)
+    opener = owners[step_index]
+    members = [j for j, owner in enumerate(owners)
+               if owner == opener and j != opener]
+    closer = None
+    if opener is not None and members and steps[members[-1]].head in CLOSERS:
+        closer = members[-1]
+    lo = 0 if opener is None else opener
+    hi = len(steps) - 1 if closer is None else closer
+    separators = [j for j in members if steps[j].head == "next"]
+    if not separators or step_index in (opener, closer, *separators):
+        return lo, hi, opener, closer
+    # Segments lie strictly between fences: the delimiters and separators.
+    fences = [lo - 1 if opener is None else lo, *separators,
+              hi + 1 if closer is None else hi]
+    return (max(j for j in fences if j < step_index) + 1,
+            min(j for j in fences if j > step_index) - 1, None, None)
 
 
 def splice(script: ProofScript, step_index: int,
@@ -636,41 +494,31 @@ def splice(script: ProofScript, step_index: int,
         new_steps = list(replacement.steps)
     else:
         new_steps = [replacement]
-    steps = [*script.steps[:step_index], *new_steps, *script.steps[step_index + 1:]]
-    return _rebuild(script, steps)
+    return with_steps(script, [*script.steps[:step_index], *new_steps,
+                               *script.steps[step_index + 1:]])
 
 
 def slice_steps(script: ProofScript, end: int) -> ProofScript:
-    """Script consisting of the first ``end`` steps (tree rebuilt)."""
+    """Script consisting of the first ``end`` steps."""
     if not 0 <= end <= len(script.steps):
         raise IndexOutOfRange(f"slice end {end} out of range")
-    return _rebuild(script, list(script.steps[:end]))
+    return with_steps(script, script.steps[:end])
 
 
 def with_steps(script: ProofScript, steps: Sequence[Step]) -> ProofScript:
-    """New script with this step sequence (preamble kept, tree rebuilt)."""
-    return _rebuild(script, list(steps))
+    """New script with this step sequence (preamble kept)."""
+    return replace(script, steps=tuple(steps))
 
 
-def truncate_to_block(script: ProofScript, block: BlockRef,
-                      step_index: int) -> ProofScript:
-    """Drop the block's content from step_index on and re-close it with a
-    sorry placeholder; content outside the block is preserved."""
-    script.step_at(step_index)
-    node = block.resolve(script)
-    lo, hi = node.span()
-    if not lo <= step_index <= hi:
-        raise IndexOutOfRange(
-            f"step {step_index} is outside block span ({lo}, {hi})")
-    steps = list(script.steps)
-    if node.opener is not None and step_index <= node.opener:
-        new_steps = [*steps[:step_index], SORRY_STEP, *steps[hi + 1:]]
-    elif node.closer is not None:
-        new_steps = [*steps[:step_index], SORRY_STEP, steps[node.closer],
-                     *steps[node.closer + 1:]]
-    else:
-        new_steps = [*steps[:step_index], SORRY_STEP, *steps[hi + 1:]]
-    return _rebuild(script, new_steps)
+def truncate_to_block(script: ProofScript, step_index: int) -> ProofScript:
+    """Drop the content of the step's enclosing block (``enclosing_block``)
+    from the step on and re-close it with a sorry placeholder, keeping the
+    block's closer and everything after the block.  At the block's opener
+    the whole block collapses into the placeholder."""
+    _, hi, opener, closer = enclosing_block(script, step_index)
+    keep_from = hi + 1 if closer is None or step_index == opener else closer
+    return with_steps(script, [*script.steps[:step_index], SORRY_STEP,
+                               *script.steps[keep_from:]])
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ class PolicyStatement:
     resources: tuple[str, ...]
     principals: tuple[str, ...] = (ANY_PRINCIPAL,)
     conditions: tuple[tuple[str, Any], ...] = ()
-    extras: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.actions:
@@ -162,9 +161,6 @@ def parse_policy(source: Union[str, dict], source_name: str = "") -> PolicyDocum
         conditions = raw.get("Condition") or {}
         if not isinstance(conditions, dict):
             raise PolicyFormatError("Condition", f"statement {pos}")
-        known = {"Effect", "Action", "Resource", "Principal", "Condition", "Sid"}
-        extras = tuple(sorted((k, json.dumps(v, sort_keys=True))
-                              for k, v in raw.items() if k not in known))
         statements.append(PolicyStatement(
             effect=Effect(effect_raw),
             actions=actions,
@@ -172,7 +168,6 @@ def parse_policy(source: Union[str, dict], source_name: str = "") -> PolicyDocum
             principals=_principals_of(raw.get("Principal")),
             conditions=tuple(sorted((k, json.dumps(v, sort_keys=True))
                                     for k, v in conditions.items())),
-            extras=extras,
         ))
     return PolicyDocument(
         tuple(statements), source_name=source_name,

@@ -521,6 +521,18 @@ def test_backtrack_collapses_block_when_closer_fails():
         "proof -", 'have "a" by x', "sorry", "show ?thesis by z", "qed"]
 
 
+def test_backtrack_ignores_empty_next_segment_of_a_later_block():
+    # The failing step sits before a block whose first `next` segment is
+    # empty; that block must not claim it, so the cut drops the rest of the
+    # outer block, later blocks included.
+    script = parse_script(
+        'proof - have "a" by simp have "b" by bad have "c" '
+        'proof (cases x) next show "c" by simp qed show ?thesis by simp qed')
+    cut = backtrack(script, 2)
+    assert [s.text for s in cut.steps] == [
+        "proof -", 'have "a" by simp', "sorry", "qed"]
+
+
 def test_run_pool_preserves_order_and_captures_exceptions():
     def worker(n):
         if n == 2:

@@ -1,14 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofseek.errors import IndexOutOfRange, ParseError
 from proofseek.isar import (
-    BlockRef,
-    StepKind,
+    enclosing_block,
     extract_proof_text,
     find_placeholders,
-    innermost_block,
     make_step,
     parse_script,
     render,
@@ -46,6 +46,12 @@ def test_tokenize_unterminated_raises(bad):
     assert err.value.line == 1
 
 
+def test_tokenize_error_locates_the_unterminated_token():
+    with pytest.raises(ParseError) as err:
+        tokenize('have "a"\nby simp\n  (* open')
+    assert (err.value.line, err.value.column) == (3, 3)
+
+
 def test_parse_empty_rejected():
     with pytest.raises(ParseError):
         parse_script("   \n ")
@@ -58,24 +64,20 @@ def test_golden_proof_block_tree(golden_proof_body):
     script = parse_script(golden_proof_body)
     assert len(script.steps) == 9
     assert script.balanced
-    # one nested block at depth 1: proof opener, seven inner steps, qed closer
-    assert len(script.root.children) == 1
-    block = script.root.children[0]
-    assert block.opener == 0 and block.closer == 8
-    assert len(block.children) == 7
-    kinds = [s.kind for s in script.steps]
-    assert kinds[0] is StepKind.PROOF
-    assert kinds[1] is StepKind.HAVE
-    assert kinds[2:7] == [StepKind.MOREOVER] * 5
-    assert kinds[7] is StepKind.ULTIMATELY
-    assert kinds[8] is StepKind.QED
+    # one block: proof opener, seven inner steps, qed closer
+    for index in range(9):
+        assert enclosing_block(script, index) == (0, 8, 0, 8)
+    heads = [s.head for s in script.steps]
+    assert heads == ["proof", "have", *["moreover"] * 5, "ultimately", "qed"]
     assert script.steps[1].terminal_tactic == "simp add: ec2_instance_policy_def"
 
 
 def test_minimal_script():
     script = parse_script("by simp")
     assert len(script.steps) == 1
-    assert script.steps[0].kind is StepKind.BY
+    assert script.steps[0].head == "by"
+    assert script.steps[0].just_tokens == ("by", "simp")
+    assert not script.steps[0].is_sorry
     assert render(script) == "by simp"
 
 
@@ -113,30 +115,29 @@ def test_top_level_oops_is_balanced():
 
 
 # ---------------------------------------------------------------------------
-# innermost_block
+# enclosing_block
 
 def test_innermost_block_golden(golden_proof_body):
     script = parse_script(golden_proof_body)
-    assert innermost_block(script, 3).path == (0,)
+    assert enclosing_block(script, 3) == (0, 8, 0, 8)
 
 
 def test_innermost_block_flat_root():
     script = parse_script('have "a" by simp have "b" by simp')
-    assert innermost_block(script, 1).path == ()
+    assert enclosing_block(script, 1) == (0, 1, None, None)
 
 
 def test_innermost_block_two_levels():
     script = parse_script(
         'proof - have "a" proof - have "b" by m show "c" by m qed qed')
-    ref = innermost_block(script, 3)
-    assert len(ref.path) == 2
-    assert ref.resolve(script).contains(3)
+    assert enclosing_block(script, 3) == (2, 5, 2, 5)
+    assert enclosing_block(script, 1) == (0, 6, 0, 6)
 
 
 def test_innermost_block_out_of_range(golden_proof_body):
     script = parse_script(golden_proof_body)
     with pytest.raises(IndexOutOfRange):
-        innermost_block(script, 99)
+        enclosing_block(script, 99)
 
 
 def test_innermost_block_no_deeper_block_contains():
@@ -144,12 +145,13 @@ def test_innermost_block_no_deeper_block_contains():
     for _ in range(50):
         script = parse_script(gen_script_text(rng))
         for index in range(len(script.steps)):
-            ref = innermost_block(script, index)
-            node = ref.resolve(script)
-            assert node.contains(index)
-            for child in node.children:
-                if not isinstance(child, int):
-                    assert not child.contains(index)
+            lo, hi, opener, _ = enclosing_block(script, index)
+            assert lo <= index <= hi
+            # every block opened inside the region lies clear of the step
+            for inner in range(lo, hi + 1):
+                if inner != opener and script.steps[inner].head == "proof":
+                    inner_lo, inner_hi, _, _ = enclosing_block(script, inner)
+                    assert not inner_lo <= index <= inner_hi
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,8 @@ def test_find_placeholders_none(golden_proof_body):
 def test_find_placeholders_direct():
     script = parse_script("have A sorry have B by simp")
     assert find_placeholders(script) == [0]
-    assert script.steps[0].kind is StepKind.SORRY
+    assert script.steps[0].is_sorry
+    assert script.steps[0].just_tokens == ("sorry",)
 
 
 def test_find_placeholders_injected():
@@ -228,8 +231,7 @@ def test_splice_accepts_parsed_block():
 
 def test_truncate_golden_keeps_prefix(golden_proof_body):
     script = parse_script(golden_proof_body)
-    block = innermost_block(script, 5)
-    cut = truncate_to_block(script, block, 5)
+    cut = truncate_to_block(script, 5)
     texts = [s.text for s in cut.steps]
     assert texts[0] == "proof -"
     assert [t.startswith("have") or t.startswith("moreover have")
@@ -241,7 +243,8 @@ def test_truncate_golden_keeps_prefix(golden_proof_body):
 
 def test_truncate_root_to_single_sorry():
     script = parse_script('have "a" by x have "b" by y')
-    cut = truncate_to_block(script, BlockRef(()), 0)
+    assert enclosing_block(script, 0) == (0, 1, None, None)
+    cut = truncate_to_block(script, 0)
     assert [s.text for s in cut.steps] == ["sorry"]
 
 
@@ -251,8 +254,7 @@ def test_truncate_introduces_exactly_one_placeholder():
         steps, _ = gen_steps(rng, sorry_goals=0)
         script = parse_script("\n".join(steps))
         index = rng.randrange(len(script.steps))
-        ref = innermost_block(script, index)
-        cut = truncate_to_block(script, ref, index)
+        cut = truncate_to_block(script, index)
         before = set(find_placeholders(script))
         after = find_placeholders(cut)
         # prefix placeholders survive unchanged; exactly one new one at the cut
@@ -265,8 +267,7 @@ def test_truncate_preserves_outer_content():
     script = parse_script(
         'proof - have "a" proof - have "b" by m show "c" by m qed '
         'show ?thesis by final qed')
-    ref = innermost_block(script, 4)
-    cut = truncate_to_block(script, ref, 4)
+    cut = truncate_to_block(script, 4)
     texts = [s.text for s in cut.steps]
     assert texts == ["proof -", 'have "a"', "proof -", 'have "b" by m',
                      "sorry", "qed", "show ?thesis by final", "qed"]
@@ -278,12 +279,43 @@ def test_truncate_preserves_outer_content():
 def test_next_segments_are_sibling_blocks():
     script = parse_script("proof (induct n) case 0 show ?case by simp "
                           "next case (Suc n) then show ?case by simp qed")
-    outer = script.root.children[0]
-    assert outer.opener == 0 and outer.closer == 6
-    segments = [c for c in outer.children if not isinstance(c, int)]
-    assert len(segments) == 2
-    assert innermost_block(script, 1).path == (0, 0)
-    assert innermost_block(script, 4).path == (0, 2)
+    # the delimiters, `next` included, belong to the block itself
+    for index in (0, 3, 6):
+        assert enclosing_block(script, index) == (0, 6, 0, 6)
+    # the steps between them form two segments without delimiters
+    for index in (1, 2):
+        assert enclosing_block(script, index) == (1, 2, None, None)
+    for index in (4, 5):
+        assert enclosing_block(script, index) == (4, 5, None, None)
+
+
+# Structural heads, goal steps and plain steps.  Unlike ``gen_steps``, a list
+# of them freely yields empty ``next`` segments, unclosed blocks and
+# top-level ``qed``/``oops``.
+_HEADS = ["proof -", "qed", "oops", "next", "sorry", 'have "g"',
+          'have "g" by simp', "show ?thesis by auto", "fix x", "by auto"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_HEADS), min_size=1, max_size=24))
+@example(["proof -", 'have "g" by simp', 'have "g" by simp', 'have "g"',
+          "proof -", "next", "show ?thesis by auto", "qed",
+          "show ?thesis by auto", "qed"])
+def test_enclosing_block_and_cut_invariants(lines):
+    script = parse_script("\n".join(lines))
+    steps = script.steps
+    for index in range(len(steps)):
+        lo, hi, opener, closer = enclosing_block(script, index)
+        assert lo <= index <= hi
+        assert opener is None or lo == opener
+        assert closer is None or hi == closer
+        cut = truncate_to_block(script, index)
+        assert cut.steps[:index] == steps[:index]
+        assert cut.steps[index].is_sorry
+        after = steps[hi + 1:]
+        assert cut.steps[len(cut.steps) - len(after):] == after
+        if script.balanced:
+            assert cut.balanced
 
 
 # ---------------------------------------------------------------------------
