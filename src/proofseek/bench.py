@@ -85,8 +85,9 @@ def _undetermined_record(problem_name: str) -> AttemptRecord:
 
 
 def _cut_torn_tail(path: Path) -> None:
-    """Log and cut off a torn final line (no trailing newline) left by a
-    killed run, so the next append does not glue a record onto it."""
+    """End the file on a newline, so the next append does not glue a record
+    onto its last line: a complete last record gets its missing newline, a
+    torn one (left by a killed run) is logged and cut off."""
     data = path.read_bytes() if path.exists() else b""
     if not data or data.endswith(b"\n"):
         return
@@ -96,6 +97,9 @@ def _cut_torn_tail(path: Path) -> None:
     except ValueError:
         log.warning("%s: dropping torn final line %r", path, data[cut:][:80])
         os.truncate(path, cut)
+    else:
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
 
 
 def run_benchmark(

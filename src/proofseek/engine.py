@@ -134,6 +134,9 @@ class BudgetConfig:
     def __post_init__(self) -> None:
         if self.sample_budget < 1:
             raise ValueError("sample_budget must be >= 1")
+        if self.sample_budget > self.model.max_samples:
+            raise ValueError(f"sample_budget {self.sample_budget} exceeds "
+                             f"max_samples {self.model.max_samples}")
 
 
 @dataclass

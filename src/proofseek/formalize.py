@@ -75,7 +75,6 @@ class FormalizationRecord:
     informal_description: str
     informal_proof: str
     formal_statement: str
-    theory_text: str
     provenance: str = "llm"
     retry_count: int = 0
 
@@ -86,7 +85,7 @@ class FormalizationRecord:
             "informal_description": self.informal_description,
             "informal_proof": self.informal_proof,
             "formal_statement": self.formal_statement,
-            "theory_text": self.theory_text,
+            "theory_text": self.formal_statement,
             "provenance": self.provenance,
         }
 
@@ -98,7 +97,6 @@ class FormalizationRecord:
             informal_description=data.get("informal_description", ""),
             informal_proof=data.get("informal_proof", ""),
             formal_statement=data.get("formal_statement", ""),
-            theory_text=data.get("theory_text", ""),
             provenance=data.get("provenance", "llm"),
         )
 
@@ -393,7 +391,6 @@ def formalize_nl(
         informal_description=description,
         informal_proof=informal_proof,
         formal_statement=formal,
-        theory_text=formal,
         provenance="llm",
         retry_count=retry_count,
     )

@@ -177,9 +177,13 @@ class MockOutcome:
     delay_s: float = 0.0
 
     @staticmethod
-    def of(value: Union[str, "MockOutcome"]) -> "MockOutcome":
+    def of(value: Union[str, dict, "MockOutcome"]) -> "MockOutcome":
+        """An outcome from a status string, its JSON object form (the
+        fields by name), or itself."""
         if isinstance(value, MockOutcome):
             return value
+        if isinstance(value, dict):
+            return MockOutcome(**value)
         return MockOutcome(status=value)
 
 
@@ -194,10 +198,11 @@ class MockProver(ProverBackend):
     """Deterministic in-process prover driven by a step-text table.
 
     ``table`` maps whitespace-normalized step text to an outcome ("ok",
-    "error", "timeout", or a MockOutcome); unlisted steps get ``default``.
-    ``hammer`` configures the Sledgehammer pseudo-step: None fails, a tactic
-    string succeeds with that string in the message, a list is consumed one
-    entry per invocation.  ``is_done`` is taken from the outcome when given,
+    "error", "timeout", a MockOutcome, or its JSON object form); unlisted
+    steps get ``default``.  ``hammer`` configures the Sledgehammer
+    pseudo-step: None fails, a tactic string succeeds with that string in the
+    message, an outcome answers as given, a list is consumed one entry per
+    invocation.  ``is_done`` is taken from the outcome when given,
     otherwise inferred structurally (closing ``qed`` at depth zero, or a
     top-level terminal ``by``).  Simulated ``delay_s`` greater than the
     request timeout yields a timeout without sleeping.
@@ -215,7 +220,7 @@ class MockProver(ProverBackend):
         self.table = {normalize_step(k): MockOutcome.of(v)
                       for k, v in (table or {}).items()}
         self.default = MockOutcome.of(default)
-        if hammer is None or isinstance(hammer, (str, MockOutcome)):
+        if hammer is None or isinstance(hammer, (str, dict, MockOutcome)):
             self._hammer_seq: list[Union[None, str, MockOutcome]] = [hammer]
         else:
             self._hammer_seq = list(hammer)
@@ -288,7 +293,7 @@ class MockProver(ProverBackend):
             return MockOutcome(ERROR, message="no proof found")
         if isinstance(entry, str):
             return MockOutcome(OK, is_done=False, message=entry)
-        return entry
+        return MockOutcome.of(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +431,8 @@ class WireProver(ProverBackend):
     def __init__(self, config: ProverConfig):
         super().__init__(config)
         if not config.endpoint:
-            raise TransportError("prover endpoint not configured")
+            raise TransportError(f"no prover endpoint ({ENV_PROVER_ADDR} "
+                                 "and prover.endpoint unset)")
         self._idle: list[_Connection] = []  # guarded by self._lock
 
     def _rpc(self, command: str, session_id: Optional[str], step: str,

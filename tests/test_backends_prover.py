@@ -110,6 +110,14 @@ def test_mock_hammer_sequence():
     assert second.ok and second.message == "by (metis foo)"
 
 
+def test_mock_hammer_takes_one_outcome_object():
+    mock = MockProver(hammer={"status": "ok", "message": "by (metis foo)"})
+    session = mock.init_session("t")
+    for _ in range(2):
+        result = mock.apply(session, HAMMER_STEP, timeout_s=40.0)
+        assert result.ok and result.message == "by (metis foo)"
+
+
 def test_mock_closed_session_raises():
     mock = MockProver()
     session = mock.init_session("t")

@@ -206,6 +206,15 @@ def test_run_benchmark_resumes_past_a_torn_final_line(tmp_path):
         "p1", "p2", "p3"]
 
 
+def test_run_benchmark_resumes_past_a_final_record_without_newline(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(_record("p1", False).to_json()))
+    records = run_benchmark(_spec(["p1", "p2"]), None, None, path,
+                            pool_size=1, prove_fn=_fake_prove({"p2": True}))
+    assert [r.success for r in records] == [False, True]
+    assert [row["problem_name"] for row in read_jsonl(path)] == ["p1", "p2"]
+
+
 def test_run_benchmark_malformed_inner_line_still_raises(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"problem_name": "p1", "succ\n{}\n')

@@ -1,13 +1,15 @@
 import json
 import socket
 
+import pytest
+
 from proofseek.cli import main
 from proofseek.isar import token_equivalent
 from proofseek.jsonl import read_jsonl, write_jsonl
 from proofseek.model import prompt_digest
 from proofseek.prompts import whole_proof_prompt
 
-from fixtures import EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT
+from fixtures import ChatServer, EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT
 
 SIMPLE_STATEMENT = 'theorem t1:\n  shows "P"\n  oops'
 
@@ -107,6 +109,56 @@ def test_cmd_prove_config_error_before_backend_contact(tmp_path):
     (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
     config = write_config(tmp_path, mode="replay", fixtures={})
     assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
+
+
+def test_cmd_prove_replay_trace_divergence_exits_2(tmp_path, capsys):
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    write_jsonl(tmp_path / "prover_trace.jsonl", [{
+        "request": {"command": "apply", "session_id": "s-1",
+                    "step": "by simp", "timeout_s": 10.0},
+        "response": {"status": "ok", "state_id": "s-1/1", "message": "",
+                     "is_done": True}}])
+    fixtures = {
+        "model_replay": write_replay_model(
+            tmp_path, {SIMPLE_STATEMENT: ["by simp"]}),
+        "prover_trace": "prover_trace.jsonl",
+    }
+    config = write_config(tmp_path, fixtures=fixtures,
+                          budget={"sample_budget": 1, "erp_enabled": False})
+    code = main(["prove", str(tmp_path / "stmt.thy"), "--config", config])
+    assert code == 2
+    assert "diverged" in capsys.readouterr().err
+
+
+def _live_model(monkeypatch, answer):
+    """A chat server on localhost, reachable through PROOFSEEK_MODEL_URL;
+    the prover address points at a port nothing listens on."""
+    server = ChatServer(answer)
+    monkeypatch.setenv("PROOFSEEK_MODEL_URL", server.url)
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", "127.0.0.1:1")
+    return server
+
+
+def test_cmd_prove_over_budget_config_exits_2_before_any_request(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    bodies = []
+
+    def answer(body):
+        bodies.append(body)
+        return ["by simp"]
+
+    server = _live_model(monkeypatch, answer)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 11})
+        code = main(["prove", str(tmp_path / "stmt.thy"),
+                     "--config", config])
+    finally:
+        server.stop()
+    assert code == 2
+    assert bodies == []
+    assert "sample_budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +262,23 @@ def test_cmd_policy_keeps_the_source_policy_text_verbatim(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cmd_policy_llm_mock_needs_only_model_mock(tmp_path, capsys):
+    (tmp_path / "policy.json").write_text(EC2_POLICY_JSON, encoding="utf-8")
+    model_mock = {
+        "stage_description": [["described"]],
+        "stage_informal_proof": [["argued"]],
+        "stage_formal_statement": [[GOLDEN_FORMAL_STATEMENT]],
+    }
+    (tmp_path / "model_mock.json").write_text(json.dumps(model_mock),
+                                              encoding="utf-8")
+    config = write_config(tmp_path, mode="mock",
+                          fixtures={"model_mock": "model_mock.json"})
+    code = main(["policy", str(tmp_path / "policy.json"), "--llm",
+                 "--config", config])
+    assert code == 0
+    assert _record_from_stdout(capsys)["n_theories"] == 1
+
+
 # ---------------------------------------------------------------------------
 # formalize
 
@@ -237,6 +306,46 @@ def test_cmd_formalize_staged_records(tmp_path, capsys):
     records = read_jsonl(tmp_path / "out" / "formalizations.jsonl")
     assert [r["problem_name"] for r in records] == ["n1", "n2"]
     assert records[0]["informal_description"] == "described"
+
+
+def test_cmd_formalize_mock_needs_only_model_mock(tmp_path, capsys):
+    write_jsonl(tmp_path / "inputs.jsonl",
+                [{"problem_name": "n1", "natural_statement": "allow running"}])
+    model_mock = {
+        "stage_description": [["described"]],
+        "stage_informal_proof": [["argued"]],
+        "stage_formal_statement": [[GOLDEN_FORMAL_STATEMENT]],
+    }
+    (tmp_path / "model_mock.json").write_text(json.dumps(model_mock),
+                                              encoding="utf-8")
+    config = write_config(tmp_path, mode="mock",
+                          fixtures={"model_mock": "model_mock.json"})
+    code = main(["formalize", str(tmp_path / "inputs.jsonl"),
+                 "--config", config])
+    assert code == 0
+    assert _record_from_stdout(capsys)["n_records"] == 1
+
+
+def test_cmd_formalize_live_model_fault_exits_2(tmp_path, monkeypatch,
+                                                capsys):
+    write_jsonl(tmp_path / "inputs.jsonl",
+                [{"problem_name": "n1", "natural_statement": "allow running"}])
+    bodies = []
+
+    def answer(body):
+        bodies.append(body)
+        raise RuntimeError("model is down")
+
+    server = _live_model(monkeypatch, answer)
+    try:
+        config = write_config(tmp_path, mode="live")
+        code = main(["formalize", str(tmp_path / "inputs.jsonl"),
+                     "--config", config])
+    finally:
+        server.stop()
+    assert code == 2
+    assert len(bodies) == 1
+    assert "model endpoint failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +413,18 @@ def test_cmd_bench_rerun_is_noop(tmp_path, capsys):
     assert records_path.read_text("utf-8") == before
 
 
+def test_cmd_bench_spec_row_without_formal_statement_exits_2(tmp_path,
+                                                              capsys):
+    spec_path, fixtures = _bench_fixture(tmp_path, n_problems=2, n_fail=0)
+    rows = read_jsonl(spec_path)
+    del rows[1]["formal_statement"]
+    write_jsonl(spec_path, rows)
+    config = write_config(tmp_path, fixtures=fixtures)
+    assert main(["bench", spec_path, "--no-erp", "--config", config]) == 2
+    assert "formal_statement" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 def test_cmd_report_from_records(tmp_path, capsys):
     spec_path, fixtures = _bench_fixture(tmp_path, n_problems=4, n_fail=2)
     config = write_config(tmp_path, fixtures=fixtures)
@@ -363,6 +484,53 @@ def test_cmd_curate_rerun_byte_identical(tmp_path):
                  "--out", str(out_b)]) == 0
     for name in ("sft.jsonl", "rl.jsonl", "manifest.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# backend construction
+
+def test_mock_prover_fixture_takes_outcome_objects(tmp_path):
+    from proofseek.cli import build_prover, load_config
+    from proofseek.prover import HAMMER_STEP
+
+    (tmp_path / "prover_mock.json").write_text(json.dumps({
+        "table": {"by simp": {"status": "ok", "is_done": False,
+                              "message": "m"}},
+        "default": {"status": "timeout"},
+        "hammer": [None, {"status": "ok", "message": "by auto"}],
+    }), encoding="utf-8")
+    prover = build_prover(load_config(write_config(
+        tmp_path, mode="mock", fixtures={"prover_mock": "prover_mock.json"})))
+    sid = prover.init_session("theory T imports Main begin")
+    result = prover.apply(sid, "by   simp")
+    assert (result.status, result.message, result.is_done) == ("ok", "m", False)
+    assert prover.apply(sid, "by other").status == "timeout"
+    assert prover.apply(sid, HAMMER_STEP).status == "error"
+    assert prover.apply(sid, HAMMER_STEP).message == "by auto"
+
+
+@pytest.mark.parametrize("config_text", [
+    "[]", '{"mode": "offline"}', '{"budget": 5}', '{"model": {"top_p": 2}}'])
+def test_cmd_report_bad_config_exits_2(tmp_path, capsys, config_text):
+    (tmp_path / "config.json").write_text(config_text, encoding="utf-8")
+    write_jsonl(tmp_path / "records.jsonl", [])
+    assert main(["report", str(tmp_path / "records.jsonl"),
+                 "--config", str(tmp_path / "config.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cmd_prove_unknown_mock_prover_key_exits_2(tmp_path, capsys):
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    (tmp_path / "prover_mock.json").write_text(
+        json.dumps({"table": {}, "tabel": {}}), encoding="utf-8")
+    fixtures = {
+        "model_replay": write_replay_model(
+            tmp_path, {SIMPLE_STATEMENT: ["by simp"]}),
+        "prover_mock": "prover_mock.json",
+    }
+    config = write_config(tmp_path, fixtures=fixtures)
+    assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
+    assert "fixtures.prover_mock" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ from proofseek.engine import (
 )
 from proofseek.errors import BackendUnavailable, TransportError
 from proofseek.isar import find_placeholders, parse_script
-from proofseek.model import MockModel, RecordingModel, ReplayModel, prompt_digest
+from proofseek.model import (
+    MockModel,
+    ModelParams,
+    RecordingModel,
+    ReplayModel,
+    prompt_digest,
+)
 from proofseek.prompts import whole_proof_prompt
 from proofseek.prover import MockOutcome, MockProver, RecordingProver, SessionCursor
 
@@ -232,6 +238,12 @@ def test_single_whole_proof_request_within_budget():
     whole = [r for r in model.requests if r["purpose"] == "whole_proof"]
     assert len(whole) == 1
     assert whole[0]["n"] <= 10
+
+
+def test_budget_above_max_samples_is_rejected():
+    BudgetConfig(sample_budget=2, model=ModelParams(max_samples=2))
+    with pytest.raises(ValueError, match="max_samples"):
+        BudgetConfig(sample_budget=3, model=ModelParams(max_samples=2))
 
 
 def test_second_candidate_succeeds():

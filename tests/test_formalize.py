@@ -233,7 +233,9 @@ def test_formalize_nl_reproduces_golden_chain_from_replay():
 
 
 def test_formalization_record_json_keys():
-    record = FormalizationRecord("p", "s", "d", "pf", "S", "T")
-    assert set(record.to_json()) == {
+    record = FormalizationRecord("p", "s", "d", "pf", "S")
+    data = record.to_json()
+    assert set(data) == {
         "problem_name", "natural_statement", "informal_description",
         "informal_proof", "formal_statement", "theory_text", "provenance"}
+    assert data["theory_text"] == data["formal_statement"] == "S"
