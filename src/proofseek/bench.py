@@ -116,8 +116,9 @@ def run_benchmark(
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
+    rows = read_jsonl(records_path) if records_path.exists() else []
     existing = {row["problem_name"]: AttemptRecord.from_json(row)
-                for row in read_jsonl(records_path)}
+                for row in rows}
     todo = [p for p in spec.problems if p.problem_name not in existing]
     write_lock = threading.Lock()
 

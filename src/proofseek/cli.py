@@ -266,10 +266,11 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
     spec = bench_mod.load_benchmark(args.spec, name=args.name or "",
                                     budget=config.budget)
     model, prover = build_model(config), build_prover(config)
+    few_shots = _load_few_shots(config)
     out_dir = _out_dir(args, config)
     records_path = Path(args.records) if args.records else out_dir / "records.jsonl"
     report = bench_mod.aggregate(bench_mod.run_benchmark(
-        spec, model, prover, records_path, few_shots=_load_few_shots(config)))
+        spec, model, prover, records_path, few_shots=few_shots))
     dataset = f"{spec.name} ({len(spec.problems)} Problems)"
     method = _write_report(out_dir, dataset, config, report)
     _print_json({

@@ -24,6 +24,11 @@ prover session.  A repair that leaves the session past the validated prefix
 continuation, a backtrack over applied steps) marks the cursor stale, and
 the next user seeks the prefix: the cursor replays it into a fresh session
 then, and only then.
+
+A verdict is a function of the session's steps and the step text, so within
+one candidate no stage runs twice on one claim: the validated prefix plus
+the failing step's goal body, which a tactic step and its placeholder share.
+A cascade that timed out is no verdict and runs again.
 """
 
 from __future__ import annotations
@@ -139,14 +144,34 @@ class BudgetConfig:
                              f"max_samples {self.model.max_samples}")
 
 
+Claim = tuple[str, ...]
+
+
+def _claim(script: ProofScript, index: int) -> Claim:
+    """What a repair at ``index`` asks the prover: the texts of the steps
+    before it, then that step's goal body.  A tactic step and the placeholder
+    it is rewritten to make the same claim."""
+    return (*(s.text for s in script.steps[:index]),
+            script.steps[index].body_text)
+
+
 @dataclass
 class AttemptState:
-    """Mutable bookkeeping for one candidate attempt."""
+    """Mutable bookkeeping for one candidate attempt.  ``tried`` holds the
+    (stage, claim) pairs already run here without success."""
 
     extra_calls: int = 0
     stage: Stage = Stage.INIT_PROOF
     timed_out: bool = False
     has_sc: bool = False
+    tried: set[tuple[Stage, Claim]] = field(default_factory=set)
+
+    def first_try(self, stage: Stage, claim: Claim) -> bool:
+        """Record a try of ``stage`` on ``claim``; False if it was tried."""
+        if (stage, claim) in self.tried:
+            return False
+        self.tried.add((stage, claim))
+        return True
 
 
 @dataclass(frozen=True)
@@ -415,8 +440,6 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
         return False, None
 
     cursor = SessionCursor(prover, statement, budget.prover)
-    erp_tried: set[int] = set()
-    heuristic_tried: set[int] = set()
     index = 0
     # Defensive bound: legitimate repair activity is linear in script size;
     # anything past this is a repair loop that failed to make progress.
@@ -439,7 +462,7 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
                 return False, None
             done, script, index, alive = _repair_chain(
                 cursor, script, index, state, statement, model, budget,
-                few_shots, erp_tried, heuristic_tried)
+                few_shots)
             if done:
                 return True, _final_text(script, index)
             if not alive:
@@ -454,26 +477,46 @@ def _final_text(script: ProofScript, applied_count: int) -> str:
     return script.text
 
 
+def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
+             state: AttemptState,
+             cascade: TacticCascade) -> Optional[RepairOutcome]:
+    """``atp_substitute`` at ``index``, sought to the claim's prefix, or None
+    where the cascade was refused on this claim already.  Only a failure made
+    of refusals is recorded: one that saw a timeout runs again."""
+    claim = _claim(script, index)
+    if (Stage.ATP, claim) in state.tried:
+        return None
+    cursor.seek(claim[:-1])
+    outcome = atp_substitute(cursor, script, index, cascade)
+    state.extra_calls += outcome.extra_calls
+    state.timed_out = state.timed_out or outcome.timed_out
+    if not (outcome.success or outcome.timed_out):
+        state.tried.add((Stage.ATP, claim))
+    return outcome
+
+
 def _repair_chain(
     cursor: SessionCursor, script: ProofScript, index: int,
     state: AttemptState, statement: str, model: ModelBackend,
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
-    erp_tried: set[int], heuristic_tried: set[int],
 ) -> tuple[bool, ProofScript, int, bool]:
-    """Repair at a failing or placeholder position.
+    """Repair at a failing or placeholder position: the cascade, then ERP,
+    then the heuristic rewrite, then a backtrack with one last cascade.  No
+    stage runs twice on one claim (``AttemptState.tried``), so the
+    placeholder the heuristic makes of a refused step goes straight to the
+    backtrack, while a step a backtrack moved under a new prefix is a new
+    claim.
 
     Returns (proof_done, script, applied_count_or_next_index, alive).
     """
-    outcome = atp_substitute(cursor, script, index, budget.cascade)
-    state.extra_calls += outcome.extra_calls
-    state.timed_out = state.timed_out or outcome.timed_out
-    if outcome.success:
+    outcome = _cascade(cursor, script, index, state, budget.cascade)
+    if outcome is not None and outcome.success:
         state.stage = _advance(state.stage, Stage.ATP)
         state.has_sc = state.has_sc or outcome.replaced_sorry
         return outcome.is_done, outcome.script, index + 1, True
 
-    if budget.erp_enabled and index not in erp_tried:
-        erp_tried.add(index)
+    claim = _claim(script, index)
+    if budget.erp_enabled and state.first_try(Stage.ERP, claim):
         erp = erp_repair(cursor, script, index, model, statement, budget,
                          few_shots)
         state.timed_out = state.timed_out or erp.timed_out
@@ -481,8 +524,7 @@ def _repair_chain(
             state.stage = _advance(state.stage, Stage.ERP)
             return True, erp.script, len(erp.script.steps), True
 
-    if index not in heuristic_tried:
-        heuristic_tried.add(index)
+    if state.first_try(Stage.HEURISTIC, claim):
         rewritten = heuristic_repair(script, index)
         if rewritten.steps != script.steps:
             state.stage = _advance(state.stage, Stage.HEURISTIC)
@@ -498,11 +540,8 @@ def _repair_chain(
     if target < index:
         # the collapsed block's steps were already applied
         cursor.stale = True
-    cursor.seek(s.text for s in truncated.steps[:target])
-    outcome = atp_substitute(cursor, truncated, target, budget.cascade)
-    state.extra_calls += outcome.extra_calls
-    state.timed_out = state.timed_out or outcome.timed_out
-    if outcome.success:
+    outcome = _cascade(cursor, truncated, target, state, budget.cascade)
+    if outcome is not None and outcome.success:
         state.stage = _advance(state.stage, Stage.ATP)
         state.has_sc = True
         return outcome.is_done, outcome.script, target + 1, True

@@ -10,11 +10,10 @@ __all__ = ["append_jsonl", "read_jsonl", "write_jsonl"]
 
 
 def read_jsonl(path: Union[str, Path]) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        return []
+    """The objects of a JSONL file, blank lines skipped.  A missing file
+    raises FileNotFoundError, naming the path."""
     records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():
             records.append(json.loads(line))
     return records

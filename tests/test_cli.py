@@ -487,6 +487,30 @@ def test_cmd_curate_rerun_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# missing input files
+
+@pytest.mark.parametrize("command", ["formalize", "curate", "report"])
+def test_missing_input_file_exits_2_naming_it(tmp_path, capsys, command):
+    (tmp_path / "model_mock.json").write_text("{}", encoding="utf-8")
+    config = write_config(tmp_path, mode="mock", fixtures={
+        "model_mock": "model_mock.json",
+        "prover_mock": write_mock_prover(tmp_path, {})})
+    missing = str(tmp_path / "nope.jsonl")
+    assert main([command, missing, "--config", config]) == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_few_shots_fixture_exits_2_naming_it(tmp_path, capsys):
+    spec_path, fixtures = _bench_fixture(tmp_path, n_problems=2, n_fail=0)
+    config = write_config(tmp_path, fixtures={**fixtures,
+                                              "few_shots": "shots.jsonl"})
+    assert main(["bench", spec_path, "--no-erp", "--config", config]) == 2
+    assert str(tmp_path / "shots.jsonl") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
 # backend construction
 
 def test_mock_prover_fixture_takes_outcome_objects(tmp_path):

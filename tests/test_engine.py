@@ -174,7 +174,12 @@ def test_scenario_erp_rejected_completion_falls_through():
 # scenario: heuristic repair
 
 def test_scenario_heuristic_stage():
-    model = _model(HEUR_CANDIDATE, erp='have "x" by nope\nqed')
+    # The false claim `have "y"` is refused in either form; the backtrack cuts
+    # the inner block there, and the placeholders the heuristic left after it
+    # are discharged.
+    candidate = ('proof -\n  have "x"\n  proof -\n    have "y" by gross\n'
+                 '    show ?thesis by crude\n  qed\n  show ?thesis by crude\nqed')
+    model = _model(candidate, erp='have "y" by nope\nqed')
     prover = MockProver(table={
         "proof -": "ok",
         'have "x"': "ok",
@@ -186,8 +191,101 @@ def test_scenario_heuristic_stage():
     assert record.success
     assert record.success_stage == "heuristic"
     assert record.has_sc  # placeholders were discharged
-    assert 'have "x" by auto' in record.final_script
+    assert 'have "y"' not in record.final_script
     assert "show ?thesis by auto" in record.final_script
+
+
+# ---------------------------------------------------------------------------
+# one run of each repair stage per claim
+
+def _steps(prover):
+    return [e["request"]["step"] if e["request"]["command"] == "apply"
+            else e["request"]["command"] for e in prover.trace]
+
+
+def test_refused_claim_runs_its_cascade_once():
+    # The heuristic's placeholder at `have "b"` makes the claim the cascade
+    # was refused on, so it goes straight to the backtrack, whose placeholder
+    # is a new claim.
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok", "qed": "ok",
+        "show ?thesis": "ok", "show ?thesis by h": "ok", "by h": "ok",
+    }, hammer=[None, "by h"]))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto", "simp")))
+    record = prove(STATEMENT, _model(NESTED_CANDIDATE), prover, budget)
+    assert record.success and record.success_stage == "heuristic"
+    assert _steps(prover) == [
+        "init", "proof -", 'have "a"', "proof -", 'have "b" by s2',
+        'have "b" by auto', 'have "b" by simp', 'have "b"', "\u27e8hammer\u27e9",
+        "close", "init", "proof -", 'have "a"', "proof -",
+        "by auto", "by simp", "\u27e8hammer\u27e9", "qed",
+        "show ?thesis", "by auto", "by simp", "\u27e8hammer\u27e9", "qed", "close"]
+
+
+def test_cascade_that_timed_out_runs_again_after_the_heuristic_rewrite():
+    # A timeout is no verdict: the placeholder's cascade is sent again, and
+    # the hammer now finds a proof.
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "x"': "ok", "show ?thesis": "ok", "qed": "ok",
+        'have "x" by auto': SLOW, "by auto": SLOW, 'have "x" by h': "ok",
+        "show ?thesis by h": "ok",
+    }, hammer=[None, "by h"]))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto",)))
+    record = prove(STATEMENT, _model(HEUR_CANDIDATE), prover, budget)
+    assert record.success and record.has_timeout
+    assert _steps(prover)[:12] == [
+        "init", "proof -", 'have "x" by gross', 'have "x" by auto', 'have "x"',
+        "\u27e8hammer\u27e9", "close", "init", "proof -", 'have "x"', "by auto",
+        "\u27e8hammer\u27e9"]
+    assert 'have "x" by h' in record.final_script
+
+
+def test_claim_whose_prefix_a_backtrack_changed_is_tried_again():
+    # `have "x"` is refused at index 3 inside the inner block.  Collapsing
+    # that block moves the later `have "x"` to index 3 under another prefix:
+    # a new claim, so its cascade runs, and the hammer proves it.
+    candidate = ('proof -\n  have "a"\n  proof -\n    have "x" by bad\n'
+                 '  oops\n  have "x" by bad\n  show ?thesis by s\nqed')
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", 'have "x"': "ok",
+        "show ?thesis": "ok", "qed": "ok", "by h1": "ok", "by h2": "ok",
+        'have "x" by h3': "ok",
+    }, hammer=[None, "by h1", "by h2", "by h3", "by h4"]))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto",)))
+    record = prove(STATEMENT, _model(candidate), prover, budget)
+    assert record.success and record.success_stage == "heuristic"
+    assert _steps(prover).count('have "x"') == 2
+    assert record.final_script == ('proof -\n  have "a"\n  by h2\n'
+                                   '  have "x" by h3\n'
+                                   '  show ?thesis by h4\nqed')
+
+
+def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
+    # The inner block's `oops` fails at index 5: ERP and the heuristic run
+    # there.  Collapsing the block moves `have "f" by bad` to index 5, under
+    # another prefix, so ERP runs again there and its continuation verifies.
+    candidate = ('proof -\n  have "a"\n  proof -\n    have "b" by s2\n'
+                 '    show ?thesis by s3\n  oops\n  have "d" by s6\n'
+                 '  have "e" by s7\n  have "f" by bad\n  show ?thesis by s9\nqed')
+    prover = MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", 'have "b" by s2': "ok",
+        "show ?thesis by s3": "ok", 'have "d"': "ok", 'have "e"': "ok",
+        'have "f"': "ok", "qed": "ok", "by h1": "ok", 'have "d" by h2': "ok",
+        'have "e" by h3': "ok", 'have "f" by good': "ok",
+        "show ?thesis by good": "ok",
+    }, hammer=["by h1", "by h2", "by h3", None])
+    model = RecordingModel(MockModel({
+        "whole_proof": [[candidate]],
+        "erp": [[""], ['have "f" by good\nshow ?thesis by good\nqed']]}))
+    record = prove(STATEMENT, model, prover, BudgetConfig(
+        sample_budget=1, cascade=TacticCascade(("auto",))))
+    assert [r["purpose"] for r in model.requests] == [
+        "whole_proof", "erp", "erp"]
+    assert record.success and record.success_stage == "heuristic"
+    assert 'have "f" by good' in record.final_script
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +683,17 @@ GOLDEN_REQUESTS = [
     # cascade fix of a timed-out tactic step
     INIT, ("apply", "proof -", 10.0), ("apply", 'have "a" by foo', 10.0),
     ("apply", 'have "a" by auto', 10.0), *PREFIX[1:], ("apply", "proof -", 10.0),
-    # two-phase placeholder falls through to a failing hammer: stale
+    # two-phase placeholder falls through to a failing hammer: stale, and
+    # the claim `have "d"` is refused
     ("apply", 'have "d"', 10.0), *CASCADE, HAMMER,
     # ERP round: its seek rebuilds, the continuation is rejected
     CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0),
     ("apply", 'have "d" by e2', 10.0),
-    # heuristic placeholders, discharged by the hammer
-    ("apply", 'have "d"', 10.0), *CASCADE, HAMMER,
-    ("apply", "show ?thesis", 10.0), *CASCADE, HAMMER,
-    # the block closer fails: backtrack, seek with a rebuild, close
+    # the heuristic's placeholder at `have "d"` is the refused claim: straight
+    # to the backtrack, whose placeholder the hammer discharges
+    *CASCADE, HAMMER,
+    # the block closer fails: backtrack, seek with a rebuild, close; the
+    # heuristic's `show ?thesis` placeholder is discharged by the hammer
     ("apply", "oops", 10.0), ("apply", "oops by auto", 10.0),
     ("apply", "oops by simp", 10.0), ("apply", "oops by blast", 10.0),
     ("apply", "oops", 10.0), CLOSE,
@@ -620,7 +720,7 @@ def test_golden_request_trace_through_every_repair_stage():
              e["request"]["timeout_s"]) for e in prover.trace] == GOLDEN_REQUESTS
     assert [r["purpose"] for r in model.requests] == [
         "whole_proof", "erp", "erp"]
-    assert (record.success_stage, record.extra_calls) == ("heuristic", 25)
+    assert (record.success_stage, record.extra_calls) == ("heuristic", 21)
     assert record.has_timeout and record.has_sc
     assert record.final_script == ('proof -\n  have "a" by simp\n  have "c"\n'
                                    '  by (metis h)\n'
