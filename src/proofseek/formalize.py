@@ -176,12 +176,14 @@ def compile_policy(policy: PolicyDocument) -> TheorySkeleton:
     if any(stmt.effect is Effect.DENY for stmt in policy.statements):
         raise UnsupportedPolicy("Deny statements have no deterministic encoding")
 
+    for stmt in policy.statements:
+        for pattern in stmt.actions:
+            if "*" in pattern or "?" in pattern:
+                raise UnsupportedPolicy(f"wildcard action {pattern!r}")
     actions = literal_actions(policy)
     if len(actions) != 1:
         raise UnsupportedPolicy(f"expected exactly one action, found {len(actions)}")
     action = actions[0]
-    if "*" in action or "?" in action:
-        raise UnsupportedPolicy(f"wildcard action {action!r}")
     action_ctor = _action_constructor(action)
     service = _service_of(action)
 

@@ -7,6 +7,10 @@ stores the block structure: it is read off the step heads when needed.  Only
 ``proof``/``qed``/``oops`` delimit blocks; ``next`` separates sibling
 segments inside a block (``enclosing_block``).
 
+Tokens are read by one compiled ``re`` scanner rather than a loop over
+characters (``tokenize``); each character can match it only one way, so
+tokenizing stays linear in the text.
+
 The parser is structural, not semantic: quoted strings, cartouches, and
 ``(* ... *)`` comments are atomic tokens, unknown commands still form steps,
 and imbalance yields a script with ``ProofScript.balanced == False`` instead
@@ -49,10 +53,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tokens
 
-CARTOUCHE_OPEN = ("\\<open>", "‹")
-CARTOUCHE_CLOSE = ("\\<close>", "›")
-
-
 @dataclass(frozen=True)
 class Token:
     kind: str  # "word" | "string" | "cartouche" | "comment"
@@ -60,11 +60,35 @@ class Token:
     offset: int
 
 
-def _startswith_any(text: str, pos: int, needles: tuple[str, ...]) -> Optional[str]:
-    for needle in needles:
-        if text.startswith(needle, pos):
-            return needle
-    return None
+# One token from the cursor: leading whitespace, then one atom.  Comments and
+# cartouches nest, so only their openers are matched here.  A lone quote is a
+# string that never closes.  A word runs to whitespace, a quote, or the
+# opener of a comment or cartouche.  ``\s`` is ``str.isspace`` on every code
+# point, so whitespace means what it means to ``str.split``.
+_SCANNER = re.compile(r"""\s*(?:
+    (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<quote>")
+  | (?P<comment>\(\*)
+  | (?P<cartouche>\\<open>|‹)
+  | (?P<word>(?:[^\s"(\\‹]+|\((?!\*)|\\(?!<open>))+)
+)?""", re.S | re.X)
+
+# Fences of the nesting atoms; group 1 is an opener.
+_FENCES = {
+    "comment": re.compile(r"(\(\*)|\*\)"),
+    "cartouche": re.compile(r"(\\<open>|‹)|\\<close>|›"),
+}
+
+
+def _close_nested(text: str, kind: str, start: int, pos: int) -> int:
+    """End of the comment or cartouche opened at ``start``, whose opener ends
+    at ``pos``: fences are read left to right, openers counting up."""
+    depth = 1
+    for fence in _FENCES[kind].finditer(text, pos):
+        depth += 1 if fence.lastindex else -1
+        if not depth:
+            return fence.end()
+    raise ParseError(f"unterminated {kind}", text, start)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -74,62 +98,28 @@ def tokenize(text: str) -> list[Token]:
     verbatim (including internal whitespace); everything else splits on
     whitespace.  Raises ParseError on unterminated strings, comments, or
     cartouches.
+
+    One compiled scanner (``_SCANNER``) reads each token at the cursor, and
+    a nested comment or cartouche is closed by counting depth over its
+    fences, so no Python code runs per character.  Both are linear in the
+    text: a character of a string matches only one way (``\\.`` takes the
+    one after a backslash), and nothing follows the word group, so the scanner
+    never backtracks into a token.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("(*", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if text.startswith("(*", j):
-                    depth, j = depth + 1, j + 2
-                elif text.startswith("*)", j):
-                    depth, j = depth - 1, j + 2
-                else:
-                    j += 1
-            if depth:
-                raise ParseError("unterminated comment", text, i)
-            kind = "comment"
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise ParseError("unterminated string", text, i)
-            j += 1
-            kind = "string"
-        elif _startswith_any(text, i, CARTOUCHE_OPEN):
-            depth, j = 1, i + len(_startswith_any(text, i, CARTOUCHE_OPEN))
-            while j < n and depth:
-                opener = _startswith_any(text, j, CARTOUCHE_OPEN)
-                closer = _startswith_any(text, j, CARTOUCHE_CLOSE)
-                if opener:
-                    depth, j = depth + 1, j + len(opener)
-                elif closer:
-                    depth, j = depth - 1, j + len(closer)
-                else:
-                    j += 1
-            if depth:
-                raise ParseError("unterminated cartouche", text, i)
-            kind = "cartouche"
-        else:
-            j = i
-            while (
-                j < n
-                and not text[j].isspace()
-                and text[j] != '"'
-                and not text.startswith("(*", j)
-                and not _startswith_any(text, j, CARTOUCHE_OPEN)
-            ):
-                j += 1
-            kind = "word"
-        tokens.append(Token(kind, text[i:j], i))
-        i = j
-    return tokens
+    match = _SCANNER.match
+    i = 0
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        if kind is None:
+            return tokens
+        start, i = m.span(kind)
+        if kind == "quote":
+            raise ParseError("unterminated string", text, start)
+        if kind in _FENCES:
+            i = _close_nested(text, kind, start, i)
+        tokens.append(Token(kind, text[start:i], start))
 
 
 def token_equivalent(a: str, b: str) -> bool:
@@ -531,6 +521,8 @@ def unwrap_proof_comment(text: str) -> str:
     """If the text is nothing but comments, return the body of the comment
     that actually carries a proof (whole proofs often arrive comment-wrapped)."""
     for _ in range(4):  # comments may nest a wrapped proof once more
+        if not text.lstrip().startswith("(*"):
+            return text  # empty, or its first token is no comment
         try:
             tokens = tokenize(text)
         except ParseError:

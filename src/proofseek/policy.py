@@ -3,9 +3,15 @@
 Implements the allow-iff rule used throughout the pipeline: a request is
 allowed if and only if at least one statement allows it and no statement
 explicitly denies it.  These pure functions double as the ground-truth oracle
-behind policy-correctness theorems, so the matcher is written directly
-(two-pointer wildcard walk) rather than via regex translation — the test
-suite keeps a regex-based reference to check it against.
+behind policy-correctness theorems, so the matcher is written directly —
+the test suite keeps a regex-based reference to check it against.
+
+The matcher takes fast paths with C-level string operations for the two
+common pattern shapes: a literal pattern is compared with ``==``, and a
+pattern whose only wildcard is one trailing ``*`` with ``startswith``.  Any
+other pattern is first checked on its literal head, then walked with two
+pointers.  Patterns are not translated to ``re``: a backtracking regex
+engine is super-linear on many-star patterns, while the walk is not.
 
 Caveat, stated loudly: Condition blocks are parsed and carried but never
 evaluated.  Any statement that carries conditions is treated as matching,
@@ -189,9 +195,23 @@ def load_policy_csv(text: str) -> list[PolicyDocument]:
 def match_pattern(pattern: str, value: str) -> bool:
     """Wildcard match: ``*`` any substring, ``?`` any single char, else exact.
 
-    Iterative two-pointer walk with star backtracking; case-sensitive.
+    Case-sensitive.  A literal pattern is compared whole and a ``prefix*``
+    pattern by ``startswith``; any other pattern must share its literal head
+    (up to the first wildcard) with the value, and the rest is an iterative
+    two-pointer walk with star backtracking.
     """
-    p = v = 0
+    head = pattern.find("*")  # then the first wildcard of either kind
+    if "?" in pattern:
+        question = pattern.find("?")
+        if head < 0 or question < head:
+            head = question
+    elif head < 0:
+        return pattern == value
+    elif head == len(pattern) - 1:
+        return value.startswith(pattern[:-1])
+    if not value.startswith(pattern[:head]):
+        return False
+    p = v = head
     star = -1
     star_v = 0
     while v < len(value):

@@ -9,7 +9,10 @@ import re
 import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Optional
 
+from proofseek.errors import ParseError
+from proofseek.isar import Token
 from proofseek.prover import SERVER_POLL_S, MockOutcome, MockProver, normalize_step
 
 PROBLEM_NAME = "s3_samples_mutations_ec2_exp_single_ec2_prevent_running_classic_policy_6_0"
@@ -260,6 +263,86 @@ def oracle_decision(policy_dict: dict, action: str, resource: str,
     denies = any(s["Effect"] == "Deny" and stmt_matches(s)
                  for s in policy_dict["Statement"])
     return allows and not denies
+
+
+# ---------------------------------------------------------------------------
+# reference tokenizer: the original per-character walk, kept as an oracle for
+# the compiled scanner in ``proofseek.isar.tokenize``
+
+CARTOUCHE_OPEN = ("\\<open>", "‹")
+CARTOUCHE_CLOSE = ("\\<close>", "›")
+
+
+def _startswith_any(text: str, pos: int, needles: tuple[str, ...]) -> Optional[str]:
+    for needle in needles:
+        if text.startswith(needle, pos):
+            return needle
+    return None
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """Split text into atomic tokens.
+
+    Comments, quoted strings, and cartouches are single tokens preserved
+    verbatim (including internal whitespace); everything else splits on
+    whitespace.  Raises ParseError on unterminated strings, comments, or
+    cartouches.
+    """
+    tokens: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("(*", i):
+            depth, j = 1, i + 2
+            while j < n and depth:
+                if text.startswith("(*", j):
+                    depth, j = depth + 1, j + 2
+                elif text.startswith("*)", j):
+                    depth, j = depth - 1, j + 2
+                else:
+                    j += 1
+            if depth:
+                raise ParseError("unterminated comment", text, i)
+            kind = "comment"
+        elif ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            if j >= n:
+                raise ParseError("unterminated string", text, i)
+            j += 1
+            kind = "string"
+        elif _startswith_any(text, i, CARTOUCHE_OPEN):
+            depth, j = 1, i + len(_startswith_any(text, i, CARTOUCHE_OPEN))
+            while j < n and depth:
+                opener = _startswith_any(text, j, CARTOUCHE_OPEN)
+                closer = _startswith_any(text, j, CARTOUCHE_CLOSE)
+                if opener:
+                    depth, j = depth + 1, j + len(opener)
+                elif closer:
+                    depth, j = depth - 1, j + len(closer)
+                else:
+                    j += 1
+            if depth:
+                raise ParseError("unterminated cartouche", text, i)
+            kind = "cartouche"
+        else:
+            j = i
+            while (
+                j < n
+                and not text[j].isspace()
+                and text[j] != '"'
+                and not text.startswith("(*", j)
+                and not _startswith_any(text, j, CARTOUCHE_OPEN)
+            ):
+                j += 1
+            kind = "word"
+        tokens.append(Token(kind, text[i:j], i))
+        i = j
+    return tokens
 
 
 # ---------------------------------------------------------------------------

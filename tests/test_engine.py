@@ -157,17 +157,30 @@ def test_scenario_erp_disabled_degrades_with_zero_erp_prompts():
 
 
 def test_scenario_erp_rejected_completion_falls_through():
-    model = _model(HEUR_CANDIDATE, erp='have "x" by nope\nqed')
-    prover = MockProver(table={
+    # The inner claim `show "x"` is refused in either form, and so is the
+    # ERP completion there.  The chain falls through to the heuristic; the
+    # backtrack cuts the inner block, and the placeholder the heuristic left
+    # for the outer `show ?thesis` is discharged.
+    candidate = ('proof -\n  have "x"\n  proof -\n    show "x" by gross\n'
+                 '  qed\n  show ?thesis by crude\nqed')
+    model = _model(candidate, erp='show "x" by nope\nqed')
+    prover = RecordingProver(MockProver(table={
         "proof -": "ok",
         'have "x"': "ok",
         "show ?thesis": "ok",
         "by auto": "ok",
         "qed": "ok",
-    })
+    }))
     record = prove(STATEMENT, model, prover)
     assert record.success
     assert record.success_stage == "heuristic"
+    assert len([r for r in model.requests if r["purpose"] == "erp"]) == 1
+    erp_steps = [e["response"]["status"] for e in prover.trace
+                 if e["request"]["step"] == 'show "x" by nope']
+    assert erp_steps == ["error"]
+    assert record.has_sc
+    assert "show ?thesis by auto" in record.final_script
+    assert 'show "x"' not in record.final_script
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def test_compile_rejects_multiple_actions():
         compile_policy(doc)
 
 
+@pytest.mark.parametrize("action", ["s3:Get*", "ec2:*", "s3:Get?bject"])
+def test_compile_rejects_a_single_wildcard_action(action):
+    # One wildcard action is still one distinct action; it must not compile
+    # to a constructor named after its witness instantiation.
+    doc = parse_policy(json.dumps({"Statement": [{
+        "Effect": "Allow", "Action": action,
+        "Resource": "arn:aws:s3:::bucket/*"}]}))
+    with pytest.raises(UnsupportedPolicy, match="wildcard action"):
+        compile_policy(doc)
+
+
 def test_compile_rejects_uncovered_resource_classes():
     doc = parse_policy('{"Statement":[{"Effect":"Allow","Action":"a:B",'
                        '"Resource":["arn:aws:a:r::x/*","arn:aws:a:r::y/*"]}]}')

@@ -21,7 +21,13 @@ from proofseek.isar import (
     unwrap_proof_comment,
 )
 
-from fixtures import PROOF_LISTINGS, gen_steps, gen_script_text, noisy_text
+from fixtures import (
+    PROOF_LISTINGS,
+    gen_script_text,
+    gen_steps,
+    noisy_text,
+    reference_tokenize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +56,28 @@ def test_tokenize_error_locates_the_unterminated_token():
     with pytest.raises(ParseError) as err:
         tokenize('have "a"\nby simp\n  (* open')
     assert (err.value.line, err.value.column) == (3, 3)
+
+
+# Fences, quotes, backslashes, and whitespace that ``str.split`` and
+# ``str.isspace`` agree on but an ASCII-only scanner would not (U+00A0,
+# U+001C), around short words.
+_TOKEN_PIECES = ["(*", "*)", "(", "*", ")", '"', "\\", '\\"', "\\<open>",
+                 "\\<close>", "<open>", "‹", "›", " ", "\n", "\t",
+                 "\xa0", "\x1c", "a", "by", "x y"]
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.offset) for t in tokenizer(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=16).map("".join))
+def test_tokenize_agrees_with_the_character_walk(text):
+    assert (_tokens_or_error(tokenize, text)
+            == _tokens_or_error(reference_tokenize, text))
 
 
 def test_parse_empty_rejected():

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofseek.errors import PolicyFormatError
 from proofseek.policy import (
@@ -112,6 +114,42 @@ def test_match_pattern_agrees_with_regex_oracle():
         value = "".join(rng.choice("ab:/-") for _ in range(rng.randint(0, 10)))
         assert match_pattern(pattern, value) == oracle_match(pattern, value), \
             (pattern, value)
+
+
+_LITERAL = st.text(alphabet="ab:/", max_size=4)
+
+
+@st.composite
+def _pattern_and_value(draw):
+    """A pattern of one drawn shape (literal, ``prefix*``, with ``?``, or
+    many-star), and a value that half the time is a witness of it."""
+    shape = draw(st.sampled_from(["literal", "prefix", "question", "many_star"]))
+    if shape == "literal":
+        pattern = draw(_LITERAL)
+    elif shape == "prefix":
+        pattern = draw(_LITERAL) + "*"
+    else:
+        parts = draw(st.lists(_LITERAL, min_size=3, max_size=5))
+        wilds = ["*"] if shape == "many_star" else ["?", "*", "?*", "*?"]
+        seps = [draw(st.sampled_from(wilds)) for _ in parts[1:]]
+        if shape == "question":
+            seps[draw(st.integers(0, len(seps) - 1))] = "?"
+        pattern = parts[0] + "".join(s + p for s, p in zip(seps, parts[1:]))
+    if draw(st.booleans()):
+        value = "".join(
+            draw(st.text(alphabet="ab:w", max_size=3)) if c == "*"
+            else draw(st.sampled_from("ab:w")) if c == "?" else c
+            for c in pattern)
+    else:
+        value = draw(st.text(alphabet="ab:/w", max_size=10))
+    return pattern, value
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_pattern_and_value())
+def test_match_pattern_fast_paths_agree_with_regex_oracle(case):
+    pattern, value = case
+    assert match_pattern(pattern, value) == oracle_match(pattern, value)
 
 
 # ---------------------------------------------------------------------------
