@@ -44,8 +44,6 @@ log = logging.getLogger(__name__)
 class BenchmarkProblem:
     problem_name: str
     formal_statement: str
-    informal_statement: Optional[str] = None
-    informal_proof: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -62,17 +60,10 @@ class BenchmarkSpec:
 
 def load_benchmark(path: Union[str, Path], name: str = "",
                    budget: Optional[BudgetConfig] = None) -> BenchmarkSpec:
-    """Build a spec from JSONL rows carrying problem_name/formal_statement
-    (optional informal fields are kept when present)."""
-    problems = [
-        BenchmarkProblem(
-            problem_name=row["problem_name"],
-            formal_statement=row["formal_statement"],
-            informal_statement=row.get("informal_statement"),
-            informal_proof=row.get("informal_proof"),
-        )
-        for row in read_jsonl(path)
-    ]
+    """Build a spec from JSONL rows carrying problem_name/formal_statement;
+    other keys are ignored."""
+    problems = [BenchmarkProblem(row["problem_name"], row["formal_statement"])
+                for row in read_jsonl(path)]
     return BenchmarkSpec(name or Path(path).stem, tuple(problems),
                          budget or BudgetConfig())
 

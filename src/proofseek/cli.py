@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curate", help="filter a corpus and build datasets")
     common(p)
-    p.add_argument("corpus", help="JSONL with statement/proof/source_theory")
+    p.add_argument("corpus", help="JSONL with statement/proof")
     p.add_argument("--sample-count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_curate)

@@ -2,7 +2,9 @@
 
 The corpus is partitioned by actually checking each proof end-to-end from a
 fresh prover session: pairs that verify with no extra dependencies form the
-RL pool, the remainder the SFT pool.  Transport faults mark a pair
+RL pool, the remainder the SFT pool.  A statement the prover will not load in
+a fresh session is one that needs extra dependencies, so its pair belongs to
+the remainder and its reward is 0.  Transport faults mark a pair
 undetermined and exclude it from both pools — an infrastructure outage must
 not look like an unverifiable proof.  The same principle runs through the
 rewards: verification returns a distinct UNDETERMINED value on transport
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .engine import run_pool
-from .errors import ParseError, TransportError
+from .errors import ParseError, TheoryLoadError, TransportError
 from .isar import extract_proof_text, parse_script, token_equivalent
 from .model import ModelBackend, ModelParams
 from .prompts import nl_statement_prompt
@@ -57,7 +59,6 @@ UNDETERMINED = _Undetermined()
 class TheoremProofPair:
     statement: str
     proof: str
-    source_theory: str = ""
 
     def __post_init__(self) -> None:
         if not self.statement.strip() or not self.proof.strip():
@@ -65,8 +66,7 @@ class TheoremProofPair:
 
     @staticmethod
     def from_json(data: dict) -> "TheoremProofPair":
-        return TheoremProofPair(data["statement"], data["proof"],
-                                data.get("source_theory", ""))
+        return TheoremProofPair(data["statement"], data["proof"])
 
 
 @dataclass(frozen=True)
@@ -102,23 +102,29 @@ class FilterResult:
     undetermined: tuple[tuple[TheoremProofPair, str], ...] = ()
 
 
+def _verifies(prover: ProverBackend, statement: str, proof: str) -> bool:
+    """Whether the proof extracted from ``proof`` checks end-to-end against
+    ``statement`` in a fresh session.  A proof that fails to parse does not,
+    nor does one whose statement will not load; transport faults raise."""
+    try:
+        script = parse_script(extract_proof_text(proof))
+        return check_script(prover, statement, script).success
+    except (ParseError, TheoryLoadError):
+        return False
+
+
 def filter_self_contained(pairs: Sequence[TheoremProofPair],
                           prover: ProverBackend,
                           pool_size: Optional[int] = None) -> FilterResult:
     """Partition pairs into (verifies end-to-end, remainder).
 
-    A proof that fails to parse cannot be self-contained and lands in the
-    remainder; transport aborts are excluded from both pools with a logged
-    warning.  The partition is exact and order-preserving.
+    A proof that fails to parse, or whose statement will not load, cannot be
+    self-contained and lands in the remainder; transport aborts are excluded
+    from both pools with a logged warning.  The partition is exact and
+    order-preserving.
     """
-    def verify(pair: TheoremProofPair) -> bool:
-        try:
-            script = parse_script(extract_proof_text(pair.proof))
-        except ParseError:
-            return False
-        return check_script(prover, pair.statement, script).success
-
-    outcomes = run_pool(list(pairs), verify,
+    outcomes = run_pool(list(pairs),
+                        lambda pair: _verifies(prover, pair.statement, pair.proof),
                         pool_size or prover.config.pool_size)
     rl, sft, undetermined = [], [], []
     for pair, outcome in zip(pairs, outcomes):
@@ -227,11 +233,7 @@ def reward_verification(response: str, statement: str,
     faults cannot poison the reward signal.
     """
     try:
-        script = parse_script(extract_proof_text(response or ""))
-    except ParseError:
-        return 0
-    try:
-        return 1 if check_script(prover, statement, script).success else 0
+        return 1 if _verifies(prover, statement, response or "") else 0
     except TransportError as exc:
         log.warning("verification undetermined (transport): %s", exc)
         return UNDETERMINED

@@ -87,12 +87,9 @@ class Stage(str, Enum):
     FAILED = "failed"
 
 
-_STAGE_ORDER = {Stage.INIT_PROOF: 0, Stage.ATP: 1, Stage.ERP: 2,
-                Stage.HEURISTIC: 3, Stage.FAILED: 4}
-
-
 def _advance(stage: Stage, to: Stage) -> Stage:
-    return to if _STAGE_ORDER[to] > _STAGE_ORDER[stage] else stage
+    """The later of two stages in declaration order."""
+    return max(stage, to, key=list(Stage).index)
 
 
 # The configured method list names auto twice; the cascade drops duplicates
@@ -158,7 +155,8 @@ def _claim(script: ProofScript, index: int) -> Claim:
 @dataclass
 class AttemptState:
     """Mutable bookkeeping for one candidate attempt.  ``tried`` holds the
-    (stage, claim) pairs already run here without success."""
+    (stage, claim) pairs already run here without success; ``timed_out`` is
+    set once, when the attempt's session cursor closes."""
 
     extra_calls: int = 0
     stage: Stage = Stage.INIT_PROOF
@@ -234,8 +232,6 @@ class RepairOutcome:
     success: bool
     script: ProofScript
     extra_calls: int = 0
-    replaced_sorry: bool = False
-    timed_out: bool = False
     is_done: bool = False
 
 
@@ -251,24 +247,19 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
     """
     step = script.step_at(position)
     extra = 0
-    timed_out = False
     placeholder = step.is_sorry
     body_applied = False
 
     def apply(text: str) -> StepResult:
-        nonlocal timed_out
-        run = cursor.advance((text,))
-        timed_out = timed_out or run.timed_out
-        return run.last
+        return cursor.advance((text,)).last
 
     def win(justification: str, result: StepResult) -> RepairOutcome:
         repaired = splice(script, position, step.with_justification(justification))
-        return RepairOutcome(True, repaired, extra, placeholder,
-                             timed_out, result.is_done)
+        return RepairOutcome(True, repaired, extra, result.is_done)
 
     if placeholder and step.body_text:
         if not apply(step.body_text).ok:
-            return RepairOutcome(False, script, extra, False, timed_out)
+            return RepairOutcome(False, script, extra)
         body_applied = True
     for tactic in cascade.tactics:
         extra += 1
@@ -281,7 +272,7 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
     if cascade.use_hammer:
         if not placeholder and step.body_text:
             if not apply(step.body_text).ok:
-                return RepairOutcome(False, script, extra, False, timed_out)
+                return RepairOutcome(False, script, extra)
             body_applied = True
         extra += 1
         result = apply(HAMMER_STEP)
@@ -289,7 +280,7 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
             return win(_justification(result.message or "smt"), result)
 
     cursor.stale = body_applied
-    return RepairOutcome(False, script, extra, False, timed_out)
+    return RepairOutcome(False, script, extra)
 
 
 def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
@@ -322,9 +313,9 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     run = cursor.advance(s.text for s in continuation.steps)
     if not run.done:
         cursor.stale = run.count > 0
-        return RepairOutcome(False, script, timed_out=run.timed_out)
+        return RepairOutcome(False, script)
     merged = with_steps(script, [*prefix_steps, *continuation.steps[:run.count]])
-    return RepairOutcome(True, merged, timed_out=run.timed_out, is_done=True)
+    return RepairOutcome(True, merged, is_done=True)
 
 
 _STRUCTURAL_HEADS = ("proof", "qed", "oops", "next")
@@ -390,11 +381,12 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
     has_timeout = False
     state = AttemptState()
     i_try = 0
+    final = None
     for i_try, candidate in enumerate(candidates):
         state = AttemptState()
         try:
-            success, final = _attempt(statement, candidate, state, model,
-                                      prover, budget, few_shots)
+            final = _attempt(statement, candidate, state, model, prover,
+                             budget, few_shots)
         except (TransportError, PrefixReplayFailed) as exc:
             # Neither says anything about the proof: the run is undetermined.
             raise BackendUnavailable(f"prover backend unavailable: {exc}") from exc
@@ -402,42 +394,34 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
             # The statement itself will not load; no candidate can do better.
             break
         has_timeout = has_timeout or state.timed_out
-        if success:
-            return AttemptRecord(
-                problem_name=problem_name,
-                success=True,
-                i_try=i_try,
-                success_stage=state.stage.value,
-                has_timeout=has_timeout,
-                extra_calls=state.extra_calls,
-                has_sc=state.has_sc,
-                wall_time_s=time.monotonic() - started,
-                final_script=final,
-            )
+        if final is not None:
+            break
     return AttemptRecord(
         problem_name=problem_name,
-        success=False,
+        success=final is not None,
         i_try=i_try,
-        success_stage=Stage.FAILED.value,
+        success_stage=(Stage.FAILED if final is None else state.stage).value,
         has_timeout=has_timeout,
         extra_calls=state.extra_calls,
         has_sc=state.has_sc,
         wall_time_s=time.monotonic() - started,
+        final_script=final,
     )
 
 
 def _attempt(statement: str, candidate: str, state: AttemptState,
              model: ModelBackend, prover: ProverBackend, budget: BudgetConfig,
-             few_shots: Sequence[tuple[str, str]]) -> tuple[bool, Optional[str]]:
+             few_shots: Sequence[tuple[str, str]]) -> Optional[str]:
+    """Validate and repair one candidate; the final proof text, or None."""
     text = extract_proof_text(candidate)
     if not text.strip():
-        return False, None
+        return None
     try:
         script = parse_script(text)
     except ParseError:
-        return False, None
+        return None
     if not script.steps:
-        return False, None
+        return None
 
     cursor = SessionCursor(prover, statement, budget.prover)
     index = 0
@@ -452,22 +436,22 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
             run = cursor.advance(s.text for s in pending)
             index += run.count
             if run.done:
-                return True, _final_text(script, index)
+                return _final_text(script, index)
             if index >= len(script.steps):
-                return False, None
-            state.timed_out = state.timed_out or run.timed_out
+                return None
 
             chain_budget -= 1
             if chain_budget < 0:
-                return False, None
+                return None
             done, script, index, alive = _repair_chain(
                 cursor, script, index, state, statement, model, budget,
                 few_shots)
             if done:
-                return True, _final_text(script, index)
+                return _final_text(script, index)
             if not alive:
-                return False, None
+                return None
     finally:
+        state.timed_out = cursor.timeouts > 0
         cursor.close()
 
 
@@ -477,29 +461,37 @@ def _final_text(script: ProofScript, applied_count: int) -> str:
     return script.text
 
 
+ChainStep = tuple[bool, ProofScript, int, bool]
+
+
 def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
              state: AttemptState,
-             cascade: TacticCascade) -> Optional[RepairOutcome]:
-    """``atp_substitute`` at ``index``, sought to the claim's prefix, or None
-    where the cascade was refused on this claim already.  Only a failure made
-    of refusals is recorded: one that saw a timeout runs again."""
+             cascade: TacticCascade) -> Optional[ChainStep]:
+    """``atp_substitute`` at ``index``, sought to the claim's prefix.  A win
+    is booked here and returned as the chain's next step; a loss, or a claim
+    the cascade was refused on already, returns None.  Only a loss made of
+    refusals is recorded: one that saw a timeout runs again."""
     claim = _claim(script, index)
     if (Stage.ATP, claim) in state.tried:
         return None
     cursor.seek(claim[:-1])
+    timeouts = cursor.timeouts
     outcome = atp_substitute(cursor, script, index, cascade)
     state.extra_calls += outcome.extra_calls
-    state.timed_out = state.timed_out or outcome.timed_out
-    if not (outcome.success or outcome.timed_out):
+    if outcome.success:
+        state.stage = _advance(state.stage, Stage.ATP)
+        state.has_sc = state.has_sc or script.steps[index].is_sorry
+        return outcome.is_done, outcome.script, index + 1, True
+    if cursor.timeouts == timeouts:
         state.tried.add((Stage.ATP, claim))
-    return outcome
+    return None
 
 
 def _repair_chain(
     cursor: SessionCursor, script: ProofScript, index: int,
     state: AttemptState, statement: str, model: ModelBackend,
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
-) -> tuple[bool, ProofScript, int, bool]:
+) -> ChainStep:
     """Repair at a failing or placeholder position: the cascade, then ERP,
     then the heuristic rewrite, then a backtrack with one last cascade.  No
     stage runs twice on one claim (``AttemptState.tried``), so the
@@ -509,17 +501,14 @@ def _repair_chain(
 
     Returns (proof_done, script, applied_count_or_next_index, alive).
     """
-    outcome = _cascade(cursor, script, index, state, budget.cascade)
-    if outcome is not None and outcome.success:
-        state.stage = _advance(state.stage, Stage.ATP)
-        state.has_sc = state.has_sc or outcome.replaced_sorry
-        return outcome.is_done, outcome.script, index + 1, True
+    won = _cascade(cursor, script, index, state, budget.cascade)
+    if won:
+        return won
 
     claim = _claim(script, index)
     if budget.erp_enabled and state.first_try(Stage.ERP, claim):
         erp = erp_repair(cursor, script, index, model, statement, budget,
                          few_shots)
-        state.timed_out = state.timed_out or erp.timed_out
         if erp.success:
             state.stage = _advance(state.stage, Stage.ERP)
             return True, erp.script, len(erp.script.steps), True
@@ -531,21 +520,17 @@ def _repair_chain(
             # The placeholder at `index` is re-attempted by the main loop.
             return False, rewritten, index, True
 
+    lost = (False, script, index, False)
     if index == 0:
-        return False, script, index, False
+        return lost
     target = _backtrack_target(script, index)
     truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:
-        return False, script, index, False
+        return lost
     if target < index:
         # the collapsed block's steps were already applied
         cursor.stale = True
-    outcome = _cascade(cursor, truncated, target, state, budget.cascade)
-    if outcome is not None and outcome.success:
-        state.stage = _advance(state.stage, Stage.ATP)
-        state.has_sc = True
-        return outcome.is_done, outcome.script, target + 1, True
-    return False, script, index, False
+    return _cascade(cursor, truncated, target, state, budget.cascade) or lost
 
 
 # ---------------------------------------------------------------------------

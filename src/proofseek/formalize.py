@@ -76,7 +76,6 @@ class FormalizationRecord:
     informal_proof: str
     formal_statement: str
     provenance: str = "llm"
-    retry_count: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -368,13 +367,11 @@ def formalize_nl(
         params, prompts.stage_informal_proof_prompt(
             statement, description, _shots_for("informal_proof", few_shots)), 1)[0].strip()
 
-    retry_count = 0
     prompt = prompts.stage_formal_statement_prompt(
         statement, description, informal_proof, _shots_for("formal", few_shots))
     formal = model.complete(params, prompt, 1)[0].strip()
     findings = validate_formal_statement(formal)
     if findings:
-        retry_count = 1
         retry_prompt = prompts.stage_formal_statement_prompt(
             statement, description,
             informal_proof + "\n\nThe previous output was structurally invalid: "
@@ -394,5 +391,4 @@ def formalize_nl(
         informal_proof=informal_proof,
         formal_statement=formal,
         provenance="llm",
-        retry_count=retry_count,
     )

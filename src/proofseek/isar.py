@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -106,20 +106,26 @@ def tokenize(text: str) -> list[Token]:
     one after a backslash), and nothing follows the word group, so the scanner
     never backtracks into a token.
     """
-    tokens: list[Token] = []
+    return list(_tokens(text))
+
+
+def _tokens(text: str) -> Iterator[Token]:
+    """``tokenize``'s tokens one at a time: a caller that needs only the
+    first few reads no further, and meets a ParseError only if it reads up
+    to the fault."""
     match = _SCANNER.match
     i = 0
     while True:
         m = match(text, i)
         kind = m.lastgroup
         if kind is None:
-            return tokens
+            return
         start, i = m.span(kind)
         if kind == "quote":
             raise ParseError("unterminated string", text, start)
         if kind in _FENCES:
             i = _close_nested(text, kind, start, i)
-        tokens.append(Token(kind, text[start:i], start))
+        yield Token(kind, text[start:i], start)
 
 
 def token_equivalent(a: str, b: str) -> bool:
@@ -519,17 +525,19 @@ _FENCE_RE = re.compile(r"```[ \t]*[A-Za-z0-9_+-]*[ \t]*\n(.*?)```", re.S)
 
 def unwrap_proof_comment(text: str) -> str:
     """If the text is nothing but comments, return the body of the comment
-    that actually carries a proof (whole proofs often arrive comment-wrapped)."""
+    that actually carries a proof (whole proofs often arrive comment-wrapped).
+    The scan stops at the first token that is no comment."""
     for _ in range(4):  # comments may nest a wrapped proof once more
         if not text.lstrip().startswith("(*"):
             return text  # empty, or its first token is no comment
+        candidates = []
         try:
-            tokens = tokenize(text)
+            for token in _tokens(text):
+                if token.kind != "comment":
+                    return text
+                candidates.append(token.text[2:-2].strip())
         except ParseError:
             return text
-        if any(t.kind != "comment" for t in tokens):
-            return text
-        candidates = [t.text[2:-2].strip() for t in tokens if t.kind == "comment"]
         with_proof = [c for c in candidates
                       if any(w in STEP_KEYWORDS for w in c.split())]
         if not with_proof:
@@ -557,23 +565,21 @@ def extract_proof_text(response: str) -> str:
 
     Recognizes, in priority order: fenced code blocks, comment-wrapped
     proofs, bare ``proof ... qed`` spans embedded in prose.  Falls back to
-    the stripped response.
+    the stripped response.  A text whose first word is a step keyword, the
+    usual case, is returned once that word is read.
     """
     text = response.strip()
     match = _FENCE_RE.search(text)
     if match:
         text = match.group(1).strip()
     text = unwrap_proof_comment(text).strip()
-    if not text:
-        return text
+    scan = (t for t in _tokens(text) if t.kind == "word")
     try:
-        tokens = tokenize(text)
+        first = next(scan, None)
+        if first is None or first.text in STEP_KEYWORDS:
+            return text
+        words = [first, *scan]
     except ParseError:
-        return text
-    words = [t for t in tokens if t.kind == "word"]
-    if not words:
-        return text
-    if words[0].text in STEP_KEYWORDS:
         return text
     # Prose around a bare proof...qed span: slice out the span.
     for i, tok in enumerate(words):

@@ -415,6 +415,20 @@ class _Connection:
         self.sock.close()
 
 
+def _judged(response: dict) -> dict:
+    """An ``init`` or ``apply`` reply, checked: its status is ok, error or
+    timeout, it names a state id exactly when the status is ok, and its
+    message is text.  Anything else is a TransportError, since no verdict
+    can be read from it."""
+    status, state_id = response.get("status"), response.get("state_id")
+    if (status not in (OK, ERROR, TIMEOUT)
+            or not (isinstance(state_id, str) if status == OK
+                    else state_id is None)
+            or not isinstance(response.get("message", ""), str)):
+        raise TransportError(f"malformed prover reply: {response!r}")
+    return response
+
+
 class WireProver(ProverBackend):
     """Socket client for the line-delimited JSON protocol.
 
@@ -425,7 +439,8 @@ class WireProver(ProverBackend):
     transport fault (a socket error or timeout, EOF, a malformed line) fails
     the call with TransportError and closes that connection only; a server
     fault (``error_kind`` ``internal`` or ``protocol``) is a TransportError
-    too, since the request was never judged.
+    too, since the request was never judged, and so is a reply of the wrong
+    shape (``_judged``).
     """
 
     def __init__(self, config: ProverConfig):
@@ -451,14 +466,16 @@ class WireProver(ProverBackend):
             raise TransportError(f"prover connection failed: {exc}") from exc
         with self._lock:
             self._idle.append(conn)
+        if not isinstance(response, dict):
+            raise TransportError(f"malformed prover reply: {response!r}")
         if response.get("error_kind") in ("internal", "protocol"):
             raise TransportError(
                 f"prover fault: {response.get('message', command)}")
         return response
 
     def init_session(self, theory_text: str) -> str:
-        return _session_of(self._rpc("init", None, theory_text,
-                                     self.config.init_timeout_s))
+        return _session_of(_judged(self._rpc("init", None, theory_text,
+                                             self.config.init_timeout_s)))
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
@@ -466,7 +483,7 @@ class WireProver(ProverBackend):
         response = self._rpc("apply", session_id, step_text, timeout_s)
         if response.get("error_kind") == "session":
             raise SessionClosed(response.get("message", session_id))
-        return _step_result(response)
+        return _step_result(_judged(response))
 
     def close(self, session_id: str) -> None:
         try:
@@ -559,10 +576,6 @@ class Advance:
     failed: bool = False
     done: bool = False
 
-    @property
-    def timed_out(self) -> bool:
-        return self.failed and self.last.status == TIMEOUT
-
 
 class SessionCursor:
     """One prover session on a statement's theory, and the one owner of
@@ -574,7 +587,8 @@ class SessionCursor:
     session at the validated prefix, and does nothing on a cursor that is not
     stale, so two stale marks with no use in between cost one rebuild.
     ``advance`` on a stale cursor raises, so a missed ``seek`` can never send
-    steps into a session that is mid-goal."""
+    steps into a session that is mid-goal.  ``timeouts`` counts the applies
+    that timed out, over every session the cursor has held."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -583,6 +597,7 @@ class SessionCursor:
         self.theory = config.theory_header + "\n\n" + strip_terminal_marker(statement)
         self.session = prover.init_session(self.theory)
         self.stale = False
+        self.timeouts = 0
 
     def advance(self, texts: Iterable[str]) -> Advance:
         """Apply step texts in order until one is not ok, the prover reports
@@ -597,6 +612,7 @@ class SessionCursor:
                          else self.config.step_timeout_s)
             result = self.prover.apply(self.session, text, timeout_s)
             if not result.ok:
+                self.timeouts += result.status == TIMEOUT
                 return Advance(count, result, failed=True)
             count += 1
             if result.is_done:

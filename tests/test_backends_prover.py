@@ -437,6 +437,55 @@ def test_wire_server_fault_is_a_transport_error(method, tmp_path):
         server.stop()
 
 
+_INIT_OK = b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'
+
+
+@pytest.mark.parametrize("reply", [
+    b'[]\n',
+    b'"ok"\n',
+    b'{"state_id": "s-1/1"}\n',
+    b'{"status": "done", "state_id": "s-1/1"}\n',
+    b'{"status": "ok"}\n',
+    b'{"status": "ok", "state_id": null}\n',
+    b'{"status": "ok", "state_id": 5}\n',
+    b'{"status": "error", "state_id": "s-1/1"}\n',
+    b'{"status": "timeout", "state_id": "s-1/1"}\n',
+    b'{"status": "ok", "state_id": "s-1/1", "message": ["by simp"]}\n',
+])
+def test_wire_reply_of_the_wrong_shape_is_a_transport_error(reply):
+    server = LineServer(lambda _index, _line: reply)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError, match="malformed prover reply"):
+            client.init_session("theory T")
+        with pytest.raises(TransportError, match="malformed prover reply"):
+            client.apply("s-1", "by simp")
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+@pytest.mark.parametrize("reply", [b'{"status": "ok"}\n', b'[]\n'])
+def test_wire_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
+        reply, tmp_path):
+    # Only the problem whose apply got the reply is undetermined; the run
+    # goes on and writes its record.
+    server = LineServer(
+        lambda _index, line: _INIT_OK if b'"init"' in line else reply)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        spec = BenchmarkSpec(
+            "shape", (BenchmarkProblem("p", GOLDEN_FORMAL_STATEMENT),),
+            BudgetConfig(sample_budget=1))
+        model = MockModel({"whole_proof": [["by simp"]]})
+        [record] = run_benchmark(spec, model, client,
+                                 tmp_path / "records.jsonl", pool_size=1)
+        assert record.undetermined and not record.success
+    finally:
+        client.shutdown()
+        server.stop()
+
+
 def test_wire_protocol_fault_is_a_transport_error():
     fault = (b'{"status": "error", "state_id": null, "message": "bad request", '
              b'"is_done": false, "error_kind": "protocol"}\n')

@@ -291,7 +291,8 @@ def test_load_benchmark_and_unique_names(tmp_path):
     ])
     spec = load_benchmark(path, name="mini")
     assert spec.name == "mini"
-    assert spec.problems[0].informal_statement == "nl"
+    assert spec.problems == (BenchmarkProblem("a", "s1"),
+                             BenchmarkProblem("b", "s2"))
     with pytest.raises(ValueError):
         BenchmarkSpec("x", (BenchmarkProblem("a", "s"),
                             BenchmarkProblem("a", "t")))

@@ -20,7 +20,7 @@ ACCEPTED = ["by simp", "by auto", "by blast"]
 
 def _pairs(n=10):
     proofs = ACCEPTED + [f"by (metis lemma_{i})" for i in range(n - len(ACCEPTED))]
-    return [TheoremProofPair(f'lemma l{i}: "P{i}"', proof, source_theory="T")
+    return [TheoremProofPair(f'lemma l{i}: "P{i}"', proof)
             for i, proof in enumerate(proofs)]
 
 
@@ -70,6 +70,25 @@ def test_filter_transport_fault_is_undetermined():
     assert len(result.undetermined) == 1
     assert result.undetermined[0][0].statement == 'lemma l1: "P1"'
     assert len(result.rl_pool) + len(result.sft_pool) == 3
+
+
+def _rejecting(statement_tag):
+    """A prover that accepts ACCEPTED but will not load a theory naming
+    ``statement_tag``: its statement needs dependencies beyond Main."""
+    return MockProver(
+        table={proof: "ok" for proof in ACCEPTED},
+        reject_theory=lambda theory: ("undefined constant"
+                                      if statement_tag in theory else None))
+
+
+def test_filter_statement_that_will_not_load_goes_to_the_sft_pool():
+    pairs = _pairs(4)
+    result = filter_self_contained(pairs, _rejecting("l1"), pool_size=1)
+    assert [p.statement for p in result.rl_pool] == \
+        ['lemma l0: "P0"', 'lemma l2: "P2"']
+    assert [p.statement for p in result.sft_pool] == \
+        ['lemma l1: "P1"', 'lemma l3: "P3"']
+    assert not result.undetermined
 
 
 def test_pair_requires_nonempty_fields():
@@ -208,3 +227,9 @@ def test_reward_verification_transport_is_undetermined():
     result = reward_verification("by simp", 'lemma x: "P"', Down())
     assert result is UNDETERMINED
     assert result != 0
+
+
+def test_reward_verification_statement_that_will_not_load_is_zero():
+    prover = _rejecting("lemma x")
+    assert reward_verification("by simp", 'lemma x: "P"', prover) == 0
+    assert reward_verification("by simp", 'lemma y: "P"', prover) == 1

@@ -521,6 +521,49 @@ def test_timeout_sets_has_timeout():
     assert record.has_timeout
 
 
+_TIMEOUT_CASES = {
+    # `have "x" by foo` times out in the main loop; the cascade's simp wins.
+    "main-loop step": dict(
+        candidates=[ATP_CANDIDATE], erp=None, hammer=None, stage="atp",
+        table={'have "x" by foo': SLOW, 'have "x" by simp': "ok"}),
+    # The cascade's auto times out on `have "x"`; its simp wins.
+    "cascade tactic": dict(
+        candidates=[ATP_CANDIDATE], erp=None, hammer=None, stage="atp",
+        table={'have "x" by auto': SLOW, 'have "x" by simp': "ok"}),
+    # Every tactic is refused and the hammer times out; ERP completes.
+    "hammer": dict(
+        candidates=[ATP_CANDIDATE], erp=ERP_COMPLETION, hammer=SLOW,
+        stage="erp", table={'have "x"': "ok",
+                            'have "x" by (meson helper)': "ok"}),
+    # ERP's continuation times out on its first step; after the heuristic
+    # rewrite, a backtrack's placeholder is discharged by auto.
+    "erp continuation step": dict(
+        candidates=[ATP_CANDIDATE], erp='have "x" by slow\nqed', hammer=None,
+        stage="heuristic", table={'have "x" by slow': SLOW, "by auto": "ok"}),
+    # The first candidate times out and fails; the second verifies.
+    "earlier candidate": dict(
+        candidates=['proof -\n  have "y" by slow\nqed', ATP_CANDIDATE],
+        erp=None, hammer=None, stage="atp",
+        table={'have "y" by slow': SLOW, 'have "x" by auto': "ok"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_TIMEOUT_CASES))
+def test_has_timeout_wherever_an_apply_timed_out(case):
+    spec = _TIMEOUT_CASES[case]
+    prover = MockProver(table={
+        "proof -": "ok", "show ?thesis by simp": "ok", "qed": "ok",
+        **spec["table"]}, hammer=spec["hammer"])
+    model = MockModel({"whole_proof": [spec["candidates"]],
+                       "erp": [[spec["erp"] or "by nope"]]})
+    budget = BudgetConfig(sample_budget=len(spec["candidates"]),
+                          erp_enabled=spec["erp"] is not None)
+    record = prove(STATEMENT, model, prover, budget)
+    assert record.success and record.success_stage == spec["stage"]
+    assert record.i_try == len(spec["candidates"]) - 1
+    assert record.has_timeout
+
+
 def test_timeout_plumbing_step_vs_hammer():
     model = _model(ATP_CANDIDATE, erp=ERP_COMPLETION)
     prover = RecordingProver(_erp_prover())
@@ -546,7 +589,6 @@ def test_atp_substitute_sorry_position_arithmetic():
     outcome = atp_substitute(cursor, script, 0, default_cascade())
     assert outcome.success
     assert outcome.extra_calls == 4  # auto, simp, blast, fastforce
-    assert outcome.replaced_sorry
     assert outcome.script.steps[0].text == 'have "g" by fastforce'
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proofseek import isar
 from proofseek.errors import IndexOutOfRange, ParseError
 from proofseek.isar import (
     enclosing_block,
@@ -366,6 +367,30 @@ def test_extract_bare_span_from_prose():
 
 def test_extract_plain_response_passthrough():
     assert extract_proof_text("by auto") == "by auto"
+
+
+# Prose, comments, fences and proof words, some unterminated.
+_EXTRACT_PIECES = ["proof", "-", "qed", "oops", "have", "by", "simp", "The",
+                   "answer", "(*", "*)", '"', '"x"', "\\<open>", "‹", "›",
+                   " ", "\n", "```isabelle\n", "```"]
+
+
+def _full_scan(text):
+    """The reference tokenizer, which reads (and fails on) the whole text
+    before it yields the first token."""
+    yield from reference_tokenize(text)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_EXTRACT_PIECES), max_size=20).map("".join))
+@example('proof - have "x')
+@example('(* by simp *) "x"')
+@example('(* proof *) (* qed')
+def test_extraction_agrees_with_a_full_scan(text):
+    lazy = (extract_proof_text(text), unwrap_proof_comment(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(isar, "_tokens", _full_scan)
+        assert (extract_proof_text(text), unwrap_proof_comment(text)) == lazy
 
 
 def test_strip_terminal_marker(golden_statement):
