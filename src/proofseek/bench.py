@@ -102,15 +102,17 @@ def run_benchmark(
 ) -> list[AttemptRecord]:
     """One AttemptRecord per problem, written incrementally.
 
-    Problems that already have a record in ``records_path`` are not re-run;
-    backend aborts become undetermined records rather than failures.
+    Problems whose last record in ``records_path`` is determined are not
+    re-run; backend aborts become undetermined records rather than failures,
+    and a resume runs those problems again.
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
     rows = read_jsonl(records_path) if records_path.exists() else []
     existing = {row["problem_name"]: AttemptRecord.from_json(row)
                 for row in rows}
-    todo = [p for p in spec.problems if p.problem_name not in existing]
+    todo = [p for p in spec.problems if p.problem_name not in existing
+            or existing[p.problem_name].undetermined]
     write_lock = threading.Lock()
 
     def worker(problem: BenchmarkProblem) -> AttemptRecord:
@@ -129,7 +131,7 @@ def run_benchmark(
         if isinstance(outcome, Exception):
             raise outcome
     fresh = {record.problem_name: record for record in outcomes}
-    return [existing.get(p.problem_name) or fresh[p.problem_name]
+    return [fresh.get(p.problem_name) or existing[p.problem_name]
             for p in spec.problems]
 
 

@@ -143,7 +143,7 @@ def build_prover(config: RunConfig) -> ProverBackend:
     spec = json.loads(config.fixture("prover_mock").read_text(encoding="utf-8"))
     try:
         return MockProver(**spec, config=config.budget.prover)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fixtures.prover_mock: {exc}") from exc
 
 

@@ -18,17 +18,19 @@ that one session.
 
 Placeholder discharge is two-phase: the goal body is applied on its own and
 the cascade then tries bare ``by <tactic>`` steps; a failed tactic step is
-instead rewritten and re-applied whole.  Failed applies never advance the
-prover session.  A repair that leaves the session past the validated prefix
-(a goal body opened for a failed cascade, a partly accepted ERP
-continuation, a backtrack over applied steps) marks the cursor stale, and
-the next user seeks the prefix: the cursor replays it into a fresh session
-then, and only then.
+instead rewritten and re-applied whole.  A block delimiter gets no cascade.
+Failed applies never advance the prover session.  A repair that leaves the
+session past the validated prefix (a partly accepted ERP continuation, a
+backtrack over applied steps) marks the cursor stale, and the next user
+seeks the prefix: the cursor replays it into a fresh session then, and only
+then.  A goal body opened for a failed cascade is held instead: a next step
+that restates it (``<body> by T``) is finished in the same session.
 
-A verdict is a function of the session's steps and the step text, so within
-one candidate no stage runs twice on one claim: the validated prefix plus
-the failing step's goal body, which a tactic step and its placeholder share.
-A cascade that timed out is no verdict and runs again.
+A verdict is a function of the session's steps and the step text, so the
+cursor never re-sends a step refused at the same place, and within one
+candidate no stage runs twice on one claim: the validated prefix plus the
+failing step's goal body, which a tactic step and its placeholder share.  A
+cascade that timed out is no verdict and runs again.
 """
 
 from __future__ import annotations
@@ -235,51 +237,65 @@ class RepairOutcome:
     is_done: bool = False
 
 
+# Block delimiters: they take no justification.
+_STRUCTURAL_HEADS = ("proof", "qed", "oops", "next")
+
+
 def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
                    cascade: TacticCascade) -> RepairOutcome:
     """Try each cascade tactic as the step's justification, then Sledgehammer.
 
     Sorry placeholders are discharged two-phase (goal body alone, then bare
     ``by <tactic>``); failed tactic steps are rewritten and re-applied whole.
-    Every tactic and hammer invocation counts one extra call; goal-body
-    applications do not.  On overall failure after a body application the
-    session is left mid-goal, so the cursor is marked stale.
+    A block delimiter takes no justification, so it gets no cascade.  Every
+    tactic and hammer request sent counts one extra call; goal-body
+    applications and answers the cursor recalls do not.  On overall failure
+    after a body application the session is left mid-goal, and the cursor
+    holds that body for its next user.
     """
     step = script.step_at(position)
+    if step.head in _STRUCTURAL_HEADS:
+        return RepairOutcome(False, script)
     extra = 0
     placeholder = step.is_sorry
-    body_applied = False
+    opened = None
 
     def apply(text: str) -> StepResult:
         return cursor.advance((text,)).last
+
+    def attempt(text: str) -> StepResult:
+        nonlocal extra
+        recalled = cursor.recalled
+        result = apply(text)
+        extra += cursor.recalled == recalled
+        return result
 
     def win(justification: str, result: StepResult) -> RepairOutcome:
         repaired = splice(script, position, step.with_justification(justification))
         return RepairOutcome(True, repaired, extra, result.is_done)
 
     if placeholder and step.body_text:
-        if not apply(step.body_text).ok:
-            return RepairOutcome(False, script, extra)
-        body_applied = True
+        opened = apply(step.body_text)
+        if not opened.ok:
+            return RepairOutcome(False, script)
     for tactic in cascade.tactics:
-        extra += 1
         justification = _justification(tactic)
-        result = apply(justification if placeholder else
-                       step.with_justification(justification).text)
+        result = attempt(justification if placeholder else
+                         step.with_justification(justification).text)
         if result.ok:
             return win(justification, result)
 
     if cascade.use_hammer:
         if not placeholder and step.body_text:
-            if not apply(step.body_text).ok:
+            opened = apply(step.body_text)
+            if not opened.ok:
                 return RepairOutcome(False, script, extra)
-            body_applied = True
-        extra += 1
-        result = apply(HAMMER_STEP)
+        result = attempt(HAMMER_STEP)
         if result.ok:
             return win(_justification(result.message or "smt"), result)
 
-    cursor.stale = body_applied
+    if opened is not None:
+        cursor.hold_body(opened)
     return RepairOutcome(False, script, extra)
 
 
@@ -316,9 +332,6 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
         return RepairOutcome(False, script)
     merged = with_steps(script, [*prefix_steps, *continuation.steps[:run.count]])
     return RepairOutcome(True, merged, is_done=True)
-
-
-_STRUCTURAL_HEADS = ("proof", "qed", "oops", "next")
 
 
 def heuristic_repair(script: ProofScript, position: int) -> ProofScript:

@@ -30,7 +30,7 @@ import json
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -142,7 +142,11 @@ def _opened(session_id: str) -> dict:
 
 
 def _session_of(response: dict) -> str:
-    """Session id from an ``init`` response, or TheoryLoadError."""
+    """Session id from an ``init`` response.  A refusal is TheoryLoadError;
+    a timeout is no verdict on the theory, so it is a TransportError."""
+    if response["status"] == TIMEOUT:
+        raise TransportError(
+            f"theory load timed out: {response.get('message', '')}")
     if response["status"] != OK:
         raise TheoryLoadError(response.get("message", "theory rejected"))
     return response["state_id"].split("/")[0]
@@ -192,6 +196,27 @@ class _SessionState:
     counter: int = 0
     depth: int = 0
     open: bool = True
+    body: Optional[str] = None  # the last accepted step, when a goal body
+
+
+_GOAL_WORDS = frozenset({"have", "show", "hence", "thus", "obtain"})
+
+
+def _split_by(text: str) -> Optional[tuple[str, str]]:
+    """(body, ``by T``) of a normalized ``<body> by T`` step, else None."""
+    words = text.split(" ")
+    if "by" not in words[1:]:
+        return None
+    at = words.index("by", 1)
+    return " ".join(words[:at]), " ".join(words[at:])
+
+
+def _goal_body(text: str) -> Optional[str]:
+    """``text`` when it states a goal and leaves it open, else None."""
+    words = text.split(" ")
+    if _GOAL_WORDS.isdisjoint(words) or "by" in words or "sorry" in words:
+        return None
+    return text
 
 
 class MockProver(ProverBackend):
@@ -206,6 +231,13 @@ class MockProver(ProverBackend):
     otherwise inferred structurally (closing ``qed`` at depth zero, or a
     top-level terminal ``by``).  Simulated ``delay_s`` greater than the
     request timeout yields a timeout without sleeping.
+
+    The table is read as a prover reads Isar, where ``<body> by T`` is
+    ``<body>`` followed by ``by T``: an unlisted ``<body> by T`` is answered
+    as those two steps, and a bare ``by T`` right after an accepted goal body
+    is answered from the entry for ``<body> by T``.  A table that accepts
+    ``<body> by T`` but not ``<body>`` gives the two forms different verdicts
+    and raises ValueError.
     """
 
     def __init__(
@@ -220,6 +252,14 @@ class MockProver(ProverBackend):
         self.table = {normalize_step(k): MockOutcome.of(v)
                       for k, v in (table or {}).items()}
         self.default = MockOutcome.of(default)
+        for text, outcome in self.table.items():
+            split = _split_by(text)
+            if split is None or outcome.status != OK:
+                continue
+            body = self.table.get(split[0], self.default)
+            if body.status != OK or body.delay_s > outcome.delay_s:
+                raise ValueError(f"incoherent table: {text!r} is accepted "
+                                 f"but {split[0]!r} is not")
         if hammer is None or isinstance(hammer, (str, dict, MockOutcome)):
             self._hammer_seq: list[Union[None, str, MockOutcome]] = [hammer]
         else:
@@ -248,16 +288,18 @@ class MockProver(ProverBackend):
             if state is None or not state.open:
                 raise SessionClosed(f"session {session_id} is not open")
             if step_text == HAMMER_STEP:
-                outcome = self._next_hammer()
+                outcome, judged = self._next_hammer(), step_text
             else:
-                outcome = self.table.get(normalize_step(step_text), self.default)
+                outcome, judged = self._judge(state.body,
+                                              normalize_step(step_text))
             if outcome.delay_s > timeout_s:
                 return StepResult(TIMEOUT, None,
                                   f"step exceeded {timeout_s}s", False)
             if outcome.status != OK:
                 return StepResult(outcome.status, None,
                                   outcome.message or "step failed", False)
-            head = step_text.split()[0] if step_text.split() else ""
+            state.body = _goal_body(judged)
+            head = judged.split()[0] if judged.split() else ""
             if head == "proof":
                 state.depth += 1
             elif head in ("qed", "oops"):
@@ -277,6 +319,23 @@ class MockProver(ProverBackend):
                 state.open = False
 
     # -- internals ----------------------------------------------------------
+
+    def _judge(self, body: Optional[str],
+               text: str) -> tuple[MockOutcome, str]:
+        """The outcome of ``text`` right after ``body``, the session's open
+        goal body if any, and the step it stands for."""
+        if body is not None and text.startswith(("by ", "by(")):
+            whole = f"{body} {text}"
+            return self.table.get(whole) or self.table.get(text, self.default), whole
+        outcome = self.table.get(text)
+        split = None if outcome is not None else _split_by(text)
+        if split is None:
+            return outcome or self.default, text
+        first = self.table.get(split[0], self.default)
+        if first.status != OK:
+            return first, text
+        second = self.table.get(split[1], self.default)
+        return replace(second, delay_s=max(first.delay_s, second.delay_s)), text
 
     def _rejection(self, theory_text: str) -> Optional[str]:
         if callable(self.reject_theory):
@@ -577,18 +636,46 @@ class Advance:
     done: bool = False
 
 
+@dataclass(frozen=True)
+class _OpenBody:
+    """A goal body applied past the validated prefix: its text, the node it
+    leads to, and the prover's answer to it."""
+
+    text: str
+    node: int
+    result: StepResult
+
+
+def _after_body(text: str, body: str) -> Optional[str]:
+    """The bare ``by T`` when ``text`` is ``<body> by T``, else None."""
+    if text.startswith(body) and text[len(body):len(body) + 4] in (" by ", " by("):
+        return text[len(body) + 1:]
+    return None
+
+
 class SessionCursor:
     """One prover session on a statement's theory, and the one owner of
     whether that session stands at the prefix its caller validated.
     ``advance`` is the one stepping loop: every check, repair step and prefix
-    replay goes through it.  A caller that leaves the session anywhere else
-    (a goal body opened for a failed cascade, a partly accepted continuation,
-    steps a backtrack cut away) sets ``stale``; ``seek`` then rebuilds the
-    session at the validated prefix, and does nothing on a cursor that is not
-    stale, so two stale marks with no use in between cost one rebuild.
-    ``advance`` on a stale cursor raises, so a missed ``seek`` can never send
-    steps into a session that is mid-goal.  ``timeouts`` counts the applies
-    that timed out, over every session the cursor has held."""
+    replay goes through it.
+
+    A caller that leaves the session past the validated prefix (a partly
+    accepted continuation, steps a backtrack cut away) sets ``stale``;
+    ``seek`` then rebuilds the session at that prefix, and does nothing on a
+    cursor that is not stale, so two stale marks with no use in between cost
+    one rebuild.  A goal body a failed cascade opened is kept instead
+    (``hold_body``): the next ``seek`` settles at its first apply, which is
+    answered with no call when it reopens the body, sent as the bare ``by T``
+    when it is ``<body> by T``, and rebuilds first otherwise.  ``advance``
+    raises on a stale cursor and on a held body no ``seek`` has settled, so a
+    missed ``seek`` can never send steps into a session that is mid-goal.
+
+    A verdict is a function of the session's accepted step texts and the
+    step text, so the cursor keeps those texts as a trie, with its place in
+    it, and answers a step refused at the same place again without a call;
+    ``recalled`` counts those answers.  A timeout is no verdict and is never
+    kept.  ``timeouts`` counts the applies that timed out, over every
+    session the cursor has held."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -598,32 +685,97 @@ class SessionCursor:
         self.session = prover.init_session(self.theory)
         self.stale = False
         self.timeouts = 0
+        self.recalled = 0
+        self._node = 0
+        # (node, step text) -> the node the step leads to, or its refusal
+        self._trie: dict[tuple[int, str], Union[int, StepResult]] = {}
+        self._edges: list[tuple[int, str]] = [(0, "")]  # node -> (parent, text)
+        self._body: Optional[_OpenBody] = None
+        self._at: Optional[list[str]] = None  # the prefix a seek settled at
 
     def advance(self, texts: Iterable[str]) -> Advance:
         """Apply step texts in order until one is not ok, the prover reports
         completion, or the texts run out.  Texts are consumed lazily, so none
         past the stop is built.  The hammer pseudo-step gets the hammer
         timeout, every other step the step timeout."""
-        if self.stale:
-            raise RuntimeError("stale session cursor: seek before advancing")
+        if self.stale or (self._body is not None and self._at is None):
+            raise RuntimeError("session cursor off its prefix: seek before advancing")
         count, result = 0, None
         for text in texts:
-            timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
-                         else self.config.step_timeout_s)
-            result = self.prover.apply(self.session, text, timeout_s)
+            result = (self._ask(self._node, text) if self._body is None
+                      else self._reopen(text))
             if not result.ok:
-                self.timeouts += result.status == TIMEOUT
                 return Advance(count, result, failed=True)
             count += 1
             if result.is_done:
                 return Advance(count, result, done=True)
         return Advance(count, result)
 
+    def _ask(self, node: int, text: str) -> StepResult:
+        """The verdict on ``text`` at ``node``, where the session stands: a
+        kept refusal, or the prover's answer.  A refusal is kept; an accepted
+        step moves the cursor to the node it leads to."""
+        key = (node, text)
+        seen = self._trie.get(key)
+        if isinstance(seen, StepResult):
+            self.recalled += 1
+            return seen
+        timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
+                     else self.config.step_timeout_s)
+        result = self.prover.apply(self.session, text, timeout_s)
+        if result.status == OK:
+            if seen is None:
+                seen = self._trie[key] = len(self._edges)
+                self._edges.append(key)
+            self._node = seen
+        elif result.status == TIMEOUT:
+            self.timeouts += 1
+        else:
+            self._trie[key] = result
+        return result
+
+    def _reopen(self, text: str) -> StepResult:
+        """The first apply at a held body: reuse it, finish it with a bare
+        ``by T`` (a refusal leaves the body held), or rebuild and apply."""
+        body = self._body
+        if text == body.text:
+            self._body = self._at = None
+            self._node = body.node
+            return body.result
+        tactic = _after_body(text, body.text)
+        if tactic is None:
+            self.rebuild(self._at)
+            return self._ask(self._node, text)
+        key = (self._node, text)
+        seen = self._trie.get(key)
+        if isinstance(seen, StepResult):
+            self.recalled += 1
+            return seen
+        result = self._ask(body.node, tactic)
+        if result.ok:
+            self._body = self._at = None
+            # `<body> by T` reaches the state `<body>` then `by T` does
+            self._node = self._trie.setdefault(key, self._node)
+        elif result.status != TIMEOUT:
+            self._trie[key] = result
+        return result
+
+    def hold_body(self, result: StepResult) -> None:
+        """Keep the last accepted step, a goal body that ``result`` accepted
+        past the validated prefix, open for the next ``seek`` to settle."""
+        parent, text = self._edges[self._node]
+        self._body = _OpenBody(text, self._node, result)
+        self._at = None
+        self._node = parent
+
     def seek(self, prefix: Iterable[str]) -> None:
-        """Stand at the validated ``prefix``: rebuild when stale, else the
-        session is already there and no prover call is made."""
+        """Stand at the validated ``prefix``: rebuild when stale, settle a
+        held body at the next apply, else the session is already there.  No
+        prover call is made unless the cursor is stale."""
         if self.stale:
             self.rebuild(prefix)
+        elif self._body is not None:
+            self._at = list(prefix)
 
     def rebuild(self, prefix: Iterable[str]) -> None:
         """Re-apply a validated prefix in a fresh session.  A refusal now is
@@ -632,6 +784,8 @@ class SessionCursor:
         self.prover.close(self.session)
         self.session = self.prover.init_session(self.theory)
         self.stale = False
+        self._body = self._at = None
+        self._node = 0
         run = self.advance(prefix)
         if run.failed:
             raise PrefixReplayFailed(

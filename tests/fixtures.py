@@ -128,12 +128,16 @@ PROOF_LISTINGS = (GOLDEN_PROOF_WRAPPED, GOLDEN_FORMAL_STATEMENT)
 
 
 def accepting_mock(script_texts, config=None, **kwargs) -> MockProver:
-    """Mock that accepts exactly these step texts (done inferred at qed)."""
+    """Mock that accepts exactly these step texts and their goal bodies,
+    as a prover that accepts `have "a" by simp` accepts `have "a"` (done
+    inferred at qed)."""
     from proofseek.isar import parse_script
     table: dict[str, MockOutcome] = {}
     for text in script_texts:
         for step in parse_script(text).steps:
-            table[normalize_step(step.text)] = MockOutcome("ok")
+            for accepted in (step.body_text, step.text):
+                if accepted:
+                    table[normalize_step(accepted)] = MockOutcome("ok")
     return MockProver(table=table, **kwargs, config=config)
 
 

@@ -134,7 +134,8 @@ def _scenarios():
         ),
         "atp": (
             MockModel({"whole_proof": [[ATP_CANDIDATE]]}),
-            MockProver(table={"proof -": "ok", 'have "x" by simp': "ok",
+            MockProver(table={"proof -": "ok", 'have "x"': "ok",
+                              'have "x" by simp': "ok", "show ?thesis": "ok",
                               "show ?thesis by simp": "ok", "qed": "ok"}),
             BudgetConfig(),
         ),
@@ -143,13 +144,16 @@ def _scenarios():
                        "erp": [[ERP_COMPLETION]]}),
             MockProver(table={"proof -": "ok", 'have "x"': "ok",
                               'have "x" by (meson helper)': "ok",
+                              "show ?thesis": "ok",
                               "show ?thesis by simp": "ok", "qed": "ok"}),
             BudgetConfig(),
         ),
         "heuristic": (
             MockModel({"whole_proof": [[HEUR_CANDIDATE]],
                        "erp": [['have "x" by nope\nqed']]}),
+            # auto proves the block's goal but not `have "x"`
             MockProver(table={"proof -": "ok", 'have "x"': "ok",
+                              'have "x" by auto': "error",
                               "show ?thesis": "ok", "by auto": "ok",
                               "qed": "ok"}),
             BudgetConfig(),
@@ -168,7 +172,8 @@ def test_criterion_5_repair_path_coverage():
     # fifth scenario: backtracking then failure
     model = MockModel({"whole_proof": [[NESTED_CANDIDATE]]})
     prover = RecordingProver(MockProver(table={
-        "proof -": "ok", 'have "a"': "ok", 'have "b" by s2': "ok"}))
+        "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok",
+        'have "b" by s2': "ok"}))
     record = prove(STATEMENT, model, prover,
                    BudgetConfig(sample_budget=1, erp_enabled=False))
     assert not record.success

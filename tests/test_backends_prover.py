@@ -5,8 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
-from proofseek.engine import BudgetConfig
+from proofseek.curate import TheoremProofPair, filter_self_contained
+from proofseek.engine import BudgetConfig, prove
 from proofseek.errors import (
+    BackendUnavailable,
     ReplayMismatch,
     SessionClosed,
     TheoryLoadError,
@@ -93,6 +95,39 @@ def test_mock_injected_delay_times_out():
     assert result.new_state_id is None
 
 
+def test_mock_unlisted_justified_step_is_its_body_then_its_tactic():
+    mock = MockProver(table={'have "x"': "ok", "by simp": "ok",
+                             "by slow": MockOutcome("ok", delay_s=30.0)})
+    session = mock.init_session("t")
+    assert mock.apply(session, 'have "y" by simp').status == "error"
+    assert mock.apply(session, 'have "x" by blast').status == "error"
+    assert mock.apply(session, 'have "x" by slow').status == "timeout"
+    result = mock.apply(session, 'have "x" by simp')
+    assert result.ok and not result.is_done
+
+
+def test_mock_bare_tactic_after_a_body_answers_for_the_whole_step():
+    mock = MockProver(table={'have "x"': "ok", 'have "x" by simp': "error",
+                             "by simp": "ok"})
+    session = mock.init_session("t")
+    assert mock.apply(session, 'have "x"').ok
+    assert mock.apply(session, "by simp").status == "error"
+    # with no goal body open, the bare step has its own entry
+    assert mock.apply(mock.init_session("t"), "by simp").ok
+
+
+@pytest.mark.parametrize("body", [None, "error", MockOutcome("ok", delay_s=30.0)])
+def test_mock_table_that_accepts_one_form_only_is_rejected(body):
+    # `have "x" by simp` is accepted, but `have "x"` (unlisted: the default
+    # error) would stop its two-step form
+    table = {'have "x" by simp': "ok"}
+    if body is not None:
+        table['have "x"'] = body
+    with pytest.raises(ValueError, match="incoherent"):
+        MockProver(table=table)
+    MockProver(table={**table, 'have "x"': "ok"})
+
+
 def test_mock_auto_done_at_closing_qed():
     mock = accepting_mock(['proof - have "a" by simp qed'])
     session = mock.init_session("t")
@@ -168,7 +203,8 @@ def test_check_script_golden_success(golden_proof_body, golden_mock):
 def test_check_script_failing_step():
     script = parse_script("have a by x have b by y have c by z")
     mock = RecordingProver(
-        MockProver(table={"have a by x": "ok", "have b by y": "ok"}))
+        MockProver(table={"have a": "ok", "have a by x": "ok",
+                          "have b": "ok", "have b by y": "ok"}))
     report = check_script(mock, "thm", script)
     assert not report.success
     assert report.failing_index == 2
@@ -181,7 +217,8 @@ def test_check_script_empty_script():
     report = check_script(MockProver(default="ok"), "thm", empty)
     assert not report.success and report.failing_index == 0
     # a script that runs out with goals remaining has no failing step
-    mock = MockProver(table={"have a by x": MockOutcome("ok", is_done=False)})
+    mock = MockProver(table={"have a": "ok",
+                             "have a by x": MockOutcome("ok", is_done=False)})
     report = check_script(mock, "thm", parse_script("have a by x"))
     assert (report.success, report.failing_index) == (False, None)
 
@@ -190,8 +227,9 @@ def test_check_script_stops_after_first_failure():
     script = parse_script("have a by x have b by y have c by z "
                           "have d by w have e by v have f by u")
     mock = RecordingProver(MockProver(table={
-        f"have {c} by {j}": "ok" for c, j in
-        [("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"), ("e", "v")]}))
+        text: "ok" for c, j in
+        [("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"), ("e", "v")]
+        for text in (f"have {c}", f"have {c} by {j}")}))
     # step 5 fails: exactly 6 apply calls issued
     report = check_script(mock, "thm", script)
     assert report.failing_index == 5
@@ -481,6 +519,29 @@ def test_wire_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
         [record] = run_benchmark(spec, model, client,
                                  tmp_path / "records.jsonl", pool_size=1)
         assert record.undetermined and not record.success
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+def test_wire_init_timeout_leaves_the_problem_undetermined():
+    # A theory load that timed out is no verdict on the statement: proving
+    # it is undetermined, and so is curating a pair on it.
+    timeout = (b'{"status": "timeout", "state_id": null, '
+               b'"message": "init exceeded 120.0s", "is_done": false}\n')
+    server = LineServer(lambda _index, _line: timeout)
+    client = WireProver(ProverConfig(endpoint=server.address, pool_size=1))
+    try:
+        with pytest.raises(TransportError, match="timed out"):
+            client.init_session("theory T")
+        with pytest.raises(BackendUnavailable):
+            prove(GOLDEN_FORMAL_STATEMENT,
+                  MockModel({"whole_proof": [["by simp"]]}), client,
+                  BudgetConfig(sample_budget=1))
+        pair = TheoremProofPair(GOLDEN_FORMAL_STATEMENT, "by simp")
+        result = filter_self_contained([pair], client)
+        assert [p for p, _ in result.undetermined] == [pair]
+        assert result.rl_pool == result.sft_pool == ()
     finally:
         client.shutdown()
         server.stop()

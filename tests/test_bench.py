@@ -194,6 +194,30 @@ def test_run_benchmark_resumes_skipping_existing(tmp_path):
     assert not records[1].success  # preserved from the first run
 
 
+def test_run_benchmark_resume_reruns_an_undetermined_problem(tmp_path):
+    # An undetermined record says nothing about the problem: a resume proves
+    # it again and returns the fresh record, whose line now comes last.
+    spec = _spec(["p1", "p2"])
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [_record("p1", True).to_json(),
+                       _record("p2", False, undetermined=True).to_json()])
+    calls = []
+
+    def tracking(statement, model, prover, budget, few_shots=(),
+                 problem_name=""):
+        calls.append(problem_name)
+        return _record(problem_name, True)
+
+    records = run_benchmark(spec, None, None, path, pool_size=1,
+                            prove_fn=tracking)
+    assert calls == ["p2"]
+    assert [(r.success, r.undetermined) for r in records] == [
+        (True, False), (True, False)]
+    assert aggregate(records).n_undetermined == 0
+    assert [row["problem_name"] for row in read_jsonl(path)] == [
+        "p1", "p2", "p2"]
+
+
 def test_run_benchmark_resumes_past_a_torn_final_line(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(_record("p1", False).to_json())

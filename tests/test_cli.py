@@ -64,8 +64,9 @@ def test_cmd_prove_success_on_golden_sample(tmp_path, capsys):
 
     (tmp_path / "stmt.thy").write_text(GOLDEN_FORMAL_STATEMENT,
                                        encoding="utf-8")
-    table = {normalize_step(s.text): "ok"
-             for s in parse_script(GOLDEN_PROOF_BODY).steps}
+    table = {normalize_step(text): "ok"
+             for s in parse_script(GOLDEN_PROOF_BODY).steps
+             for text in (s.body_text, s.text) if text}
     fixtures = {
         "model_replay": write_replay_model(
             tmp_path, {GOLDEN_FORMAL_STATEMENT: [GOLDEN_PROOF_WRAPPED]}),
@@ -555,6 +556,23 @@ def test_cmd_prove_unknown_mock_prover_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, fixtures=fixtures)
     assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
     assert "fixtures.prover_mock" in capsys.readouterr().err
+
+
+def test_cmd_prove_incoherent_mock_prover_table_exits_2(tmp_path, capsys):
+    # `have "x" by simp` accepted but `have "x"` refused (the default): no
+    # prover reads Isar that way.
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    (tmp_path / "prover_mock.json").write_text(
+        json.dumps({"table": {'have "x" by simp': "ok"}}), encoding="utf-8")
+    fixtures = {
+        "model_replay": write_replay_model(
+            tmp_path, {SIMPLE_STATEMENT: ["by simp"]}),
+        "prover_mock": "prover_mock.json",
+    }
+    config = write_config(tmp_path, fixtures=fixtures)
+    assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "fixtures.prover_mock" in err and "incoherent" in err
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ GOLDEN_SERVER_EXCHANGE = [
 
 def _mock() -> MockProver:
     return MockProver(
-        table={'have a: "x" by simp': "ok",
+        table={'have a: "x"': "ok", 'have a: "x" by simp': "ok",
                "by slow": MockOutcome("ok", delay_s=30.0)},
         hammer="by (metis foo)",
         reject_theory=lambda text: "bad header" if "Bad" in text else None)
