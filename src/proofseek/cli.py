@@ -282,7 +282,8 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
         "n_undetermined": report.n_undetermined,
         "records": str(records_path),
     })
-    return EXIT_OK
+    # a backend fault left problems unjudged: a rerun resumes them
+    return EXIT_INFRA if report.n_undetermined else EXIT_OK
 
 
 def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:

@@ -19,12 +19,10 @@ that one session.
 Placeholder discharge is two-phase: the goal body is applied on its own and
 the cascade then tries bare ``by <tactic>`` steps; a failed tactic step is
 instead rewritten and re-applied whole.  A block delimiter gets no cascade.
-Failed applies never advance the prover session.  A repair that leaves the
-session past the validated prefix (a partly accepted ERP continuation, a
-backtrack over applied steps) marks the cursor stale, and the next user
-seeks the prefix: the cursor replays it into a fresh session then, and only
-then.  A goal body opened for a failed cascade is held instead: a next step
-that restates it (``<body> by T``) is finished in the same session.
+Failed applies never advance the prover session.  Each stage seeks the
+prefix it works from and leaves the session wherever its applies left it:
+the cursor alone knows where that is, and replays a prefix into a fresh
+session only when it must.
 
 A verdict is a function of the session's steps and the step text, so the
 cursor never re-sends a step refused at the same place, and within one
@@ -50,6 +48,7 @@ from .errors import (
     TransportError,
 )
 from .isar import (
+    DELIMITERS,
     ProofScript,
     enclosing_block,
     extract_proof_text,
@@ -61,7 +60,14 @@ from .isar import (
 )
 from .model import ModelBackend, ModelParams
 from .prompts import erp_prompt, whole_proof_prompt
-from .prover import HAMMER_STEP, ProverBackend, ProverConfig, SessionCursor, StepResult
+from .prover import (
+    HAMMER_STEP,
+    ProverBackend,
+    ProverConfig,
+    SessionCursor,
+    StepResult,
+    justification,
+)
 
 __all__ = [
     "AttemptRecord",
@@ -118,13 +124,6 @@ class TacticCascade:
 
 def default_cascade() -> TacticCascade:
     return TacticCascade(RAW_CASCADE_METHODS)
-
-
-def _justification(tactic: str) -> str:
-    tactic = tactic.strip()
-    if tactic.startswith(("by ", "by(")):
-        return tactic
-    return f"by ({tactic})" if " " in tactic else f"by {tactic}"
 
 
 @dataclass(frozen=True)
@@ -237,10 +236,6 @@ class RepairOutcome:
     is_done: bool = False
 
 
-# Block delimiters: they take no justification.
-_STRUCTURAL_HEADS = ("proof", "qed", "oops", "next")
-
-
 def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
                    cascade: TacticCascade) -> RepairOutcome:
     """Try each cascade tactic as the step's justification, then Sledgehammer.
@@ -249,16 +244,15 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
     ``by <tactic>``); failed tactic steps are rewritten and re-applied whole.
     A block delimiter takes no justification, so it gets no cascade.  Every
     tactic and hammer request sent counts one extra call; goal-body
-    applications and answers the cursor recalls do not.  On overall failure
-    after a body application the session is left mid-goal, and the cursor
-    holds that body for its next user.
+    applications and answers the cursor gives with no call do not.  On
+    overall failure after a body application the session is left mid-goal,
+    where the cursor finds it for the next step that restates that body.
     """
     step = script.step_at(position)
-    if step.head in _STRUCTURAL_HEADS:
+    if step.head in DELIMITERS:
         return RepairOutcome(False, script)
     extra = 0
     placeholder = step.is_sorry
-    opened = None
 
     def apply(text: str) -> StepResult:
         return cursor.advance((text,)).last
@@ -270,32 +264,25 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
         extra += cursor.recalled == recalled
         return result
 
-    def win(justification: str, result: StepResult) -> RepairOutcome:
-        repaired = splice(script, position, step.with_justification(justification))
+    def win(closing: str, result: StepResult) -> RepairOutcome:
+        repaired = splice(script, position, step.with_justification(closing))
         return RepairOutcome(True, repaired, extra, result.is_done)
 
-    if placeholder and step.body_text:
-        opened = apply(step.body_text)
-        if not opened.ok:
-            return RepairOutcome(False, script)
+    if placeholder and step.body_text and not apply(step.body_text).ok:
+        return RepairOutcome(False, script)
     for tactic in cascade.tactics:
-        justification = _justification(tactic)
-        result = attempt(justification if placeholder else
-                         step.with_justification(justification).text)
+        closing = justification(tactic)
+        result = attempt(closing if placeholder else
+                         step.with_justification(closing).text)
         if result.ok:
-            return win(justification, result)
+            return win(closing, result)
 
     if cascade.use_hammer:
-        if not placeholder and step.body_text:
-            opened = apply(step.body_text)
-            if not opened.ok:
-                return RepairOutcome(False, script, extra)
+        if not placeholder and step.body_text and not apply(step.body_text).ok:
+            return RepairOutcome(False, script, extra)
         result = attempt(HAMMER_STEP)
         if result.ok:
-            return win(_justification(result.message or "smt"), result)
-
-    if opened is not None:
-        cursor.hold_body(opened)
+            return win(justification(result.message or "smt"), result)
     return RepairOutcome(False, script, extra)
 
 
@@ -308,9 +295,9 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     Success means the prover reached its terminal accepted state on
     prefix + continuation; the merged script is returned.  Anything less —
     parse failure, rejection mid-continuation, running out of steps — is a
-    failure and the original script is returned unchanged; the cursor is
-    marked stale when some continuation step was accepted.  A prefix that no
-    longer replays raises PrefixReplayFailed, as in ``SessionCursor.rebuild``.
+    failure and the original script is returned unchanged, with the session
+    left after the continuation steps it accepted, which the cursor can walk
+    again.  A prefix that no longer replays raises PrefixReplayFailed.
     """
     prefix_steps = script.steps[:position]
     prefix_texts = [s.text for s in prefix_steps]
@@ -328,7 +315,6 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     cursor.seek(prefix_texts)
     run = cursor.advance(s.text for s in continuation.steps)
     if not run.done:
-        cursor.stale = run.count > 0
         return RepairOutcome(False, script)
     merged = with_steps(script, [*prefix_steps, *continuation.steps[:run.count]])
     return RepairOutcome(True, merged, is_done=True)
@@ -341,7 +327,7 @@ def heuristic_repair(script: ProofScript, position: int) -> ProofScript:
     result = script
     for index in range(position, len(script.steps)):
         step = result.steps[index]
-        if step.is_sorry or step.head in _STRUCTURAL_HEADS:
+        if step.is_sorry or step.head in DELIMITERS:
             continue
         if index == position or step.terminal_tactic is not None:
             result = splice(result, index, step.with_justification("sorry"))
@@ -540,9 +526,6 @@ def _repair_chain(
     truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:
         return lost
-    if target < index:
-        # the collapsed block's steps were already applied
-        cursor.stale = True
     return _cascade(cursor, truncated, target, state, budget.cascade) or lost
 
 

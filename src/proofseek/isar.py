@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import IndexOutOfRange, ParseError
@@ -175,7 +176,7 @@ class Step:
     just_tokens: tuple[str, ...] = ()
     lead_comments: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def text(self) -> str:
         return " ".join((*self.tokens, *self.just_tokens))
 
@@ -233,6 +234,9 @@ SORRY_STEP = make_step(just_tokens=("sorry",))
 
 OPENER = "proof"
 CLOSERS = ("qed", "oops")
+# Block delimiters: a step with one of these heads opens, closes or splits a
+# block and takes no justification.
+DELIMITERS = frozenset({OPENER, *CLOSERS, "next"})
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,7 @@ def parse_script(text: str) -> ProofScript:
         word = tok.text if tok.kind == "word" else None
         is_keyword = word is not None and word in STEP_KEYWORDS
 
-        if is_keyword and word in ("proof", "qed", "oops", "next"):
+        if is_keyword and word in DELIMITERS:
             open_step()
             current.tokens.append(word)
             continue
@@ -583,13 +587,13 @@ def extract_proof_text(response: str) -> str:
         return text
     # Prose around a bare proof...qed span: slice out the span.
     for i, tok in enumerate(words):
-        if tok.text == "proof":
+        if tok.text == OPENER:
             depth = 0
             end = len(text)
             for later in words[i:]:
-                if later.text == "proof":
+                if later.text == OPENER:
                     depth += 1
-                elif later.text in ("qed", "oops"):
+                elif later.text in CLOSERS:
                     depth -= 1
                     if depth == 0:
                         end = later.offset + len(later.text)

@@ -41,7 +41,7 @@ from .errors import (
     TheoryLoadError,
     TransportError,
 )
-from .isar import ProofScript, strip_terminal_marker
+from .isar import CLOSERS, OPENER, ProofScript, strip_terminal_marker
 
 __all__ = [
     "Advance",
@@ -57,6 +57,7 @@ __all__ = [
     "StepResult",
     "WireProver",
     "check_script",
+    "justification",
     "normalize_step",
 ]
 
@@ -300,15 +301,15 @@ class MockProver(ProverBackend):
                                   outcome.message or "step failed", False)
             state.body = _goal_body(judged)
             head = judged.split()[0] if judged.split() else ""
-            if head == "proof":
+            if head == OPENER:
                 state.depth += 1
-            elif head in ("qed", "oops"):
+            elif head in CLOSERS:
                 state.depth = max(0, state.depth - 1)
             state.counter += 1
             done = outcome.is_done
             if done is None:
                 done = state.depth == 0 and (
-                    head in ("qed", "oops", "done") or head == "by")
+                    head in CLOSERS or head in ("done", "by"))
             return StepResult(OK, f"{session_id}/{state.counter}",
                               outcome.message, bool(done))
 
@@ -636,14 +637,13 @@ class Advance:
     done: bool = False
 
 
-@dataclass(frozen=True)
-class _OpenBody:
-    """A goal body applied past the validated prefix: its text, the node it
-    leads to, and the prover's answer to it."""
-
-    text: str
-    node: int
-    result: StepResult
+def justification(tactic: str) -> str:
+    """The ``by`` step that closes a goal with ``tactic``, a method or a
+    ``by …`` step; the cursor files a repaired step under the same text."""
+    tactic = tactic.strip()
+    if tactic.startswith(("by ", "by(")):
+        return tactic
+    return f"by ({tactic})" if " " in tactic else f"by {tactic}"
 
 
 def _after_body(text: str, body: str) -> Optional[str]:
@@ -655,27 +655,22 @@ def _after_body(text: str, body: str) -> Optional[str]:
 
 class SessionCursor:
     """One prover session on a statement's theory, and the one owner of
-    whether that session stands at the prefix its caller validated.
-    ``advance`` is the one stepping loop: every check, repair step and prefix
-    replay goes through it.
-
-    A caller that leaves the session past the validated prefix (a partly
-    accepted continuation, steps a backtrack cut away) sets ``stale``;
-    ``seek`` then rebuilds the session at that prefix, and does nothing on a
-    cursor that is not stale, so two stale marks with no use in between cost
-    one rebuild.  A goal body a failed cascade opened is kept instead
-    (``hold_body``): the next ``seek`` settles at its first apply, which is
-    answered with no call when it reopens the body, sent as the bare ``by T``
-    when it is ``<body> by T``, and rebuilds first otherwise.  ``advance``
-    raises on a stale cursor and on a held body no ``seek`` has settled, so a
-    missed ``seek`` can never send steps into a session that is mid-goal.
+    where it stands relative to its caller's prefix.  ``advance`` is the one
+    stepping loop: every check, repair step and prefix replay goes through it.
 
     A verdict is a function of the session's accepted step texts and the
-    step text, so the cursor keeps those texts as a trie, with its place in
-    it, and answers a step refused at the same place again without a call;
-    ``recalled`` counts those answers.  A timeout is no verdict and is never
-    kept.  ``timeouts`` counts the applies that timed out, over every
-    session the cursor has held."""
+    step text, so the cursor keeps each accepted step as a trie node, with
+    its parent and answer, and each refusal under the node it was refused
+    at; a step accepted as ``<body>`` then ``by T``, or through the hammer,
+    is also filed as the ``<body> by T`` it lands in a proof as.  ``seek``
+    makes no call: the caller stands at the node its prefix ends at.  An
+    apply where the session does not stand is answered from the trie with no
+    call when the step is known there, finishes the goal body the session
+    stands in when it is ``<body> by T``, and otherwise, like the first apply
+    after a seek the trie cannot place, rebuilds the session at the caller's
+    prefix.  ``recalled`` counts the answers given with no call, and
+    ``timeouts`` the applies that timed out, over every session the cursor
+    has held; a timeout is no verdict and is never kept."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -683,27 +678,26 @@ class SessionCursor:
         self.config = config
         self.theory = config.theory_header + "\n\n" + strip_terminal_marker(statement)
         self.session = prover.init_session(self.theory)
-        self.stale = False
         self.timeouts = 0
         self.recalled = 0
-        self._node = 0
         # (node, step text) -> the node the step leads to, or its refusal
         self._trie: dict[tuple[int, str], Union[int, StepResult]] = {}
-        self._edges: list[tuple[int, str]] = [(0, "")]  # node -> (parent, text)
-        self._body: Optional[_OpenBody] = None
-        self._at: Optional[list[str]] = None  # the prefix a seek settled at
+        # node -> (parent, step text, the prover's answer)
+        self._edges: list[tuple[int, str, Optional[StepResult]]] = [(0, "", None)]
+        self._node = 0  # where the session stands
+        self._at: Optional[int] = 0  # where the caller stands; None: off the trie
+        self._path: list[str] = []  # the caller's step texts, to rebuild at
 
     def advance(self, texts: Iterable[str]) -> Advance:
-        """Apply step texts in order until one is not ok, the prover reports
-        completion, or the texts run out.  Texts are consumed lazily, so none
-        past the stop is built.  The hammer pseudo-step gets the hammer
-        timeout, every other step the step timeout."""
-        if self.stale or (self._body is not None and self._at is None):
-            raise RuntimeError("session cursor off its prefix: seek before advancing")
+        """Apply step texts in order, from where the caller stands, until one
+        is not ok, the prover reports completion, or the texts run out.
+        Texts are consumed lazily, so none past the stop is built.  The hammer
+        pseudo-step gets the hammer timeout, every other step the step
+        timeout."""
         count, result = 0, None
         for text in texts:
-            result = (self._ask(self._node, text) if self._body is None
-                      else self._reopen(text))
+            result = (self._ask(text) if self._at == self._node
+                      else self._step(text))
             if not result.ok:
                 return Advance(count, result, failed=True)
             count += 1
@@ -711,10 +705,45 @@ class SessionCursor:
                 return Advance(count, result, done=True)
         return Advance(count, result)
 
-    def _ask(self, node: int, text: str) -> StepResult:
-        """The verdict on ``text`` at ``node``, where the session stands: a
-        kept refusal, or the prover's answer.  A refusal is kept; an accepted
-        step moves the cursor to the node it leads to."""
+    def seek(self, prefix: Iterable[str]) -> None:
+        """Stand at ``prefix``, steps the prover accepted in order.  No call
+        is made: a prefix the trie does not hold is rebuilt at the next
+        apply."""
+        self._path = list(prefix)
+        node: Union[None, int, StepResult] = 0
+        for text in self._path:
+            node = self._trie.get((node, text))
+            if not isinstance(node, int):
+                node = None
+                break
+        self._at = node
+
+    def _step(self, text: str) -> StepResult:
+        """The verdict on ``text`` where the caller stands, apart from the
+        session."""
+        seen = None if self._at is None else self._trie.get((self._at, text))
+        if seen is not None:
+            self.recalled += 1
+            if isinstance(seen, StepResult):
+                return seen
+            self._at = seen
+            self._path.append(text)
+            return self._edges[seen][2]
+        # `<body> by T` is `<body>`, where the session stands, then `by T`
+        parent, body, _ = self._edges[self._node]
+        tactic = _after_body(text, body) if parent == self._at else None
+        if tactic is not None:
+            return self._ask(tactic, text)
+        self._rebuild()
+        return self._ask(text)
+
+    def _ask(self, text: str, said: Optional[str] = None) -> StepResult:
+        """The verdict on ``text`` where the session stands: a kept refusal,
+        or the prover's answer, kept unless it is a timeout and filed under
+        the step's other texts too.  An accepted step moves the session and
+        the caller to the node it leads to, and adds ``said``, the caller's
+        text for it, or ``text`` to the caller's path."""
+        node = self._node
         key = (node, text)
         seen = self._trie.get(key)
         if isinstance(seen, StepResult):
@@ -723,73 +752,52 @@ class SessionCursor:
         timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
                      else self.config.step_timeout_s)
         result = self.prover.apply(self.session, text, timeout_s)
-        if result.status == OK:
-            if seen is None:
-                seen = self._trie[key] = len(self._edges)
-                self._edges.append(key)
-            self._node = seen
-        elif result.status == TIMEOUT:
+        status = result.status
+        if status == TIMEOUT:
             self.timeouts += 1
-        else:
-            self._trie[key] = result
+            return result
+        aliases = self._aliases(node, text, result)
+        if status != OK:
+            for alias in (key, *aliases):
+                self._trie[alias] = result
+            return result
+        if seen is None:
+            seen = self._trie[key] = len(self._edges)
+            self._edges.append((node, text, result))
+        for alias in aliases:
+            # an equivalent state already kept is where the session stands
+            seen = self._trie.setdefault(alias, seen)
+        self._node = self._at = seen
+        self._path.append(said or text)
         return result
 
-    def _reopen(self, text: str) -> StepResult:
-        """The first apply at a held body: reuse it, finish it with a bare
-        ``by T`` (a refusal leaves the body held), or rebuild and apply."""
-        body = self._body
-        if text == body.text:
-            self._body = self._at = None
-            self._node = body.node
-            return body.result
-        tactic = _after_body(text, body.text)
-        if tactic is None:
-            self.rebuild(self._at)
-            return self._ask(self._node, text)
-        key = (self._node, text)
-        seen = self._trie.get(key)
-        if isinstance(seen, StepResult):
-            self.recalled += 1
-            return seen
-        result = self._ask(body.node, tactic)
-        if result.ok:
-            self._body = self._at = None
-            # `<body> by T` reaches the state `<body>` then `by T` does
-            self._node = self._trie.setdefault(key, self._node)
-        elif result.status != TIMEOUT:
-            self._trie[key] = result
-        return result
+    def _aliases(self, node: int, text: str,
+                 result: StepResult) -> list[tuple[int, str]]:
+        """The other keys a step's answer is filed under: an accepted hammer
+        call as the ``by`` step it found, and a ``by`` step after a goal
+        body as ``<body> by T`` at the body's parent."""
+        keys = []
+        if text == HAMMER_STEP and result.ok:
+            text = normalize_step(justification(result.message or "smt"))
+            keys.append((node, text))
+        if node and text.startswith(("by ", "by(")):
+            parent, body, _ = self._edges[node]
+            keys.append((parent, f"{body} {normalize_step(text)}"))
+        return keys
 
-    def hold_body(self, result: StepResult) -> None:
-        """Keep the last accepted step, a goal body that ``result`` accepted
-        past the validated prefix, open for the next ``seek`` to settle."""
-        parent, text = self._edges[self._node]
-        self._body = _OpenBody(text, self._node, result)
-        self._at = None
-        self._node = parent
-
-    def seek(self, prefix: Iterable[str]) -> None:
-        """Stand at the validated ``prefix``: rebuild when stale, settle a
-        held body at the next apply, else the session is already there.  No
-        prover call is made unless the cursor is stale."""
-        if self.stale:
-            self.rebuild(prefix)
-        elif self._body is not None:
-            self._at = list(prefix)
-
-    def rebuild(self, prefix: Iterable[str]) -> None:
-        """Re-apply a validated prefix in a fresh session.  A refusal now is
+    def _rebuild(self) -> None:
+        """Re-apply the caller's prefix in a fresh session.  A refusal now is
         the prover misbehaving (a timeout under load, say), not a verdict on
         the proof, so it raises PrefixReplayFailed."""
         self.prover.close(self.session)
         self.session = self.prover.init_session(self.theory)
-        self.stale = False
-        self._body = self._at = None
-        self._node = 0
-        run = self.advance(prefix)
-        if run.failed:
-            raise PrefixReplayFailed(
-                f"validated prefix no longer replays: {run.last.message}")
+        self._node = self._at = 0
+        texts, self._path = self._path, []
+        for text in texts:
+            result = self._ask(text)
+            if not result.ok:
+                raise PrefixReplayFailed(
+                    f"validated prefix no longer replays: {result.message}")
 
     def close(self) -> None:
         self.prover.close(self.session)

@@ -9,7 +9,7 @@ from proofseek.jsonl import read_jsonl, write_jsonl
 from proofseek.model import prompt_digest
 from proofseek.prompts import whole_proof_prompt
 
-from fixtures import ChatServer, EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT
+from fixtures import ChatServer, EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT, LineServer
 
 SIMPLE_STATEMENT = 'theorem t1:\n  shows "P"\n  oops'
 
@@ -424,6 +424,38 @@ def test_cmd_bench_spec_row_without_formal_statement_exits_2(tmp_path,
     assert main(["bench", spec_path, "--no-erp", "--config", config]) == 2
     assert "formal_statement" in capsys.readouterr().err
     assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_cmd_bench_exits_2_when_records_stay_undetermined(
+        tmp_path, monkeypatch, capsys):
+    # The prover faults on loading p1's theory, so p1 is undetermined: the
+    # summary is still printed, and the exit code says the run is not whole.
+    def respond(_index, raw):
+        request = json.loads(raw)
+        if request["command"] == "init" and '"P1"' in request["step"]:
+            reply = {"status": "error", "state_id": None,
+                     "message": "prover crashed", "error_kind": "internal"}
+        elif request["command"] == "init":
+            reply = {"status": "ok", "state_id": "s-1/0", "message": ""}
+        else:
+            reply = {"status": "ok", "state_id": "s-1/1", "message": "",
+                     "is_done": True}
+        return (json.dumps(reply) + "\n").encode("utf-8")
+
+    prover = LineServer(respond)
+    server = _live_model(monkeypatch, lambda _body: ["by simp"])
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", prover.address)
+    spec_path, _ = _bench_fixture(tmp_path, n_problems=3, n_fail=0)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 1})
+        code = main(["bench", spec_path, "--no-erp", "--config", config])
+    finally:
+        server.stop()
+        prover.stop()
+    summary = _record_from_stdout(capsys)
+    assert (summary["n_success"], summary["n_undetermined"]) == (2, 1)
+    assert code == 2
 
 
 def test_cmd_report_from_records(tmp_path, capsys):

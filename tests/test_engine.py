@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofseek.engine import (
     AttemptRecord,
@@ -503,7 +505,7 @@ def test_failing_block_closer_gets_no_cascade():
 
 def test_dirty_repair_then_backtrack_costs_one_rebuild():
     # The inner qed is refused.  ERP's continuation is accepted one step past
-    # the prefix and then refused, leaving the session stale; the backtrack
+    # the prefix and then refused, leaving the session there; the backtrack
     # over the inner block then rebuilds once for both.
     prover = RecordingProver(MockProver(table=NESTED_QED_TABLE))
     model = _model(NESTED_QED, erp="show ?thesis by s3\nqed\nqed")
@@ -584,8 +586,6 @@ def test_seek_settles_a_held_body_at_the_next_apply(texts, sent, inits):
         'have "y"': "ok"}))
     cursor = _held_body_cursor(prover)
     before = len(prover.requests())
-    with pytest.raises(RuntimeError):
-        cursor.advance(texts)
     cursor.seek(["proof -"])
     assert len(prover.requests()) == before
     run = cursor.advance(texts)
@@ -608,16 +608,115 @@ def test_refused_tactic_leaves_the_held_body_open():
     assert len(prover.requests("init")) == 1
 
 
-def test_advance_on_a_stale_cursor_raises_until_it_seeks():
-    prover = RecordingProver(MockProver(table={"proof -": "ok"}))
+def test_seek_off_the_session_path_rebuilds_at_the_next_apply():
+    # The session stands after `have "b"`.  A seek to a prefix the cursor
+    # never saw accepted sends nothing; the next apply rebuilds there first.
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok"}))
     cursor = _cursor(prover)
-    cursor.stale = True
-    with pytest.raises(RuntimeError):
-        cursor.advance(["proof -"])
-    assert prover.requests() == []
-    cursor.seek([])
-    assert not cursor.stale and len(prover.requests("init")) == 2
-    assert cursor.advance(["proof -"]).count == 1
+    assert cursor.advance(["proof -", 'have "b"']).count == 2
+    cursor.seek(["proof -", 'have "a"'])
+    assert len(prover.trace) == 3
+    assert cursor.advance(['have "b"']).count == 1
+    assert _steps(prover)[3:] == [
+        "close", "init", "proof -", 'have "a"', 'have "b"']
+
+
+def test_partly_accepted_continuation_is_walked_again_with_no_call():
+    # ERP's continuation is accepted two steps past the prefix, then
+    # refused; the next stage restating those steps walks them again.
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "x"': "ok", 'have "x" by simp': "ok",
+        'have "y"': "ok"}))
+    cursor = _cursor(prover)
+    cursor.advance(["proof -"])
+    assert cursor.advance(['have "x" by simp', 'have "y"', "qed"]).count == 2
+    cursor.seek(["proof -"])
+    recalled = cursor.recalled
+    run = cursor.advance(['have "x" by simp', 'have "y"'])
+    assert run.count == 2 and cursor.recalled == recalled + 2
+    assert _steps(prover) == ["init", "proof -", 'have "x" by simp',
+                              'have "y"', "qed"]
+
+
+# ---------------------------------------------------------------------------
+# differential: the cursor against a fresh session per apply
+
+_BODIES = ('have "a"', 'have "b"', "show ?thesis")
+_TACTICS = ("by auto", "by simp", "by slow")
+_WHOLES = tuple(f"{body} {tactic}" for body in _BODIES for tactic in _TACTICS)
+_STEPS = (*_BODIES, *_TACTICS, *_WHOLES, "proof -", "qed")
+
+
+@st.composite
+def _coherent_tables(draw):
+    """A MockProver table over ``_STEPS``: bodies, bare tactics and
+    delimiters ok or refused, ``by slow`` timing out, and some whole steps
+    listed, accepted only where their body is."""
+    verdict = st.sampled_from(["ok", "error"])
+    table = {text: draw(verdict)
+             for text in (*_BODIES, "by auto", "by simp", "proof -", "qed")}
+    table["by slow"] = MockOutcome("ok", delay_s=99.0)
+    for whole in _WHOLES:
+        listed = draw(st.sampled_from([None, "ok", "error"]))
+        body = whole[:whole.index(" by ")]
+        if listed == "error" or (listed == "ok" and table[body] == "ok"):
+            table[whole] = listed
+    return table
+
+
+class _FreshSessionCursor:
+    """Reference: the caller's accepted steps, replayed into a fresh session
+    before every apply."""
+
+    def __init__(self, table):
+        self.table = table
+        self.path: list[str] = []
+
+    def seek(self, prefix):
+        self.path = list(prefix)
+
+    def apply(self, text):
+        prover = MockProver(table=self.table)
+        session = prover.init_session("theory")
+        for step in self.path:
+            assert prover.apply(session, step).ok
+        result = prover.apply(session, text)
+        if result.ok:
+            self.path.append(text)
+        return result
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("seek"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("apply"), st.sampled_from(_STEPS), st.none()))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_coherent_tables(), st.lists(_OPS, max_size=30))
+@example({'have "b"': "ok", "by simp": "ok"},
+         [("apply", 'have "b"', None), ("seek", 0, 0),
+          ("apply", "by simp", None)])
+def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
+    # Seeks go to prefixes the reference accepted; every verdict, whether
+    # the cursor walked, recalled, finished a goal body, rebuilt or asked,
+    # must be the one a fresh session gives after the same steps.
+    cursor = _cursor(MockProver(table=table))
+    reference = _FreshSessionCursor(table)
+    accepted = [[]]
+    for op, first, second in ops:
+        if op == "seek":
+            path = accepted[first % len(accepted)]
+            prefix = path[:second % (len(path) + 1)]
+            cursor.seek(prefix)
+            reference.seek(prefix)
+            continue
+        want = reference.apply(first)
+        run = cursor.advance([first])
+        assert (run.last.status, run.last.is_done) == (want.status,
+                                                      want.is_done)
+        if want.ok:
+            accepted.append(list(reference.path))
 
 
 def test_timeout_sets_has_timeout():
@@ -722,15 +821,18 @@ def test_atp_substitute_hammer_result_spliced():
 
 
 def test_atp_substitute_total_failure_leaves_script_unchanged():
-    prover = MockProver(table={'have "g"': "ok"})
+    prover = RecordingProver(MockProver(table={'have "g"': "ok"}))
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
     outcome = atp_substitute(cursor, script, 0, default_cascade())
     assert not outcome.success
     assert outcome.script is script
-    # the goal body opened for the hammer is held until a seek settles it
-    with pytest.raises(RuntimeError):
-        cursor.advance(['have "g" by auto'])
+    # the goal body opened for the hammer is where the session stands, so a
+    # step restating it is walked with no call
+    sent = len(prover.trace)
+    cursor.seek([])
+    assert cursor.advance(['have "g"']).count == 1
+    assert len(prover.trace) == sent
 
 
 def test_erp_repair_merges_validated_continuation():
