@@ -7,6 +7,24 @@ stores the block structure: it is read off the step heads when needed.  Only
 ``proof``/``qed``/``oops`` delimit blocks; ``next`` separates sibling
 segments inside a block (``enclosing_block``).
 
+``parse_script`` reads the tokens left to right, and the open step is in one
+of five modes:
+
+* ``plain``: a command's body (``fix x``, ``proof -``); it takes no keyword;
+* ``chain``: after a chaining keyword (``moreover``, ``then``, ``using``, …);
+  it takes a goal keyword or another chaining keyword;
+* ``goal``: a stated goal (``have``, ``show``, …); it takes ``by``, ``sorry``
+  and the fact modifiers ``using``, ``unfolding`` and ``supply``;
+* ``justifying``: after ``by`` or ``apply``;
+* ``closed``: after ``sorry``, or no step open yet.
+
+A keyword the mode does not take opens a new step, and that keyword alone
+fixes the new step's mode; a block delimiter never continues a step.  Other
+words extend the body, or the justification when justifying, and open a plain
+step after a closed one.  A comment waits for the next token: it leads the
+step that token opens or joins the step it continues, and comments left at
+the end trail the script.
+
 Tokens are read by one compiled ``re`` scanner rather than a loop over
 characters (``tokenize``); each character can match it only one way, so
 tokenizing stays linear in the text.
@@ -162,6 +180,16 @@ CHAIN_KEYWORDS = frozenset(
 # Fact modifiers that may sit between a stated goal and its justification.
 FACT_KEYWORDS = frozenset({"using", "unfolding", "supply"})
 
+# The mode of a step a keyword opens; any other keyword opens a plain step.
+_MODE_OF = {"by": "justifying", "apply": "justifying", "sorry": "closed",
+            **dict.fromkeys(GOAL_KEYWORDS, "goal"),
+            **dict.fromkeys(CHAIN_KEYWORDS, "chain")}
+
+# The keywords that continue an open step, by its mode: a goal takes its
+# justification and fact modifiers, a chain its goal or more chaining.
+_CONTINUES = {"goal": FACT_KEYWORDS | {"by", "sorry"},
+              "chain": GOAL_KEYWORDS | CHAIN_KEYWORDS}
+
 
 @dataclass(frozen=True)
 class Step:
@@ -276,30 +304,6 @@ class ProofScript:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _StepBuilder:
-    __slots__ = ("tokens", "just", "lead", "goal_pending", "chain_open",
-                 "justifying", "closed")
-
-    def __init__(self, lead: list[str]):
-        self.tokens: list[str] = []
-        self.just: list[str] = []
-        self.lead = lead
-        self.goal_pending = False
-        self.chain_open = False
-        self.justifying = False
-        self.closed = False
-
-    def build(self) -> Step:
-        return make_step(tuple(self.tokens), tuple(self.just), tuple(self.lead))
-
-
-def _split_preamble(tokens: list[Token]) -> tuple[list[Token], list[Token]]:
-    for i, tok in enumerate(tokens):
-        if tok.kind == "word" and tok.text in STEP_KEYWORDS:
-            return tokens[:i], tokens[i:]
-    return tokens, []
-
-
 def parse_script(text: str) -> ProofScript:
     """Parse proof text into a ProofScript.
 
@@ -309,103 +313,37 @@ def parse_script(text: str) -> ProofScript:
     """
     if not text or not text.strip():
         raise ParseError("empty proof text")
-    tokens = tokenize(text)
-    pre_tokens, body_tokens = _split_preamble(tokens)
-    preamble = ""
-    body_start = 0
-    if pre_tokens:
-        body_start = body_tokens[0].offset if body_tokens else len(text)
-        preamble = text[: body_start].strip()
-
-    steps: list[Step] = []
-    current: Optional[_StepBuilder] = None
-    pending_comments: list[str] = []
-
-    def flush() -> None:
-        nonlocal current
-        if current is not None:
-            steps.append(current.build())
-            current = None
-
-    def open_step() -> None:
-        nonlocal current
-        flush()
-        current = _StepBuilder(pending_comments[:])
-        pending_comments.clear()
-
-    def drain_into_body() -> None:
-        current.tokens.extend(pending_comments)
-        pending_comments.clear()
-
-    for tok in body_tokens:
+    preamble = text.strip()
+    steps: list[tuple[list[str], list[str], list[str]]] = []  # body, just, lead
+    mode, pending = "closed", []
+    for tok in tokenize(text):
+        word = tok.text
+        keyword = tok.kind == "word" and word in STEP_KEYWORDS
+        if not steps:  # the preamble runs up to the first step keyword
+            if not keyword:
+                continue
+            preamble = text[:tok.offset].strip()
         if tok.kind == "comment":
-            pending_comments.append(tok.text)
+            pending.append(word)
             continue
-        word = tok.text if tok.kind == "word" else None
-        is_keyword = word is not None and word in STEP_KEYWORDS
-
-        if is_keyword and word in DELIMITERS:
-            open_step()
-            current.tokens.append(word)
-            continue
-
-        if is_keyword and current is not None and not current.closed:
-            if current.goal_pending and word == "by":
-                drain_into_body()
-                current.justifying = True
-                current.goal_pending = False
-                current.just.append(word)
-                continue
-            if current.goal_pending and word == "sorry":
-                drain_into_body()
-                current.goal_pending = False
-                current.just.append(word)
-                current.closed = True
-                continue
-            if current.goal_pending and word in FACT_KEYWORDS:
-                drain_into_body()
-                current.tokens.append(word)
-                continue
-            if current.chain_open and word in GOAL_KEYWORDS:
-                drain_into_body()
-                current.tokens.append(word)
-                current.goal_pending = True
-                current.chain_open = False
-                continue
-            if current.chain_open and word in CHAIN_KEYWORDS:
-                drain_into_body()
-                current.tokens.append(word)
-                continue
-
-        if is_keyword:
-            open_step()
-            if word in ("by", "apply"):
-                current.just.append(word)
-                current.justifying = True
-            elif word == "sorry":
-                current.just.append(word)
-                current.closed = True
-            else:
-                current.tokens.append(word)
-                current.goal_pending = word in GOAL_KEYWORDS
-                current.chain_open = word in CHAIN_KEYWORDS
-            continue
-
-        # Non-keyword token (word/string/cartouche): continue current step.
-        if current is None or current.closed:
-            open_step()
-        elif current.justifying:
-            current.just.extend(pending_comments)
-            pending_comments.clear()
+        if keyword:
+            continues = word in _CONTINUES.get(mode, ())
         else:
-            drain_into_body()
-        if current.justifying:
-            current.just.append(tok.text)
+            continues = mode != "closed"
+        if continues:
+            body, just, _ = steps[-1]
+            (just if mode == "justifying" else body).extend(pending)
         else:
-            current.tokens.append(tok.text)
-
-    flush()
-    return ProofScript(preamble, tuple(steps), tuple(pending_comments))
+            body, just = [], []
+            steps.append((body, just, pending))
+            mode = "plain"
+        pending = []
+        # a fact modifier leaves a goal stated; any other keyword sets its mode
+        if keyword and not (mode == "goal" and word in FACT_KEYWORDS):
+            mode = _MODE_OF.get(word, "plain")
+        (just if mode in ("justifying", "closed") else body).append(word)
+    return ProofScript(preamble, tuple(make_step(*parts) for parts in steps),
+                       tuple(pending))
 
 
 # ---------------------------------------------------------------------------

@@ -123,28 +123,31 @@ def _principals_of(raw: Any) -> tuple[str, ...]:
     return vals or (ANY_PRINCIPAL,)
 
 
+def _decoded(value: object) -> object:
+    """``value`` decoded when it is JSON text, else as it is."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise PolicyFormatError("document", f"invalid JSON: {exc}") from exc
+
+
 def parse_policy(source: Union[str, dict], source_name: str = "") -> PolicyDocument:
     """Parse a JSON policy document.
 
     Scalar Action/Resource/Principal fields are normalized to lists; a
     missing Principal means anyone.  A top-level ``policy_json`` wrapper is
-    unwrapped.  NotAction/NotResource/NotPrincipal are rejected — negated
-    statements are outside this evaluator's semantics.  The source is kept
+    unwrapped, and the document it holds must be an object too.
+    NotAction/NotResource/NotPrincipal are rejected — negated statements are
+    outside this evaluator's semantics.  The source is kept
     verbatim as ``source_text`` (a dict source as its JSON).
     """
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise PolicyFormatError("document", f"invalid JSON: {exc}") from exc
-    else:
-        doc = source
+    doc = _decoded(source)
+    if isinstance(doc, dict) and "policy_json" in doc:
+        doc = _decoded(doc["policy_json"])
     if not isinstance(doc, dict):
         raise PolicyFormatError("document", "expected a JSON object")
-    if "policy_json" in doc:
-        doc = doc["policy_json"]
-        if isinstance(doc, str):
-            doc = json.loads(doc)
     raw_statements = doc.get("Statement")
     if raw_statements is None:
         raise PolicyFormatError("Statement")

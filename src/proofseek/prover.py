@@ -41,7 +41,7 @@ from .errors import (
     TheoryLoadError,
     TransportError,
 )
-from .isar import CLOSERS, OPENER, ProofScript, strip_terminal_marker
+from .isar import CLOSERS, GOAL_KEYWORDS, OPENER, ProofScript, strip_terminal_marker
 
 __all__ = [
     "Advance",
@@ -200,9 +200,6 @@ class _SessionState:
     body: Optional[str] = None  # the last accepted step, when a goal body
 
 
-_GOAL_WORDS = frozenset({"have", "show", "hence", "thus", "obtain"})
-
-
 def _split_by(text: str) -> Optional[tuple[str, str]]:
     """(body, ``by T``) of a normalized ``<body> by T`` step, else None."""
     words = text.split(" ")
@@ -215,7 +212,7 @@ def _split_by(text: str) -> Optional[tuple[str, str]]:
 def _goal_body(text: str) -> Optional[str]:
     """``text`` when it states a goal and leaves it open, else None."""
     words = text.split(" ")
-    if _GOAL_WORDS.isdisjoint(words) or "by" in words or "sorry" in words:
+    if GOAL_KEYWORDS.isdisjoint(words) or "by" in words or "sorry" in words:
         return None
     return text
 
@@ -238,7 +235,9 @@ class MockProver(ProverBackend):
     as those two steps, and a bare ``by T`` right after an accepted goal body
     is answered from the entry for ``<body> by T``.  A table that accepts
     ``<body> by T`` but not ``<body>`` gives the two forms different verdicts
-    and raises ValueError.
+    and raises ValueError.  The ``by`` step a hammer call found for an open
+    goal body is accepted later too, bare after that body or as
+    ``<body> by T``, as a prover accepts the tactic it reconstructed.
     """
 
     def __init__(
@@ -266,6 +265,8 @@ class MockProver(ProverBackend):
         else:
             self._hammer_seq = list(hammer)
         self._hammer_pos = 0
+        # (goal body, `by T` step) -> its verdict, for steps the hammer found
+        self._found: dict[tuple[str, str], MockOutcome] = {}
         self.reject_theory = reject_theory
         self._sessions: dict[str, _SessionState] = {}
         self._ids = itertools.count(1)
@@ -299,6 +300,10 @@ class MockProver(ProverBackend):
             if outcome.status != OK:
                 return StepResult(outcome.status, None,
                                   outcome.message or "step failed", False)
+            if judged == HAMMER_STEP and state.body is not None:
+                found = normalize_step(justification(outcome.message or "smt"))
+                self._found[state.body, found] = MockOutcome(
+                    OK, is_done=outcome.is_done)
             state.body = _goal_body(judged)
             head = judged.split()[0] if judged.split() else ""
             if head == OPENER:
@@ -327,11 +332,14 @@ class MockProver(ProverBackend):
         goal body if any, and the step it stands for."""
         if body is not None and text.startswith(("by ", "by(")):
             whole = f"{body} {text}"
-            return self.table.get(whole) or self.table.get(text, self.default), whole
+            return (self._found.get((body, text)) or self.table.get(whole)
+                    or self.table.get(text, self.default)), whole
         outcome = self.table.get(text)
         split = None if outcome is not None else _split_by(text)
         if split is None:
             return outcome or self.default, text
+        if split in self._found:
+            return self._found[split], text
         first = self.table.get(split[0], self.default)
         if first.status != OK:
             return first, text

@@ -184,6 +184,15 @@ def test_cmd_policy_golden_theory(tmp_path, capsys):
     assert records[0]["provenance"] == "compiled"
 
 
+def test_cmd_policy_wrapper_around_a_list_exits_2(tmp_path, capsys):
+    (tmp_path / "policy.json").write_text('{"policy_json": "[1]"}',
+                                          encoding="utf-8")
+    config = write_config(tmp_path, mode="mock")
+    assert main(["policy", str(tmp_path / "policy.json"),
+                 "--config", config]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
 def _policy_csv(tmp_path, name="policies.csv"):
     allow = json.dumps({"Statement": [{"Effect": "Allow", "Action": "a:Run",
                                        "Resource": "arn:aws:a:r:acct:*"}]})

@@ -307,6 +307,24 @@ def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
     assert 'have "f" by good' in record.final_script
 
 
+def test_rebuild_replays_the_step_a_hammer_call_found():
+    # The hammer discharges the placeholder `have "a"`; the cascade at
+    # `have "b"` fails inside its goal body, so ERP's first step rebuilds the
+    # session and replays `have "a" by (metis h)`, which the prover accepts
+    # because it found that tactic for that goal.
+    candidate = ('proof -\n  have "a" sorry\n  have "b" by bad\n'
+                 '  show ?thesis by simp\nqed')
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok",
+        "show ?thesis": "ok", "show ?thesis by simp": "ok", "qed": "ok",
+    }, hammer=["by (metis h)", None]))
+    record = prove(STATEMENT, _model(candidate, erp='have "c" by x'), prover,
+                   BudgetConfig(sample_budget=1,
+                                cascade=TacticCascade(("auto",))))
+    assert not record.undetermined
+    assert 'have "a" by (metis h)' in _steps(prover)
+
+
 # ---------------------------------------------------------------------------
 # scenario: backtracking then failure
 
@@ -697,6 +715,11 @@ _OPS = st.one_of(
 @example({'have "b"': "ok", "by simp": "ok"},
          [("apply", 'have "b"', None), ("seek", 0, 0),
           ("apply", "by simp", None)])
+@example({"proof -": "ok", 'have "a"': "ok", 'have "a" by auto': "ok",
+          "by simp": "ok"},
+         [("apply", "proof -", None), ("seek", 0, 0),
+          ("apply", 'have "a"', None), ("seek", 1, 1),
+          ("apply", 'have "a" by auto', None), ("apply", "by simp", None)])
 def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
     # Seeks go to prefixes the reference accepted; every verdict, whether
     # the cursor walked, recalled, finished a goal body, rebuilt or asked,

@@ -131,6 +131,83 @@ def test_render_idempotent_on_generated_scripts():
         assert render(parse_script(once)) == once
 
 
+# ---------------------------------------------------------------------------
+# step grammar: one row per rule, steps as (tokens, just_tokens, lead_comments)
+
+_C = "(* c *)"
+
+
+@pytest.mark.parametrize("text, steps, trailing", [
+    pytest.param(
+        'moreover have "x" using h by simp',
+        [(("moreover", "have", '"x"', "using", "h"), ("by", "simp"), ())], (),
+        id="chain-takes-goal-goal-takes-facts-and-by"),
+    pytest.param(
+        'have "x" sorry fix y',
+        [(("have", '"x"'), ("sorry",), ()), (("fix", "y"), (), ())], (),
+        id="sorry-closes-the-step"),
+    pytest.param(
+        "by (simp add: foo)",
+        [((), ("by", "(simp", "add:", "foo)"), ())], (),
+        id="words-extend-a-justification"),
+    pytest.param(
+        "proof (induct n)",
+        [(("proof", "(induct", "n)"), (), ())], (),
+        id="words-extend-a-plain-body"),
+    pytest.param(
+        "fix x by simp",
+        [(("fix", "x"), (), ()), ((), ("by", "simp"), ())], (),
+        id="plain-step-takes-no-keyword"),
+    pytest.param(
+        'then have "x" proof -',
+        [(("then", "have", '"x"'), (), ()), (("proof", "-"), (), ())], (),
+        id="a-delimiter-never-continues"),
+    pytest.param(
+        'have "x" apply simp',
+        [(("have", '"x"'), (), ()), ((), ("apply", "simp"), ())], (),
+        id="a-goal-takes-by-not-apply"),
+    pytest.param(
+        f'have "a" by simp {_C} show ?thesis by auto',
+        [(("have", '"a"'), ("by", "simp"), ()),
+         (("show", "?thesis"), ("by", "auto"), (_C,))], (),
+        id="comment-before-a-new-step-leads-it"),
+    pytest.param(
+        f'have {_C} "a" by simp',
+        [(("have", _C, '"a"'), ("by", "simp"), ())], (),
+        id="comment-inside-a-body"),
+    pytest.param(
+        f'have "a" {_C} by simp',
+        [(("have", '"a"', _C), ("by", "simp"), ())], (),
+        id="comment-before-by-stays-in-the-body"),
+    pytest.param(
+        f"by {_C} simp",
+        [((), ("by", _C, "simp"), ())], (),
+        id="comment-inside-a-justification"),
+    pytest.param(
+        f"by simp {_C}",
+        [((), ("by", "simp"), ())], (_C,),
+        id="comment-at-the-end-trails"),
+])
+def test_step_grammar(text, steps, trailing):
+    script = parse_script(text)
+    assert [(s.tokens, s.just_tokens, s.lead_comments)
+            for s in script.steps] == steps
+    assert script.trailing_comments == trailing
+
+
+# Every step keyword, plus words, strings, a comment, a cartouche and a
+# theorem header's words.
+_SOUP = [*sorted(isar.STEP_KEYWORDS), "x", "-", "?thesis", "(simp add: defs)",
+         '"a b"', _C, "‹t›", "lemma", "foo:"]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_SOUP), min_size=1, max_size=25).map(" ".join))
+def test_rendered_keyword_soup_parses_back_to_the_same_script(text):
+    script = parse_script(text)
+    assert parse_script(render(script)) == script
+
+
 def test_unbalanced_best_effort():
     script = parse_script("proof - have \"a\" by simp")
     assert not script.balanced

@@ -68,6 +68,15 @@ def test_parse_bad_effect():
     assert err.value.field == "Effect"
 
 
+@pytest.mark.parametrize("source", [
+    "[1]", '{"policy_json": "[1]"}', '{"policy_json": 5}',
+    '{"policy_json": "{bad"}'])
+def test_parse_rejects_a_document_that_is_no_object(source):
+    with pytest.raises(PolicyFormatError) as err:
+        parse_policy(source)
+    assert err.value.field == "document"
+
+
 def test_parse_carries_conditions_opaquely():
     doc = parse_policy(json.dumps({"Statement": [{
         "Effect": "Allow", "Action": "a:B", "Resource": "*",
