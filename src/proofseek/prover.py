@@ -3,10 +3,20 @@
 Requests carry ``{command, session_id, step, timeout_s}`` and responses
 ``{status, state_id, message, is_done}``, plus ``error_kind`` (``theory``,
 ``session``, ``protocol`` or ``internal``) when the server refuses a request;
-``command`` is one of ``init`` (step holds the theory text), ``apply``, or
-``close``.  Each shape is built by one helper below, so the wire, recorded
-traces and their replay agree byte for byte.  Two conventions make tactic
-cascades possible without state addressing:
+``command`` is one of ``init`` (step holds the theory text), ``apply``,
+``apply_steps`` or ``close``.  Each shape is built by one helper below, so the
+wire, recorded traces and their replay agree byte for byte.
+
+``ProverServer`` lists what it takes beyond that in the ``capabilities`` of
+an accepted ``init`` reply.  With ``apply_steps`` there, a run of steps
+travels in one request, ``{command, session_id, steps, timeout_s}``, answered
+``{status: "ok", results: [...]}`` with one ``apply`` reply per step taken:
+the backend stops at the first step that is not ok or that completes the
+proof (``ProverBackend.apply_steps``), each step with ``timeout_s``.  A
+client sends it only to a server that advertised it, and a recorded trace
+holds one ``apply`` entry per step either way.
+
+Two conventions make tactic cascades possible without state addressing:
 
 * a failed ``apply`` never advances the session, so the next attempt runs
   against the same state;
@@ -16,11 +26,12 @@ cascades possible without state addressing:
 
 Transport faults raise TransportError and are never confused with
 prover-reported proof errors; a server-side ``internal`` or ``protocol``
-error is a transport fault, since the request was never judged.  The wire
-client holds one connection per concurrent caller and locks only its list of
-idle connections, never an exchange; sessions live on the server, so any
-connection can drive any session.  Backends do protocol work only; requests
-are captured by wrapping a backend in ``RecordingProver``.
+error is a transport fault, since the request was never judged, and so is a
+reply of the wrong shape.  The wire client holds one connection per
+concurrent caller and locks only its list of idle connections, never an
+exchange; sessions live on the server, so any connection can drive any
+session.  Backends do protocol work only; requests are captured by wrapping
+a backend in ``RecordingProver``.
 """
 
 from __future__ import annotations
@@ -70,6 +81,10 @@ ERROR = "error"
 TIMEOUT = "timeout"
 
 DEFAULT_THEORY_HEADER = 'theory Scratch\n  imports Main\nbegin'
+
+APPLY_STEPS = "apply_steps"
+# what ProverServer takes beyond init, apply and close
+CAPABILITIES = (APPLY_STEPS,)
 
 
 @dataclass(frozen=True)
@@ -137,9 +152,23 @@ def _step_result(response: dict) -> StepResult:
                       bool(response.get("is_done", False)))
 
 
-def _opened(session_id: str) -> dict:
-    """The response to an accepted ``init``."""
-    return _response(OK, f"{session_id}/0")
+def _run_request(session_id: str, steps: Sequence[str],
+                 timeout_s: float) -> dict:
+    return {"command": APPLY_STEPS, "session_id": session_id,
+            "steps": list(steps), "timeout_s": timeout_s}
+
+
+def _run_response(results: Sequence[StepResult]) -> dict:
+    return {"status": OK, "results": [_step_response(r) for r in results]}
+
+
+def _opened(session_id: str, capabilities: Sequence[str] = ()) -> dict:
+    """The response to an accepted ``init``, listing the server's
+    capabilities when it has any."""
+    response = _response(OK, f"{session_id}/0")
+    if capabilities:
+        response["capabilities"] = list(capabilities)
+    return response
 
 
 def _session_of(response: dict) -> str:
@@ -169,6 +198,20 @@ class ProverBackend:
 
     def close(self, session_id: str) -> None:
         raise NotImplementedError
+
+    def apply_steps(self, session_id: str, texts: Sequence[str],
+                    timeout_s: Optional[float] = None) -> list[StepResult]:
+        """Apply ``texts`` in order, each with ``timeout_s``, until one is not
+        ok or the prover reports completion: the answers, one per step
+        taken.  A wire client sends the run in one request to a server that
+        takes it."""
+        results = []
+        for text in texts:
+            result = self.apply(session_id, text, timeout_s)
+            results.append(result)
+            if result.status != OK or result.is_done:
+                break
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +482,16 @@ class RecordingProver(ProverBackend):
                      _step_response(result))
         return result
 
+    def apply_steps(self, session_id: str, texts: Sequence[str],
+                    timeout_s: Optional[float] = None) -> list[StepResult]:
+        """The inner backend's run, recorded as one ``apply`` per step
+        taken, so a trace reads the same however its steps travelled."""
+        results = self.inner.apply_steps(session_id, texts, timeout_s)
+        for text, result in zip(texts, results):
+            self._record(_request("apply", session_id, text, timeout_s),
+                         _step_response(result))
+        return results
+
     def close(self, session_id: str) -> None:
         self.inner.close(session_id)
         self._record(_request("close", session_id, "", None), _response(OK))
@@ -483,18 +536,47 @@ class _Connection:
         self.sock.close()
 
 
-def _judged(response: dict) -> dict:
-    """An ``init`` or ``apply`` reply, checked: its status is ok, error or
-    timeout, it names a state id exactly when the status is ok, and its
-    message is text.  Anything else is a TransportError, since no verdict
-    can be read from it."""
+def _malformed(response) -> TransportError:
+    return TransportError(f"malformed prover reply: {response!r}")
+
+
+def _judged(response) -> dict:
+    """An ``init`` or ``apply`` reply, checked: it is an object, its status
+    is ok, error or timeout, it names a state id exactly when the status is
+    ok, and its message is text.  Anything else is a TransportError, since
+    no verdict can be read from it."""
+    if not isinstance(response, dict):
+        raise _malformed(response)
     status, state_id = response.get("status"), response.get("state_id")
     if (status not in (OK, ERROR, TIMEOUT)
             or not (isinstance(state_id, str) if status == OK
                     else state_id is None)
             or not isinstance(response.get("message", ""), str)):
-        raise TransportError(f"malformed prover reply: {response!r}")
+        raise _malformed(response)
     return response
+
+
+def _capabilities(response: dict) -> list[str]:
+    """The capabilities an ``init`` reply lists, checked: a list of names."""
+    capabilities = response.get("capabilities", [])
+    if not isinstance(capabilities, list) or not all(
+            isinstance(name, str) for name in capabilities):
+        raise _malformed(response)
+    return capabilities
+
+
+def _judged_run(response: dict, sent: int) -> list[StepResult]:
+    """An ``apply_steps`` reply to ``sent`` steps, checked: ``results`` holds
+    one judged ``apply`` reply per step taken, at least one and at most
+    ``sent``, and none but the last is a refusal, a timeout or a completed
+    proof.  Anything else is a TransportError."""
+    results = response.get("results")
+    if not isinstance(results, list) or not 0 < len(results) <= sent:
+        raise _malformed(response)
+    answers = [_step_result(_judged(result)) for result in results]
+    if any(not answer.ok or answer.is_done for answer in answers[:-1]):
+        raise _malformed(response)
+    return answers
 
 
 class WireProver(ProverBackend):
@@ -508,7 +590,12 @@ class WireProver(ProverBackend):
     the call with TransportError and closes that connection only; a server
     fault (``error_kind`` ``internal`` or ``protocol``) is a TransportError
     too, since the request was never judged, and so is a reply of the wrong
-    shape (``_judged``).
+    shape (``_judged``, ``_judged_run``, ``_capabilities``).
+
+    A run of steps goes out as one ``apply_steps`` request once an ``init``
+    reply has advertised it, and as one ``apply`` per step otherwise, so a
+    server that does not take runs sees the bytes it always did.  The wait
+    for a reply is the steps' timeouts plus 10 s.
     """
 
     def __init__(self, config: ProverConfig):
@@ -517,12 +604,10 @@ class WireProver(ProverBackend):
             raise TransportError(f"no prover endpoint ({ENV_PROVER_ADDR} "
                                  "and prover.endpoint unset)")
         self._idle: list[_Connection] = []  # guarded by self._lock
+        self._runs = False  # the last init reply advertised apply_steps
 
-    def _rpc(self, command: str, session_id: Optional[str], step: str,
-             timeout_s: Optional[float]) -> dict:
-        wait_s = (self.config.step_timeout_s if timeout_s is None
-                  else timeout_s) + 10.0
-        request = _request(command, session_id, step, timeout_s)
+    def _rpc(self, request: dict, wait_s: float) -> dict:
+        command = request["command"]
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is None:
@@ -535,27 +620,47 @@ class WireProver(ProverBackend):
         with self._lock:
             self._idle.append(conn)
         if not isinstance(response, dict):
-            raise TransportError(f"malformed prover reply: {response!r}")
+            raise _malformed(response)
         if response.get("error_kind") in ("internal", "protocol"):
             raise TransportError(
                 f"prover fault: {response.get('message', command)}")
         return response
 
+    def _step_rpc(self, request: dict, wait_s: float) -> dict:
+        """``_rpc`` for steps on a session: a ``session`` fault is
+        SessionClosed."""
+        response = self._rpc(request, wait_s)
+        if response.get("error_kind") == "session":
+            raise SessionClosed(response.get("message", request["session_id"]))
+        return response
+
     def init_session(self, theory_text: str) -> str:
-        return _session_of(_judged(self._rpc("init", None, theory_text,
-                                             self.config.init_timeout_s)))
+        timeout_s = self.config.init_timeout_s
+        response = _judged(self._rpc(
+            _request("init", None, theory_text, timeout_s), timeout_s + 10.0))
+        self._runs = APPLY_STEPS in _capabilities(response)
+        return _session_of(response)
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
-        response = self._rpc("apply", session_id, step_text, timeout_s)
-        if response.get("error_kind") == "session":
-            raise SessionClosed(response.get("message", session_id))
-        return _step_result(_judged(response))
+        return _step_result(_judged(self._step_rpc(
+            _request("apply", session_id, step_text, timeout_s),
+            timeout_s + 10.0)))
+
+    def apply_steps(self, session_id: str, texts: Sequence[str],
+                    timeout_s: Optional[float] = None) -> list[StepResult]:
+        if not self._runs:
+            return super().apply_steps(session_id, texts, timeout_s)
+        timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
+        return _judged_run(self._step_rpc(
+            _run_request(session_id, texts, timeout_s),
+            len(texts) * timeout_s + 10.0), len(texts))
 
     def close(self, session_id: str) -> None:
         try:
-            self._rpc("close", session_id, "", None)
+            self._rpc(_request("close", session_id, "", None),
+                      self.config.step_timeout_s + 10.0)
         except TransportError:
             pass
 
@@ -570,10 +675,39 @@ class WireProver(ProverBackend):
 SERVER_POLL_S = 0.05
 
 
+def _read_request(raw: bytes) -> dict:
+    """The request on one line, checked: a UTF-8 JSON object naming a known
+    command, with a ``session_id`` string unless it is ``init``, ``step`` a
+    string, ``timeout_s`` a number, and for ``apply_steps`` a non-empty list
+    of step strings.  Anything else raises ValueError."""
+    request = json.loads(raw.decode("utf-8"))
+    if not isinstance(request, dict):
+        raise ValueError("request is not a JSON object")
+    command = request.get("command")
+    if command not in ("init", "apply", APPLY_STEPS, "close"):
+        raise ValueError(f"unknown command {command!r}")
+    if command != "init" and not isinstance(request.get("session_id"), str):
+        raise ValueError(f"{command} names no session_id")
+    if not isinstance(request.get("step", ""), str):
+        raise ValueError("step is not a string")
+    timeout_s = request.get("timeout_s")
+    if timeout_s is not None and (isinstance(timeout_s, bool)
+                                  or not isinstance(timeout_s, (int, float))):
+        raise ValueError("timeout_s is not a number")
+    steps = request.get("steps")
+    if command == APPLY_STEPS and not (
+            isinstance(steps, list) and steps
+            and all(isinstance(step, str) for step in steps)):
+        raise ValueError("steps is not a non-empty list of strings")
+    return request
+
+
 class ProverServer:
     """Serves any ProverBackend over the wire protocol (reference server).
 
-    Intended for adapters and tests; each connection gets its own thread.
+    Intended for adapters and tests; each connection gets its own thread.  A
+    request line it cannot read is answered with a ``protocol`` error, and
+    the connection goes on.
     """
 
     def __init__(self, backend: ProverBackend, host: str = "127.0.0.1",
@@ -584,10 +718,9 @@ class ProverServer:
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
                 for raw in self.rfile:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
+                    if not raw.strip():
                         continue
-                    response = outer._dispatch(line)
+                    response = outer._dispatch(raw)
                     self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
 
         class Server(socketserver.ThreadingTCPServer):
@@ -597,21 +730,24 @@ class ProverServer:
         self._server = Server((host, port), Handler)
         self.address = "{}:{}".format(*self._server.server_address)
 
-    def _dispatch(self, line: str) -> dict:
+    def _dispatch(self, raw: bytes) -> dict:
         try:
-            request = json.loads(line)
-            command = request["command"]
+            request = _read_request(raw)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+            return _response(ERROR, message=str(exc), error_kind="protocol")
+        command, session_id = request["command"], request.get("session_id")
+        try:
             if command == "init":
-                return _opened(self.backend.init_session(request.get("step", "")))
+                return _opened(self.backend.init_session(request.get("step", "")),
+                               CAPABILITIES)
             if command == "apply":
                 return _step_response(self.backend.apply(
-                    request["session_id"], request.get("step", ""),
-                    request.get("timeout_s")))
-            if command == "close":
-                self.backend.close(request["session_id"])
-                return _response(OK)
-            return _response(ERROR, message=f"unknown command {command!r}",
-                             error_kind="protocol")
+                    session_id, request.get("step", ""), request.get("timeout_s")))
+            if command == APPLY_STEPS:
+                return _run_response(self.backend.apply_steps(
+                    session_id, request["steps"], request.get("timeout_s")))
+            self.backend.close(session_id)
+            return _response(OK)
         except Exception as exc:  # protocol server must not die mid-connection
             kind = ("theory" if isinstance(exc, TheoryLoadError) else
                     "session" if isinstance(exc, SessionClosed) else "internal")
@@ -676,9 +812,11 @@ class SessionCursor:
     call when the step is known there, finishes the goal body the session
     stands in when it is ``<body> by T``, and otherwise, like the first apply
     after a seek the trie cannot place, rebuilds the session at the caller's
-    prefix.  ``recalled`` counts the answers given with no call, and
-    ``timeouts`` the applies that timed out, over every session the cursor
-    has held; a timeout is no verdict and is never kept."""
+    prefix.  Where the session stands, steps go to the prover a run at a
+    time, each run in one request.  ``recalled`` counts the answers given
+    with no call, and ``timeouts`` the applies that timed out, over every
+    session the cursor has held; a timeout is no verdict and is never
+    kept."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -698,19 +836,22 @@ class SessionCursor:
 
     def advance(self, texts: Iterable[str]) -> Advance:
         """Apply step texts in order, from where the caller stands, until one
-        is not ok, the prover reports completion, or the texts run out.
-        Texts are consumed lazily, so none past the stop is built.  The hammer
-        pseudo-step gets the hammer timeout, every other step the step
-        timeout."""
+        is not ok, the prover reports completion, or the texts run out.  The
+        texts are taken at once: each run of them the trie cannot answer is
+        built and sent in one request (``_run``), and the prover stops it
+        where this loop stops.  The hammer pseudo-step gets the hammer
+        timeout, every other step the step timeout."""
+        texts = list(texts)
         count, result = 0, None
-        for text in texts:
-            result = (self._ask(text) if self._at == self._node
-                      else self._step(text))
-            if not result.ok:
-                return Advance(count, result, failed=True)
-            count += 1
-            if result.is_done:
-                return Advance(count, result, done=True)
+        while count < len(texts):
+            rest = texts[count:]
+            for result in (self._run(rest) if self._at == self._node
+                           else self._step(rest)):
+                if not result.ok:
+                    return Advance(count, result, failed=True)
+                count += 1
+                if result.is_done:
+                    return Advance(count, result, done=True)
         return Advance(count, result)
 
     def seek(self, prefix: Iterable[str]) -> None:
@@ -726,49 +867,87 @@ class SessionCursor:
                 break
         self._at = node
 
-    def _step(self, text: str) -> StepResult:
-        """The verdict on ``text`` where the caller stands, apart from the
-        session."""
+    def _step(self, texts: list[str]) -> list[StepResult]:
+        """The verdict on the first of ``texts`` where the caller stands,
+        apart from the session; after a rebuild, on a leading run of them."""
+        text = texts[0]
         seen = None if self._at is None else self._trie.get((self._at, text))
         if seen is not None:
             self.recalled += 1
             if isinstance(seen, StepResult):
-                return seen
+                return [seen]
             self._at = seen
             self._path.append(text)
-            return self._edges[seen][2]
+            return [self._edges[seen][2]]
         # `<body> by T` is `<body>`, where the session stands, then `by T`
         parent, body, _ = self._edges[self._node]
         tactic = _after_body(text, body) if parent == self._at else None
         if tactic is not None:
-            return self._ask(tactic, text)
+            return [self._ask(tactic, text)]
         self._rebuild()
-        return self._ask(text)
+        return self._run(texts)
+
+    def _run(self, texts: list[str]) -> list[StepResult]:
+        """The verdicts on a leading run of ``texts`` where the session
+        stands, at least one.  The run is the longest that no answer the
+        trie keeps could cut short: it ends before a kept refusal, before the
+        hammer, which has its own timeout, and after a ``by`` step, whose
+        alias can move the session onto a kept node.  A run of more than one
+        step goes out in one ``apply_steps``, and each answer is filed as
+        ``_ask`` files it."""
+        if len(texts) == 1:  # the cascade's case: no run to plan
+            return [self._ask(texts[0])]
+        trie, size = self._trie, 0
+        node: Union[None, int, StepResult] = self._node
+        for text in texts:
+            if text == HAMMER_STEP:
+                break
+            if node is not None:  # None: a node the run makes, still bare
+                node = trie.get((node, text))
+                if isinstance(node, StepResult):
+                    break
+            size += 1
+            if text.startswith(("by ", "by(")):
+                break
+        if size < 2:
+            return [self._ask(texts[0])]
+        results = self.prover.apply_steps(self.session, texts[:size],
+                                          self.config.step_timeout_s)
+        return [self._file(text, result) for text, result in zip(texts, results)]
 
     def _ask(self, text: str, said: Optional[str] = None) -> StepResult:
         """The verdict on ``text`` where the session stands: a kept refusal,
-        or the prover's answer, kept unless it is a timeout and filed under
-        the step's other texts too.  An accepted step moves the session and
-        the caller to the node it leads to, and adds ``said``, the caller's
-        text for it, or ``text`` to the caller's path."""
-        node = self._node
-        key = (node, text)
-        seen = self._trie.get(key)
+        or the prover's answer, filed."""
+        seen = self._trie.get((self._node, text))
         if isinstance(seen, StepResult):
             self.recalled += 1
             return seen
         timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
                      else self.config.step_timeout_s)
-        result = self.prover.apply(self.session, text, timeout_s)
+        return self._file(text, self.prover.apply(self.session, text, timeout_s),
+                          said)
+
+    def _file(self, text: str, result: StepResult,
+              said: Optional[str] = None) -> StepResult:
+        """Keep the prover's answer to ``text`` where the session stands,
+        unless it is a timeout, under the step's other texts too.  An
+        accepted step moves the session and the caller to the node it leads
+        to, and adds ``said``, the caller's text for it, or ``text`` to the
+        caller's path."""
+        node = self._node
+        key = (node, text)
         status = result.status
         if status == TIMEOUT:
             self.timeouts += 1
             return result
-        aliases = self._aliases(node, text, result)
+        # only a hammer call or a `by` step has other keys
+        aliases = (self._aliases(node, text, result) if text == HAMMER_STEP
+                   or text.startswith(("by ", "by(")) else ())
         if status != OK:
             for alias in (key, *aliases):
                 self._trie[alias] = result
             return result
+        seen = self._trie.get(key)
         if seen is None:
             seen = self._trie[key] = len(self._edges)
             self._edges.append((node, text, result))
@@ -794,18 +973,20 @@ class SessionCursor:
         return keys
 
     def _rebuild(self) -> None:
-        """Re-apply the caller's prefix in a fresh session.  A refusal now is
-        the prover misbehaving (a timeout under load, say), not a verdict on
-        the proof, so it raises PrefixReplayFailed."""
+        """Re-apply the caller's prefix in a fresh session, a run at a time.
+        A refusal now is the prover misbehaving (a timeout under load, say),
+        not a verdict on the proof, so it raises PrefixReplayFailed."""
         self.prover.close(self.session)
         self.session = self.prover.init_session(self.theory)
         self._node = self._at = 0
         texts, self._path = self._path, []
-        for text in texts:
-            result = self._ask(text)
-            if not result.ok:
-                raise PrefixReplayFailed(
-                    f"validated prefix no longer replays: {result.message}")
+        replayed = 0
+        while replayed < len(texts):
+            for result in self._run(texts[replayed:]):
+                if not result.ok:
+                    raise PrefixReplayFailed(
+                        f"validated prefix no longer replays: {result.message}")
+                replayed += 1
 
     def close(self) -> None:
         self.prover.close(self.session)

@@ -1,3 +1,5 @@
+import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -559,4 +561,155 @@ def test_wire_protocol_fault_is_a_transport_error():
             client.apply("s-1", "by simp")
     finally:
         client.shutdown()
+        server.stop()
+
+
+# ---------------------------------------------------------------------------
+# runs of steps: apply_steps
+
+def test_apply_steps_stops_at_a_refusal_and_at_completion():
+    prover = MockProver(table={"proof -": "ok", 'have "a"': "ok",
+                               "by simp": "ok", "qed": "ok"})
+    session = prover.init_session("theory T")
+    refused = prover.apply_steps(session, ["proof -", "by nope", "qed"])
+    assert [r.status for r in refused] == ["ok", "error"]
+    done = prover.apply_steps(session, ['have "a"', "by simp", "qed", "qed"])
+    assert [(r.ok, r.is_done) for r in done] == [(True, False), (True, False),
+                                                 (True, True)]
+
+
+def test_wire_run_reaches_the_backend_as_one_apply_per_step(served_mock,
+                                                            golden_proof_body):
+    server, mock = served_mock
+    client = WireProver(ProverConfig(endpoint=server.address))
+    texts = [step.text for step in parse_script(golden_proof_body).steps]
+    try:
+        session = client.init_session("theory T")
+        results = client.apply_steps(session, texts)
+        assert len(results) == len(texts) and results[-1].is_done
+        # the backend saw, and the recorder kept, one apply per step
+        assert [r["step"] for r in mock.requests()] == texts
+        assert {r["timeout_s"] for r in mock.requests()} == {10.0}
+    finally:
+        client.shutdown()
+
+
+_INIT_RUNS = (b'{"status": "ok", "state_id": "s-1/0", "message": "", '
+              b'"is_done": false, "capabilities": ["apply_steps"]}\n')
+
+
+def _run_reply(*results: str) -> bytes:
+    return b'{"status": "ok", "results": [%s]}\n' % ", ".join(results).encode()
+
+
+_STEP_OK = '{"status": "ok", "state_id": "s-1/1", "message": "", "is_done": false}'
+_STEP_DONE = '{"status": "ok", "state_id": "s-1/1", "message": "", "is_done": true}'
+_STEP_REFUSED = ('{"status": "error", "state_id": null, "message": "no", '
+                 '"is_done": false}')
+_BAD_RUN_REPLIES = [
+    b'{"status": "ok"}\n',
+    b'{"status": "ok", "results": {"0": {}}}\n',
+    _run_reply(),
+    _run_reply(_STEP_OK, _STEP_OK, _STEP_OK),
+    _run_reply(_STEP_REFUSED, _STEP_OK),
+    _run_reply(_STEP_DONE, _STEP_OK),
+    _run_reply(_STEP_OK, '{"status": "done", "state_id": null}'),
+    _run_reply(_STEP_OK, '"ok"'),
+]
+
+
+@pytest.mark.parametrize("reply", _BAD_RUN_REPLIES)
+def test_wire_run_reply_of_the_wrong_shape_is_a_transport_error(reply):
+    server = LineServer(
+        lambda _index, line: _INIT_RUNS if b'"init"' in line else reply)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        session = client.init_session("theory T")
+        with pytest.raises(TransportError, match="malformed prover reply"):
+            client.apply_steps(session, ["proof -", "by simp"])
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+@pytest.mark.parametrize("capabilities", [b'"apply_steps"', b'null', b'[1]',
+                                          b'{"apply_steps": true}'])
+def test_wire_capabilities_of_the_wrong_shape_are_a_transport_error(
+        capabilities):
+    reply = _INIT_RUNS.replace(b'["apply_steps"]', capabilities)
+    server = LineServer(lambda _index, _line: reply)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError, match="malformed prover reply"):
+            client.init_session("theory T")
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+@pytest.mark.parametrize("init, reply", [
+    (_INIT_RUNS, _run_reply(*[_STEP_OK] * 4)),
+    (_INIT_RUNS, _run_reply(_STEP_DONE, _STEP_OK, _STEP_OK)),
+    (_INIT_RUNS.replace(b'["apply_steps"]', b'"apply_steps"'), b'[]\n'),
+])
+def test_wire_run_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
+        init, reply, tmp_path):
+    # The candidate's three steps go out as one run; a reply that cannot be
+    # read as its verdicts makes the problem undetermined, as does an init
+    # reply whose capabilities are not a list.
+    server = LineServer(
+        lambda _index, line: init if b'"init"' in line else reply)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        spec = BenchmarkSpec(
+            "shape", (BenchmarkProblem("p", GOLDEN_FORMAL_STATEMENT),),
+            BudgetConfig(sample_budget=1))
+        model = MockModel({"whole_proof": [[
+            "proof -\n  show ?thesis by simp\nqed"]]})
+        [record] = run_benchmark(spec, model, client,
+                                 tmp_path / "records.jsonl", pool_size=1)
+        assert record.undetermined and not record.success
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+# ---------------------------------------------------------------------------
+# the reference server reads every request defensively
+
+_INIT_REQUEST = (b'{"command": "init", "session_id": null, "step": "theory T", '
+                 b'"timeout_s": 120.0}\n')
+
+
+@pytest.mark.parametrize("line", [
+    b'\xff\xfe not utf-8\n',
+    b'not json\n',
+    b'[1,2]\n',
+    b'{}\n',
+    b'{"command": "apply"}\n',
+    b'{"command": "close"}\n',
+    b'{"command": "apply", "session_id": "s-1", "step": 5}\n',
+    b'{"command": "apply", "session_id": "s-1", "step": "by simp", '
+    b'"timeout_s": "soon"}\n',
+    b'{"command": "apply_steps", "session_id": "s-1"}\n',
+    b'{"command": "apply_steps", "session_id": "s-1", "steps": "by simp"}\n',
+    b'{"command": "apply_steps", "session_id": "s-1", "steps": []}\n',
+    b'{"command": "apply_steps", "session_id": "s-1", "steps": ["by simp", 5]}\n',
+])
+def test_server_answers_a_bad_request_with_a_protocol_error(line):
+    # A request the server cannot read is the client's fault, not the
+    # backend's: a protocol reply, and the connection serves the next line.
+    server = ProverServer(MockProver(default="ok")).start()
+    host, port = server.address.rsplit(":", 1)
+    conn = socket.create_connection((host, int(port)), timeout=5.0)
+    reader = conn.makefile("rb")
+    try:
+        conn.sendall(line)
+        reply = json.loads(reader.readline())
+        assert (reply["status"], reply["error_kind"]) == ("error", "protocol")
+        conn.sendall(_INIT_REQUEST)
+        assert json.loads(reader.readline())["state_id"] == "s-1/0"
+    finally:
+        reader.close()
+        conn.close()
         server.stop()

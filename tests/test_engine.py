@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,17 @@ from proofseek.model import (
     prompt_digest,
 )
 from proofseek.prompts import whole_proof_prompt
-from proofseek.prover import MockOutcome, MockProver, RecordingProver, SessionCursor
+from proofseek.prover import (
+    HAMMER_STEP,
+    Advance,
+    MockOutcome,
+    MockProver,
+    ProverConfig,
+    ProverServer,
+    RecordingProver,
+    SessionCursor,
+    WireProver,
+)
 
 from fixtures import (
     GOLDEN_FORMAL_STATEMENT,
@@ -705,9 +717,9 @@ class _FreshSessionCursor:
         return result
 
 
-_OPS = st.one_of(
-    st.tuples(st.just("seek"), st.integers(0, 99), st.integers(0, 99)),
-    st.tuples(st.just("apply"), st.sampled_from(_STEPS), st.none()))
+_SEEK = st.tuples(st.just("seek"), st.integers(0, 99), st.integers(0, 99))
+_OPS = st.one_of(_SEEK, st.tuples(st.just("apply"), st.sampled_from(_STEPS),
+                                  st.none()))
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -740,6 +752,78 @@ def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
                                                       want.is_done)
         if want.ok:
             accepted.append(list(reference.path))
+
+
+# ---------------------------------------------------------------------------
+# differential: runs of steps in one request against one request per step
+
+_RUN_OPS = st.one_of(_SEEK, st.tuples(
+    st.just("advance"),
+    st.lists(st.sampled_from((*_STEPS, HAMMER_STEP)), max_size=6), st.none()))
+
+
+@pytest.fixture(scope="module")
+def wire_cursor_server():
+    server = ProverServer(MockProver()).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
+    yield server, client
+    client.shutdown()
+    server.stop()
+
+
+def _advance_stepwise(cursor, texts) -> Advance:
+    """``advance`` one text at a time: one request per step sent."""
+    count, last = 0, None
+    for text in texts:
+        last = cursor.advance([text]).last
+        if not last.ok:
+            return Advance(count, last, failed=True)
+        count += 1
+        if last.is_done:
+            return Advance(count, last, done=True)
+    return Advance(count, last)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_coherent_tables(), st.sampled_from([None, "by auto"]),
+       st.lists(_RUN_OPS, max_size=20))
+@example({"proof -": "ok", 'have "a"': "error", "qed": "error"}, None,
+         [("advance", ["proof -", 'have "a"'], None), ("seek", 0, 0),
+          ("advance", ["qed"], None), ("advance", ["proof -", 'have "a"'], None)])
+@example({'have "a"': "ok", 'have "a" by simp': "ok", "qed": "error"}, None,
+         [("advance", ['have "a" by simp', "qed"], None), ("seek", 0, 0),
+          ("advance", ['have "a"', "by simp", "qed"], None)])
+def test_runs_of_steps_send_what_one_step_at_a_time_sends(
+        wire_cursor_server, table, hammer, ops):
+    # The cursor sends each run it cannot answer in one request, over the
+    # wire and in process alike; the backend must see the requests, and the
+    # caller the results, that stepping one text at a time gives.  The
+    # examples pin two cuts.  After the rebuild for `qed`, the session walks
+    # `proof -` again, and the run ends before the `have "a"` refused there.
+    # After the rebuild, `by simp` lands where `have "a" by simp` did, so
+    # the run ends after it, before the `qed` refused there.
+    server, client = wire_cursor_server
+    recorders = [RecordingProver(MockProver(table, hammer=hammer))
+                 for _ in range(3)]
+    server.backend = recorders[0]
+    cursors = [_cursor(client), _cursor(recorders[1]), _cursor(recorders[2])]
+    advances = [cursors[0].advance, cursors[1].advance,
+                functools.partial(_advance_stepwise, cursors[2])]
+    path: list[str] = []
+    accepted = [[]]
+    for op, first, second in ops:
+        if op == "seek":
+            chosen = accepted[first % len(accepted)]
+            path = chosen[:second % (len(chosen) + 1)]
+            for cursor in cursors:
+                cursor.seek(path)
+            continue
+        runs = [advance(first) for advance in advances]
+        assert runs[0] == runs[1] == runs[2]
+        if runs[0].count:
+            path = path + first[:runs[0].count]
+            accepted.append(path)
+    assert recorders[0].trace == recorders[1].trace == recorders[2].trace
 
 
 def test_timeout_sets_has_timeout():

@@ -1,7 +1,10 @@
 """Byte-level goldens for the prover wire protocol: the trace
 ``RecordingProver.dump`` writes, the lines ``ProverServer`` answers with, the
 lines ``WireProver`` sends, and the replay of the literal trace.  Old traces
-must keep replaying, so these literals never change with a refactor."""
+must keep replaying, and old servers must keep reading what the client sends,
+so these literals never change with a refactor.  The one edit so far is the
+``capabilities`` list in the server's accepted-``init`` reply, which a client
+that does not read it ignores."""
 
 import json
 import socket
@@ -9,6 +12,7 @@ import socket
 import pytest
 
 from proofseek.errors import SessionClosed, TheoryLoadError
+from proofseek.isar import parse_script
 from proofseek.prover import (
     HAMMER_STEP,
     MockOutcome,
@@ -18,6 +22,7 @@ from proofseek.prover import (
     RecordingProver,
     ReplayProver,
     WireProver,
+    check_script,
 )
 
 from fixtures import LineServer
@@ -44,7 +49,8 @@ GOLDEN_SERVER_EXCHANGE = [
     (b'{"command": "init", "session_id": null, "step": "theory Bad", "timeout_s": 120.0}\n',
      b'{"status": "error", "state_id": null, "message": "bad header", "is_done": false, "error_kind": "theory"}\n'),
     (b'{"command": "init", "session_id": null, "step": "theory T", "timeout_s": 120.0}\n',
-     b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'),
+     b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false, '
+     b'"capabilities": ["apply_steps"]}\n'),
     (b'{"command": "apply", "session_id": "s-1", "step": "have a: \\"x\\" by simp", "timeout_s": 10.0}\n',
      b'{"status": "ok", "state_id": "s-1/1", "message": "", "is_done": false}\n'),
     (b'{"command": "apply", "session_id": "s-1", "step": "\\u27e8hammer\\u27e9", "timeout_s": 40.0}\n',
@@ -138,3 +144,136 @@ def test_wire_client_sends_golden_lines():
     sent = [request for request, _ in GOLDEN_SERVER_EXCHANGE
             if json.loads(request)["command"] != "frobnicate"]
     assert server.lines == sent
+
+
+# ---------------------------------------------------------------------------
+# runs of steps
+
+# (request line sent, response line the server writes back): a run of
+# steps in one request, stopped at the first refusal
+GOLDEN_RUN_EXCHANGE = [
+    GOLDEN_SERVER_EXCHANGE[1],
+    (b'{"command": "apply_steps", "session_id": "s-1", "steps": '
+     b'["have a: \\"x\\" by simp", "by blast", "qed"], "timeout_s": 10.0}\n',
+     b'{"status": "ok", "results": ['
+     b'{"status": "ok", "state_id": "s-1/1", "message": "", "is_done": false}, '
+     b'{"status": "error", "state_id": null, "message": "step failed", "is_done": false}'
+     b']}\n'),
+]
+
+_RUN = ['have a: "x" by simp', "by blast", "qed"]
+
+
+def test_server_answers_a_run_in_golden_lines():
+    server = ProverServer(_mock()).start()
+    host, port = server.address.rsplit(":", 1)
+    conn = socket.create_connection((host, int(port)), timeout=5.0)
+    reader = conn.makefile("rb")
+    try:
+        for request, response in GOLDEN_RUN_EXCHANGE:
+            conn.sendall(request)
+            assert reader.readline() == response
+    finally:
+        reader.close()
+        conn.close()
+        server.stop()
+
+
+def test_wire_client_sends_a_run_in_golden_lines():
+    responses = dict(GOLDEN_RUN_EXCHANGE)
+    server = LineServer(lambda _index, line: responses[line])
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        session = client.init_session("theory T")
+        results = client.apply_steps(session, _RUN, 10.0)
+        assert [(r.status, r.new_state_id) for r in results] == [
+            ("ok", "s-1/1"), ("error", None)]
+    finally:
+        client.shutdown()
+        server.stop()
+    assert server.lines == [request for request, _ in GOLDEN_RUN_EXCHANGE]
+
+
+def test_a_recorded_run_is_the_golden_apply_entries_and_replays(tmp_path):
+    # However its steps travelled, a run is recorded as the apply entries
+    # one request per step gives, and replays through them.
+    recorder = RecordingProver(_mock())
+    session = recorder.init_session("theory T")
+    assert len(recorder.apply_steps(session, _RUN, 10.0)) == 2
+    path = tmp_path / "trace.jsonl"
+    recorder.dump(path)
+    assert path.read_bytes() == b"".join(GOLDEN_TRACE.splitlines(True)[1:4])
+    replay = ReplayProver(path)
+    session = replay.init_session("theory T")
+    assert [r.status for r in replay.apply_steps(session, _RUN, 10.0)] == [
+        "ok", "error"]
+
+
+_CHECKED = 'theorem t:\n  shows "P"\n  oops'
+_STEP_LINES = [
+    b'{"command": "init", "session_id": null, "step": "theory Scratch\\n  '
+    b'imports Main\\nbegin\\n\\ntheorem t:\\n  shows \\"P\\"", "timeout_s": 120.0}\n',
+    b'{"command": "apply", "session_id": "s-1", "step": "proof -", "timeout_s": 10.0}\n',
+    b'{"command": "apply", "session_id": "s-1", "step": "have \\"a\\" by simp", "timeout_s": 10.0}\n',
+    b'{"command": "apply", "session_id": "s-1", "step": "show ?thesis by simp", "timeout_s": 10.0}\n',
+    b'{"command": "apply", "session_id": "s-1", "step": "qed", "timeout_s": 10.0}\n',
+    b'{"command": "close", "session_id": "s-1", "step": "", "timeout_s": null}\n',
+]
+
+
+def _answer(capabilities: bool):
+    """Canned replies: every step accepted, the proof done at ``qed``."""
+    init = {"status": "ok", "state_id": "s-1/0", "message": "", "is_done": False}
+    if capabilities:
+        init["capabilities"] = ["apply_steps"]
+
+    def step(index: int, text: str) -> dict:
+        return {"status": "ok", "state_id": f"s-1/{index}", "message": "",
+                "is_done": text == "qed"}
+
+    def respond(_index, line):
+        request = json.loads(line)
+        command = request["command"]
+        if command == "init":
+            reply = init
+        elif command == "apply_steps":
+            reply = {"status": "ok", "results": [
+                step(i, text) for i, text in enumerate(request["steps"], 1)]}
+        elif command == "apply":
+            reply = step(1, request["step"])
+        else:
+            reply = {"status": "ok", "state_id": None, "message": "",
+                     "is_done": False}
+        return (json.dumps(reply) + "\n").encode("utf-8")
+
+    return respond
+
+
+def test_wire_client_steps_one_apply_at_a_time_for_a_server_without_runs():
+    # A server whose init reply lists no capabilities reads the lines it
+    # always did: one apply per step.
+    server = LineServer(_answer(capabilities=False))
+    client = WireProver(ProverConfig(endpoint=server.address))
+    script = parse_script('proof -\n  have "a" by simp\n'
+                          '  show ?thesis by simp\nqed')
+    try:
+        assert check_script(client, _CHECKED, script).success
+    finally:
+        client.shutdown()
+        server.stop()
+    assert server.lines == _STEP_LINES
+
+
+def test_checking_a_long_script_takes_three_requests():
+    server = LineServer(_answer(capabilities=True))
+    client = WireProver(ProverConfig(endpoint=server.address))
+    steps = ["proof -", *(f'have "g{i}" by simp' for i in range(38)), "qed"]
+    try:
+        assert check_script(client, _CHECKED,
+                            parse_script("\n".join(steps))).success
+    finally:
+        client.shutdown()
+        server.stop()
+    assert [json.loads(line)["command"] for line in server.lines] == [
+        "init", "apply_steps", "close"]
+    assert json.loads(server.lines[1])["steps"] == steps
