@@ -295,11 +295,12 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
     result = curate_mod.filter_self_contained(pairs, prover)
     sample_count = len(result.sft_pool) if args.sample_count is None \
         else min(args.sample_count, len(result.sft_pool))
+    pool_size = config.budget.prover.pool_size
     sft_records, sft_drops = curate_mod.build_sft_records(
         result.sft_pool, model, sample_count, seed=seed,
-        params=config.budget.model)
+        params=config.budget.model, pool_size=pool_size)
     rl_records, rl_drops = curate_mod.build_rl_records(
-        result.rl_pool, model, params=config.budget.model)
+        result.rl_pool, model, params=config.budget.model, pool_size=pool_size)
 
     write_jsonl(out_dir / "sft.jsonl", [r.to_json() for r in sft_records])
     write_jsonl(out_dir / "rl.jsonl", [r.to_json() for r in rl_records])

@@ -24,7 +24,7 @@ from .errors import ParseError, TheoryLoadError, TransportError
 from .isar import extract_proof_text, parse_script, token_equivalent
 from .model import ModelBackend, ModelParams
 from .prompts import nl_statement_prompt
-from .prover import ProverBackend, check_script
+from .prover import ProverBackend, ProverConfig, check_script
 
 __all__ = [
     "FilterResult",
@@ -144,58 +144,77 @@ def filter_self_contained(pairs: Sequence[TheoremProofPair],
 # record construction
 
 def _generate_nl(pair: TheoremProofPair, model: ModelBackend,
-                 params: ModelParams) -> Optional[str]:
-    """One model call, retried once; None when both outputs fail validation."""
-    for _ in range(2):
-        out = model.complete(params, nl_statement_prompt(pair.statement,
-                                                         pair.proof), 1)
-        text = out[0].strip() if out else ""
-        if text:
-            return text
-    return None
+                 params: ModelParams, faults: list[Exception]) -> Optional[str]:
+    """One model call, retried once; None when both outputs fail validation.
+    An error raised here is added to ``faults``, shared by the pairs of one
+    run, and no call starts once it holds one."""
+    try:
+        prompt = nl_statement_prompt(pair.statement, pair.proof)
+        for _ in range(2):
+            if faults:
+                return None
+            out = model.complete(params, prompt, 1)
+            text = out[0].strip() if out else ""
+            if text:
+                return text
+        return None
+    except Exception as exc:
+        faults.append(exc)
+        raise
+
+
+def _nl_statements(
+    pairs: Sequence[TheoremProofPair], model: ModelBackend,
+    params: Optional[ModelParams], pool_size: Optional[int],
+) -> tuple[list[Optional[str]], list[dict]]:
+    """Each pair's NL statement, or None when its generation fails
+    validation twice, in pair order, with a drop reported for each None.
+    The pairs run on a pool of ``pool_size`` workers (by default the
+    prover's default pool size).  The first error a model call raises (a
+    TransportError, say) is raised once the calls in flight are done, and
+    no call starts after it."""
+    params = params or ModelParams()
+    faults: list[Exception] = []
+    texts = run_pool(list(pairs),
+                     lambda pair: _generate_nl(pair, model, params, faults),
+                     pool_size or ProverConfig.pool_size)
+    if faults:
+        raise faults[0]
+    drops = [{"statement": pair.statement,
+              "reason": "nl generation failed after retry"}
+             for pair, text in zip(pairs, texts) if text is None]
+    return texts, drops
 
 
 def build_sft_records(
     pool: Sequence[TheoremProofPair], model: ModelBackend, sample_count: int,
     seed: int = 0, params: Optional[ModelParams] = None,
+    pool_size: Optional[int] = None,
 ) -> tuple[list[SftRecord], list[dict]]:
-    """Seeded sample of the pool with one NL-statement generation per pair.
+    """Seeded sample of the pool with one NL-statement generation per pair,
+    the pairs on a pool of ``pool_size`` workers.
 
     Pairs whose generation fails validation twice are dropped and reported,
-    not retried further.  Returns (records, drops).
+    not retried further.  Returns (records, drops), in sample order.
     """
     if sample_count > len(pool):
         raise ValueError(f"sample_count {sample_count} exceeds pool size {len(pool)}")
-    params = params or ModelParams()
     rng = random.Random(seed)
-    chosen = sorted(rng.sample(range(len(pool)), sample_count))
-    records, drops = [], []
-    for index in chosen:
-        pair = pool[index]
-        text = _generate_nl(pair, model, params)
-        if text is None:
-            drops.append({"statement": pair.statement,
-                          "reason": "nl generation failed after retry"})
-            continue
-        records.append(SftRecord(pair.proof, pair.statement, text))
-    return records, drops
+    chosen = [pool[index]
+              for index in sorted(rng.sample(range(len(pool)), sample_count))]
+    texts, drops = _nl_statements(chosen, model, params, pool_size)
+    return [SftRecord(pair.proof, pair.statement, text)
+            for pair, text in zip(chosen, texts) if text is not None], drops
 
 
 def build_rl_records(
     pool: Sequence[TheoremProofPair], model: ModelBackend,
-    params: Optional[ModelParams] = None,
+    params: Optional[ModelParams] = None, pool_size: Optional[int] = None,
 ) -> tuple[list[RlRecord], list[dict]]:
     """NL statement per verified pair, same drop policy as the SFT records."""
-    params = params or ModelParams()
-    records, drops = [], []
-    for pair in pool:
-        text = _generate_nl(pair, model, params)
-        if text is None:
-            drops.append({"statement": pair.statement,
-                          "reason": "nl generation failed after retry"})
-            continue
-        records.append(RlRecord(text, pair.proof))
-    return records, drops
+    texts, drops = _nl_statements(pool, model, params, pool_size)
+    return [RlRecord(text, pair.proof)
+            for pair, text in zip(pool, texts) if text is not None], drops
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ __all__ = [
     "Stage",
     "TacticCascade",
     "atp_substitute",
-    "backtrack",
     "default_cascade",
     "erp_repair",
     "heuristic_repair",
@@ -341,13 +340,6 @@ def _backtrack_target(script: ProofScript, position: int) -> int:
     placeholder."""
     _, _, opener, closer = enclosing_block(script, position)
     return opener if position == closer else position
-
-
-def backtrack(script: ProofScript, position: int) -> ProofScript:
-    """Truncate the innermost block (or ``next`` segment) containing the
-    failure, re-closing it with a placeholder (collapsing the block entirely
-    when its closer is what failed)."""
-    return truncate_to_block(script, _backtrack_target(script, position))
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,6 @@ class TheorySkeleton:
         if not self.theorem.strip():
             raise ValueError("theorem must be non-empty")
 
-    def declared_constructors(self) -> set[str]:
-        return {ctor for _, ctors in self.datatype_defs for ctor in ctors}
-
 
 @dataclass
 class FormalizationRecord:
@@ -278,17 +275,6 @@ def wrap_theory(body: str, theory_name: str,
     return (f"theory {theory_name}\n"
             f"  imports {' '.join(imports)}\n"
             f"begin\n\n{body.rstrip()}\n\nend\n")
-
-
-def skeleton_findings(skeleton: TheorySkeleton) -> list[str]:
-    """Constructor references in funs/theorem that are not declared."""
-    declared = skeleton.declared_constructors()
-    missing = []
-    text = "\n".join((*skeleton.fun_defs, skeleton.theorem))
-    for word in re.findall(r"\b[A-Z][A-Za-z0-9_]*\b", text):
-        if word not in declared and word not in missing:
-            missing.append(word)
-    return missing
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ __all__ = [
     "Token",
     "enclosing_block",
     "extract_proof_text",
-    "find_placeholders",
     "make_step",
     "parse_script",
     "render",
@@ -369,11 +368,6 @@ def render(script: ProofScript) -> str:
 
 # ---------------------------------------------------------------------------
 # structural operations
-
-def find_placeholders(script: ProofScript) -> list[int]:
-    """Indices of all sorry-justified steps, in source order."""
-    return [i for i, step in enumerate(script.steps) if step.is_sorry]
-
 
 def enclosing_block(script: ProofScript, step_index: int
                     ) -> tuple[int, int, Optional[int], Optional[int]]:

@@ -280,7 +280,8 @@ class MockProver(ProverBackend):
     ``<body> by T`` but not ``<body>`` gives the two forms different verdicts
     and raises ValueError.  The ``by`` step a hammer call found for an open
     goal body is accepted later too, bare after that body or as
-    ``<body> by T``, as a prover accepts the tactic it reconstructed.
+    ``<body> by T``, as a prover accepts the tactic it reconstructed; one
+    found with no goal body open is accepted bare wherever none is open.
     """
 
     def __init__(
@@ -308,7 +309,8 @@ class MockProver(ProverBackend):
         else:
             self._hammer_seq = list(hammer)
         self._hammer_pos = 0
-        # (goal body, `by T` step) -> its verdict, for steps the hammer found
+        # (open goal body or "", `by T` step) -> its verdict, for steps the
+        # hammer found
         self._found: dict[tuple[str, str], MockOutcome] = {}
         self.reject_theory = reject_theory
         self._sessions: dict[str, _SessionState] = {}
@@ -343,9 +345,9 @@ class MockProver(ProverBackend):
             if outcome.status != OK:
                 return StepResult(outcome.status, None,
                                   outcome.message or "step failed", False)
-            if judged == HAMMER_STEP and state.body is not None:
+            if judged == HAMMER_STEP:
                 found = normalize_step(justification(outcome.message or "smt"))
-                self._found[state.body, found] = MockOutcome(
+                self._found[state.body or "", found] = MockOutcome(
                     OK, is_done=outcome.is_done)
             state.body = _goal_body(judged)
             head = judged.split()[0] if judged.split() else ""
@@ -377,7 +379,8 @@ class MockProver(ProverBackend):
             whole = f"{body} {text}"
             return (self._found.get((body, text)) or self.table.get(whole)
                     or self.table.get(text, self.default)), whole
-        outcome = self.table.get(text)
+        outcome = ((self._found.get(("", text)) if body is None else None)
+                   or self.table.get(text))
         split = None if outcome is not None else _split_by(text)
         if split is None:
             return outcome or self.default, text
@@ -543,15 +546,17 @@ def _malformed(response) -> TransportError:
 def _judged(response) -> dict:
     """An ``init`` or ``apply`` reply, checked: it is an object, its status
     is ok, error or timeout, it names a state id exactly when the status is
-    ok, and its message is text.  Anything else is a TransportError, since
-    no verdict can be read from it."""
+    ok, its message is text, and ``is_done``, when present, is a JSON
+    boolean.  Anything else is a TransportError, since no verdict can be
+    read from it."""
     if not isinstance(response, dict):
         raise _malformed(response)
     status, state_id = response.get("status"), response.get("state_id")
     if (status not in (OK, ERROR, TIMEOUT)
             or not (isinstance(state_id, str) if status == OK
                     else state_id is None)
-            or not isinstance(response.get("message", ""), str)):
+            or not isinstance(response.get("message", ""), str)
+            or not isinstance(response.get("is_done", False), bool)):
         raise _malformed(response)
     return response
 
@@ -952,8 +957,12 @@ class SessionCursor:
             seen = self._trie[key] = len(self._edges)
             self._edges.append((node, text, result))
         for alias in aliases:
-            # an equivalent state already kept is where the session stands
-            seen = self._trie.setdefault(alias, seen)
+            kept = self._trie.get(alias)
+            if isinstance(kept, int):
+                # an equivalent state already kept is where the session stands
+                seen = kept
+            else:  # the fresh acceptance outranks a refusal kept there
+                self._trie[alias] = seen
         self._node = self._at = seen
         self._path.append(said or text)
         return result

@@ -141,6 +141,11 @@ def accepting_mock(script_texts, config=None, **kwargs) -> MockProver:
     return MockProver(table=table, **kwargs, config=config)
 
 
+def placeholders(script) -> list[int]:
+    """Indices of a parsed script's sorry-justified steps, in source order."""
+    return [i for i, step in enumerate(script.steps) if step.is_sorry]
+
+
 # ---------------------------------------------------------------------------
 # random Isar script generation
 

@@ -505,6 +505,24 @@ def test_wire_reply_of_the_wrong_shape_is_a_transport_error(reply):
         server.stop()
 
 
+@pytest.mark.parametrize("is_done", [b'"false"', b'"true"', b'1', b'0',
+                                     b'null', b'[]'])
+def test_wire_verdict_that_is_not_a_json_boolean_is_a_transport_error(is_done):
+    # Read with bool(), the string "false" was a completed proof: a checker
+    # took `have "x" sorry` for a proof of False.
+    reply = (b'{"status": "ok", "state_id": "s-1/1", "message": "", '
+             b'"is_done": %s}\n' % is_done)
+    server = LineServer(
+        lambda _index, line: _INIT_OK if b'"init"' in line else reply)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError, match="malformed prover reply"):
+            check_script(client, 'lemma "False"', parse_script('have "x" sorry'))
+    finally:
+        client.shutdown()
+        server.stop()
+
+
 @pytest.mark.parametrize("reply", [b'{"status": "ok"}\n', b'[]\n'])
 def test_wire_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
         reply, tmp_path):

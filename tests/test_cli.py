@@ -7,7 +7,7 @@ from proofseek.cli import main
 from proofseek.isar import token_equivalent
 from proofseek.jsonl import read_jsonl, write_jsonl
 from proofseek.model import prompt_digest
-from proofseek.prompts import whole_proof_prompt
+from proofseek.prompts import nl_statement_prompt, whole_proof_prompt
 
 from fixtures import ChatServer, EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT, LineServer
 
@@ -526,6 +526,56 @@ def test_cmd_curate_rerun_byte_identical(tmp_path):
                  "--out", str(out_b)]) == 0
     for name in ("sft.jsonl", "rl.jsonl", "manifest.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_cmd_curate_replay_on_a_pool_reruns_byte_identical(tmp_path):
+    # Each pair has its own replayed statement, and the records are asked
+    # for on a pool of 4: both runs write the same bytes, in pair order.
+    corpus, fixtures = _curate_fixture(tmp_path)
+    rows = [{"digest": prompt_digest(nl_statement_prompt(row["statement"],
+                                                         row["proof"])),
+             "completions": [f"statement {i} in plain words"]}
+            for i, row in enumerate(read_jsonl(corpus))]
+    write_jsonl(tmp_path / "model_replay.jsonl", rows)
+    fixtures["model_replay"] = "model_replay.jsonl"
+    config = write_config(tmp_path, mode="replay", fixtures=fixtures,
+                          prover={"pool_size": 4})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["curate", corpus, "--config", config, "--seed", "7",
+                     "--out", str(out)]) == 0
+    for name in ("sft.jsonl", "rl.jsonl", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for name, pairs in (("rl.jsonl", range(3)), ("sft.jsonl", range(3, 10))):
+        assert [r["natural_language_statement"]
+                for r in read_jsonl(outs[0] / name)] == \
+            [f"statement {i} in plain words" for i in pairs]
+
+
+def test_cmd_curate_exits_2_on_a_model_fault(tmp_path, monkeypatch, capsys):
+    # One pair's NL-statement request gets an HTTP 500: the run stops with
+    # a transport fault and writes no dataset.
+    from proofseek.prover import MockProver, ProverServer
+
+    def answer(body):
+        if '"P4"' in body["messages"][-1]["content"]:
+            raise RuntimeError("model crashed")
+        return ["plain text"]
+
+    corpus, _ = _curate_fixture(tmp_path)
+    model = _live_model(monkeypatch, answer)
+    prover = ProverServer(MockProver(
+        table={"by simp": "ok", "by auto": "ok", "by blast": "ok"})).start()
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", prover.address)
+    try:
+        config = write_config(tmp_path, mode="live")
+        code = main(["curate", corpus, "--config", config])
+    finally:
+        model.stop()
+        prover.stop()
+    assert code == 2
+    assert "model endpoint failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sft.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import re
+import sys
+import time
+from collections import Counter
+
 import pytest
 
 from proofseek.curate import (
@@ -10,8 +15,8 @@ from proofseek.curate import (
     reward_verification,
 )
 from proofseek.errors import TransportError
-from proofseek.model import MockModel, RecordingModel
-from proofseek.prover import MockProver, RecordingProver
+from proofseek.model import MockModel, ModelBackend, RecordingModel
+from proofseek.prover import MockProver, ProverConfig, RecordingProver
 
 from fixtures import GOLDEN_FORMAL_STATEMENT, accepting_mock
 
@@ -144,6 +149,127 @@ def test_build_rl_records():
     assert len(records) == 3 and not drops
     assert all(set(r.to_json()) == {"natural_language_statement",
                                     "formal_proof"} for r in records)
+
+
+class _PairModel(ModelBackend):
+    """Answers the NL-statement prompt of pair ``lemma l<i>`` with
+    ``answer(i, try)`` (``try`` counts that pair's requests from 0) after
+    ``delay(i)`` seconds, and logs each request's start and end, and the
+    most requests it saw in flight at once."""
+
+    def __init__(self, answer=lambda i, _try: f"nl {i}", delay=lambda i: 0.0):
+        super().__init__()
+        self.answer, self.delay = answer, delay
+        self.events: list[tuple[str, int]] = []
+        self.tries: Counter = Counter()
+        self.in_flight = self.peak = 0
+
+    def _complete(self, params, prompt, n):
+        i = int(re.search(r"lemma l(\d+)", prompt.text).group(1))
+        with self._lock:
+            self.events.append(("start", i))
+            attempt = self.tries[i]
+            self.tries[i] += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay(i))
+            return [self.answer(i, attempt)]
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+                self.events.append(("end", i))
+
+
+def test_records_and_drops_come_in_pair_order_whatever_order_answers_come():
+    # Each pair waits less than the one before it, so the answers come back
+    # in reverse; pairs 1 and 4 fail validation twice and are dropped.
+    pool = _pairs(6)
+    model = _PairModel(answer=lambda i, _try: "" if i in (1, 4) else f"nl {i}",
+                       delay=lambda i: 0.05 * (6 - i))
+    records, drops = build_rl_records(pool, model, pool_size=6)
+    ends = [i for kind, i in model.events if kind == "end"]
+    assert ends.index(5) < ends.index(0)
+    assert [(r.formal_proof, r.natural_language_statement) for r in records] == \
+        [(pool[i].proof, f"nl {i}") for i in (0, 2, 3, 5)]
+    assert drops == [{"statement": pool[i].statement,
+                      "reason": "nl generation failed after retry"}
+                     for i in (1, 4)]
+
+
+def test_sft_records_come_in_sample_order_whatever_order_answers_come():
+    pool = _pairs(8)
+    want, _ = build_sft_records(pool, _PairModel(), 5, seed=11, pool_size=1)
+    records, drops = build_sft_records(
+        pool, _PairModel(delay=lambda i: 0.02 * (8 - i)), 5, seed=11,
+        pool_size=5)
+    assert records == want and not drops
+
+
+def test_no_more_requests_in_flight_than_the_pool_size():
+    model = _PairModel(delay=lambda _i: 0.05)
+    records, _ = build_rl_records(_pairs(10), model, pool_size=3)
+    assert len(records) == 10
+    assert 1 < model.peak <= 3
+
+
+def test_the_pool_size_defaults_to_the_prover_default():
+    model = _PairModel(delay=lambda _i: 0.05)
+    build_rl_records(_pairs(10), model)
+    assert 1 < model.peak <= ProverConfig().pool_size == 4
+
+
+def test_each_pair_is_retried_once_on_its_own():
+    # Even pairs answer on their second request, odd pairs never; every pair
+    # is asked exactly twice, and only the even ones make records.
+    pool = _pairs(6)
+    model = _PairModel(
+        answer=lambda i, attempt: f"nl {i}" if attempt and i % 2 == 0 else " ",
+        delay=lambda i: 0.01 * i)
+    records, drops = build_rl_records(pool, model, pool_size=4)
+    assert model.tries == Counter({i: 2 for i in range(6)})
+    assert [r.natural_language_statement for r in records] == \
+        ["nl 0", "nl 2", "nl 4"]
+    assert [d["statement"] for d in drops] == \
+        [pool[i].statement for i in (1, 3, 5)]
+
+
+def test_a_model_fault_raises_and_no_request_starts_after_it():
+    # Pair 0 faults while pair 1 is still in flight: the worker that saw
+    # the fault starts nothing more, pair 1's request finishes, and then
+    # the fault is raised.
+    def answer(i, _try):
+        if i == 0:
+            raise TransportError("model endpoint failed")
+        return f"nl {i}"
+
+    model = _PairModel(answer=answer, delay=lambda i: 0.05 if i == 0 else 0.3)
+    with pytest.raises(TransportError, match="model endpoint failed"):
+        build_rl_records(_pairs(10), model, pool_size=2)
+    assert model.tries == Counter({0: 1, 1: 1})
+    assert sorted(model.events[:2]) == [("start", 0), ("start", 1)]
+    assert model.events[2:] == [("end", 0), ("end", 1)]
+
+
+def test_faults_from_many_workers_at_once_are_never_lost():
+    # More workers than cores, switching threads as often as the interpreter
+    # allows, with several pairs faulting together: the builder raises every
+    # time, and no pair is asked more than twice.
+    def answer(i, _try):
+        if i in (13, 14, 15, 16):
+            raise TransportError("model endpoint failed")
+        return " "
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            model = _PairModel(answer=answer)
+            with pytest.raises(TransportError):
+                build_rl_records(_pairs(40), model, pool_size=8)
+            assert max(model.tries.values()) <= 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_curation_and_formalization_have_separate_purposes():

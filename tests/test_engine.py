@@ -8,8 +8,8 @@ from proofseek.engine import (
     AttemptRecord,
     BudgetConfig,
     TacticCascade,
+    _backtrack_target,
     atp_substitute,
-    backtrack,
     default_cascade,
     erp_repair,
     heuristic_repair,
@@ -17,7 +17,7 @@ from proofseek.engine import (
     run_pool,
 )
 from proofseek.errors import BackendUnavailable, TransportError
-from proofseek.isar import find_placeholders, parse_script
+from proofseek.isar import parse_script, truncate_to_block
 from proofseek.model import (
     MockModel,
     ModelParams,
@@ -45,6 +45,7 @@ from fixtures import (
     GOLDEN_STATE_RECORD,
     PROBLEM_NAME,
     accepting_mock,
+    placeholders,
 )
 
 STATEMENT = 'theorem t:\n  shows "P"\n  oops'
@@ -358,9 +359,14 @@ def test_scenario_backtrack_then_failure():
     assert bare_by_auto
 
 
+def _backtrack(script, position):
+    """The cut ``_repair_chain`` makes before its last cascade."""
+    return truncate_to_block(script, _backtrack_target(script, position))
+
+
 def test_backtrack_truncates_inner_block():
     script = parse_script(NESTED_CANDIDATE)
-    cut = backtrack(script, 4)
+    cut = _backtrack(script, 4)
     texts = [s.text for s in cut.steps]
     assert texts == ["proof -", 'have "a"', "proof -", 'have "b" by s2',
                      "sorry", "qed", "show ?thesis by s4", "qed"]
@@ -793,6 +799,12 @@ def _advance_stepwise(cursor, texts) -> Advance:
 @example({'have "a"': "ok", 'have "a" by simp': "ok", "qed": "error"}, None,
          [("advance", ['have "a" by simp', "qed"], None), ("seek", 0, 0),
           ("advance", ['have "a"', "by simp", "qed"], None)])
+@example({"by auto": "error"}, "by auto",
+         [("advance", ["by auto"], None), ("advance", [HAMMER_STEP], None),
+          ("advance", ["by auto"], None)])
+@example({'have "a"': "ok", 'have "b"': "ok", "by auto": "error"}, "by auto",
+         [("advance", [HAMMER_STEP, 'have "b"'], None), ("seek", 0, 0),
+          ("advance", ["by auto", 'have "a"'], None)])
 def test_runs_of_steps_send_what_one_step_at_a_time_sends(
         wire_cursor_server, table, hammer, ops):
     # The cursor sends each run it cannot answer in one request, over the
@@ -801,7 +813,10 @@ def test_runs_of_steps_send_what_one_step_at_a_time_sends(
     # examples pin two cuts.  After the rebuild for `qed`, the session walks
     # `proof -` again, and the run ends before the `have "a"` refused there.
     # After the rebuild, `by simp` lands where `have "a" by simp` did, so
-    # the run ends after it, before the `qed` refused there.
+    # the run ends after it, before the `qed` refused there.  The last two
+    # pin a hammer that finds the `by auto` the table refuses: its win is
+    # filed over the kept refusal, and the mock accepts it again after a
+    # rebuild.
     server, client = wire_cursor_server
     recorders = [RecordingProver(MockProver(table, hammer=hammer))
                  for _ in range(3)]
@@ -824,6 +839,35 @@ def test_runs_of_steps_send_what_one_step_at_a_time_sends(
             path = path + first[:runs[0].count]
             accepted.append(path)
     assert recorders[0].trace == recorders[1].trace == recorders[2].trace
+
+
+def test_a_hammer_win_outranks_the_refusal_kept_for_its_step():
+    # `by auto` is refused, then the hammer finds it.  The acceptance is
+    # filed under `by auto` too, where the refusal was kept: the cursor must
+    # stand on the hammer's node, and `by auto` is then known as accepted.
+    prover = RecordingProver(MockProver(hammer="auto"))
+    cursor = _cursor(prover)
+    assert cursor.advance(["by auto"]).failed
+    assert cursor.advance([HAMMER_STEP]).count == 1
+    assert cursor.advance(["by auto"]).count == 1
+    cursor.seek([])
+    recalled = cursor.recalled
+    assert cursor.advance(["by auto"]).count == 1
+    assert cursor.recalled == recalled + 1
+    assert _steps(prover) == ["init", "by auto", HAMMER_STEP, "by auto"]
+
+
+def test_mock_keeps_a_hammer_win_with_no_goal_body_open():
+    # The cursor files the top-level hammer win as `by auto`; the rebuild
+    # for `have "a"` replays it as text, which the mock must accept.
+    prover = RecordingProver(MockProver(
+        table={'have "a"': "ok", 'have "b"': "ok"}, hammer="auto"))
+    cursor = _cursor(prover)
+    assert cursor.advance([HAMMER_STEP, 'have "b"']).count == 2
+    cursor.seek([])
+    assert cursor.advance(["by auto", 'have "a"']).count == 2
+    assert _steps(prover) == ["init", HAMMER_STEP, 'have "b"', "close",
+                              "init", "by auto", 'have "a"']
 
 
 def test_timeout_sets_has_timeout():
@@ -962,14 +1006,14 @@ def test_heuristic_repair_rewrites_failing_and_later_tactics():
     rewritten = heuristic_repair(script, 0)
     assert [s.text for s in rewritten.steps] == [
         'have "a" sorry', 'have "b" sorry', "fix y", 'have "c" sorry']
-    assert find_placeholders(rewritten) == [0, 1, 3]
+    assert placeholders(rewritten) == [0, 1, 3]
 
 
 def test_heuristic_repair_counts_trailing_placeholders():
     script = parse_script('have "a" by x\nhave "b" by y\nhave "c" by z\n'
                           'have "d" by w')
     rewritten = heuristic_repair(script, 1)
-    assert find_placeholders(rewritten) == [1, 2, 3]
+    assert placeholders(rewritten) == [1, 2, 3]
 
 
 def test_heuristic_repair_noop_without_tactics():
@@ -1013,7 +1057,7 @@ def test_heuristic_never_rewrites_structural_steps():
 def test_backtrack_collapses_block_when_closer_fails():
     script = parse_script('proof -\nhave "a" by x\nproof -\nhave "b" by y\n'
                           'qed\nshow ?thesis by z\nqed')
-    cut = backtrack(script, 4)  # the inner qed
+    cut = _backtrack(script, 4)  # the inner qed
     assert [s.text for s in cut.steps] == [
         "proof -", 'have "a" by x', "sorry", "show ?thesis by z", "qed"]
 
@@ -1025,7 +1069,7 @@ def test_backtrack_ignores_empty_next_segment_of_a_later_block():
     script = parse_script(
         'proof - have "a" by simp have "b" by bad have "c" '
         'proof (cases x) next show "c" by simp qed show ?thesis by simp qed')
-    cut = backtrack(script, 2)
+    cut = _backtrack(script, 2)
     assert [s.text for s in cut.steps] == [
         "proof -", 'have "a" by simp', "sorry", "qed"]
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,6 @@ from proofseek.formalize import (
     formalize_nl,
     render_theory,
     resource_class,
-    skeleton_findings,
     validate_formal_statement,
     wrap_theory,
 )
@@ -125,7 +125,12 @@ def test_compile_conjuncts_match_oracle_allow_set():
 
 
 def test_compiled_skeleton_constructors_all_declared(ec2_policy):
-    assert skeleton_findings(compile_policy(ec2_policy)) == []
+    # every capitalized name the funs and the theorem use is a constructor
+    # of one of the skeleton's datatypes
+    skeleton = compile_policy(ec2_policy)
+    declared = {ctor for _, ctors in skeleton.datatype_defs for ctor in ctors}
+    text = "\n".join((*skeleton.fun_defs, skeleton.theorem))
+    assert set(re.findall(r"\b[A-Z][A-Za-z0-9_]*\b", text)) - declared == set()
 
 
 def test_render_theory_reparses_balanced(ec2_policy):

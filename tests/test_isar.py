@@ -9,7 +9,6 @@ from proofseek.errors import IndexOutOfRange, ParseError
 from proofseek.isar import (
     enclosing_block,
     extract_proof_text,
-    find_placeholders,
     make_step,
     parse_script,
     render,
@@ -27,6 +26,7 @@ from fixtures import (
     gen_script_text,
     gen_steps,
     noisy_text,
+    placeholders,
     reference_tokenize,
 )
 
@@ -263,24 +263,24 @@ def test_innermost_block_no_deeper_block_contains():
 # ---------------------------------------------------------------------------
 # placeholders
 
-def test_find_placeholders_none(golden_proof_body):
-    assert find_placeholders(parse_script(golden_proof_body)) == []
+def test_parse_script_marks_no_placeholder_in_a_whole_proof(golden_proof_body):
+    assert placeholders(parse_script(golden_proof_body)) == []
 
 
-def test_find_placeholders_direct():
+def test_parse_script_marks_a_sorry_step_a_placeholder():
     script = parse_script("have A sorry have B by simp")
-    assert find_placeholders(script) == [0]
+    assert placeholders(script) == [0]
     assert script.steps[0].is_sorry
     assert script.steps[0].just_tokens == ("sorry",)
 
 
-def test_find_placeholders_injected():
+def test_parse_script_marks_injected_placeholders():
     rng = random.Random(23)
     for _ in range(50):
         k = rng.randint(0, 3)
         steps, injected = gen_steps(rng, sorry_goals=k)
         script = parse_script(noisy_text(rng, steps))
-        assert find_placeholders(script) == injected
+        assert placeholders(script) == injected
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +289,10 @@ def test_find_placeholders_injected():
 def test_splice_replaces_placeholder():
     script = parse_script("have A sorry have B by simp")
     patched = splice(script, 0, script.steps[0].with_justification("by auto"))
-    assert find_placeholders(patched) == []
+    assert placeholders(patched) == []
     assert patched.steps[0].text == "have A by auto"
     # original untouched
-    assert find_placeholders(script) == [0]
+    assert placeholders(script) == [0]
 
 
 def test_splice_identity_round_trips(golden_proof_body):
@@ -361,8 +361,8 @@ def test_truncate_introduces_exactly_one_placeholder():
         script = parse_script("\n".join(steps))
         index = rng.randrange(len(script.steps))
         cut = truncate_to_block(script, index)
-        before = set(find_placeholders(script))
-        after = find_placeholders(cut)
+        before = set(placeholders(script))
+        after = placeholders(cut)
         # prefix placeholders survive unchanged; exactly one new one at the cut
         assert index in after
         assert len([p for p in after if p >= index]) == 1
