@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import os
 import threading
@@ -22,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .engine import AttemptRecord, BudgetConfig, Stage, prove, run_pool
 from .errors import BackendUnavailable, EmptyInput
-from .jsonl import append_jsonl, read_jsonl
+from .jsonl import append_jsonl, loads, read_jsonl
 from .model import ModelBackend
 from .prover import ProverBackend
 
@@ -84,7 +83,7 @@ def _cut_torn_tail(path: Path) -> None:
         return
     cut = data.rfind(b"\n") + 1
     try:
-        json.loads(data[cut:])
+        loads(data[cut:])
     except ValueError:
         log.warning("%s: dropping torn final line %r", path, data[cut:][:80])
         os.truncate(path, cut)
@@ -104,7 +103,8 @@ def run_benchmark(
 
     Problems whose last record in ``records_path`` is determined are not
     re-run; backend aborts become undetermined records rather than failures,
-    and a resume runs those problems again.
+    and a resume runs those problems again.  The problems run on
+    ``pool_size`` workers, by default the prover's own ``pool_size``.
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
@@ -126,7 +126,7 @@ def run_benchmark(
             append_jsonl(records_path, record.to_json())
         return record
 
-    outcomes = run_pool(todo, worker, pool_size or spec.budget.prover.pool_size)
+    outcomes = run_pool(todo, worker, pool_size or prover.config.pool_size)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -21,7 +21,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,7 +41,7 @@ from .formalize import (
     render_theory,
     wrap_theory,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import loads, read_jsonl, write_jsonl
 from .model import ChatModelClient, MockModel, ModelBackend, ModelParams, ReplayModel
 from .policy import load_policy_csv, parse_policy
 from .prover import (
@@ -90,7 +90,7 @@ def load_config(path: Optional[str], no_erp: bool = False) -> RunConfig:
     data: dict = {}
     base_dir = Path.cwd()
     if path:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = loads(Path(path).read_text(encoding="utf-8"))
         base_dir = Path(path).parent
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -127,20 +127,22 @@ def build_model(config: RunConfig) -> ModelBackend:
         return ChatModelClient()
     if config.mode == "replay":
         return ReplayModel(config.fixture("model_replay"))
-    return MockModel(json.loads(
+    return MockModel(loads(
         config.fixture("model_mock").read_text(encoding="utf-8")))
 
 
 def build_prover(config: RunConfig) -> ProverBackend:
     """The live wire client; in replay mode a recorded trace when one is
-    given; otherwise the mock prover, whose JSON fixture holds MockProver's
-    own keyword arguments."""
+    given, played from one worker, since a trace is one order of requests;
+    otherwise the mock prover, whose JSON fixture holds MockProver's own
+    keyword arguments."""
     if config.mode == "live":
         return WireProver(config.budget.prover)
     trace = config.fixture("prover_trace", required=False)
     if config.mode == "replay" and trace is not None:
-        return ReplayProver(trace, config=config.budget.prover)
-    spec = json.loads(config.fixture("prover_mock").read_text(encoding="utf-8"))
+        return ReplayProver(trace, config=replace(config.budget.prover,
+                                                  pool_size=1))
+    spec = loads(config.fixture("prover_mock").read_text(encoding="utf-8"))
     try:
         return MockProver(**spec, config=config.budget.prover)
     except (TypeError, ValueError) as exc:

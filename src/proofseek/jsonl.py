@@ -6,7 +6,17 @@ import json
 from pathlib import Path
 from typing import Iterable, Union
 
-__all__ = ["append_jsonl", "read_jsonl", "write_jsonl"]
+__all__ = ["append_jsonl", "loads", "read_jsonl", "write_jsonl"]
+
+
+def loads(text: Union[str, bytes]) -> object:
+    """The JSON value of a line from outside the process.  A value nested too
+    deeply to decode is a ValueError, like any other text that is not JSON,
+    never a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON value nested too deeply") from exc
 
 
 def read_jsonl(path: Union[str, Path]) -> list[dict]:
@@ -15,7 +25,7 @@ def read_jsonl(path: Union[str, Path]) -> list[dict]:
     records = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():
-            records.append(json.loads(line))
+            records.append(loads(line))
     return records
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceeded, MissingFixture, TransportError
+from .jsonl import loads, read_jsonl
 
 __all__ = [
     "ChatModelClient",
@@ -152,7 +153,7 @@ class ChatModelClient(ModelBackend):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
+                payload = loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise TransportError(f"model endpoint failed: {exc}") from exc
         try:
@@ -162,13 +163,8 @@ class ChatModelClient(ModelBackend):
 
 
 def load_replay_fixtures(path: Union[str, Path]) -> dict[str, list[str]]:
-    fixtures: dict[str, list[str]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        fixtures[record["digest"]] = list(record["completions"])
-    return fixtures
+    return {record["digest"]: list(record["completions"])
+            for record in read_jsonl(path)}
 
 
 class ReplayModel(ModelBackend):

@@ -28,6 +28,7 @@ from enum import Enum
 from typing import Any, Union
 
 from .errors import PolicyFormatError
+from .jsonl import loads
 
 __all__ = [
     "ANY_PRINCIPAL",
@@ -128,8 +129,8 @@ def _decoded(value: object) -> object:
     if not isinstance(value, str):
         return value
     try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
+        return loads(value)
+    except ValueError as exc:  # nested too deeply to decode, too
         raise PolicyFormatError("document", f"invalid JSON: {exc}") from exc
 
 

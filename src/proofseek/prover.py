@@ -4,12 +4,17 @@ Requests carry ``{command, session_id, step, timeout_s}`` and responses
 ``{status, state_id, message, is_done}``, plus ``error_kind`` (``theory``,
 ``session``, ``protocol`` or ``internal``) when the server refuses a request;
 ``command`` is one of ``init`` (step holds the theory text), ``apply``,
-``apply_steps`` or ``close``.  Each shape is built by one helper below, so the
-wire, recorded traces and their replay agree byte for byte.
+``apply_steps`` or ``close``.  ``COMMANDS`` is the one statement of each
+command: its row names the request field that carries its text and that
+field's type test, the server's handler, the client's reply reader, and
+whether it is a capability.  The server's request check, its dispatch, the
+request builder, the recorder and the reply reading of both the wire client
+and replay read that table, so the wire, recorded traces and their replay
+agree byte for byte, and a recorded reply is checked as a wire reply is.
 
-``ProverServer`` lists what it takes beyond that in the ``capabilities`` of
-an accepted ``init`` reply.  With ``apply_steps`` there, a run of steps
-travels in one request, ``{command, session_id, steps, timeout_s}``, answered
+``ProverServer`` lists the capability rows in the ``capabilities`` of an
+accepted ``init`` reply.  With ``apply_steps`` there, a run of steps travels
+in one request, ``{command, session_id, steps, timeout_s}``, answered
 ``{status: "ok", results: [...]}`` with one ``apply`` reply per step taken:
 the backend stops at the first step that is not ok or that completes the
 proof (``ProverBackend.apply_steps``), each step with ``timeout_s``.  A
@@ -27,11 +32,11 @@ Two conventions make tactic cascades possible without state addressing:
 Transport faults raise TransportError and are never confused with
 prover-reported proof errors; a server-side ``internal`` or ``protocol``
 error is a transport fault, since the request was never judged, and so is a
-reply of the wrong shape.  The wire client holds one connection per
-concurrent caller and locks only its list of idle connections, never an
-exchange; sessions live on the server, so any connection can drive any
-session.  Backends do protocol work only; requests are captured by wrapping
-a backend in ``RecordingProver``.
+reply of the wrong shape or a line that is not JSON, however deeply nested.
+The wire client holds one connection per concurrent caller and locks only
+its list of idle connections, never an exchange; sessions live on the
+server, so any connection can drive any session.  Backends do protocol work
+only; requests are captured by wrapping a backend in ``RecordingProver``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import socketserver
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     PrefixReplayFailed,
@@ -53,9 +58,11 @@ from .errors import (
     TransportError,
 )
 from .isar import CLOSERS, GOAL_KEYWORDS, OPENER, ProofScript, strip_terminal_marker
+from .jsonl import loads, read_jsonl
 
 __all__ = [
     "Advance",
+    "COMMANDS",
     "CheckReport",
     "HAMMER_STEP",
     "MockOutcome",
@@ -81,10 +88,6 @@ ERROR = "error"
 TIMEOUT = "timeout"
 
 DEFAULT_THEORY_HEADER = 'theory Scratch\n  imports Main\nbegin'
-
-APPLY_STEPS = "apply_steps"
-# what ProverServer takes beyond init, apply and close
-CAPABILITIES = (APPLY_STEPS,)
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,6 @@ def normalize_step(text: str) -> str:
 # ---------------------------------------------------------------------------
 # message shapes
 
-def _request(command: str, session_id: Optional[str], step: str,
-             timeout_s: Optional[float]) -> dict:
-    return {"command": command, "session_id": session_id, "step": step,
-            "timeout_s": timeout_s}
-
-
 def _response(status: str, state_id: Optional[str] = None, message: str = "",
               is_done: bool = False, error_kind: Optional[str] = None) -> dict:
     response = {"status": status, "state_id": state_id, "message": message,
@@ -146,22 +143,6 @@ def _step_response(result: StepResult) -> dict:
                      result.is_done)
 
 
-def _step_result(response: dict) -> StepResult:
-    return StepResult(response["status"], response.get("state_id"),
-                      response.get("message", ""),
-                      bool(response.get("is_done", False)))
-
-
-def _run_request(session_id: str, steps: Sequence[str],
-                 timeout_s: float) -> dict:
-    return {"command": APPLY_STEPS, "session_id": session_id,
-            "steps": list(steps), "timeout_s": timeout_s}
-
-
-def _run_response(results: Sequence[StepResult]) -> dict:
-    return {"status": OK, "results": [_step_response(r) for r in results]}
-
-
 def _opened(session_id: str, capabilities: Sequence[str] = ()) -> dict:
     """The response to an accepted ``init``, listing the server's
     capabilities when it has any."""
@@ -171,15 +152,133 @@ def _opened(session_id: str, capabilities: Sequence[str] = ()) -> dict:
     return response
 
 
-def _session_of(response: dict) -> str:
-    """Session id from an ``init`` response.  A refusal is TheoryLoadError;
-    a timeout is no verdict on the theory, so it is a TransportError."""
-    if response["status"] == TIMEOUT:
-        raise TransportError(
-            f"theory load timed out: {response.get('message', '')}")
-    if response["status"] != OK:
+def _malformed(response) -> TransportError:
+    return TransportError(f"malformed prover reply: {response!r}")
+
+
+def _judged(response) -> StepResult:
+    """An ``init`` or ``apply`` reply, checked, as the verdict it states: it
+    is an object, its status is ok, error or timeout, it names a state id
+    exactly when the status is ok, its message is text, and ``is_done``,
+    when present, is a JSON boolean.  Anything else is a TransportError,
+    since no verdict can be read from it."""
+    fields = response if isinstance(response, dict) else {}  # no status
+    status, state_id = fields.get("status"), fields.get("state_id")
+    message, is_done = fields.get("message", ""), fields.get("is_done", False)
+    if (status not in (OK, ERROR, TIMEOUT) or not isinstance(message, str)
+            or not isinstance(is_done, bool)
+            or not (isinstance(state_id, str) if status == OK
+                    else state_id is None)):
+        raise _malformed(response)
+    return StepResult(status, state_id, message, is_done)
+
+
+def _read_init(response: dict, _sent: dict) -> tuple[str, list[str]]:
+    """The session id and the capabilities of an ``init`` reply, checked:
+    the capabilities, when present, are a list of names.  A refusal is
+    TheoryLoadError; a timeout is no verdict on the theory, so it is a
+    TransportError."""
+    result = _judged(response)
+    capabilities = response.get("capabilities", [])
+    if not _texts(capabilities):
+        raise _malformed(response)
+    if result.status == TIMEOUT:
+        raise TransportError(f"theory load timed out: {result.message}")
+    if not result.ok:
         raise TheoryLoadError(response.get("message", "theory rejected"))
-    return response["state_id"].split("/")[0]
+    return result.new_state_id.split("/")[0], capabilities
+
+
+def _read_run(response: dict, sent: dict) -> list[StepResult]:
+    """An ``apply_steps`` reply, checked: ``results`` holds one judged
+    ``apply`` reply per step taken, at least one and at most the steps sent,
+    and none but the last is a refusal, a timeout or a completed proof.
+    Anything else is a TransportError."""
+    results = response.get("results")
+    if not isinstance(results, list) or not 0 < len(results) <= len(sent["steps"]):
+        raise _malformed(response)
+    answers = [_judged(result) for result in results]
+    if any(not answer.ok or answer.is_done for answer in answers[:-1]):
+        raise _malformed(response)
+    return answers
+
+
+def _text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _texts(value) -> bool:
+    return isinstance(value, list) and all(isinstance(text, str) for text in value)
+
+
+class Command(NamedTuple):
+    """One wire command's row in ``COMMANDS``.  ``payload`` names the
+    request field that carries its text, and ``valid`` is that field's type
+    test, applied to ``""`` when the field is absent.  The server answers a
+    request with ``serve(backend, session_id, payload, timeout_s)``; a
+    client reads the reply with ``read(reply, request)``, raising
+    TransportError when it is of the wrong shape.  ``session`` says whether
+    the request names a session; a ``capability`` is listed in an accepted
+    ``init`` reply, and a client sends it only to a server that listed
+    it."""
+
+    payload: str
+    valid: Callable[[object], bool]
+    serve: Callable[..., dict]
+    read: Callable[[dict, dict], object]
+    session: bool = True
+    capability: bool = False
+
+
+COMMANDS: dict[str, Command] = {
+    "init": Command(
+        "step", _text, session=False, read=_read_init,
+        serve=lambda backend, _session, text, _timeout_s: _opened(
+            backend.init_session(text), CAPABILITIES)),
+    "apply": Command(
+        "step", _text, read=lambda response, _sent: _judged(response),
+        serve=lambda backend, session, text, timeout_s: _step_response(
+            backend.apply(session, text, timeout_s))),
+    "apply_steps": Command(
+        "steps", lambda steps: _texts(steps) and steps != [],
+        capability=True, read=_read_run,
+        serve=lambda backend, session, texts, timeout_s: {
+            "status": OK, "results": [
+                _step_response(result) for result
+                in backend.apply_steps(session, texts, timeout_s)]}),
+    # close returns nothing, so its reply is ok and its reader reads nothing
+    "close": Command(
+        "step", _text, read=lambda _response, _sent: None,
+        serve=lambda backend, session, _text, _timeout_s:
+            backend.close(session) or _response(OK)),
+}
+
+# the commands a client sends only to a server that lists them
+CAPABILITIES = tuple(name for name, command in COMMANDS.items() if command.capability)
+
+
+def _request(command: str, session_id: Optional[str],
+             payload: Union[str, list[str]], timeout_s: Optional[float]) -> dict:
+    """A request, its payload in the field the command's row names."""
+    return {"command": command, "session_id": session_id,
+            COMMANDS[command].payload: payload, "timeout_s": timeout_s}
+
+
+def _read_reply(request: dict, response) -> object:
+    """The reply to ``request`` read by its command's row, as the wire
+    client and replay read it.  A reply that is not an object, or a server
+    fault (``internal`` or ``protocol``), is a TransportError, since the
+    request was never judged; a ``session`` fault on a request that names a
+    session is SessionClosed."""
+    if not isinstance(response, dict):
+        raise _malformed(response)
+    name = request["command"]
+    kind = response.get("error_kind")
+    if kind in ("internal", "protocol"):
+        raise TransportError(f"prover fault: {response.get('message', name)}")
+    if kind == "session" and COMMANDS[name].session:
+        raise SessionClosed(response.get("message", request.get("session_id")))
+    return COMMANDS[name].read(response, request)
 
 
 class ProverBackend:
@@ -414,39 +513,40 @@ class MockProver(ProverBackend):
 # replay
 
 class ReplayProver(ProverBackend):
-    """Plays back a recorded request/response trace, verifying each request."""
+    """Plays back a recorded request/response trace, verifying each request
+    and reading each recorded reply as the wire client reads it, so a reply
+    of the wrong shape is a TransportError here too.  A trace is one order
+    of requests, so a run replays it from one worker."""
 
     def __init__(self, trace: Union[str, Path, Sequence[dict]],
                  config: Optional[ProverConfig] = None):
         super().__init__(config)
-        if isinstance(trace, (str, Path)):
-            trace = [json.loads(line)
-                     for line in Path(trace).read_text(encoding="utf-8").splitlines()
-                     if line.strip()]
-        self.trace = list(trace)
+        self.trace = (read_jsonl(trace) if isinstance(trace, (str, Path))
+                      else list(trace))
         self._pos = 0
 
-    def _next(self, command: str, step: str) -> dict:
-        if self._pos >= len(self.trace):
-            raise ReplayMismatch(f"trace exhausted at request {self._pos}")
-        entry = self.trace[self._pos]
-        self._pos += 1
-        want = entry["request"]
-        if want["command"] != command or \
-                normalize_step(want.get("step", "")) != normalize_step(step):
-            raise ReplayMismatch(
-                f"request {self._pos - 1} diverged: expected "
-                f"{want['command']}/{want.get('step', '')!r}, got {command}/{step!r}")
-        return entry["response"]
+    def _call(self, command: str, step: str) -> object:
+        """The next entry's reply, read by its command's row, once its
+        request is ``command`` with ``step``."""
+        with self._lock:
+            if self._pos >= len(self.trace):
+                raise ReplayMismatch(f"trace exhausted at request {self._pos}")
+            entry = self.trace[self._pos]
+            self._pos += 1
+            want = entry["request"]
+            if want["command"] != command or \
+                    normalize_step(want.get("step", "")) != normalize_step(step):
+                raise ReplayMismatch(
+                    f"request {self._pos - 1} diverged: expected "
+                    f"{want['command']}/{want.get('step', '')!r}, got {command}/{step!r}")
+        return _read_reply(want, entry["response"])
 
     def init_session(self, theory_text: str) -> str:
-        with self._lock:
-            return _session_of(self._next("init", theory_text))
+        return self._call("init", theory_text)[0]
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
-        with self._lock:
-            return _step_result(self._next("apply", step_text))
+        return self._call("apply", step_text)
 
     def close(self, session_id: str) -> None:
         with self._lock:
@@ -531,57 +631,12 @@ class _Connection:
         line = self.reader.readline()
         if not line:
             raise EOFError("prover closed the connection")
-        return json.loads(line)
+        return loads(line)
 
     def close(self) -> None:
         # Until the reader is closed too the server never sees EOF.
         self.reader.close()
         self.sock.close()
-
-
-def _malformed(response) -> TransportError:
-    return TransportError(f"malformed prover reply: {response!r}")
-
-
-def _judged(response) -> dict:
-    """An ``init`` or ``apply`` reply, checked: it is an object, its status
-    is ok, error or timeout, it names a state id exactly when the status is
-    ok, its message is text, and ``is_done``, when present, is a JSON
-    boolean.  Anything else is a TransportError, since no verdict can be
-    read from it."""
-    if not isinstance(response, dict):
-        raise _malformed(response)
-    status, state_id = response.get("status"), response.get("state_id")
-    if (status not in (OK, ERROR, TIMEOUT)
-            or not (isinstance(state_id, str) if status == OK
-                    else state_id is None)
-            or not isinstance(response.get("message", ""), str)
-            or not isinstance(response.get("is_done", False), bool)):
-        raise _malformed(response)
-    return response
-
-
-def _capabilities(response: dict) -> list[str]:
-    """The capabilities an ``init`` reply lists, checked: a list of names."""
-    capabilities = response.get("capabilities", [])
-    if not isinstance(capabilities, list) or not all(
-            isinstance(name, str) for name in capabilities):
-        raise _malformed(response)
-    return capabilities
-
-
-def _judged_run(response: dict, sent: int) -> list[StepResult]:
-    """An ``apply_steps`` reply to ``sent`` steps, checked: ``results`` holds
-    one judged ``apply`` reply per step taken, at least one and at most
-    ``sent``, and none but the last is a refusal, a timeout or a completed
-    proof.  Anything else is a TransportError."""
-    results = response.get("results")
-    if not isinstance(results, list) or not 0 < len(results) <= sent:
-        raise _malformed(response)
-    answers = [_step_result(_judged(result)) for result in results]
-    if any(not answer.ok or answer.is_done for answer in answers[:-1]):
-        raise _malformed(response)
-    return answers
 
 
 class WireProver(ProverBackend):
@@ -595,12 +650,12 @@ class WireProver(ProverBackend):
     the call with TransportError and closes that connection only; a server
     fault (``error_kind`` ``internal`` or ``protocol``) is a TransportError
     too, since the request was never judged, and so is a reply of the wrong
-    shape (``_judged``, ``_judged_run``, ``_capabilities``).
+    shape (each command's reader in ``COMMANDS``).
 
-    A run of steps goes out as one ``apply_steps`` request once an ``init``
-    reply has advertised it, and as one ``apply`` per step otherwise, so a
-    server that does not take runs sees the bytes it always did.  The wait
-    for a reply is the steps' timeouts plus 10 s.
+    A run of steps goes out as one ``apply_steps`` request once the last
+    accepted ``init`` reply has advertised it, and as one ``apply`` per step
+    otherwise, so a server that does not take runs sees the bytes it always
+    did.  The wait for a reply is the steps' timeouts plus 10 s.
     """
 
     def __init__(self, config: ProverConfig):
@@ -609,14 +664,21 @@ class WireProver(ProverBackend):
             raise TransportError(f"no prover endpoint ({ENV_PROVER_ADDR} "
                                  "and prover.endpoint unset)")
         self._idle: list[_Connection] = []  # guarded by self._lock
-        self._runs = False  # the last init reply advertised apply_steps
+        # the capabilities the last accepted init reply listed
+        self._advertised: frozenset[str] = frozenset()
 
-    def _rpc(self, request: dict, wait_s: float) -> dict:
-        command = request["command"]
+    def _call(self, command: str, session_id: Optional[str],
+              payload: Union[str, list[str]],
+              timeout_s: Optional[float]) -> object:
+        """Send one request and read its reply by the command's row,
+        waiting for it ``timeout_s`` per step sent (the step timeout when
+        None) plus 10 s."""
+        request = _request(command, session_id, payload, timeout_s)
+        per_step = self.config.step_timeout_s if timeout_s is None else timeout_s
+        wait_s = (len(payload) if isinstance(payload, list) else 1) * per_step + 10.0
         with self._lock:
             conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            conn = _Connection(self.config.endpoint, self.config.init_timeout_s)
+        conn = conn or _Connection(self.config.endpoint, self.config.init_timeout_s)
         try:
             response = conn.exchange(request, wait_s)
         except (OSError, EOFError, ValueError) as exc:
@@ -624,49 +686,30 @@ class WireProver(ProverBackend):
             raise TransportError(f"prover connection failed: {exc}") from exc
         with self._lock:
             self._idle.append(conn)
-        if not isinstance(response, dict):
-            raise _malformed(response)
-        if response.get("error_kind") in ("internal", "protocol"):
-            raise TransportError(
-                f"prover fault: {response.get('message', command)}")
-        return response
-
-    def _step_rpc(self, request: dict, wait_s: float) -> dict:
-        """``_rpc`` for steps on a session: a ``session`` fault is
-        SessionClosed."""
-        response = self._rpc(request, wait_s)
-        if response.get("error_kind") == "session":
-            raise SessionClosed(response.get("message", request["session_id"]))
-        return response
+        return _read_reply(request, response)
 
     def init_session(self, theory_text: str) -> str:
-        timeout_s = self.config.init_timeout_s
-        response = _judged(self._rpc(
-            _request("init", None, theory_text, timeout_s), timeout_s + 10.0))
-        self._runs = APPLY_STEPS in _capabilities(response)
-        return _session_of(response)
+        session, capabilities = self._call("init", None, theory_text,
+                                           self.config.init_timeout_s)
+        self._advertised = frozenset(capabilities)
+        return session
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
-        return _step_result(_judged(self._step_rpc(
-            _request("apply", session_id, step_text, timeout_s),
-            timeout_s + 10.0)))
+        return self._call("apply", session_id, step_text, timeout_s)
 
     def apply_steps(self, session_id: str, texts: Sequence[str],
                     timeout_s: Optional[float] = None) -> list[StepResult]:
-        if not self._runs:
+        if "apply_steps" not in self._advertised:
             return super().apply_steps(session_id, texts, timeout_s)
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
-        return _judged_run(self._step_rpc(
-            _run_request(session_id, texts, timeout_s),
-            len(texts) * timeout_s + 10.0), len(texts))
+        return self._call("apply_steps", session_id, list(texts), timeout_s)
 
     def close(self, session_id: str) -> None:
         try:
-            self._rpc(_request("close", session_id, "", None),
-                      self.config.step_timeout_s + 10.0)
-        except TransportError:
+            self._call("close", session_id, "", None)
+        except (TransportError, SessionClosed):
             pass
 
     def shutdown(self) -> None:
@@ -680,31 +723,30 @@ class WireProver(ProverBackend):
 SERVER_POLL_S = 0.05
 
 
-def _read_request(raw: bytes) -> dict:
-    """The request on one line, checked: a UTF-8 JSON object naming a known
-    command, with a ``session_id`` string unless it is ``init``, ``step`` a
-    string, ``timeout_s`` a number, and for ``apply_steps`` a non-empty list
-    of step strings.  Anything else raises ValueError."""
-    request = json.loads(raw.decode("utf-8"))
+def _read_request(raw: bytes) -> tuple[Command, dict]:
+    """The request on one line and its command's row, checked: a UTF-8 JSON
+    object naming a command in ``COMMANDS``, with a ``session_id`` string
+    when the row names a session, ``step`` a string when present, the row's
+    payload field passing its type test, and ``timeout_s`` a number.
+    Anything else raises ValueError."""
+    request = loads(raw.decode("utf-8"))
     if not isinstance(request, dict):
         raise ValueError("request is not a JSON object")
-    command = request.get("command")
-    if command not in ("init", "apply", APPLY_STEPS, "close"):
-        raise ValueError(f"unknown command {command!r}")
-    if command != "init" and not isinstance(request.get("session_id"), str):
-        raise ValueError(f"{command} names no session_id")
+    name = request.get("command")
+    command = COMMANDS.get(name) if isinstance(name, str) else None
+    if command is None:
+        raise ValueError(f"unknown command {name!r}")
+    if command.session and not isinstance(request.get("session_id"), str):
+        raise ValueError(f"{name} names no session_id")
     if not isinstance(request.get("step", ""), str):
         raise ValueError("step is not a string")
+    if not command.valid(request.get(command.payload, "")):
+        raise ValueError(f"{command.payload} is not what {name} takes")
     timeout_s = request.get("timeout_s")
     if timeout_s is not None and (isinstance(timeout_s, bool)
                                   or not isinstance(timeout_s, (int, float))):
         raise ValueError("timeout_s is not a number")
-    steps = request.get("steps")
-    if command == APPLY_STEPS and not (
-            isinstance(steps, list) and steps
-            and all(isinstance(step, str) for step in steps)):
-        raise ValueError("steps is not a non-empty list of strings")
-    return request
+    return command, request
 
 
 class ProverServer:
@@ -737,22 +779,13 @@ class ProverServer:
 
     def _dispatch(self, raw: bytes) -> dict:
         try:
-            request = _read_request(raw)
+            command, request = _read_request(raw)
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
             return _response(ERROR, message=str(exc), error_kind="protocol")
-        command, session_id = request["command"], request.get("session_id")
         try:
-            if command == "init":
-                return _opened(self.backend.init_session(request.get("step", "")),
-                               CAPABILITIES)
-            if command == "apply":
-                return _step_response(self.backend.apply(
-                    session_id, request.get("step", ""), request.get("timeout_s")))
-            if command == APPLY_STEPS:
-                return _run_response(self.backend.apply_steps(
-                    session_id, request["steps"], request.get("timeout_s")))
-            self.backend.close(session_id)
-            return _response(OK)
+            return command.serve(self.backend, request.get("session_id"),
+                                 request.get(command.payload, ""),
+                                 request.get("timeout_s"))
         except Exception as exc:  # protocol server must not die mid-connection
             kind = ("theory" if isinstance(exc, TheoryLoadError) else
                     "session" if isinstance(exc, SessionClosed) else "internal")
@@ -900,8 +933,6 @@ class SessionCursor:
         alias can move the session onto a kept node.  A run of more than one
         step goes out in one ``apply_steps``, and each answer is filed as
         ``_ask`` files it."""
-        if len(texts) == 1:  # the cascade's case: no run to plan
-            return [self._ask(texts[0])]
         trie, size = self._trie, 0
         node: Union[None, int, StepResult] = self._node
         for text in texts:

@@ -1,5 +1,7 @@
+import io
 import sys
 import threading
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -227,4 +229,13 @@ def test_chat_client_sends_concurrent_requests_at_once():
 def test_chat_client_unreachable_endpoint_is_transport_error():
     client = ChatModelClient(url="http://127.0.0.1:9/none", timeout_s=0.2)
     with pytest.raises(TransportError):
+        client.complete(ModelParams(), _prompt(), 1)
+
+
+def test_chat_client_reply_nested_too_deeply_is_transport_error(monkeypatch):
+    # The decoder's RecursionError escaped as a crash, not a transport fault.
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda _request, timeout: io.BytesIO(b"[" * 100_000))
+    client = ChatModelClient(url="http://127.0.0.1:9/none", timeout_s=1)
+    with pytest.raises(TransportError, match="nested too deeply"):
         client.complete(ModelParams(), _prompt(), 1)

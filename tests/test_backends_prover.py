@@ -283,6 +283,35 @@ def test_replay_mismatch_detected():
         replay.apply("s-1", "by blast", 10.0)
 
 
+@pytest.mark.parametrize("reply", [
+    {"status": "ok", "state_id": "s-1/1", "message": "", "is_done": "false"},
+    {"status": "ok", "message": ""},
+    "nope",
+])
+def test_replay_reads_a_recorded_reply_as_the_wire_client_does(reply):
+    # Passed straight to StepResult, the string "false" was a completed
+    # proof of False, a reply without a state id a ValueError and a reply
+    # that is no object a TypeError: each is a transport fault, as on the
+    # wire.
+    trace = [
+        {"request": {"command": "init", "session_id": None,
+                     "step": 'theory Scratch\n  imports Main\nbegin\n\n'
+                             'lemma "False"', "timeout_s": 120.0},
+         "response": {"status": "ok", "state_id": "s-1/0", "message": "",
+                      "is_done": False}},
+        {"request": {"command": "apply", "session_id": "s-1",
+                     "step": 'have "x" sorry', "timeout_s": 10.0},
+         "response": reply},
+        {"request": {"command": "close", "session_id": "s-1", "step": "",
+                     "timeout_s": None},
+         "response": {"status": "ok", "state_id": None, "message": "",
+                      "is_done": False}},
+    ]
+    with pytest.raises(TransportError, match="malformed prover reply"):
+        check_script(ReplayProver(trace), 'lemma "False"',
+                     parse_script('have "x" sorry'))
+
+
 # ---------------------------------------------------------------------------
 # wire protocol over a real socket
 
@@ -582,6 +611,23 @@ def test_wire_protocol_fault_is_a_transport_error():
         server.stop()
 
 
+_DEEP = b"[" * 100_000 + b"\n"  # nested past the decoder's recursion limit
+
+
+def test_wire_reply_nested_too_deeply_is_a_transport_error():
+    # The decoder's RecursionError escaped the client, uncaught.
+    server = LineServer(lambda _index, _line: _DEEP)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(TransportError, match="nested too deeply"):
+            client.init_session("theory T")
+        with pytest.raises(TransportError, match="nested too deeply"):
+            client.apply("s-1", "by simp")
+    finally:
+        client.shutdown()
+        server.stop()
+
+
 # ---------------------------------------------------------------------------
 # runs of steps: apply_steps
 
@@ -713,6 +759,7 @@ _INIT_REQUEST = (b'{"command": "init", "session_id": null, "step": "theory T", '
     b'{"command": "apply_steps", "session_id": "s-1", "steps": "by simp"}\n',
     b'{"command": "apply_steps", "session_id": "s-1", "steps": []}\n',
     b'{"command": "apply_steps", "session_id": "s-1", "steps": ["by simp", 5]}\n',
+    pytest.param(_DEEP, id="nested-too-deeply"),
 ])
 def test_server_answers_a_bad_request_with_a_protocol_error(line):
     # A request the server cannot read is the client's fault, not the

@@ -230,6 +230,17 @@ def test_run_benchmark_resumes_past_a_torn_final_line(tmp_path):
         "p1", "p2", "p3"]
 
 
+def test_run_benchmark_drops_a_torn_final_line_nested_too_deeply(tmp_path):
+    # The decoder's RecursionError stopped the resume.
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(_record("p1", False).to_json()) + "\n"
+                    + "[" * 100_000)
+    records = run_benchmark(_spec(["p1", "p2"]), None, None, path,
+                            pool_size=1, prove_fn=_fake_prove({"p2": True}))
+    assert [r.success for r in records] == [False, True]
+    assert [row["problem_name"] for row in read_jsonl(path)] == ["p1", "p2"]
+
+
 def test_run_benchmark_resumes_past_a_final_record_without_newline(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(_record("p1", False).to_json()))

@@ -1,5 +1,6 @@
 import json
 import socket
+import threading
 
 import pytest
 
@@ -160,6 +161,25 @@ def test_cmd_prove_over_budget_config_exits_2_before_any_request(
     assert code == 2
     assert bodies == []
     assert "sample_budget" in capsys.readouterr().err
+
+
+def test_cmd_prove_live_prover_reply_nested_too_deeply_exits_2(
+        tmp_path, monkeypatch, capsys):
+    # The decoder's RecursionError made this a failed proof (exit 1) with a
+    # traceback; a line that is not JSON is a transport fault.
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    prover = LineServer(lambda _index, _line: b"[" * 100_000 + b"\n")
+    server = _live_model(monkeypatch, lambda _body: ["by simp"])
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", prover.address)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 1})
+        code = main(["prove", str(tmp_path / "stmt.thy"), "--config", config])
+    finally:
+        server.stop()
+        prover.stop()
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +521,16 @@ def _curate_fixture(tmp_path):
     return str(tmp_path / "corpus.jsonl"), fixtures
 
 
+def _replay_nl_statements(tmp_path, corpus):
+    """Model replay fixtures answering each pair's NL-statement prompt."""
+    rows = [{"digest": prompt_digest(nl_statement_prompt(row["statement"],
+                                                         row["proof"])),
+             "completions": [f"statement {i} in plain words"]}
+            for i, row in enumerate(read_jsonl(corpus))]
+    write_jsonl(tmp_path / "model_replay.jsonl", rows)
+    return "model_replay.jsonl"
+
+
 def test_cmd_curate_pools_and_manifest(tmp_path, capsys):
     corpus, fixtures = _curate_fixture(tmp_path)
     config = write_config(tmp_path, mode="mock", fixtures=fixtures)
@@ -532,12 +562,7 @@ def test_cmd_curate_replay_on_a_pool_reruns_byte_identical(tmp_path):
     # Each pair has its own replayed statement, and the records are asked
     # for on a pool of 4: both runs write the same bytes, in pair order.
     corpus, fixtures = _curate_fixture(tmp_path)
-    rows = [{"digest": prompt_digest(nl_statement_prompt(row["statement"],
-                                                         row["proof"])),
-             "completions": [f"statement {i} in plain words"]}
-            for i, row in enumerate(read_jsonl(corpus))]
-    write_jsonl(tmp_path / "model_replay.jsonl", rows)
-    fixtures["model_replay"] = "model_replay.jsonl"
+    fixtures["model_replay"] = _replay_nl_statements(tmp_path, corpus)
     config = write_config(tmp_path, mode="replay", fixtures=fixtures,
                           prover={"pool_size": 4})
     outs = [tmp_path / "a", tmp_path / "b"]
@@ -550,6 +575,51 @@ def test_cmd_curate_replay_on_a_pool_reruns_byte_identical(tmp_path):
         assert [r["natural_language_statement"]
                 for r in read_jsonl(outs[0] / name)] == \
             [f"statement {i} in plain words" for i in pairs]
+
+
+@pytest.mark.parametrize("command", ["bench", "curate"])
+def test_replay_with_a_prover_trace_runs_one_worker(tmp_path, monkeypatch,
+                                                    capsys, command):
+    # A trace is one order of requests: recorded from one worker, it is
+    # played from one worker whatever the prover's pool size, so every
+    # session opens on the calling thread.
+    from proofseek import cli
+    from proofseek.prover import RecordingProver, ReplayProver
+
+    if command == "bench":
+        source, fixtures = _bench_fixture(tmp_path, n_problems=6, n_fail=1)
+        args = ["bench", source, "--no-erp"]
+    else:
+        source, fixtures = _curate_fixture(tmp_path)
+        fixtures = {"model_replay": _replay_nl_statements(tmp_path, source),
+                    "prover_mock": fixtures["prover_mock"]}
+        args = ["curate", source]
+    recorders = []
+    build = cli.build_prover
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_prover", lambda config: recorders.append(
+            RecordingProver(build(config))) or recorders[-1])
+        config = write_config(tmp_path, fixtures=fixtures,
+                              prover={"pool_size": 1}, name="record.json")
+        assert main([*args, "--config", config,
+                     "--out", str(tmp_path / "recorded")]) == 0
+    recorders[0].dump(tmp_path / "prover_trace.jsonl")
+
+    threads = set()
+    init_session = ReplayProver.init_session
+
+    def traced(self, theory_text):
+        threads.add(threading.current_thread())
+        return init_session(self, theory_text)
+
+    monkeypatch.setattr(ReplayProver, "init_session", traced)
+    fixtures = {"model_replay": fixtures["model_replay"],
+                "prover_trace": "prover_trace.jsonl"}
+    config = write_config(tmp_path, fixtures=fixtures, name="replay.json")
+    assert main([*args, "--config", config,
+                 "--out", str(tmp_path / "replayed")]) == 0
+    capsys.readouterr()
+    assert threads == {threading.main_thread()}
 
 
 def test_cmd_curate_exits_2_on_a_model_fault(tmp_path, monkeypatch, capsys):
@@ -600,6 +670,27 @@ def test_missing_few_shots_fixture_exits_2_naming_it(tmp_path, capsys):
     assert main(["bench", spec_path, "--no-erp", "--config", config]) == 2
     assert str(tmp_path / "shots.jsonl") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["policy", "config", "model_mock",
+                                  "prover_mock", "model_replay"])
+def test_input_nested_too_deeply_exits_2(tmp_path, capsys, case):
+    # The decoder's RecursionError crashed the command with a traceback;
+    # input that is not JSON, however deeply nested, is an input error.
+    (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    (tmp_path / "model_mock.json").write_text("{}", encoding="utf-8")
+    fixtures = {"model_mock": "model_mock.json",
+                "prover_mock": write_mock_prover(tmp_path, {})}
+    mode = "replay" if case == "model_replay" else "mock"
+    if case not in ("policy", "config"):
+        fixtures[case] = "deep.json"
+    config = (str(tmp_path / "deep.json") if case == "config"
+              else write_config(tmp_path, mode=mode, fixtures=fixtures))
+    source = "deep.json" if case == "policy" else "stmt.thy"
+    command = "policy" if case == "policy" else "prove"
+    assert main([command, str(tmp_path / source), "--config", config]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from proofseek.errors import SessionClosed, TheoryLoadError
 from proofseek.isar import parse_script
 from proofseek.prover import (
+    COMMANDS,
     HAMMER_STEP,
     MockOutcome,
     MockProver,
@@ -277,3 +278,16 @@ def test_checking_a_long_script_takes_three_requests():
     assert [json.loads(line)["command"] for line in server.lines] == [
         "init", "apply_steps", "close"]
     assert json.loads(server.lines[1])["steps"] == steps
+
+
+def test_every_command_has_golden_request_and_reply_bytes():
+    # Each row of COMMANDS is pinned here by a request line, carrying its
+    # payload field, and the reply line the server writes back: a new
+    # command lands with its bytes.
+    pinned = {}
+    for request, _reply in GOLDEN_SERVER_EXCHANGE + GOLDEN_RUN_EXCHANGE:
+        fields = json.loads(request)
+        pinned.setdefault(fields["command"], fields)
+    assert set(COMMANDS) <= set(pinned)
+    for name, command in COMMANDS.items():
+        assert command.payload in pinned[name]
