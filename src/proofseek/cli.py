@@ -30,6 +30,7 @@ from . import curate as curate_mod
 from .engine import AttemptRecord, BudgetConfig, prove
 from .errors import (
     MissingFixture,
+    PolicyFormatError,
     ProofSeekError,
     StageValidationError,
     UnsupportedPolicy,
@@ -43,7 +44,7 @@ from .formalize import (
 )
 from .jsonl import loads, read_jsonl, write_jsonl
 from .model import ChatModelClient, MockModel, ModelBackend, ModelParams, ReplayModel
-from .policy import load_policy_csv, parse_policy
+from .policy import parse_policy, policy_rows
 from .prover import (
     ENV_PROVER_ADDR,
     MockProver,
@@ -205,10 +206,8 @@ def cmd_prove(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_policy(args: argparse.Namespace, config: RunConfig) -> int:
     source = Path(args.input)
     text = source.read_text(encoding="utf-8")
-    if source.suffix.lower() == ".csv":
-        policies = load_policy_csv(text)
-    else:
-        policies = [parse_policy(text, source_name=source.stem)]
+    from_csv = source.suffix.lower() == ".csv"
+    rows = policy_rows(text) if from_csv else [(source.stem, text)]
     model = build_model(config) if args.llm else None
     shots = _load_formalize_shots(config) if args.llm else []
     out_dir = _out_dir(args, config)
@@ -216,9 +215,10 @@ def cmd_policy(args: argparse.Namespace, config: RunConfig) -> int:
     theories_dir.mkdir(exist_ok=True)
 
     records, errors = [], []
-    for index, policy in enumerate(policies):
-        name = _sanitize_name(policy.source_name or f"policy_{index}")
+    for index, (row_name, policy_text) in enumerate(rows):
+        name = _sanitize_name(row_name or f"policy_{index}")
         try:
+            policy = parse_policy(policy_text, source_name=row_name)
             if model is not None:
                 record = formalize_nl(policy.source_text, model,
                                       few_shots=shots,
@@ -229,7 +229,10 @@ def cmd_policy(args: argparse.Namespace, config: RunConfig) -> int:
                     name, policy.source_text, "", "",
                     render_theory(compile_policy(policy)),
                     provenance="compiled")
-        except (UnsupportedPolicy, StageValidationError, MissingFixture) as exc:
+        except (PolicyFormatError, UnsupportedPolicy, StageValidationError,
+                MissingFixture) as exc:
+            if not from_csv and isinstance(exc, PolicyFormatError):
+                raise  # a lone policy file that is no policy is a bad input
             errors.append({"problem_name": name, "error": str(exc)})
             continue
         (theories_dir / f"{name}.thy").write_text(
@@ -238,7 +241,7 @@ def cmd_policy(args: argparse.Namespace, config: RunConfig) -> int:
 
     write_jsonl(out_dir / "formalizations.jsonl",
                 [r.to_json() for r in records])
-    _print_json({"n_policies": len(policies), "n_theories": len(records),
+    _print_json({"n_policies": len(rows), "n_theories": len(records),
                  "n_errors": len(errors), "errors": errors})
     return EXIT_OK
 

@@ -28,10 +28,10 @@ from .errors import StageValidationError, UnsupportedPolicy
 from .isar import parse_script, tokenize
 from .model import ModelBackend, ModelParams
 from .policy import (
-    AccessRequest,
     Effect,
     PolicyDocument,
-    evaluate,
+    evaluate,  # noqa: F401  not called here; perfbench/tracing.py wraps it
+    granted,
     instantiate_pattern,
     literal_actions,
     resource_patterns,
@@ -231,12 +231,10 @@ def compile_policy(policy: PolicyDocument) -> TheorySkeleton:
 
     # Theorem conjuncts: exactly the (action, resource) pairs the evaluator
     # allows over the canonical universe, in universe order.
-    conjuncts = []
-    for class_name, pattern in classes:
-        request = AccessRequest(action, instantiate_pattern(pattern))
-        if evaluate(policy, request).allowed:
-            conjuncts.append(
-                f"policy_allows {entry_name} {action_ctor} {class_name}")
+    allowed = granted(policy, action,
+                      [instantiate_pattern(pattern) for _, pattern in classes])
+    conjuncts = [f"policy_allows {entry_name} {action_ctor} {class_name}"
+                 for (class_name, _), ok in zip(classes, allowed) if ok]
     if not conjuncts:
         raise UnsupportedPolicy("the policy allows nothing over its universe")
     joined = " ∧\n         ".join(conjuncts)

@@ -27,7 +27,8 @@ the end trail the script.
 
 Tokens are read by one compiled ``re`` scanner rather than a loop over
 characters (``tokenize``); each character can match it only one way, so
-tokenizing stays linear in the text.
+tokenizing stays linear in the text.  A ``Token`` is a ``NamedTuple``
+(kind, text, offset): immutable and equal by value, and cheap to build.
 
 The parser is structural, not semantic: quoted strings, cartouches, and
 ``(* ... *)`` comments are atomic tokens, unknown commands still form steps,
@@ -44,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -71,8 +72,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "word" | "string" | "cartouche" | "comment"
     text: str
     offset: int

@@ -6,6 +6,17 @@ explicitly denies it.  These pure functions double as the ground-truth oracle
 behind policy-correctness theorems, so the matcher is written directly —
 the test suite keeps a regex-based reference to check it against.
 
+A statement applies to a request when its action, principal and resource
+patterns all match; the action and principal are tested first, since they
+are one test per statement whatever the resource (``_admits``).
+``evaluate`` decides one request and names the statements that matched.
+``granted`` decides one action and principal over many resources in one
+pass: it keeps the resource patterns of the statements that admit the
+action and principal, Allow and Deny apart, then allows a resource iff some
+kept Allow pattern matches it and no kept Deny pattern does.  Its answers
+equal ``evaluate(...).allowed`` request by request; the policy compiler
+decides a policy's grants with it.
+
 The matcher takes fast paths with C-level string operations for the two
 common pattern shapes: a literal pattern is compared with ``==``, and a
 pattern whose only wildcard is one trailing ``*`` with ``startswith``.  Any
@@ -25,7 +36,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Union
+from typing import Any, Sequence, Union
 
 from .errors import PolicyFormatError
 from .jsonl import loads
@@ -39,9 +50,11 @@ __all__ = [
     "PolicyStatement",
     "enumerate_universe",
     "evaluate",
+    "granted",
     "load_policy_csv",
     "match_pattern",
     "parse_policy",
+    "policy_rows",
 ]
 
 ANY_PRINCIPAL = "*"
@@ -184,13 +197,19 @@ def parse_policy(source: Union[str, dict], source_name: str = "") -> PolicyDocum
         source_text=source if isinstance(source, str) else json.dumps(source))
 
 
-def load_policy_csv(text: str) -> list[PolicyDocument]:
-    """Load policies from a CSV with columns (problem_name, policy_json)."""
+def policy_rows(text: str) -> list[tuple[str, str]]:
+    """The (problem_name, policy_json) rows of a CSV with those columns, not
+    yet parsed."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or not {"problem_name", "policy_json"} <= set(reader.fieldnames):
         raise PolicyFormatError("csv", "expected columns problem_name, policy_json")
-    return [parse_policy(row["policy_json"], source_name=row["problem_name"])
-            for row in reader]
+    return [(row["problem_name"], row["policy_json"]) for row in reader]
+
+
+def load_policy_csv(text: str) -> list[PolicyDocument]:
+    """Load policies from a CSV with columns (problem_name, policy_json)."""
+    return [parse_policy(policy_json, source_name=name)
+            for name, policy_json in policy_rows(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +256,14 @@ def match_pattern(pattern: str, value: str) -> bool:
     return p == len(pattern)
 
 
-def _statement_matches(stmt: PolicyStatement, request: AccessRequest) -> bool:
-    if not any(match_pattern(a, request.action) for a in stmt.actions):
-        return False
-    if not any(match_pattern(r, request.resource) for r in stmt.resources):
-        return False
-    principal_ok = any(
-        p == ANY_PRINCIPAL or match_pattern(p, request.principal)
-        for p in stmt.principals
-    )
+def _admits(stmt: PolicyStatement, action: str, principal: str) -> bool:
+    """Whether ``stmt`` matches ``action`` and ``principal``: the part of
+    its match that does not depend on the resource."""
     # Conditions are carried but not evaluated: a conditioned statement is
     # treated as matching (over-approximation).
-    return principal_ok
+    return (any(match_pattern(a, action) for a in stmt.actions)
+            and any(p == ANY_PRINCIPAL or match_pattern(p, principal)
+                    for p in stmt.principals))
 
 
 def evaluate(policy: PolicyDocument, request: AccessRequest) -> Decision:
@@ -256,10 +271,27 @@ def evaluate(policy: PolicyDocument, request: AccessRequest) -> Decision:
     matched_allow = []
     matched_deny = []
     for idx, stmt in enumerate(policy.statements):
-        if _statement_matches(stmt, request):
+        if _admits(stmt, request.action, request.principal) and any(
+                match_pattern(r, request.resource) for r in stmt.resources):
             (matched_allow if stmt.effect is Effect.ALLOW else matched_deny).append(idx)
     outcome = Effect.ALLOW if matched_allow and not matched_deny else Effect.DENY
     return Decision(outcome, tuple(matched_allow), tuple(matched_deny))
+
+
+def granted(policy: PolicyDocument, action: str, resources: Sequence[str],
+            principal: str = "anyone") -> list[bool]:
+    """``evaluate(policy, AccessRequest(action, r, principal)).allowed`` for
+    each resource ``r``, in one pass over the statements: each statement's
+    action and principal are tested once, and each resource against the
+    resource patterns of the statements that admit them."""
+    allow: list[str] = []
+    deny: list[str] = []
+    for stmt in policy.statements:
+        if _admits(stmt, action, principal):
+            (allow if stmt.effect is Effect.ALLOW else deny).extend(stmt.resources)
+    return [any(match_pattern(p, r) for p in allow)
+            and not any(match_pattern(p, r) for p in deny)
+            for r in resources]
 
 
 # ---------------------------------------------------------------------------

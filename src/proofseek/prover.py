@@ -763,6 +763,10 @@ class ProverServer:
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
+            # a reply written while an earlier one is unacknowledged must not
+            # wait for the client's delayed ACK (Nagle's algorithm)
+            disable_nagle_algorithm = True
+
             def handle(self) -> None:
                 for raw in self.rfile:
                     if not raw.strip():
@@ -850,8 +854,10 @@ class SessionCursor:
     call when the step is known there, finishes the goal body the session
     stands in when it is ``<body> by T``, and otherwise, like the first apply
     after a seek the trie cannot place, rebuilds the session at the caller's
-    prefix.  Where the session stands, steps go to the prover a run at a
-    time, each run in one request.  ``recalled`` counts the answers given
+    prefix.  A kept answer that finishes the proof is never recalled: the
+    step is asked again, so completion is only ever reported by the prover.
+    Where the session stands, steps go to the prover a run at a time, each
+    run in one request.  ``recalled`` counts the answers given
     with no call, and ``timeouts`` the applies that timed out, over every
     session the cursor has held; a timeout is no verdict and is never
     kept."""
@@ -910,6 +916,8 @@ class SessionCursor:
         apart from the session; after a rebuild, on a leading run of them."""
         text = texts[0]
         seen = None if self._at is None else self._trie.get((self._at, text))
+        if isinstance(seen, int) and self._edges[seen][2].is_done:
+            seen = None  # completion comes from the prover, never the trie
         if seen is not None:
             self.recalled += 1
             if isinstance(seen, StepResult):

@@ -778,3 +778,25 @@ def test_server_answers_a_bad_request_with_a_protocol_error(line):
         reader.close()
         conn.close()
         server.stop()
+
+
+def test_server_answers_pipelined_requests_at_once():
+    # Two request lines sent before the first reply is read: the second
+    # reply must not wait for the client's delayed ACK (Nagle's algorithm
+    # holds a small write while an earlier one is unacknowledged), which
+    # costs about 40 ms a pair.
+    server = ProverServer(MockProver(default="ok")).start()
+    host, port = server.address.rsplit(":", 1)
+    conn = socket.create_connection((host, int(port)), timeout=5.0)
+    reader = conn.makefile("rb")
+    try:
+        started = time.perf_counter()
+        for _ in range(20):
+            conn.sendall(_INIT_REQUEST * 2)
+            for _ in range(2):
+                assert json.loads(reader.readline())["status"] == "ok"
+        assert time.perf_counter() - started < 0.4
+    finally:
+        reader.close()
+        conn.close()
+        server.stop()

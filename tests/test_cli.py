@@ -261,6 +261,58 @@ def test_cmd_policy_llm_path_provenance(tmp_path, capsys):
     assert records and all(r["provenance"] == "llm" for r in records)
 
 
+def _malformed_rows_csv(tmp_path):
+    """``_policy_csv``'s rows, then a row whose Statement is no object and a
+    NotAction row: both fail to parse."""
+    csv_path = _policy_csv(tmp_path)
+    rows = [("bad_statement", {"Statement": 5}),
+            ("negated", {"Statement": [{"Effect": "Allow", "NotAction": "a:B",
+                                        "Resource": "*"}]})]
+    with open(csv_path, "a", encoding="utf-8") as out:
+        for name, doc in rows:
+            out.write('\n{},"{}"'.format(name, json.dumps(doc).replace('"', '""')))
+    return csv_path
+
+
+@pytest.mark.parametrize("llm", [False, True])
+def test_cmd_policy_lists_a_row_that_does_not_parse_and_goes_on(
+        tmp_path, capsys, llm):
+    # A row that is no policy is that row's error, named by its
+    # problem_name; the other rows still get their theories.
+    csv_path = _malformed_rows_csv(tmp_path)
+    model_mock = {
+        "stage_description": [["described"]] * 3,
+        "stage_informal_proof": [["argued"]] * 3,
+        "stage_formal_statement": [[GOLDEN_FORMAL_STATEMENT]] * 3,
+    }
+    (tmp_path / "model_mock.json").write_text(json.dumps(model_mock),
+                                              encoding="utf-8")
+    config = write_config(tmp_path, mode="mock", fixtures={
+        "model_mock": "model_mock.json",
+        "prover_mock": write_mock_prover(tmp_path, {}),
+    })
+    code = main(["policy", csv_path, *(["--llm"] if llm else []),
+                 "--config", config])
+    summary = _record_from_stdout(capsys)
+    assert code == 0
+    assert summary["n_policies"] == 5
+    errors = {e["problem_name"]: e["error"] for e in summary["errors"]}
+    assert errors["bad_statement"] == "Statement: statement 0 is not an object"
+    assert errors["negated"] == "NotAction: negated statements are unsupported"
+    theories = sorted(p.stem for p in (tmp_path / "out" / "theories").iterdir())
+    assert theories == (["bad_deny", "ok_one", "ok_two"] if llm
+                        else ["ok_one", "ok_two"])
+
+
+def test_cmd_policy_csv_without_its_columns_exits_2(tmp_path, capsys):
+    (tmp_path / "policies.csv").write_text("name,json\np1,{}\n",
+                                           encoding="utf-8")
+    config = write_config(tmp_path, mode="mock")
+    assert main(["policy", str(tmp_path / "policies.csv"),
+                 "--config", config]) == 2
+    assert "expected columns problem_name, policy_json" in capsys.readouterr().err
+
+
 POLICY_WITH_METADATA = """{
   "Version": "2012-10-17",
   "Statement": [

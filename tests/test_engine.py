@@ -1159,3 +1159,18 @@ def test_golden_request_trace_through_every_repair_stage():
     assert record.final_script == ('proof -\n  have "a" by simp\n  have "c"\n'
                                    '  by (metis h)\n'
                                    '  show ?thesis by (metis h)\nqed')
+
+
+def test_a_kept_finished_answer_is_asked_again_in_the_live_session():
+    # The trie knows `qed` finishes the proof, but a recalled answer never
+    # reports completion: after a seek back over the finished proof, the
+    # re-advanced last step goes to the prover, here after a rebuild.
+    prover = RecordingProver(accepting_mock(['proof - have "a" by simp qed']))
+    cursor = _cursor(prover)
+    steps = ["proof -", 'have "a" by simp', "qed"]
+    assert cursor.advance(steps).done
+    cursor.seek(steps[:-1])
+    before = len(prover.trace)
+    run = cursor.advance(["qed"])
+    assert run.done and run.count == 1
+    assert _steps(prover)[before:][-1:] == ["qed"]

@@ -1,19 +1,25 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofseek.errors import PolicyFormatError
+from proofseek import formalize
+from proofseek.errors import PolicyFormatError, UnsupportedPolicy
+from proofseek.formalize import compile_policy, render_theory
 from proofseek.policy import (
     AccessRequest,
     Effect,
     enumerate_universe,
     evaluate,
+    granted,
+    instantiate_pattern,
     load_policy_csv,
     match_pattern,
     parse_policy,
+    resource_patterns,
 )
 
 from fixtures import (
@@ -271,3 +277,74 @@ def test_evaluate_agrees_with_brute_force():
             expected = oracle_decision(raw, action, resource, principal)
             got = evaluate(doc, AccessRequest(action, resource, principal)).allowed
             assert got == expected, (raw, action, resource, principal)
+
+
+# ---------------------------------------------------------------------------
+# differential: the batch rule against one evaluate per request
+
+_ARN = "arn:aws:s:r:acct:"
+# literal text, or text with `*`, `?` and runs of them; `w` is the witness
+# letter, so instantiations can match literal patterns too
+_TAIL = st.one_of(st.text(alphabet="abw/", min_size=1, max_size=5),
+                  st.text(alphabet="abw/*?", min_size=1, max_size=7))
+_RESOURCE = st.one_of(st.sampled_from(["*", _ARN + "*"]),
+                      _TAIL.map(lambda tail: _ARN + tail))
+# None: no Principal field, which is anyone
+_PRINCIPAL = st.sampled_from([
+    None, None, None, "*", "alice", "bob", "a*", "b?b", ["*", "alice"],
+    ["arn:aws:iam::1:user/bob"], {"AWS": "*"}, {"AWS": ["bob", "a*"]}])
+_CONDITION = st.one_of(st.none(), st.just({"StringEquals": {"aws:user": "x"}}))
+
+
+@st.composite
+def _policies(draw, effects=("Allow", "Allow", "Deny"), actions=st.lists(
+        st.sampled_from(["s:Get", "s:Put", "s:*", "s:G?t", "*"]),
+        min_size=1, max_size=2)):
+    statements = []
+    for _ in range(draw(st.integers(1, 4))):
+        statement = {"Effect": draw(st.sampled_from(effects)),
+                     "Action": draw(actions),
+                     "Resource": draw(st.lists(_RESOURCE, min_size=1,
+                                               max_size=4))}
+        principal, condition = draw(_PRINCIPAL), draw(_CONDITION)
+        if principal is not None:
+            statement["Principal"] = principal
+        if condition is not None:
+            statement["Condition"] = condition
+        statements.append(statement)
+    return {"Statement": statements}
+
+
+def _per_request(policy, action, resources, principal="anyone"):
+    return [evaluate(policy, AccessRequest(action, r, principal)).allowed
+            for r in resources]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_policies(), st.sampled_from(["s:Get", "s:Get", "s:Put", "x:Y"]),
+       st.lists(st.text(alphabet="abw/", min_size=1, max_size=5), max_size=3),
+       st.sampled_from(["anyone", "alice", "bob", "arn:aws:iam::1:user/bob"]))
+def test_granted_equals_evaluate_request_by_request(raw, action, extra,
+                                                    principal):
+    doc = parse_policy(json.dumps(raw))
+    resources = [instantiate_pattern(p) for p in resource_patterns(doc)]
+    resources += [_ARN + tail for tail in extra]
+    assert (granted(doc, action, resources, principal)
+            == _per_request(doc, action, resources, principal))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_policies(effects=("Allow",) * 15 + ("Deny",), actions=st.sampled_from(
+    [["s:Get"]] * 6 + [["s:Put"], ["s:G*"]])))
+def test_compile_decides_its_conjuncts_as_evaluate_does_per_class(raw):
+    # The theorem, or the UnsupportedPolicy message, is the one the compiler
+    # gives when each class's witness is decided by its own evaluate call.
+    doc = parse_policy(json.dumps(raw))
+    outcomes = []
+    for decide in (granted, _per_request):
+        with mock.patch.object(formalize, "granted", decide):
+            try:
+                outcomes.append(render_theory(compile_policy(doc)))
+            except UnsupportedPolicy as exc:
+                outcomes.append(f"UnsupportedPolicy: {exc}")
+    assert outcomes[0] == outcomes[1]
