@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .engine import AttemptRecord, BudgetConfig, Stage, prove, run_pool
-from .errors import BackendUnavailable, EmptyInput
+from .errors import EmptyInput, TransportError
 from .jsonl import append_jsonl, loads, read_jsonl
 from .model import ModelBackend
 from .prover import ProverBackend
@@ -120,7 +120,7 @@ def run_benchmark(
             record = prove_fn(problem.formal_statement, model, prover,
                               spec.budget, few_shots,
                               problem_name=problem.problem_name)
-        except BackendUnavailable:
+        except TransportError:
             record = _undetermined_record(problem.problem_name)
         with write_lock:
             append_jsonl(records_path, record.to_json())

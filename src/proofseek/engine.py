@@ -40,13 +40,7 @@ from enum import Enum
 from itertools import islice, takewhile
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
-from .errors import (
-    BackendUnavailable,
-    ParseError,
-    PrefixReplayFailed,
-    TheoryLoadError,
-    TransportError,
-)
+from .errors import ParseError, TheoryLoadError
 from .isar import (
     DELIMITERS,
     ProofScript,
@@ -110,7 +104,6 @@ RAW_CASCADE_METHODS = (
 @dataclass(frozen=True)
 class TacticCascade:
     tactics: tuple[str, ...]
-    use_hammer: bool = True
 
     def __post_init__(self) -> None:
         if not self.tactics:
@@ -276,12 +269,11 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
         if result.ok:
             return win(closing, result)
 
-    if cascade.use_hammer:
-        if not placeholder and step.body_text and not apply(step.body_text).ok:
-            return RepairOutcome(False, script, extra)
-        result = attempt(HAMMER_STEP)
-        if result.ok:
-            return win(justification(result.message or "smt"), result)
+    if not placeholder and step.body_text and not apply(step.body_text).ok:
+        return RepairOutcome(False, script, extra)
+    result = attempt(HAMMER_STEP)
+    if result.ok:
+        return win(justification(result.message or "smt"), result)
     return RepairOutcome(False, script, extra)
 
 
@@ -296,7 +288,8 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     parse failure, rejection mid-continuation, running out of steps — is a
     failure and the original script is returned unchanged, with the session
     left after the continuation steps it accepted, which the cursor can walk
-    again.  A prefix that no longer replays raises PrefixReplayFailed.
+    again.  A prefix that no longer replays is no verdict on the proof, so
+    it raises TransportError.
     """
     prefix_steps = script.steps[:position]
     prefix_texts = [s.text for s in prefix_steps]
@@ -354,20 +347,20 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
     Samples up to ``sample_budget`` whole-proof candidates in one model
     request, then validates and repairs each in turn.  Returns the first
     successful AttemptRecord, else a failure record whose state fields
-    describe the last candidate.  Transport faults raise BackendUnavailable —
-    they are never reported as proof failures.
+    describe the last candidate.  A fault that gives no verdict (a
+    TransportError: an unreachable backend, a malformed completion, a lost
+    session, a prefix the prover no longer replays) propagates, so the
+    caller leaves the problem undetermined; it is never reported as a proof
+    failure.
     """
     if not statement or not statement.strip():
         raise ValueError("statement must be non-empty")
     budget = budget or BudgetConfig()
     started = time.monotonic()
 
-    try:
-        candidates = model.complete(
-            budget.model, whole_proof_prompt(statement, few_shots),
-            budget.sample_budget)
-    except TransportError as exc:
-        raise BackendUnavailable(f"model backend unavailable: {exc}") from exc
+    candidates = model.complete(
+        budget.model, whole_proof_prompt(statement, few_shots),
+        budget.sample_budget)
 
     has_timeout = False
     state = AttemptState()
@@ -378,9 +371,6 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
         try:
             final = _attempt(statement, candidate, state, model, prover,
                              budget, few_shots)
-        except (TransportError, PrefixReplayFailed) as exc:
-            # Neither says anything about the proof: the run is undetermined.
-            raise BackendUnavailable(f"prover backend unavailable: {exc}") from exc
         except TheoryLoadError:
             # The statement itself will not load; no candidate can do better.
             break

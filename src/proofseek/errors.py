@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The hierarchy is the one place that decides whether a fault says anything
+about a proof.  A ``TransportError`` (``SessionClosed`` included) is no
+verdict: a backend that could not be reached, a reply that cannot be read,
+a lost session, a validated prefix the prover refuses when it is replayed.
+Whoever meets one leaves the problem undetermined, never failed.  A
+``TheoryLoadError`` is the prover's verdict on the statement itself.
+"""
 
 from typing import Optional
 
@@ -46,7 +54,8 @@ class StageValidationError(ProofSeekError):
 
 
 class TransportError(ProofSeekError):
-    """A backend could not be reached or the connection broke mid-exchange.
+    """No verdict: a backend could not be reached, the connection broke
+    mid-exchange, a reply could not be read, or the prover misbehaved.
 
     Distinct from prover-reported proof errors: transport faults must never be
     counted as proof failures.
@@ -57,12 +66,7 @@ class TheoryLoadError(ProofSeekError):
     """The prover rejected the theory text at session setup."""
 
 
-class PrefixReplayFailed(ProofSeekError):
-    """A validated prefix was not accepted again in a fresh session: the
-    prover misbehaved, which says nothing about the statement or the proof."""
-
-
-class SessionClosed(ProofSeekError):
+class SessionClosed(TransportError):
     """A step was applied to a session that is no longer open."""
 
 
@@ -76,10 +80,6 @@ class MissingFixture(ProofSeekError):
 
 class ReplayMismatch(ProofSeekError):
     """A replayed request diverged from the recorded trace."""
-
-
-class BackendUnavailable(ProofSeekError):
-    """A required backend is unreachable; the attempt is aborted, not failed."""
 
 
 class EmptyInput(ProofSeekError):

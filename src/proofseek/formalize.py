@@ -268,10 +268,9 @@ def render_theory(skeleton: TheorySkeleton) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def wrap_theory(body: str, theory_name: str,
-                imports: Sequence[str] = ("Main",)) -> str:
+def wrap_theory(body: str, theory_name: str) -> str:
     return (f"theory {theory_name}\n"
-            f"  imports {' '.join(imports)}\n"
+            "  imports Main\n"
             f"begin\n\n{body.rstrip()}\n\nend\n")
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -413,20 +413,11 @@ def enclosing_block(script: ProofScript, step_index: int
 
 
 def splice(script: ProofScript, step_index: int,
-           replacement: Union[Step, ProofScript, str]) -> ProofScript:
-    """Replace the addressed step, returning a new script.
-
-    ``replacement`` may be a single Step, a parsed script (all of whose steps
-    are inserted in place of the addressed one), or raw text to parse.
-    """
+           replacement: Step) -> ProofScript:
+    """Replace the addressed step with ``replacement``, returning a new
+    script."""
     script.step_at(step_index)
-    if isinstance(replacement, str):
-        replacement = parse_script(replacement)
-    if isinstance(replacement, ProofScript):
-        new_steps = list(replacement.steps)
-    else:
-        new_steps = [replacement]
-    return with_steps(script, [*script.steps[:step_index], *new_steps,
+    return with_steps(script, [*script.steps[:step_index], replacement,
                                *script.steps[step_index + 1:]])
 
 

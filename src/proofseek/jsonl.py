@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Union
 
-__all__ = ["append_jsonl", "loads", "read_jsonl", "write_jsonl"]
+__all__ = ["append_jsonl", "is_texts", "loads", "read_jsonl", "write_jsonl"]
 
 
 def loads(text: Union[str, bytes]) -> object:
@@ -17,6 +17,11 @@ def loads(text: Union[str, bytes]) -> object:
         return json.loads(text)
     except RecursionError as exc:
         raise ValueError("JSON value nested too deeply") from exc
+
+
+def is_texts(value: object) -> bool:
+    """Whether a JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(text, str) for text in value)
 
 
 def read_jsonl(path: Union[str, Path]) -> list[dict]:

@@ -23,10 +23,10 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import BudgetExceeded, MissingFixture, TransportError
-from .jsonl import loads, read_jsonl
+from .jsonl import is_texts, loads, read_jsonl
 
 __all__ = [
     "ChatModelClient",
@@ -119,7 +119,8 @@ class ChatModelClient(ModelBackend):
 
     Endpoint and key come from PROOFSEEK_MODEL_URL / PROOFSEEK_MODEL_KEY
     unless given explicitly.  Network faults raise TransportError, never a
-    proof-level failure.
+    proof-level failure, and so does a reply of the wrong shape
+    (``_completions``).
     """
 
     def __init__(self, url: Optional[str] = None, api_key: Optional[str] = None,
@@ -156,15 +157,38 @@ class ChatModelClient(ModelBackend):
                 payload = loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise TransportError(f"model endpoint failed: {exc}") from exc
-        try:
-            return [choice["message"]["content"] for choice in payload["choices"]]
-        except (KeyError, TypeError) as exc:
-            raise TransportError(f"malformed completion payload: {exc}") from exc
+        return _completions(payload, n)
+
+
+def _completions(payload: object, n: int) -> list[str]:
+    """The texts of a chat-completion reply to a request for ``n``, checked:
+    ``choices`` is a list of 1 to ``n`` objects, each with a ``message``
+    object whose ``content`` is a string.  Anything else is a
+    TransportError, since no completion can be read from it."""
+    choices = payload.get("choices") if isinstance(payload, dict) else None
+    if isinstance(choices, list) and 0 < len(choices) <= n:
+        messages = [choice.get("message") if isinstance(choice, dict) else None
+                    for choice in choices]
+        texts = [message.get("content") if isinstance(message, dict) else None
+                 for message in messages]
+        if is_texts(texts):
+            return texts
+    raise TransportError(f"malformed completion payload: {payload!r:.200}")
 
 
 def load_replay_fixtures(path: Union[str, Path]) -> dict[str, list[str]]:
-    return {record["digest"]: list(record["completions"])
-            for record in read_jsonl(path)}
+    """The replay fixtures of a JSONL file, checked: each row is an object
+    whose ``digest`` is a string and whose ``completions`` are a list of
+    strings.  Anything else raises ValueError."""
+    fixtures = {}
+    for index, row in enumerate(read_jsonl(path)):
+        fields = row if isinstance(row, dict) else {}
+        digest, completions = fields.get("digest"), fields.get("completions")
+        if not isinstance(digest, str) or not is_texts(completions):
+            raise ValueError(f"{path}: replay fixture row {index} needs a "
+                             "digest string and a list of completion strings")
+        fixtures[digest] = completions
+    return fixtures
 
 
 class ReplayModel(ModelBackend):
@@ -190,11 +214,19 @@ class MockModel(ModelBackend):
 
     ``script`` maps purpose to a list of batches; each ``complete`` call for
     that purpose consumes the next batch (the last batch is sticky, so a
-    single entry behaves like a constant function).
+    single entry behaves like a constant function).  A script of any other
+    shape (a purpose not in ``PURPOSES``, batches or a batch that is not a
+    list, a completion that is not a string) raises ValueError.
     """
 
-    def __init__(self, script: dict[str, Sequence[Sequence[str]]]):
+    def __init__(self, script: dict[str, list[list[str]]]):
         super().__init__()
+        if not isinstance(script, dict) or not all(
+                purpose in PURPOSES and isinstance(batches, list)
+                and all(is_texts(batch) for batch in batches)
+                for purpose, batches in script.items()):
+            raise ValueError("a mock model script maps purposes to lists of "
+                             "batches, each a list of strings")
         self._script = {k: [list(batch) for batch in v] for k, v in script.items()}
         self._cursor: dict[str, int] = {k: 0 for k in self._script}
 

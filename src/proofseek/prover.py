@@ -51,14 +51,13 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
-    PrefixReplayFailed,
     ReplayMismatch,
     SessionClosed,
     TheoryLoadError,
     TransportError,
 )
 from .isar import CLOSERS, GOAL_KEYWORDS, OPENER, ProofScript, strip_terminal_marker
-from .jsonl import loads, read_jsonl
+from .jsonl import is_texts, loads, read_jsonl
 
 __all__ = [
     "Advance",
@@ -180,7 +179,7 @@ def _read_init(response: dict, _sent: dict) -> tuple[str, list[str]]:
     TransportError."""
     result = _judged(response)
     capabilities = response.get("capabilities", [])
-    if not _texts(capabilities):
+    if not is_texts(capabilities):
         raise _malformed(response)
     if result.status == TIMEOUT:
         raise TransportError(f"theory load timed out: {result.message}")
@@ -205,10 +204,6 @@ def _read_run(response: dict, sent: dict) -> list[StepResult]:
 
 def _text(value) -> bool:
     return isinstance(value, str)
-
-
-def _texts(value) -> bool:
-    return isinstance(value, list) and all(isinstance(text, str) for text in value)
 
 
 class Command(NamedTuple):
@@ -240,7 +235,7 @@ COMMANDS: dict[str, Command] = {
         serve=lambda backend, session, text, timeout_s: _step_response(
             backend.apply(session, text, timeout_s))),
     "apply_steps": Command(
-        "steps", lambda steps: _texts(steps) and steps != [],
+        "steps", lambda steps: is_texts(steps) and steps != [],
         capability=True, read=_read_run,
         serve=lambda backend, session, texts, timeout_s: {
             "status": OK, "results": [
@@ -709,7 +704,7 @@ class WireProver(ProverBackend):
     def close(self, session_id: str) -> None:
         try:
             self._call("close", session_id, "", None)
-        except (TransportError, SessionClosed):
+        except TransportError:
             pass
 
     def shutdown(self) -> None:
@@ -1023,7 +1018,7 @@ class SessionCursor:
     def _rebuild(self) -> None:
         """Re-apply the caller's prefix in a fresh session, a run at a time.
         A refusal now is the prover misbehaving (a timeout under load, say),
-        not a verdict on the proof, so it raises PrefixReplayFailed."""
+        not a verdict on the proof, so it raises TransportError."""
         self.prover.close(self.session)
         self.session = self.prover.init_session(self.theory)
         self._node = self._at = 0
@@ -1032,7 +1027,7 @@ class SessionCursor:
         while replayed < len(texts):
             for result in self._run(texts[replayed:]):
                 if not result.ok:
-                    raise PrefixReplayFailed(
+                    raise TransportError(
                         f"validated prefix no longer replays: {result.message}")
                 replayed += 1
 

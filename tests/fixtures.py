@@ -11,6 +11,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from hypothesis import strategies as st
+
 from proofseek.errors import ParseError
 from proofseek.isar import Token
 from proofseek.prover import SERVER_POLL_S, MockOutcome, MockProver, normalize_step
@@ -139,6 +141,22 @@ def accepting_mock(script_texts, config=None, **kwargs) -> MockProver:
                 if accepted:
                     table[normalize_step(accepted)] = MockOutcome("ok")
     return MockProver(table=table, **kwargs, config=config)
+
+
+class SessionLosingProver(MockProver):
+    """A mock that loses each session it opens on a theory containing
+    ``marker``: the session is closed as soon as it opens, as by a prover
+    that restarted, so every apply to it raises SessionClosed."""
+
+    def __init__(self, marker: str, **kwargs):
+        super().__init__(**kwargs)
+        self.marker = marker
+
+    def init_session(self, theory_text: str) -> str:
+        session = super().init_session(theory_text)
+        if self.marker in theory_text:
+            self.close(session)
+        return session
 
 
 def placeholders(script) -> list[int]:
@@ -352,6 +370,38 @@ def reference_tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, text[i:j], i))
         i = j
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# JSON values of any shape, for properties over peer replies
+
+MISSING = object()  # a drawn field that is left out of the object
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def json_field(*plausible):
+    """A field's value: left out, a value a well-behaved peer sends, or any
+    JSON value."""
+    return st.one_of(st.just(MISSING), st.sampled_from(plausible), json_values)
+
+
+def json_objects(**fields):
+    """JSON objects with the drawn ``fields``, missing ones left out, plus
+    extra keys."""
+    extra = st.dictionaries(
+        st.text(max_size=6).filter(lambda key: key not in fields),
+        json_values, max_size=2)
+    return st.tuples(st.fixed_dictionaries(fields), extra).map(
+        lambda drawn: {**drawn[1], **{name: value for name, value
+                                      in drawn[0].items()
+                                      if value is not MISSING}})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import json
 import sys
 import threading
 import urllib.request
@@ -100,6 +101,21 @@ def test_replay_fixture_file_round_trip(tmp_path):
     assert replay.complete(ModelParams(), prompt, 1) == ["answer"]
 
 
+@pytest.mark.parametrize("row", [
+    {"digest": 5, "completions": ["by simp"]},
+    {"completions": ["by simp"]},
+    {"digest": "0f77f04e6ddfe26b", "completions": "by simp"},
+    {"digest": "0f77f04e6ddfe26b", "completions": [None]},
+    ["0f77f04e6ddfe26b", ["by simp"]],
+], ids=["digest-number", "digest-missing", "completions-string",
+        "completion-null", "row-list"])
+def test_replay_fixture_row_of_the_wrong_shape_is_a_value_error(tmp_path, row):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_replay_fixtures(path)
+
+
 def test_recording_dump_keeps_last_completions_sorted_by_digest(tmp_path):
     recorder = RecordingModel(MockModel({"whole_proof": [["one"], ["two"]],
                                          "erp": [["cont"]]}))
@@ -145,6 +161,19 @@ def test_mock_model_sequences_per_purpose():
 def test_mock_model_missing_purpose():
     with pytest.raises(MissingFixture):
         MockModel({}).complete(ModelParams(), _prompt(), 1)
+
+
+@pytest.mark.parametrize("script", [
+    [["by simp"]],
+    {"whole_proof": "by simp"},
+    {"whole_proof": ["by simp"]},
+    {"whole_proof": [[None]]},
+    {"proof": [["by simp"]]},
+], ids=["list", "batches-string", "batch-string", "completion-null",
+        "unknown-purpose"])
+def test_mock_model_script_of_the_wrong_shape_is_a_value_error(script):
+    with pytest.raises(ValueError):
+        MockModel(script)
 
 
 def test_request_log_carries_sampling_params():
@@ -230,6 +259,22 @@ def test_chat_client_unreachable_endpoint_is_transport_error():
     client = ChatModelClient(url="http://127.0.0.1:9/none", timeout_s=0.2)
     with pytest.raises(TransportError):
         client.complete(ModelParams(), _prompt(), 1)
+
+
+@pytest.mark.parametrize("texts", [[None], [3], [["by simp"]], [],
+                                   ["by simp", "by auto"]],
+                         ids=["null", "number", "list", "no-choices",
+                              "n-plus-one"])
+def test_chat_client_malformed_completion_is_transport_error(texts):
+    # A content that is not a string crashed `prove`; more choices than
+    # asked for were all tried as candidates.
+    server = ChatServer(lambda _body: texts)
+    client = ChatModelClient(url=server.url, api_key="", timeout_s=30)
+    try:
+        with pytest.raises(TransportError, match="malformed completion"):
+            client.complete(ModelParams(), _prompt(), 1)
+    finally:
+        server.stop()
 
 
 def test_chat_client_reply_nested_too_deeply_is_transport_error(monkeypatch):

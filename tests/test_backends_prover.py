@@ -10,7 +10,6 @@ from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
 from proofseek.curate import TheoremProofPair, filter_self_contained
 from proofseek.engine import BudgetConfig, prove
 from proofseek.errors import (
-    BackendUnavailable,
     ReplayMismatch,
     SessionClosed,
     TheoryLoadError,
@@ -583,7 +582,7 @@ def test_wire_init_timeout_leaves_the_problem_undetermined():
     try:
         with pytest.raises(TransportError, match="timed out"):
             client.init_session("theory T")
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(TransportError):
             prove(GOLDEN_FORMAL_STATEMENT,
                   MockModel({"whole_proof": [["by simp"]]}), client,
                   BudgetConfig(sample_budget=1))

@@ -13,7 +13,7 @@ from proofseek.bench import (
     run_benchmark,
 )
 from proofseek.engine import AttemptRecord, BudgetConfig
-from proofseek.errors import BackendUnavailable, EmptyInput
+from proofseek.errors import EmptyInput, TransportError
 from proofseek.jsonl import read_jsonl, write_jsonl
 
 
@@ -153,7 +153,7 @@ def _fake_prove(outcomes):
     def fake(statement, model, prover, budget, few_shots=(), problem_name=""):
         result = outcomes[problem_name]
         if result == "abort":
-            raise BackendUnavailable("backend down")
+            raise TransportError("backend down")
         return _record(problem_name, result)
     return fake
 

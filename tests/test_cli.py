@@ -182,6 +182,65 @@ def test_cmd_prove_live_prover_reply_nested_too_deeply_exits_2(
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("texts", [[None], [3], [["by simp"]], [],
+                                   ["by simp", "by simp"]],
+                         ids=["null", "number", "list", "no-choices",
+                              "n-plus-one"])
+def test_cmd_prove_live_malformed_completion_exits_2(tmp_path, monkeypatch,
+                                                     capsys, texts):
+    # A completion that is not a string crashed with a traceback; no
+    # choices, or more than asked for, read as candidates that fail (exit 1).
+    from proofseek.prover import MockProver, ProverServer
+
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    prover = ProverServer(MockProver()).start()
+    server = _live_model(monkeypatch, lambda _body: texts)
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", prover.address)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 1})
+        code = main(["prove", str(tmp_path / "stmt.thy"), "--config", config])
+    finally:
+        server.stop()
+        prover.stop()
+    assert code == 2
+    assert "malformed completion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture", [
+    ("model_mock", {"whole_proof": [[None]]}),
+    ("model_mock", [[["by simp"]]]),
+    ("model_mock", {"whole_proof": "by simp"}),
+    ("model_replay", "by simp"),
+    ("model_replay", [None]),
+], ids=["mock-null", "mock-list", "mock-string", "replay-string",
+        "replay-null"])
+def test_cmd_prove_model_fixture_of_the_wrong_shape_exits_2(tmp_path, capsys,
+                                                            fixture):
+    # Each crashed with a traceback, or was read one batch per character
+    # and reported as a proof failure.
+    from proofseek.prompts import whole_proof_prompt
+
+    key, value = fixture
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    if key == "model_mock":
+        (tmp_path / "model.json").write_text(json.dumps(value),
+                                             encoding="utf-8")
+    else:
+        digest = prompt_digest(whole_proof_prompt(SIMPLE_STATEMENT))
+        write_jsonl(tmp_path / "model.json",
+                    [{"digest": digest, "completions": value}])
+    config = write_config(
+        tmp_path, mode="mock" if key == "model_mock" else "replay",
+        fixtures={key: "model.json",
+                  "prover_mock": write_mock_prover(tmp_path,
+                                                   {"by simp": "ok"})},
+        budget={"sample_budget": 1})
+    code = main(["prove", str(tmp_path / "stmt.thy"), "--config", config])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # policy
 
@@ -537,6 +596,40 @@ def test_cmd_bench_exits_2_when_records_stay_undetermined(
     summary = _record_from_stdout(capsys)
     assert (summary["n_success"], summary["n_undetermined"]) == (2, 1)
     assert code == 2
+
+
+def test_cmd_bench_a_lost_session_leaves_its_problem_undetermined(
+        tmp_path, monkeypatch, capsys):
+    # The prover loses p1's session: a session fault escaped the run, which
+    # wrote no record for p1 and printed no summary.
+    import re
+
+    from proofseek.prover import ProverServer
+
+    from fixtures import SessionLosingProver
+
+    table = {f"by (meson h{i})": "ok" for i in range(3)}
+    prover = ProverServer(SessionLosingProver('"P1"', table=table)).start()
+    server = _live_model(monkeypatch, lambda body: [
+        "by (meson h{})".format(re.search(
+            r'"P(\d)"', body["messages"][-1]["content"]).group(1))])
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", prover.address)
+    spec_path, _ = _bench_fixture(tmp_path, n_problems=3, n_fail=0)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 1})
+        code = main(["bench", spec_path, "--no-erp", "--config", config])
+    finally:
+        server.stop()
+        prover.stop()
+    summary = _record_from_stdout(capsys)
+    assert (summary["n_success"], summary["n_undetermined"]) == (2, 1)
+    assert code == 2
+    records = {row["problem_name"]: row
+               for row in read_jsonl(tmp_path / "out" / "records.jsonl")}
+    assert records["p1"]["undetermined"] is True
+    assert records["p0"]["success"] and records["p2"]["success"]
+    assert "undetermined" not in records["p0"]
 
 
 def test_cmd_report_from_records(tmp_path, capsys):

@@ -16,9 +16,19 @@ from proofseek.curate import (
 )
 from proofseek.errors import TransportError
 from proofseek.model import MockModel, ModelBackend, RecordingModel
-from proofseek.prover import MockProver, ProverConfig, RecordingProver
+from proofseek.prover import (
+    MockProver,
+    ProverConfig,
+    ProverServer,
+    RecordingProver,
+    WireProver,
+)
 
-from fixtures import GOLDEN_FORMAL_STATEMENT, accepting_mock
+from fixtures import (
+    GOLDEN_FORMAL_STATEMENT,
+    SessionLosingProver,
+    accepting_mock,
+)
 
 ACCEPTED = ["by simp", "by auto", "by blast"]
 
@@ -75,6 +85,25 @@ def test_filter_transport_fault_is_undetermined():
     assert len(result.undetermined) == 1
     assert result.undetermined[0][0].statement == 'lemma l1: "P1"'
     assert len(result.rl_pool) + len(result.sft_pool) == 3
+
+
+def test_a_lost_session_leaves_its_pair_undetermined():
+    # The prover loses l1's session: the session fault escaped both the
+    # filter and the reward.
+    server = ProverServer(SessionLosingProver(
+        "l1", table={proof: "ok" for proof in ACCEPTED})).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        pairs = _pairs(4)
+        result = filter_self_contained(pairs, client, pool_size=2)
+        assert [p for p, _ in result.undetermined] == [pairs[1]]
+        assert len(result.rl_pool) + len(result.sft_pool) == 3
+        assert reward_verification("by simp", 'lemma l1: "P1"',
+                                   client) is UNDETERMINED
+        assert reward_verification("by simp", 'lemma l0: "P0"', client) == 1
+    finally:
+        client.shutdown()
+        server.stop()
 
 
 def _rejecting(statement_tag):

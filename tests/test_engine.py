@@ -16,7 +16,7 @@ from proofseek.engine import (
     prove,
     run_pool,
 )
-from proofseek.errors import BackendUnavailable, TransportError
+from proofseek.errors import TransportError
 from proofseek.isar import parse_script, truncate_to_block
 from proofseek.model import (
     MockModel,
@@ -71,7 +71,6 @@ def test_default_cascade_deduplicates_preserving_order():
     assert cascade.tactics == (
         "auto", "simp", "blast", "fastforce", "eval", "sos", "arith",
         "simp add: field_simps", "simp add: mod_simps")
-    assert cascade.use_hammer
 
 
 def test_cascade_requires_tactics():
@@ -423,7 +422,7 @@ def test_transport_fault_raises_backend_unavailable():
         def init_session(self, theory_text):
             raise TransportError("socket reset")
 
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(TransportError):
         prove(STATEMENT, _model(ATP_CANDIDATE), FaultyProver())
 
 
@@ -480,7 +479,7 @@ def test_prefix_replay_failure_is_undetermined_not_a_proof_failure():
                                   'have "b"': "ok", "by meson": "ok"})
     model = MockModel({"whole_proof": [[
         f'proof -\n  {once}\n  have "b" sorry\nqed', "by meson"]]})
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(TransportError):
         prove(STATEMENT, model, prover,
               BudgetConfig(sample_budget=2, erp_enabled=False))
 
@@ -507,17 +506,21 @@ def test_erp_seek_prefix_replay_failure_is_undetermined(tmp_path):
 
 
 def test_erp_after_a_clean_cascade_continues_in_the_same_session():
-    # No cascade attempt opened a goal body, so the session still stands at
-    # the validated prefix: ERP sends no second init and replays nothing.
-    prover = RecordingProver(_erp_prover())
-    model = _model(ATP_CANDIDATE, erp=ERP_COMPLETION)
-    cascade = TacticCascade(("auto",), use_hammer=False)
+    # The goal `have "x"` is refused, so the hammer is never sent and no
+    # cascade attempt opened a goal body: the session still stands at the
+    # validated prefix, and ERP sends no second init and replays nothing.
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "y"': "ok", 'have "y" by (meson helper)': "ok",
+        "show ?thesis": "ok", "show ?thesis by simp": "ok", "qed": "ok"}))
+    model = _model(ATP_CANDIDATE, erp='have "y" by (meson helper)\n'
+                                      'show ?thesis by simp\nqed')
+    cascade = TacticCascade(("auto",))
     record = prove(STATEMENT, model, prover, BudgetConfig(cascade=cascade))
     assert record.success and record.success_stage == "erp"
     assert len(prover.requests("init")) == 1
     assert [r["step"] for r in prover.requests()] == [
-        "proof -", 'have "x" by foo', 'have "x" by auto',
-        'have "x" by (meson helper)', "show ?thesis by simp", "qed"]
+        "proof -", 'have "x" by foo', 'have "x" by auto', 'have "x"',
+        'have "y" by (meson helper)', "show ?thesis by simp", "qed"]
 
 
 NESTED_QED = 'proof -\n  have "a"\n  proof -\n    have "b" by s2\n  qed\nqed'

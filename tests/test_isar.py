@@ -325,13 +325,6 @@ def test_splice_out_of_range():
         splice(script, 5, script.steps[0])
 
 
-def test_splice_accepts_parsed_block():
-    script = parse_script("have A sorry")
-    sub = parse_script('have A proof - show ?thesis by simp qed')
-    patched = splice(script, 0, sub)
-    assert [s.text for s in patched.steps] == [s.text for s in sub.steps]
-
-
 # ---------------------------------------------------------------------------
 # truncate_to_block
 

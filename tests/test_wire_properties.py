@@ -9,7 +9,7 @@ import socket
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proofseek.errors import SessionClosed, TheoryLoadError, TransportError
+from proofseek.errors import TheoryLoadError, TransportError
 from proofseek.prover import (
     MockProver,
     ProverConfig,
@@ -19,51 +19,22 @@ from proofseek.prover import (
     WireProver,
 )
 
-from fixtures import LineServer
+from fixtures import MISSING, LineServer, json_field, json_objects, json_values
 
 STATUSES = ("ok", "error", "timeout")
 ERROR_KINDS = ("theory", "session", "protocol", "internal")
-FAULTS = (TransportError, SessionClosed, TheoryLoadError)
+FAULTS = (TransportError, TheoryLoadError)
 DEEP = b"[" * 100_000  # nested past any decoder's recursion limit
 
-MISSING = object()  # a drawn field that is left out of the object
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=6),
-    lambda children: (st.lists(children, max_size=3)
-                      | st.dictionaries(st.text(max_size=6), children,
-                                        max_size=3)),
-    max_leaves=6)
-
-
-def _field(*plausible):
-    """A field's value: left out, a value a well-behaved peer sends, or any
-    JSON value."""
-    return st.one_of(st.just(MISSING), st.sampled_from(plausible), json_values)
-
-
-def _objects(**fields):
-    """JSON objects with the drawn ``fields``, missing ones left out, plus
-    extra keys."""
-    extra = st.dictionaries(
-        st.text(max_size=6).filter(lambda key: key not in fields),
-        json_values, max_size=2)
-    return st.tuples(st.fixed_dictionaries(fields), extra).map(
-        lambda drawn: {**drawn[1], **{name: value for name, value
-                                      in drawn[0].items()
-                                      if value is not MISSING}})
-
-
 _STEP_FIELDS = dict(
-    status=_field(*STATUSES), state_id=_field("s-1/1", None),
-    message=_field("", "no"), is_done=_field(True, False),
-    error_kind=_field(*ERROR_KINDS))
-step_replies = _objects(**_STEP_FIELDS)
-init_replies = _objects(**_STEP_FIELDS,
-                        capabilities=_field(["apply_steps"], []))
-run_replies = _objects(
-    status=_field("ok"), error_kind=_field(*ERROR_KINDS),
+    status=json_field(*STATUSES), state_id=json_field("s-1/1", None),
+    message=json_field("", "no"), is_done=json_field(True, False),
+    error_kind=json_field(*ERROR_KINDS))
+step_replies = json_objects(**_STEP_FIELDS)
+init_replies = json_objects(**_STEP_FIELDS,
+                            capabilities=json_field(["apply_steps"], []))
+run_replies = json_objects(
+    status=json_field("ok"), error_kind=json_field(*ERROR_KINDS),
     results=st.one_of(st.just(MISSING), json_values,
                       st.lists(step_replies, min_size=1, max_size=3)))
 
@@ -159,10 +130,10 @@ def test_any_reply_is_typed_results_or_a_fault_on_the_wire_and_in_replay():
 
 def _request_lines():
     """Request objects near the protocol's shapes, as lines."""
-    return _objects(
-        command=_field("init", "apply", "apply_steps", "close"),
-        session_id=_field("s-1", None), step=_field("", "by simp"),
-        steps=_field(["by simp"], []), timeout_s=_field(10.0, None),
+    return json_objects(
+        command=json_field("init", "apply", "apply_steps", "close"),
+        session_id=json_field("s-1", None), step=json_field("", "by simp"),
+        steps=json_field(["by simp"], []), timeout_s=json_field(10.0, None),
     ).map(lambda request: json.dumps(request).encode("utf-8"))
 
 
