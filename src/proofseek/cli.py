@@ -196,9 +196,13 @@ def _write_report(out_dir: Path, dataset: str, config: RunConfig,
 
 def cmd_prove(args: argparse.Namespace, config: RunConfig) -> int:
     statement = Path(args.statement).read_text(encoding="utf-8")
-    record = prove(statement, build_model(config), build_prover(config),
-                   config.budget, few_shots=_load_few_shots(config),
-                   problem_name=args.problem_name or Path(args.statement).stem)
+    model, prover = build_model(config), build_prover(config)
+    try:
+        record = prove(statement, model, prover, config.budget,
+                       few_shots=_load_few_shots(config),
+                       problem_name=args.problem_name or Path(args.statement).stem)
+    finally:
+        prover.shutdown()
     _print_json(record.to_json())
     return EXIT_OK if record.success else EXIT_FAILED
 
@@ -274,8 +278,12 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
     few_shots = _load_few_shots(config)
     out_dir = _out_dir(args, config)
     records_path = Path(args.records) if args.records else out_dir / "records.jsonl"
-    report = bench_mod.aggregate(bench_mod.run_benchmark(
-        spec, model, prover, records_path, few_shots=few_shots))
+    try:
+        records = bench_mod.run_benchmark(spec, model, prover, records_path,
+                                          few_shots=few_shots)
+    finally:
+        prover.shutdown()
+    report = bench_mod.aggregate(records)
     dataset = f"{spec.name} ({len(spec.problems)} Problems)"
     method = _write_report(out_dir, dataset, config, report)
     _print_json({
@@ -297,7 +305,10 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
     model, prover = build_model(config), build_prover(config)
     out_dir = _out_dir(args, config)
     seed = config.seed if args.seed is None else args.seed
-    result = curate_mod.filter_self_contained(pairs, prover)
+    try:
+        result = curate_mod.filter_self_contained(pairs, prover)
+    finally:
+        prover.shutdown()
     sample_count = len(result.sft_pool) if args.sample_count is None \
         else min(args.sample_count, len(result.sft_pool))
     pool_size = config.budget.prover.pool_size

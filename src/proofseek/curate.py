@@ -154,7 +154,7 @@ def _generate_nl(pair: TheoremProofPair, model: ModelBackend,
             if faults:
                 return None
             out = model.complete(params, prompt, 1)
-            text = out[0].strip() if out else ""
+            text = out[0].strip()
             if text:
                 return text
         return None

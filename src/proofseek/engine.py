@@ -3,9 +3,9 @@ backtrack until the prover accepts or the budget runs out.
 
 The repair chain at a failing position is, in order: the tactic cascade plus
 Sledgehammer (``atp_substitute``), a model-driven continuation from the
-verified prefix (``erp_repair``), placeholder rewriting of remaining tactic
-steps (``heuristic_repair``, whose placeholders feed back into the cascade),
-and finally truncation of the innermost enclosing block (or ``next`` segment)
+verified prefix (``erp_repair``), placeholder rewriting of the failing step
+(``heuristic_repair``, whose placeholder feeds back into the cascade), and
+finally truncation of the innermost enclosing block (or ``next`` segment)
 with one last cascade attempt on the closing placeholder.  The engine never
 declares success on its own judgment — only the prover's terminal accepted
 state (``is_done``) counts.
@@ -295,7 +295,7 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     prefix_texts = [s.text for s in prefix_steps]
     completion = model.complete(
         budget.model, erp_prompt(statement, "\n".join(prefix_texts), few_shots), 1)
-    if not completion or not completion[0].strip():
+    if not completion[0].strip():
         return RepairOutcome(False, script)
     try:
         continuation = parse_script(extract_proof_text(completion[0]))
@@ -313,17 +313,15 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
 
 
 def heuristic_repair(script: ProofScript, position: int) -> ProofScript:
-    """Rewrite the failing step's justification, and every later terminal
-    tactic, to sorry placeholders for the cascade to discharge.  Structural
-    steps (block delimiters) take no justification and are left alone."""
-    result = script
-    for index in range(position, len(script.steps)):
-        step = result.steps[index]
-        if step.is_sorry or step.head in DELIMITERS:
-            continue
-        if index == position or step.terminal_tactic is not None:
-            result = splice(result, index, step.with_justification("sorry"))
-    return result
+    """Rewrite the failing step's justification to a sorry placeholder for
+    the cascade to discharge.  Later steps keep the model's tactics: the main
+    loop sends them as written, and one the prover refuses gets the chain at
+    its own index.  A placeholder or a block delimiter (which takes no
+    justification) is left alone."""
+    step = script.steps[position]
+    if step.is_sorry or step.head in DELIMITERS:
+        return script
+    return splice(script, position, step.with_justification("sorry"))
 
 
 def _backtrack_target(script: ProofScript, position: int) -> int:

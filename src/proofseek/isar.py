@@ -127,12 +127,11 @@ def tokenize(text: str) -> list[Token]:
     return list(_tokens(text))
 
 
-def _tokens(text: str) -> Iterator[Token]:
-    """``tokenize``'s tokens one at a time: a caller that needs only the
-    first few reads no further, and meets a ParseError only if it reads up
-    to the fault."""
+def _tokens(text: str, i: int = 0) -> Iterator[Token]:
+    """``tokenize``'s tokens one at a time, from offset ``i`` on: a caller
+    that needs only the first few reads no further, and meets a ParseError
+    only if it reads up to the fault."""
     match = _SCANNER.match
-    i = 0
     while True:
         m = match(text, i)
         kind = m.lastgroup
@@ -220,17 +219,6 @@ class Step:
     @property
     def is_sorry(self) -> bool:
         return self.just_tokens[:1] == ("sorry",)
-
-    @property
-    def terminal_tactic(self) -> Optional[str]:
-        """Method of a terminal ``by``/``apply``, e.g. ``simp add: defs``."""
-        toks = self.just_tokens
-        if len(toks) >= 2 and toks[0] in ("by", "apply"):
-            method = " ".join(toks[1:])
-            if method.startswith("(") and method.endswith(")"):
-                method = method[1:-1].strip()
-            return method or None
-        return None
 
     def with_justification(self, justification: str) -> "Step":
         """Return this step with its terminal justification replaced.
@@ -473,17 +461,45 @@ def unwrap_proof_comment(text: str) -> str:
     return text
 
 
+# What a word cannot run into: the opener of a string, comment or cartouche.
+_ATOM_OPENER = re.compile(r'"|\(\*|\\<open>|‹')
+_MARKERS = ("oops", "sorry")
+
+
+def _words_from(text: str) -> int:
+    """Where the text's last string, comment or cartouche ends, or 0: after
+    it come only words and whitespace.  Each atom is read as ``tokenize``
+    reads it, so this raises ParseError where tokenizing would."""
+    end = 0
+    while (opener := _ATOM_OPENER.search(text, end)) is not None:
+        atom = next(_tokens(text, opener.start()))
+        end = atom.offset + len(atom.text)
+    return end
+
+
 def strip_terminal_marker(statement: str) -> str:
     """Drop a trailing ``oops``/``sorry`` from a statement so a proof can be
-    attempted in its place."""
+    attempted in its place.
+
+    Only a text that ends in one of those words, or in a comment (``*)``),
+    can have one as its last word, so no other text is tokenized; and one
+    that ends in a word is read atom by atom, not token by token."""
+    text = statement.rstrip()
     try:
-        tokens = tokenize(statement)
+        if text.endswith("*)"):
+            tokens = tokenize(text)
+            while tokens and tokens[-1].kind == "comment":
+                tokens.pop()
+            last = tokens[-1] if tokens and tokens[-1].kind == "word" else None
+        elif text.endswith(_MARKERS):
+            word = text[_words_from(text):].split()[-1]
+            last = Token("word", word, len(text) - len(word))
+        else:
+            last = None
     except ParseError:
         return statement.strip()
-    while tokens and tokens[-1].kind == "comment":
-        tokens.pop()
-    if tokens and tokens[-1].kind == "word" and tokens[-1].text in ("oops", "sorry"):
-        return statement[: tokens[-1].offset].rstrip()
+    if last is not None and last.text in _MARKERS:
+        return text[: last.offset].rstrip()
     return statement.strip()
 
 

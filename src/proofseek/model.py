@@ -2,15 +2,16 @@
 deterministic replay and mock implementations every test runs against.
 
 All backends share one surface: ``complete(params, prompt, n) -> list[str]``,
-safe to call from many threads at once.  No lock is held across a request,
-so ``ChatModelClient`` sends concurrent requests in parallel; only the
-backends that mutate shared state lock it (``MockModel`` its per-purpose
-cursor, ``RecordingModel`` its ``requests`` list).  Backends only answer
-requests; wrapping one in ``RecordingModel`` captures each request (purpose,
-sampling parameters, n, completions) for budget and sampling audits and for
-writing replay fixtures.  Replay fixtures are JSONL records
-``{"digest": ..., "completions": [...]}`` keyed by a stable digest of
-(purpose, prompt text); identical prompts always replay identical outputs.
+1 to ``n`` completions, safe to call from many threads at once.  No lock is
+held across a request, so ``ChatModelClient`` sends concurrent requests in
+parallel; only the backends that mutate shared state lock it (``MockModel``
+its per-purpose cursor, ``RecordingModel`` its ``requests`` list).  Backends
+only answer requests; wrapping one in ``RecordingModel`` captures each
+request (purpose, sampling parameters, n, completions) for budget and
+sampling audits and for writing replay fixtures.  Replay fixtures are JSONL
+records ``{"digest": ..., "completions": [...]}`` keyed by a stable digest
+of (purpose, prompt text); identical prompts always replay identical
+outputs.
 """
 
 from __future__ import annotations
@@ -96,18 +97,26 @@ def prompt_digest(prompt: PromptRecord) -> str:
 
 
 class ModelBackend:
-    """Base: sample-budget enforcement, and a lock for subclasses that
-    mutate shared state; ``_complete`` itself runs unlocked."""
+    """Base: sample-budget enforcement, the batch-size check, and a lock for
+    subclasses that mutate shared state; ``_complete`` itself runs
+    unlocked."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
 
     def complete(self, params: ModelParams, prompt: PromptRecord,
                  n: int = 1) -> list[str]:
+        """1 to ``n`` completions.  A batch of none, or of more than asked
+        for, is a TransportError whatever the backend: there is no candidate
+        to judge, so it is no verdict on the problem."""
         if n > params.max_samples:
             raise BudgetExceeded(
                 f"requested {n} samples, max_samples is {params.max_samples}")
-        return self._complete(params, prompt, n)
+        completions = self._complete(params, prompt, n)
+        if not 0 < len(completions) <= n:
+            raise TransportError(f"malformed completion batch: "
+                                 f"{len(completions)} for a request of {n}")
+        return completions
 
     def _complete(self, params: ModelParams, prompt: PromptRecord,
                   n: int) -> list[str]:
@@ -120,7 +129,7 @@ class ChatModelClient(ModelBackend):
     Endpoint and key come from PROOFSEEK_MODEL_URL / PROOFSEEK_MODEL_KEY
     unless given explicitly.  Network faults raise TransportError, never a
     proof-level failure, and so does a reply of the wrong shape
-    (``_completions``).
+    (``_completions``) or size (``complete``).
     """
 
     def __init__(self, url: Optional[str] = None, api_key: Optional[str] = None,
@@ -157,16 +166,16 @@ class ChatModelClient(ModelBackend):
                 payload = loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise TransportError(f"model endpoint failed: {exc}") from exc
-        return _completions(payload, n)
+        return _completions(payload)
 
 
-def _completions(payload: object, n: int) -> list[str]:
-    """The texts of a chat-completion reply to a request for ``n``, checked:
-    ``choices`` is a list of 1 to ``n`` objects, each with a ``message``
-    object whose ``content`` is a string.  Anything else is a
-    TransportError, since no completion can be read from it."""
+def _completions(payload: object) -> list[str]:
+    """The texts of a chat-completion reply, checked: ``choices`` is a list
+    of objects, each with a ``message`` object whose ``content`` is a
+    string.  Anything else is a TransportError, since no completion can be
+    read from it; ``complete`` checks how many there are."""
     choices = payload.get("choices") if isinstance(payload, dict) else None
-    if isinstance(choices, list) and 0 < len(choices) <= n:
+    if isinstance(choices, list):
         messages = [choice.get("message") if isinstance(choice, dict) else None
                     for choice in choices]
         texts = [message.get("content") if isinstance(message, dict) else None

@@ -293,6 +293,10 @@ class ProverBackend:
     def close(self, session_id: str) -> None:
         raise NotImplementedError
 
+    def shutdown(self) -> None:
+        """Release what the client holds between calls; a backend that
+        holds nothing has nothing to do."""
+
     def apply_steps(self, session_id: str, texts: Sequence[str],
                     timeout_s: Optional[float] = None) -> list[StepResult]:
         """Apply ``texts`` in order, each with ``timeout_s``, until one is not

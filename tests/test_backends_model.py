@@ -158,6 +158,17 @@ def test_mock_model_sequences_per_purpose():
     assert model.complete(params, _prompt("erp"), 1) == ["second"]
 
 
+@pytest.mark.parametrize("backend", [
+    MockModel({"whole_proof": [[]]}),
+    ReplayModel({prompt_digest(_prompt()): []}),
+], ids=["mock", "replay"])
+def test_empty_completion_batch_is_transport_error(backend):
+    # The live client already raised on `choices: []`; the in-process
+    # backends handed back an empty list, read as no candidates.
+    with pytest.raises(TransportError, match="malformed completion batch"):
+        backend.complete(ModelParams(), _prompt(), 1)
+
+
 def test_mock_model_missing_purpose():
     with pytest.raises(MissingFixture):
         MockModel({}).complete(ModelParams(), _prompt(), 1)

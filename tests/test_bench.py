@@ -284,6 +284,17 @@ def test_run_benchmark_backend_abort_is_undetermined(tmp_path):
     assert any(row.get("undetermined") for row in stored)
 
 
+def test_run_benchmark_empty_completion_batch_is_undetermined(tmp_path):
+    from proofseek.model import MockModel
+    from proofseek.prover import MockProver
+
+    records = run_benchmark(_spec(["p1"]), MockModel({"whole_proof": [[]]}),
+                            MockProver(), tmp_path / "records.jsonl",
+                            pool_size=1)
+    assert [(r.success, r.undetermined) for r in records] == [(False, True)]
+    assert read_jsonl(tmp_path / "records.jsonl")[0]["undetermined"] is True
+
+
 def test_run_benchmark_records_carry_exact_field_set(tmp_path):
     spec = _spec(["p1"])
     path = tmp_path / "records.jsonl"

@@ -598,6 +598,41 @@ def test_cmd_bench_exits_2_when_records_stay_undetermined(
     assert code == 2
 
 
+def test_cmd_bench_closes_its_prover_connections(tmp_path, monkeypatch,
+                                                 capsys):
+    # The command returned with the wire client's idle connections open, so
+    # collecting the client warned of unclosed sockets.
+    import gc
+    import warnings
+
+    def respond(_index, raw):
+        command = json.loads(raw)["command"]
+        reply = {"status": "ok", "state_id": "s-1/1", "message": ""}
+        if command == "apply":
+            reply["is_done"] = True
+        return (json.dumps(reply) + "\n").encode("utf-8")
+
+    prover = LineServer(respond)
+    server = _live_model(monkeypatch, lambda _body: ["by simp"])
+    monkeypatch.setenv("PROOFSEEK_PROVER_ADDR", prover.address)
+    spec_path, _ = _bench_fixture(tmp_path, n_problems=3, n_fail=0)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 1})
+        gc.collect()  # what earlier tests left is not this command's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["bench", spec_path, "--no-erp", "--config", config])
+            gc.collect()
+    finally:
+        server.stop()
+        prover.stop()
+    assert code == 0
+    assert _record_from_stdout(capsys)["n_success"] == 3
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_cmd_bench_a_lost_session_leaves_its_problem_undetermined(
         tmp_path, monkeypatch, capsys):
     # The prover loses p1's session: a session fault escaped the run, which

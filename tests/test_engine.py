@@ -176,8 +176,8 @@ def test_scenario_erp_disabled_degrades_with_zero_erp_prompts():
 def test_scenario_erp_rejected_completion_falls_through():
     # The inner claim `show "x"` is refused in either form, and so is the
     # ERP completion there.  The chain falls through to the heuristic; the
-    # backtrack cuts the inner block, and the placeholder the heuristic left
-    # for the outer `show ?thesis` is discharged.
+    # backtrack cuts the inner block, and the outer `show ?thesis by crude`,
+    # refused as written, is repaired by its own cascade.
     candidate = ('proof -\n  have "x"\n  proof -\n    show "x" by gross\n'
                  '  qed\n  show ?thesis by crude\nqed')
     model = _model(candidate, erp='show "x" by nope\nqed')
@@ -205,8 +205,9 @@ def test_scenario_erp_rejected_completion_falls_through():
 
 def test_scenario_heuristic_stage():
     # The false claim `have "y"` is refused in either form; the backtrack cuts
-    # the inner block there, and the placeholders the heuristic left after it
-    # are discharged.
+    # the inner block there and its placeholder is discharged.  The outer
+    # `show ?thesis by crude` is refused as written and its cascade repairs
+    # it.
     candidate = ('proof -\n  have "x"\n  proof -\n    have "y" by gross\n'
                  '    show ?thesis by crude\n  qed\n  show ?thesis by crude\nqed')
     model = _model(candidate, erp='have "y" by nope\nqed')
@@ -236,7 +237,8 @@ def _steps(prover):
 def test_refused_claim_runs_its_cascade_once():
     # The heuristic's placeholder at `have "b"` makes the claim the cascade
     # was refused on, so it goes straight to the backtrack, whose placeholder
-    # is a new claim.
+    # is a new claim.  The later `show ?thesis by s4` keeps its tactic: it is
+    # sent whole, refused, and gets its own cascade, then the hammer.
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok", "qed": "ok",
         "show ?thesis": "ok", "show ?thesis by h": "ok", "by h": "ok",
@@ -250,7 +252,61 @@ def test_refused_claim_runs_its_cascade_once():
         'have "b" by auto', 'have "b" by simp', 'have "b"', "\u27e8hammer\u27e9",
         "close", "init", "proof -", 'have "a"', "proof -",
         "by auto", "by simp", "\u27e8hammer\u27e9", "qed",
-        "show ?thesis", "by auto", "by simp", "\u27e8hammer\u27e9", "qed", "close"]
+        "show ?thesis by s4", "show ?thesis by auto", "show ?thesis by simp",
+        "show ?thesis", "\u27e8hammer\u27e9", "qed", "close"]
+
+
+BLOCK_THEN_TACTICS = ('proof -\n  have "a"\n  proof -\n    have "b" by bad\n'
+                      '  qed\n  have "x" by t\n  have "y" by {y}\n'
+                      '  show ?thesis by t\nqed')
+
+
+def _block_then_tactics_prover(**table):
+    return RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "a"': "ok", "qed": "ok", 'have "x"': "ok",
+        'have "x" by t': "ok", 'have "y"': "ok", "show ?thesis": "ok",
+        "show ?thesis by t": "ok", **table,
+    }, hammer=["by h", "by h2"]))
+
+
+def test_heuristic_leaves_later_tactic_steps_to_be_sent_whole():
+    # The false claim `have "b"` is refused in every form, and the backtrack
+    # cuts its block there, leaving a placeholder the hammer proves.  The
+    # steps after the block were right as written: each is sent once, whole,
+    # with no cascade and no hammer call.
+    prover = _block_then_tactics_prover(**{'have "y" by t': "ok"})
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto",)))
+    record = prove(STATEMENT, _model(BLOCK_THEN_TACTICS.format(y="t")),
+                   prover, budget)
+    assert record.success and record.success_stage == "heuristic"
+    steps = _steps(prover)
+    assert steps[steps.index("by auto"):] == [
+        "by auto", "\u27e8hammer\u27e9", "qed", 'have "x" by t',
+        'have "y" by t', "show ?thesis by t", "qed", "close"]
+    assert steps.count("\u27e8hammer\u27e9") == 1
+    assert record.final_script == (
+        'proof -\n  have "a"\n  proof -\n    by h\n  qed\n  have "x" by t\n'
+        '  have "y" by t\n  show ?thesis by t\nqed')
+
+
+def test_later_step_whose_tactic_is_refused_gets_its_own_cascade():
+    # `have "y" by wrong` is sent whole after the backtrack and refused;
+    # its own chain rewrites it with each cascade tactic, then the hammer
+    # proves its goal body.
+    prover = _block_then_tactics_prover()
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto",)))
+    record = prove(STATEMENT, _model(BLOCK_THEN_TACTICS.format(y="wrong")),
+                   prover, budget)
+    assert record.success and record.success_stage == "heuristic"
+    steps = _steps(prover)
+    assert steps[steps.index('have "x" by t'):] == [
+        'have "x" by t', 'have "y" by wrong', 'have "y" by auto', 'have "y"',
+        "\u27e8hammer\u27e9", "show ?thesis by t", "qed", "close"]
+    assert record.final_script == (
+        'proof -\n  have "a"\n  proof -\n    by h\n  qed\n  have "x" by t\n'
+        '  have "y" by h2\n  show ?thesis by t\nqed')
 
 
 def test_cascade_that_timed_out_runs_again_after_the_heuristic_rewrite():
@@ -295,19 +351,22 @@ def test_claim_whose_prefix_a_backtrack_changed_is_tried_again():
 
 def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
     # The inner block's `oops` fails at index 5: ERP and the heuristic run
-    # there.  Collapsing the block moves `have "f" by bad` to index 5, under
+    # there, and the heuristic rewrites nothing at a block closer.  The
+    # backtrack collapses the block; the steps after it keep their tactics,
+    # and each refused one gets its own cascade.  The hammer proves `have
+    # "d"` and `have "e"` but not `have "f" by bad`, now at index 5 under
     # another prefix, so ERP runs again there and its continuation verifies.
     candidate = ('proof -\n  have "a"\n  proof -\n    have "b" by s2\n'
                  '    show ?thesis by s3\n  oops\n  have "d" by s6\n'
                  '  have "e" by s7\n  have "f" by bad\n  show ?thesis by s9\nqed')
-    prover = MockProver(table={
+    prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok",
         'have "b" by s2': "ok", "show ?thesis": "ok",
         "show ?thesis by s3": "ok", 'have "d"': "ok", 'have "e"': "ok",
         'have "f"': "ok", "qed": "ok", "by h1": "ok", 'have "d" by h2': "ok",
         'have "e" by h3': "ok", 'have "f" by good': "ok",
         "show ?thesis by good": "ok",
-    }, hammer=["by h1", "by h2", "by h3", None])
+    }, hammer=["by h1", "by h2", "by h3", None]))
     model = RecordingModel(MockModel({
         "whole_proof": [[candidate]],
         "erp": [[""], ['have "f" by good\nshow ?thesis by good\nqed']]}))
@@ -315,7 +374,15 @@ def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
         sample_budget=1, cascade=TacticCascade(("auto",))))
     assert [r["purpose"] for r in model.requests] == [
         "whole_proof", "erp", "erp"]
-    assert record.success and record.success_stage == "heuristic"
+    assert _steps(prover) == [
+        "init", "proof -", 'have "a"', "proof -", 'have "b" by s2',
+        "show ?thesis by s3", "oops", "close", "init", "proof -", 'have "a"',
+        "by auto", "\u27e8hammer\u27e9",
+        'have "d" by s6', 'have "d" by auto', 'have "d"', "\u27e8hammer\u27e9",
+        'have "e" by s7', 'have "e" by auto', 'have "e"', "\u27e8hammer\u27e9",
+        'have "f" by bad', 'have "f" by auto', 'have "f"', "\u27e8hammer\u27e9",
+        "by good", "show ?thesis by good", "qed", "close"]
+    assert record.success and record.success_stage == "erp"
     assert 'have "f" by good' in record.final_script
 
 
@@ -424,6 +491,18 @@ def test_transport_fault_raises_backend_unavailable():
 
     with pytest.raises(TransportError):
         prove(STATEMENT, _model(ATP_CANDIDATE), FaultyProver())
+
+
+@pytest.mark.parametrize("script", [
+    {"whole_proof": [[]]},
+    {"whole_proof": [[ATP_CANDIDATE]], "erp": [[]]},
+], ids=["whole-proof", "erp"])
+def test_empty_completion_batch_is_a_transport_fault(script):
+    # An empty batch read as a candidate list with nothing in it: a failed
+    # record with i_try 0, the same as one refused candidate.
+    prover = MockProver(table={"proof -": "ok", 'have "x"': "ok"})
+    with pytest.raises(TransportError, match="malformed completion batch"):
+        prove(STATEMENT, MockModel(script), prover)
 
 
 def test_prove_rejects_empty_statement():
@@ -1003,20 +1082,20 @@ def test_erp_repair_merges_validated_continuation():
                      "show ?thesis by simp", "qed"]
 
 
-def test_heuristic_repair_rewrites_failing_and_later_tactics():
+def test_heuristic_repair_rewrites_the_failing_step_only():
     script = parse_script('have "a" by (metis x)\nhave "b" by blast\n'
                           'fix y\nhave "c" by auto')
     rewritten = heuristic_repair(script, 0)
     assert [s.text for s in rewritten.steps] == [
-        'have "a" sorry', 'have "b" sorry', "fix y", 'have "c" sorry']
-    assert placeholders(rewritten) == [0, 1, 3]
+        'have "a" sorry', 'have "b" by blast', "fix y", 'have "c" by auto']
+    assert placeholders(rewritten) == [0]
 
 
-def test_heuristic_repair_counts_trailing_placeholders():
+def test_heuristic_repair_leaves_later_tactics_alone():
     script = parse_script('have "a" by x\nhave "b" by y\nhave "c" by z\n'
                           'have "d" by w')
     rewritten = heuristic_repair(script, 1)
-    assert placeholders(rewritten) == [1, 2, 3]
+    assert placeholders(rewritten) == [1]
 
 
 def test_heuristic_repair_noop_without_tactics():
@@ -1128,13 +1207,16 @@ GOLDEN_REQUESTS = [
     # to the backtrack, whose bare placeholder does not reopen the body, so
     # the session is rebuilt here; the hammer discharges the placeholder
     CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0), *CASCADE, HAMMER,
-    # the block closer fails and gets no cascade.  Dropped: `oops by auto`,
-    # `oops by simp`, `oops by blast` and the hammer's body `oops`.  Then
-    # backtrack, seek with a rebuild, close; the heuristic's `show ?thesis`
-    # placeholder is discharged by the hammer
+    # the block closer fails and gets no cascade, and the heuristic rewrites
+    # nothing there.  Dropped: `oops by auto`, `oops by simp`, `oops by
+    # blast` and the hammer's body `oops`.  Then backtrack, seek with a
+    # rebuild, close; `show ?thesis by x` keeps its tactic and is refused,
+    # so its cascade rewrites it whole, and the hammer proves its body
     ("apply", "oops", 10.0), CLOSE,
-    INIT, *PREFIX, *CASCADE, HAMMER, ("apply", "show ?thesis", 10.0), *CASCADE,
-    HAMMER, ("apply", "qed", 10.0), CLOSE,
+    INIT, *PREFIX, *CASCADE, HAMMER, ("apply", "show ?thesis by x", 10.0),
+    *[("apply", f"show ?thesis {step}", timeout)
+      for _, step, timeout in CASCADE],
+    ("apply", "show ?thesis", 10.0), HAMMER, ("apply", "qed", 10.0), CLOSE,
 ]
 
 
@@ -1157,7 +1239,7 @@ def test_golden_request_trace_through_every_repair_stage():
              e["request"]["timeout_s"]) for e in prover.trace] == GOLDEN_REQUESTS
     assert [r["purpose"] for r in model.requests] == [
         "whole_proof", "erp", "erp"]
-    assert (record.success_stage, record.extra_calls) == ("heuristic", 18)
+    assert (record.success_stage, record.extra_calls) == ("atp", 18)
     assert record.has_timeout and record.has_sc
     assert record.final_script == ('proof -\n  have "a" by simp\n  have "c"\n'
                                    '  by (metis h)\n'

@@ -98,7 +98,8 @@ def test_golden_proof_block_tree(golden_proof_body):
         assert enclosing_block(script, index) == (0, 8, 0, 8)
     heads = [s.head for s in script.steps]
     assert heads == ["proof", "have", *["moreover"] * 5, "ultimately", "qed"]
-    assert script.steps[1].terminal_tactic == "simp add: ec2_instance_policy_def"
+    assert script.steps[1].just_tokens == (
+        "by", "(simp", "add:", "ec2_instance_policy_def)")
 
 
 def test_minimal_script():
@@ -468,6 +469,41 @@ def test_strip_terminal_marker(golden_statement):
     assert not stripped.rstrip().endswith("oops")
     assert "theorem ec2_policy_correctness:" in stripped
     assert strip_terminal_marker("lemma x: \"A\" sorry").endswith('"A"')
+
+
+def _strip_by_tokenizing(statement):
+    """``strip_terminal_marker`` read the slow way: every token, trailing
+    comments dropped, then the last word."""
+    try:
+        tokens = reference_tokenize(statement)
+    except ParseError:
+        return statement.strip()
+    while tokens and tokens[-1].kind == "comment":
+        tokens.pop()
+    if tokens and tokens[-1].kind == "word" and tokens[-1].text in ("oops",
+                                                                    "sorry"):
+        return statement[: tokens[-1].offset].rstrip()
+    return statement.strip()
+
+
+# Words, strings (escapes included), comments, cartouches and the markers,
+# whole and in pieces, so that a marker also lands inside an atom, glued to
+# one, or after an unterminated one.
+_MARKER_PIECES = ["oops", "sorry", "xoops", "sorryx", "by", "simp", "(a",
+                  '"P"', '"oops"', '"a \\" oops"', '"', "\\",
+                  "(* c *)", "(* oops *)", "(* (* n *) sorry *)", "(*", "*)",
+                  "‹oops›", "\\<open>sorry\\<close>", "‹", "›", "\\<open>",
+                  " ", "\n", "\xa0"]
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_MARKER_PIECES), max_size=12).map("".join))
+@example('"x"oops')
+@example('lemma "A" oops (* done *)')
+@example('"a \\" oops')
+@example("‹a oops")
+def test_strip_terminal_marker_agrees_with_tokenizing(text):
+    assert strip_terminal_marker(text) == _strip_by_tokenizing(text)
 
 
 def test_slice_steps(golden_proof_body):
