@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .engine import AttemptRecord, BudgetConfig, Stage, prove, run_pool
 from .errors import EmptyInput, TransportError
-from .jsonl import append_jsonl, loads, read_jsonl
+from .jsonl import append_jsonl, loads, read_rows
 from .model import ModelBackend
 from .prover import ProverBackend
 
@@ -61,9 +61,8 @@ def load_benchmark(path: Union[str, Path], name: str = "",
                    budget: Optional[BudgetConfig] = None) -> BenchmarkSpec:
     """Build a spec from JSONL rows carrying problem_name/formal_statement;
     other keys are ignored."""
-    problems = [BenchmarkProblem(row["problem_name"], row["formal_statement"])
-                for row in read_jsonl(path)]
-    return BenchmarkSpec(name or Path(path).stem, tuple(problems),
+    return BenchmarkSpec(name or Path(path).stem,
+                         tuple(read_rows(path, BenchmarkProblem)),
                          budget or BudgetConfig())
 
 
@@ -108,9 +107,9 @@ def run_benchmark(
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
-    rows = read_jsonl(records_path) if records_path.exists() else []
-    existing = {row["problem_name"]: AttemptRecord.from_json(row)
-                for row in rows}
+    rows = (read_rows(records_path, AttemptRecord)
+            if records_path.exists() else [])
+    existing = {record.problem_name: record for record in rows}
     todo = [p for p in spec.problems if p.problem_name not in existing
             or existing[p.problem_name].undetermined]
     write_lock = threading.Lock()

@@ -21,7 +21,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,7 +42,7 @@ from .formalize import (
     render_theory,
     wrap_theory,
 )
-from .jsonl import loads, read_jsonl, write_jsonl
+from .jsonl import loads, read_rows, typed, write_jsonl
 from .model import ChatModelClient, MockModel, ModelBackend, ModelParams, ReplayModel
 from .policy import parse_policy, policy_rows
 from .prover import (
@@ -67,13 +67,17 @@ class ConfigError(ProofSeekError):
 
 @dataclass
 class RunConfig:
-    mode: str
-    seed: int
-    label: str
-    out_dir: str
     budget: BudgetConfig
-    fixtures: dict
     base_dir: Path  # fixture paths are relative to it
+    mode: str = "mock"
+    seed: int = 0
+    label: str = "proofseek"
+    out_dir: str = "out"
+    fixtures: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r} ({'|'.join(MODES)})")
 
     def fixture(self, key: str, required: bool = True) -> Optional[Path]:
         """The path of fixtures.<key>; None for an absent optional
@@ -88,6 +92,9 @@ class RunConfig:
 
 
 def load_config(path: Optional[str], no_erp: bool = False) -> RunConfig:
+    """The config file's sections, each read by ``typed``: ``prover`` into
+    ProverConfig, ``model`` into ModelParams, ``budget`` into BudgetConfig
+    and the top level into RunConfig.  Without a file, the defaults."""
     data: dict = {}
     base_dir = Path.cwd()
     if path:
@@ -95,29 +102,16 @@ def load_config(path: Optional[str], no_erp: bool = False) -> RunConfig:
         base_dir = Path(path).parent
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    mode = data.get("mode", "mock")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r} ({'|'.join(MODES)})")
-    try:
-        prover_raw = dict(data.get("prover", {}))
-        if os.environ.get(ENV_PROVER_ADDR):
-            prover_raw["endpoint"] = os.environ[ENV_PROVER_ADDR]
-        model_raw = dict(data.get("model", {}))
-        if "stop" in model_raw:
-            model_raw["stop"] = tuple(model_raw["stop"])
-        budget_raw = dict(data.get("budget", {}))
-        budget = BudgetConfig(
-            sample_budget=int(budget_raw.get("sample_budget", 10)),
-            model=ModelParams(**model_raw),
-            prover=ProverConfig(**prover_raw),
-            erp_enabled=bool(budget_raw.get("erp_enabled", True)) and not no_erp)
-        return RunConfig(mode=mode, seed=int(data.get("seed", 0)),
-                         label=data.get("label", "proofseek"),
-                         out_dir=data.get("out_dir", "out"), budget=budget,
-                         fixtures=dict(data.get("fixtures", {})),
-                         base_dir=base_dir)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    where = path or "config"
+    endpoint = os.environ.get(ENV_PROVER_ADDR)
+    prover = typed(ProverConfig, data.get("prover", {}), f"{where}: prover",
+                   **({"endpoint": endpoint} if endpoint else {}))
+    model = typed(ModelParams, data.get("model", {}), f"{where}: model")
+    budget = typed(BudgetConfig, data.get("budget", {}), f"{where}: budget",
+                   model=model, prover=prover)
+    if no_erp:
+        budget = replace(budget, erp_enabled=False)
+    return typed(RunConfig, data, where, budget=budget, base_dir=base_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +146,13 @@ def build_prover(config: RunConfig) -> ProverBackend:
 
 def _load_few_shots(config: RunConfig) -> list[tuple[str, str]]:
     path = config.fixture("few_shots", required=False)
-    return [(row["statement"], row["proof"])
-            for row in (read_jsonl(path) if path else [])]
+    return [(pair.statement, pair.proof) for pair
+            in (read_rows(path, curate_mod.TheoremProofPair) if path else [])]
 
 
 def _load_formalize_shots(config: RunConfig) -> list[FormalizationRecord]:
     path = config.fixture("formalize_shots", required=False)
-    return [FormalizationRecord.from_json(row)
-            for row in (read_jsonl(path) if path else [])]
+    return read_rows(path, FormalizationRecord) if path else []
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +244,16 @@ def cmd_policy(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_formalize(args: argparse.Namespace, config: RunConfig) -> int:
-    rows = read_jsonl(args.input)
-    model = build_model(config)
+    rows = read_rows(args.input, FormalizationRecord)
     shots = _load_formalize_shots(config)
+    model = build_model(config)
     out_dir = _out_dir(args, config)
     records, errors = [], []
     for index, row in enumerate(rows):
-        name = row.get("problem_name", f"problem_{index}")
-        statement = row.get("natural_statement") or row.get("statement", "")
+        name = row.problem_name or f"problem_{index}"
         try:
-            records.append(formalize_nl(statement, model, few_shots=shots,
+            records.append(formalize_nl(row.natural_statement, model,
+                                        few_shots=shots,
                                         params=config.budget.model,
                                         problem_name=name).to_json())
         except (StageValidationError, MissingFixture, ValueError) as exc:
@@ -300,8 +293,7 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
-    pairs = [curate_mod.TheoremProofPair.from_json(row)
-             for row in read_jsonl(args.corpus)]
+    pairs = read_rows(args.corpus, curate_mod.TheoremProofPair)
     model, prover = build_model(config), build_prover(config)
     out_dir = _out_dir(args, config)
     seed = config.seed if args.seed is None else args.seed
@@ -341,8 +333,7 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
-    report = bench_mod.aggregate([AttemptRecord.from_json(row)
-                                  for row in read_jsonl(args.records)])
+    report = bench_mod.aggregate(read_rows(args.records, AttemptRecord))
     dataset = args.name or Path(args.records).stem
     _write_report(_out_dir(args, config),
                   f"{dataset} ({report.n_problems} Problems)", config, report)

@@ -64,10 +64,6 @@ class TheoremProofPair:
         if not self.statement.strip() or not self.proof.strip():
             raise ValueError("statement and proof must be non-empty")
 
-    @staticmethod
-    def from_json(data: dict) -> "TheoremProofPair":
-        return TheoremProofPair(data["statement"], data["proof"])
-
 
 @dataclass(frozen=True)
 class SftRecord:
@@ -76,11 +72,7 @@ class SftRecord:
     natural_language_statement: str
 
     def to_json(self) -> dict:
-        return {
-            "proof": self.proof,
-            "statement": self.statement,
-            "natural_language_statement": self.natural_language_statement,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -89,10 +81,7 @@ class RlRecord:
     formal_proof: str
 
     def to_json(self) -> dict:
-        return {
-            "natural_language_statement": self.natural_language_statement,
-            "formal_proof": self.formal_proof,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

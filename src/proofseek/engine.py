@@ -174,47 +174,28 @@ class AttemptRecord:
     has_timeout: bool
     extra_calls: int
     has_sc: bool
-    wall_time_s: float
+    wall_time_s: float = 0.0
     final_script: Optional[str] = None
     undetermined: bool = False
 
     def __post_init__(self) -> None:
+        Stage(self.success_stage)  # a ValueError naming any other stage
+        if min(self.i_try, self.extra_calls) < 0:
+            raise ValueError("i_try and extra_calls must be >= 0")
         if self.success and self.final_script is None:
             raise ValueError("successful records carry the final script")
         if self.success == (self.success_stage == Stage.FAILED.value):
             raise ValueError("success_stage is 'failed' exactly on failure")
 
     def to_json(self) -> dict:
-        record = {
-            "problem_name": self.problem_name,
-            "success": self.success,
-            "i_try": self.i_try,
-            "success_stage": self.success_stage,
-            "has_timeout": self.has_timeout,
-            "extra_calls": self.extra_calls,
-            "has_sc": self.has_sc,
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
-        if self.final_script is not None:
-            record["final_script"] = self.final_script
-        if self.undetermined:
-            record["undetermined"] = True
+        """The fields, ``wall_time_s`` to the millisecond, ``final_script``
+        only when there is one and ``undetermined`` only when true."""
+        record = {**vars(self), "wall_time_s": round(self.wall_time_s, 3)}
+        if self.final_script is None:
+            del record["final_script"]
+        if not self.undetermined:
+            del record["undetermined"]
         return record
-
-    @staticmethod
-    def from_json(data: dict) -> "AttemptRecord":
-        return AttemptRecord(
-            problem_name=data["problem_name"],
-            success=bool(data["success"]),
-            i_try=int(data["i_try"]),
-            success_stage=data["success_stage"],
-            has_timeout=bool(data["has_timeout"]),
-            extra_calls=int(data["extra_calls"]),
-            has_sc=bool(data["has_sc"]),
-            wall_time_s=float(data.get("wall_time_s", 0.0)),
-            final_script=data.get("final_script"),
-            undetermined=bool(data.get("undetermined", False)),
-        )
 
 
 # ---------------------------------------------------------------------------

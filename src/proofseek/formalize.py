@@ -67,34 +67,16 @@ class TheorySkeleton:
 
 @dataclass
 class FormalizationRecord:
-    problem_name: str
-    natural_statement: str
-    informal_description: str
-    informal_proof: str
-    formal_statement: str
+    problem_name: str = ""
+    natural_statement: str = ""
+    informal_description: str = ""
+    informal_proof: str = ""
+    formal_statement: str = ""
     provenance: str = "llm"
 
     def to_json(self) -> dict:
-        return {
-            "problem_name": self.problem_name,
-            "natural_statement": self.natural_statement,
-            "informal_description": self.informal_description,
-            "informal_proof": self.informal_proof,
-            "formal_statement": self.formal_statement,
-            "theory_text": self.formal_statement,
-            "provenance": self.provenance,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "FormalizationRecord":
-        return FormalizationRecord(
-            problem_name=data.get("problem_name", ""),
-            natural_statement=data.get("natural_statement", ""),
-            informal_description=data.get("informal_description", ""),
-            informal_proof=data.get("informal_proof", ""),
-            formal_statement=data.get("formal_statement", ""),
-            provenance=data.get("provenance", "llm"),
-        )
+        """The fields, and ``theory_text``, a copy of ``formal_statement``."""
+        return {**vars(self), "theory_text": self.formal_statement}
 
 
 # ---------------------------------------------------------------------------

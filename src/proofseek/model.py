@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, MissingFixture, TransportError
-from .jsonl import is_texts, loads, read_jsonl
+from .jsonl import is_texts, loads, read_rows
 
 __all__ = [
     "ChatModelClient",
@@ -185,19 +185,18 @@ def _completions(payload: object) -> list[str]:
     raise TransportError(f"malformed completion payload: {payload!r:.200}")
 
 
+@dataclass(frozen=True)
+class _ReplayFixture:
+    digest: str
+    completions: tuple[str, ...]
+
+
 def load_replay_fixtures(path: Union[str, Path]) -> dict[str, list[str]]:
-    """The replay fixtures of a JSONL file, checked: each row is an object
-    whose ``digest`` is a string and whose ``completions`` are a list of
-    strings.  Anything else raises ValueError."""
-    fixtures = {}
-    for index, row in enumerate(read_jsonl(path)):
-        fields = row if isinstance(row, dict) else {}
-        digest, completions = fields.get("digest"), fields.get("completions")
-        if not isinstance(digest, str) or not is_texts(completions):
-            raise ValueError(f"{path}: replay fixture row {index} needs a "
-                             "digest string and a list of completion strings")
-        fixtures[digest] = completions
-    return fixtures
+    """The replay fixtures of a JSONL file, each row read by ``typed``: an
+    object whose ``digest`` is a string and whose ``completions`` are a list
+    of strings.  Anything else raises ValueError naming the line."""
+    return {row.digest: list(row.completions)
+            for row in read_rows(path, _ReplayFixture)}
 
 
 class ReplayModel(ModelBackend):

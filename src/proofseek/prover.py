@@ -57,7 +57,7 @@ from .errors import (
     TransportError,
 )
 from .isar import CLOSERS, GOAL_KEYWORDS, OPENER, ProofScript, strip_terminal_marker
-from .jsonl import is_texts, loads, read_jsonl
+from .jsonl import is_texts, loads, numbered_values, typed
 
 __all__ = [
     "Advance",
@@ -322,14 +322,18 @@ class MockOutcome:
     message: str = ""
     delay_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.status not in (OK, ERROR, TIMEOUT):
+            raise ValueError(f"unknown status {self.status!r}")
+
     @staticmethod
     def of(value: Union[str, dict, "MockOutcome"]) -> "MockOutcome":
         """An outcome from a status string, its JSON object form (the
-        fields by name), or itself."""
+        fields by name, read by ``typed``), or itself."""
         if isinstance(value, MockOutcome):
             return value
         if isinstance(value, dict):
-            return MockOutcome(**value)
+            return typed(MockOutcome, value, "mock outcome")
         return MockOutcome(status=value)
 
 
@@ -511,6 +515,20 @@ class MockProver(ProverBackend):
 # ---------------------------------------------------------------------------
 # replay
 
+def _trace_entry(where: str, entry: object) -> dict:
+    """A trace file's entry, checked: an object with a ``response`` and a
+    ``request`` naming a command in ``COMMANDS``, whose ``step``, if
+    present, is a string.  Anything else raises ValueError naming
+    ``where``."""
+    request = entry.get("request") if isinstance(entry, dict) else None
+    name = request.get("command") if isinstance(request, dict) else None
+    if not (isinstance(name, str) and name in COMMANDS and "response" in entry
+            and isinstance(request.get("step", ""), str)):
+        raise ValueError(f"{where}: a trace entry is an object with a "
+                         "request naming a command and a response")
+    return entry
+
+
 class ReplayProver(ProverBackend):
     """Plays back a recorded request/response trace, verifying each request
     and reading each recorded reply as the wire client reads it, so a reply
@@ -520,8 +538,9 @@ class ReplayProver(ProverBackend):
     def __init__(self, trace: Union[str, Path, Sequence[dict]],
                  config: Optional[ProverConfig] = None):
         super().__init__(config)
-        self.trace = (read_jsonl(trace) if isinstance(trace, (str, Path))
-                      else list(trace))
+        self.trace = ([_trace_entry(where, entry)
+                       for where, entry in numbered_values(trace)]
+                      if isinstance(trace, (str, Path)) else list(trace))
         self._pos = 0
 
     def _call(self, command: str, step: str) -> object:

@@ -58,6 +58,12 @@ def test_step_result_state_id_iff_ok():
         StepResult("error", "s-1/1")
 
 
+@pytest.mark.parametrize("outcome", ["done", {"status": "done"}])
+def test_mock_outcome_status_is_a_wire_status(outcome):
+    with pytest.raises(ValueError, match="done"):
+        MockOutcome.of(outcome)
+
+
 # ---------------------------------------------------------------------------
 # mock prover
 

@@ -342,3 +342,13 @@ def test_load_benchmark_and_unique_names(tmp_path):
     with pytest.raises(ValueError):
         BenchmarkSpec("x", (BenchmarkProblem("a", "s"),
                             BenchmarkProblem("a", "t")))
+
+
+def test_run_benchmark_resume_reads_records_by_their_types(tmp_path):
+    # `"success": "false"` once read as a success, so a resume skipped the
+    # problem for good
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [{**_record("p1", True).to_json(), "success": "false"}])
+    with pytest.raises(ValueError, match=f"{path}:1: field 'success'"):
+        run_benchmark(_spec(["p1"]), None, None, path, pool_size=1,
+                      prove_fn=_fake_prove({"p1": True}))

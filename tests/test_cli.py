@@ -960,3 +960,158 @@ def test_mock_and_replay_commands_open_no_sockets(tmp_path, monkeypatch,
     assert main(["policy", str(tmp_path / "policy.json"),
                  "--config", mock_config]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# typed input rows: a row of the wrong type is an input error naming its
+# line and field, never a traceback and never a wrong verdict
+
+GOOD_RECORD = {"problem_name": "p0", "success": False, "i_try": 0,
+               "success_stage": "failed", "has_timeout": False,
+               "extra_calls": 0, "has_sc": False, "wall_time_s": 0.5}
+
+
+def _every_input(tmp_path):
+    """A mock-mode config and one good row in each input file, for every
+    command: a spec and few shots (bench), a corpus (curate), inputs and
+    shots (formalize) and records (report)."""
+    rows = {
+        "spec.jsonl": {"problem_name": "p0", "formal_statement": SIMPLE_STATEMENT},
+        "shots.jsonl": {"statement": SIMPLE_STATEMENT, "proof": "by simp"},
+        "corpus.jsonl": {"statement": 'lemma l: "P"', "proof": "by simp"},
+        "inputs.jsonl": {"problem_name": "n0", "natural_statement": "allow"},
+        "formalize_shots.jsonl": {"natural_statement": "allow",
+                                  "formal_statement": GOLDEN_FORMAL_STATEMENT},
+        "records.jsonl": GOOD_RECORD,
+    }
+    for name, row in rows.items():
+        write_jsonl(tmp_path / name, [row])
+    (tmp_path / "model_mock.json").write_text(json.dumps({
+        "whole_proof": [["by simp"]], "nl_statement": [["plain"]],
+        "stage_description": [["described"]],
+        "stage_informal_proof": [["argued"]],
+        "stage_formal_statement": [[GOLDEN_FORMAL_STATEMENT]],
+    }), encoding="utf-8")
+    return write_config(tmp_path, mode="mock", budget={"sample_budget": 1}, fixtures={
+        "model_mock": "model_mock.json",
+        "prover_mock": write_mock_prover(tmp_path, {"by simp": "ok"}),
+        "few_shots": "shots.jsonl", "formalize_shots": "formalize_shots.jsonl"})
+
+
+# the input file each command reads
+SOURCES = {"bench": "spec.jsonl", "curate": "corpus.jsonl",
+           "formalize": "inputs.jsonl", "report": "records.jsonl"}
+
+BAD_ROWS = {
+    "report_success_string": ("report", "records.jsonl", {
+        **GOOD_RECORD, "success": "false", "success_stage": "atp",
+        "final_script": "by simp"}, "success"),
+    "report_row_not_an_object": ("report", "records.jsonl", [1, 2], "object"),
+    "report_unknown_stage": ("report", "records.jsonl",
+                             {**GOOD_RECORD, "success_stage": "nope"}, "nope"),
+    "report_negative_extra_calls": ("report", "records.jsonl",
+                                    {**GOOD_RECORD, "extra_calls": -1},
+                                    "extra_calls"),
+    "bench_spec_statement": ("bench", "spec.jsonl", {
+        "problem_name": "p1", "formal_statement": 5}, "formal_statement"),
+    "bench_few_shot_proof": ("bench", "shots.jsonl", {
+        "statement": "s", "proof": {"by": "simp"}}, "proof"),
+    "curate_corpus_statement": ("curate", "corpus.jsonl", {
+        "statement": 5, "proof": "by simp"}, "statement"),
+    "formalize_input_statement": ("formalize", "inputs.jsonl", {
+        "natural_statement": 5}, "natural_statement"),
+    "formalize_shot_statement": ("formalize", "formalize_shots.jsonl", {
+        "formal_statement": 5}, "formal_statement"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_a_bad_input_row_exits_2_naming_its_line_and_field(tmp_path, capsys,
+                                                            case):
+    command, name, bad, field = BAD_ROWS[case]
+    config = _every_input(tmp_path)
+    good = read_jsonl(tmp_path / name)
+    write_jsonl(tmp_path / name, [*good, bad])
+    assert main([command, str(tmp_path / SOURCES[command]),
+                 "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / name}:2" in err and field in err
+
+
+@pytest.mark.parametrize("command", sorted(SOURCES))
+def test_every_input_of_the_right_types_loads(tmp_path, capsys, command):
+    config = _every_input(tmp_path)
+    assert main([command, str(tmp_path / SOURCES[command]),
+                 "--config", config]) == 0
+
+
+def test_cmd_formalize_reads_no_statement_key(tmp_path, capsys):
+    # `natural_statement` is the input field; a row with only `statement`
+    # has an empty one, which is that row's error.
+    config = _every_input(tmp_path)
+    write_jsonl(tmp_path / "inputs.jsonl",
+                [{"problem_name": "n0", "statement": "allow"}])
+    assert main(["formalize", str(tmp_path / "inputs.jsonl"),
+                 "--config", config]) == 0
+    summary = _record_from_stdout(capsys)
+    assert summary["n_records"] == 0
+    assert summary["errors"][0]["problem_name"] == "n0"
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"budget": {"erp_enabled": "false"}}, "budget: field 'erp_enabled'"),
+    ({"budget": {"sample_budget": 2.9}}, "budget: field 'sample_budget'"),
+    ({"prover": {"pool_size": True}}, "prover: field 'pool_size'"),
+    ({"model": {"stop": "abc"}}, "model: field 'stop'"),
+    ({"out_dir": 5}, "field 'out_dir'"),
+    ({"seed": "0"}, "field 'seed'"),
+    ({"fixtures": {"few_shots": 5}}, "field 'fixtures'"),
+])
+def test_a_config_field_of_the_wrong_type_exits_2_naming_it(
+        tmp_path, capsys, config, named):
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    write_jsonl(tmp_path / "records.jsonl", [GOOD_RECORD])
+    assert main(["report", str(tmp_path / "records.jsonl"), "--config",
+                 str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'config.json'}: {named}" in err
+
+
+@pytest.mark.parametrize("outcome, field", [
+    ({"status": "ok", "is_done": "false"}, "is_done"),
+    ({"status": "ok", "delay_s": "1"}, "delay_s"),
+    ({"status": "done"}, "status"),
+])
+def test_a_mock_outcome_of_the_wrong_type_exits_2_naming_it(
+        tmp_path, capsys, outcome, field):
+    # `is_done: "false"` made every proof a success.
+    config = _every_input(tmp_path)
+    write_mock_prover(tmp_path, {"by simp": outcome})
+    assert main(["bench", str(tmp_path / "spec.jsonl"), "--no-erp",
+                 "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "fixtures.prover_mock" in err and field in err
+
+
+@pytest.mark.parametrize("entry", [
+    [1],
+    {"request": 5, "response": {}},
+    {"request": {"command": "apply", "step": "by simp"}},
+    {"request": {"command": "nope"}, "response": {}},
+    {"request": {"command": ["apply"]}, "response": {}},
+    {"request": {"command": "apply", "step": 5}, "response": {}},
+])
+def test_cmd_prove_malformed_replay_trace_exits_2_naming_its_line(
+        tmp_path, capsys, entry):
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    (tmp_path / "prover_trace.jsonl").write_text(
+        "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+    fixtures = {
+        "model_replay": write_replay_model(
+            tmp_path, {SIMPLE_STATEMENT: ["by simp"]}),
+        "prover_trace": "prover_trace.jsonl",
+    }
+    config = write_config(tmp_path, fixtures=fixtures,
+                          budget={"sample_budget": 1, "erp_enabled": False})
+    assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
+    assert f"{tmp_path / 'prover_trace.jsonl'}:2" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from proofseek.engine import (
 )
 from proofseek.errors import TransportError
 from proofseek.isar import parse_script, truncate_to_block
+from proofseek.jsonl import typed
 from proofseek.model import (
     MockModel,
     ModelParams,
@@ -1170,7 +1171,7 @@ def test_run_pool_preserves_order_and_captures_exceptions():
 def test_attempt_record_round_trip():
     record = AttemptRecord(PROBLEM_NAME, True, 0, "init_proof", False, 0,
                            False, 1.25, final_script="by simp")
-    assert AttemptRecord.from_json(record.to_json()) == record
+    assert typed(AttemptRecord, record.to_json(), "record") == record
 
 
 def test_attempt_record_invariants():
@@ -1179,6 +1180,12 @@ def test_attempt_record_invariants():
                       final_script=None)
     with pytest.raises(ValueError):
         AttemptRecord("p", False, 0, "atp", False, 0, False, 0.0)
+    with pytest.raises(ValueError):
+        AttemptRecord("p", False, 0, "nope", False, 0, False, 0.0)
+    with pytest.raises(ValueError):
+        AttemptRecord("p", False, -1, "failed", False, 0, False, 0.0)
+    with pytest.raises(ValueError):
+        AttemptRecord("p", False, 0, "failed", False, -1, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
