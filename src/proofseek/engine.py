@@ -16,19 +16,19 @@ run out: an attempt advances up to a placeholder or failure and hands over
 to the repair chain.  The whole chain, ERP's continuation included, runs in
 that one session.
 
-Placeholder discharge is two-phase: the goal body is applied on its own and
-the cascade then tries bare ``by <tactic>`` steps; a failed tactic step is
-instead rewritten and re-applied whole.  A block delimiter gets no cascade.
-Failed applies never advance the prover session.  Each stage seeks the
-prefix it works from and leaves the session wherever its applies left it:
-the cursor alone knows where that is, and replays a prefix into a fresh
-session only when it must.
+A placeholder is repaired as a failed tactic step is: the step is rewritten
+with each tactic and applied whole, then its goal body takes the hammer.  A
+block delimiter gets no cascade.  Failed applies never advance the prover
+session.  Each stage seeks the prefix it works from and leaves the session
+wherever its applies left it: the cursor alone knows where that is, and
+replays a prefix into a fresh session only when it must.
 
 A verdict is a function of the session's steps and the step text, so the
-cursor never re-sends a step refused at the same place, and within one
-candidate no stage runs twice on one claim: the validated prefix plus the
-failing step's goal body, which a tactic step and its placeholder share.  A
-cascade that timed out is no verdict and runs again.
+cursor never re-sends a step refused at the same place; it is the engine's
+one memory of prover answers, and a cascade run again on one claim sends
+only what timed out.  ERP asks the model once per claim: the validated
+prefix plus the failing step's goal body, which a tactic step and its
+placeholder share.
 """
 
 from __future__ import annotations
@@ -147,22 +147,15 @@ def _claim(script: ProofScript, index: int) -> Claim:
 
 @dataclass
 class AttemptState:
-    """Mutable bookkeeping for one candidate attempt.  ``tried`` holds the
-    (stage, claim) pairs already run here without success; ``timed_out`` is
-    set once, when the attempt's session cursor closes."""
+    """Mutable bookkeeping for one candidate attempt.  ``erp_claims`` holds
+    the claims on which ERP has asked the model; ``timed_out`` is set once,
+    when the attempt's session cursor closes."""
 
     extra_calls: int = 0
     stage: Stage = Stage.INIT_PROOF
     timed_out: bool = False
     has_sc: bool = False
-    tried: set[tuple[Stage, Claim]] = field(default_factory=set)
-
-    def first_try(self, stage: Stage, claim: Claim) -> bool:
-        """Record a try of ``stage`` on ``claim``; False if it was tried."""
-        if (stage, claim) in self.tried:
-            return False
-        self.tried.add((stage, claim))
-        return True
+    erp_claims: set[Claim] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -211,50 +204,37 @@ class RepairOutcome:
 
 def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
                    cascade: TacticCascade) -> RepairOutcome:
-    """Try each cascade tactic as the step's justification, then Sledgehammer.
+    """Try each cascade tactic as the step's justification, then Sledgehammer
+    on its goal body.
 
-    Sorry placeholders are discharged two-phase (goal body alone, then bare
-    ``by <tactic>``); failed tactic steps are rewritten and re-applied whole.
-    A block delimiter takes no justification, so it gets no cascade.  Every
-    tactic and hammer request sent counts one extra call; goal-body
-    applications and answers the cursor gives with no call do not.  On
-    overall failure after a body application the session is left mid-goal,
-    where the cursor finds it for the next step that restates that body.
+    A sorry placeholder is repaired as a tactic step is: each tactic is sent
+    as the step with that justification (``have "x" by auto``), then the
+    goal body, then the hammer, so the cursor answers every repeat of a
+    cascade with no call.  A block delimiter takes no justification, so it
+    gets no cascade.  Every tactic and hammer request sent counts one extra
+    call; goal-body applications and answers the cursor gives with no call
+    do not.  On overall failure after a body application the session is
+    left mid-goal, where the cursor finds it for the next step that restates
+    that body.
     """
     step = script.step_at(position)
     if step.head in DELIMITERS:
         return RepairOutcome(False, script)
     extra = 0
-    placeholder = step.is_sorry
-
-    def apply(text: str) -> StepResult:
-        return cursor.advance((text,)).last
-
-    def attempt(text: str) -> StepResult:
-        nonlocal extra
+    for tactic in (*cascade.tactics, None):  # None: the hammer
+        if tactic is not None:
+            text = step.with_justification(justification(tactic)).text
+        elif step.body_text and not cursor.advance((step.body_text,)).last.ok:
+            break
+        else:
+            text = HAMMER_STEP
         recalled = cursor.recalled
-        result = apply(text)
+        result = cursor.advance((text,)).last
         extra += cursor.recalled == recalled
-        return result
-
-    def win(closing: str, result: StepResult) -> RepairOutcome:
-        repaired = splice(script, position, step.with_justification(closing))
-        return RepairOutcome(True, repaired, extra, result.is_done)
-
-    if placeholder and step.body_text and not apply(step.body_text).ok:
-        return RepairOutcome(False, script)
-    for tactic in cascade.tactics:
-        closing = justification(tactic)
-        result = attempt(closing if placeholder else
-                         step.with_justification(closing).text)
         if result.ok:
-            return win(closing, result)
-
-    if not placeholder and step.body_text and not apply(step.body_text).ok:
-        return RepairOutcome(False, script, extra)
-    result = attempt(HAMMER_STEP)
-    if result.ok:
-        return win(justification(result.message or "smt"), result)
+            closing = justification(tactic or result.message or "smt")
+            repaired = splice(script, position, step.with_justification(closing))
+            return RepairOutcome(True, repaired, extra, result.is_done)
     return RepairOutcome(False, script, extra)
 
 
@@ -373,11 +353,8 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
              model: ModelBackend, prover: ProverBackend, budget: BudgetConfig,
              few_shots: Sequence[tuple[str, str]]) -> Optional[str]:
     """Validate and repair one candidate; the final proof text, or None."""
-    text = extract_proof_text(candidate)
-    if not text.strip():
-        return None
     try:
-        script = parse_script(text)
+        script = parse_script(extract_proof_text(candidate))
     except ParseError:
         return None
     if not script.steps:
@@ -427,23 +404,17 @@ ChainStep = tuple[bool, ProofScript, int, bool]
 def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
              state: AttemptState,
              cascade: TacticCascade) -> Optional[ChainStep]:
-    """``atp_substitute`` at ``index``, sought to the claim's prefix.  A win
-    is booked here and returned as the chain's next step; a loss, or a claim
-    the cascade was refused on already, returns None.  Only a loss made of
-    refusals is recorded: one that saw a timeout runs again."""
-    claim = _claim(script, index)
-    if (Stage.ATP, claim) in state.tried:
-        return None
-    cursor.seek(claim[:-1])
-    timeouts = cursor.timeouts
+    """``atp_substitute`` at ``index``, sought to the step's prefix.  A win
+    is booked here and returned as the chain's next step; a loss returns
+    None.  A cascade run again on one claim sends only the steps that timed
+    out: the cursor answers the rest with no call."""
+    cursor.seek(s.text for s in script.steps[:index])
     outcome = atp_substitute(cursor, script, index, cascade)
     state.extra_calls += outcome.extra_calls
     if outcome.success:
         state.stage = _advance(state.stage, Stage.ATP)
         state.has_sc = state.has_sc or script.steps[index].is_sorry
         return outcome.is_done, outcome.script, index + 1, True
-    if cursor.timeouts == timeouts:
-        state.tried.add((Stage.ATP, claim))
     return None
 
 
@@ -453,11 +424,12 @@ def _repair_chain(
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
 ) -> ChainStep:
     """Repair at a failing or placeholder position: the cascade, then ERP,
-    then the heuristic rewrite, then a backtrack with one last cascade.  No
-    stage runs twice on one claim (``AttemptState.tried``), so the
-    placeholder the heuristic makes of a refused step goes straight to the
-    backtrack, while a step a backtrack moved under a new prefix is a new
-    claim.
+    then the heuristic rewrite, then a backtrack with one last cascade.  The
+    placeholder the heuristic makes of a refused step comes back here and is
+    repaired as the step was, so its cascade costs no call but for steps
+    that timed out, and the heuristic leaves it alone.  ERP asks the model
+    once per claim (``AttemptState.erp_claims``); a step a backtrack moved
+    under a new prefix is a new claim.
 
     Returns (proof_done, script, applied_count_or_next_index, alive).
     """
@@ -466,23 +438,21 @@ def _repair_chain(
         return won
 
     claim = _claim(script, index)
-    if budget.erp_enabled and state.first_try(Stage.ERP, claim):
+    if budget.erp_enabled and claim not in state.erp_claims:
+        state.erp_claims.add(claim)
         erp = erp_repair(cursor, script, index, model, statement, budget,
                          few_shots)
         if erp.success:
             state.stage = _advance(state.stage, Stage.ERP)
             return True, erp.script, len(erp.script.steps), True
 
-    if state.first_try(Stage.HEURISTIC, claim):
-        rewritten = heuristic_repair(script, index)
-        if rewritten.steps != script.steps:
-            state.stage = _advance(state.stage, Stage.HEURISTIC)
-            # The placeholder at `index` is re-attempted by the main loop.
-            return False, rewritten, index, True
+    rewritten = heuristic_repair(script, index)
+    if rewritten.steps != script.steps:
+        state.stage = _advance(state.stage, Stage.HEURISTIC)
+        # The placeholder at `index` is re-attempted by the main loop.
+        return False, rewritten, index, True
 
     lost = (False, script, index, False)
-    if index == 0:
-        return lost
     target = _backtrack_target(script, index)
     truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:

@@ -18,12 +18,13 @@ of five modes:
 * ``justifying``: after ``by`` or ``apply``;
 * ``closed``: after ``sorry``, or no step open yet.
 
-A keyword the mode does not take opens a new step, and that keyword alone
-fixes the new step's mode; a block delimiter never continues a step.  Other
-words extend the body, or the justification when justifying, and open a plain
-step after a closed one.  A comment waits for the next token: it leads the
-step that token opens or joins the step it continues, and comments left at
-the end trail the script.
+A step keyword written against its parenthesis (``by(simp)``) is read as
+the keyword followed by the rest of the word.  A keyword the mode does not
+take opens a new step, and that keyword alone fixes the new step's mode; a
+block delimiter never continues a step.  Other words extend the body, or the
+justification when justifying, and open a plain step after a closed one.  A
+comment waits for the next token: it leads the step that token opens or
+joins the step it continues, and comments left at the end trail the script.
 
 Tokens are read by one compiled ``re`` scanner rather than a loop over
 characters (``tokenize``); each character can match it only one way, so
@@ -291,6 +292,19 @@ class ProofScript:
 # ---------------------------------------------------------------------------
 # parsing
 
+def _step_tokens(text: str) -> Iterator[Token]:
+    """``tokenize``'s tokens, with a step keyword written against its
+    parenthesis (``by(simp)``, valid Isar) split off as a word of its own.
+    Only a word that holds ``(`` is looked at."""
+    for tok in tokenize(text):
+        if tok.kind == "word" and "(" in tok.text:
+            head = tok.text[:tok.text.index("(")]
+            if head in STEP_KEYWORDS:
+                yield tok._replace(text=head)
+                tok = Token("word", tok.text[len(head):], tok.offset + len(head))
+        yield tok
+
+
 def parse_script(text: str) -> ProofScript:
     """Parse proof text into a ProofScript.
 
@@ -303,7 +317,7 @@ def parse_script(text: str) -> ProofScript:
     preamble = text.strip()
     steps: list[tuple[list[str], list[str], list[str]]] = []  # body, just, lead
     mode, pending = "closed", []
-    for tok in tokenize(text):
+    for tok in _step_tokens(text):
         word = tok.text
         keyword = tok.kind == "word" and word in STEP_KEYWORDS
         if not steps:  # the preamble runs up to the first step keyword

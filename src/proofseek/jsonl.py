@@ -93,11 +93,16 @@ def typed(cls: type[T], value: object, where: str, **given: object) -> T:
 
 def numbered_values(path: Union[str, Path]) -> Iterator[tuple[str, object]]:
     """``("<path>:<line>", value)`` for each non-blank line of a JSONL file.
-    A missing file raises FileNotFoundError, naming the path."""
+    A missing file raises FileNotFoundError, naming the path, and a line
+    that is not JSON a ValueError beginning ``<path>:<line>:``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for number, line in enumerate(lines, 1):
         if line.strip():
-            yield f"{path}:{number}", loads(line)
+            try:
+                value = loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
+            yield f"{path}:{number}", value
 
 
 def read_jsonl(path: Union[str, Path]) -> list[dict]:

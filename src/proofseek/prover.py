@@ -51,12 +51,20 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    ParseError,
     ReplayMismatch,
     SessionClosed,
     TheoryLoadError,
     TransportError,
 )
-from .isar import CLOSERS, GOAL_KEYWORDS, OPENER, ProofScript, strip_terminal_marker
+from .isar import (
+    CLOSERS,
+    GOAL_KEYWORDS,
+    OPENER,
+    ProofScript,
+    strip_terminal_marker,
+    tokenize,
+)
 from .jsonl import is_texts, loads, numbered_values, typed
 
 __all__ = [
@@ -345,18 +353,26 @@ class _SessionState:
     body: Optional[str] = None  # the last accepted step, when a goal body
 
 
+def _words(text: str) -> dict[str, int]:
+    """The words of a step, each at the offset of its first occurrence,
+    read as ``isar.tokenize`` reads them: a quoted string is one token, so a
+    ``by`` inside a goal is no word.  Text that does not tokenize has none."""
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return {}
+    return {tok.text: tok.offset for tok in reversed(tokens) if tok.kind == "word"}
+
+
 def _split_by(text: str) -> Optional[tuple[str, str]]:
     """(body, ``by T``) of a normalized ``<body> by T`` step, else None."""
-    words = text.split(" ")
-    if "by" not in words[1:]:
-        return None
-    at = words.index("by", 1)
-    return " ".join(words[:at]), " ".join(words[at:])
+    at = _words(text).get("by")
+    return (text[:at].rstrip(), text[at:]) if at else None
 
 
 def _goal_body(text: str) -> Optional[str]:
     """``text`` when it states a goal and leaves it open, else None."""
-    words = text.split(" ")
+    words = _words(text)
     if GOAL_KEYWORDS.isdisjoint(words) or "by" in words or "sorry" in words:
         return None
     return text
@@ -395,6 +411,8 @@ class MockProver(ProverBackend):
         config: Optional[ProverConfig] = None,
     ):
         super().__init__(config)
+        if not isinstance(table, (dict, type(None))):
+            raise TypeError(f"table must be an object, got {table!r:.80}")
         self.table = {normalize_step(k): MockOutcome.of(v)
                       for k, v in (table or {}).items()}
         self.default = MockOutcome.of(default)

@@ -135,6 +135,20 @@ def test_mock_table_that_accepts_one_form_only_is_rejected(body):
     MockProver(table={**table, 'have "x"': "ok"})
 
 
+def test_mock_table_with_a_by_inside_a_quoted_goal_is_coherent():
+    # the goal's `by` is no justification: `have "x` is not its body
+    mock = MockProver(table={'have "x by y"': "ok"})
+    assert mock.apply(mock.init_session("t"), 'have "x by y"').ok
+
+
+def test_mock_holds_a_quoted_goal_with_a_by_as_an_open_goal_body():
+    mock = MockProver(table={'have "x by y"': "ok",
+                             'have "x by y" by simp': "ok"})
+    session = mock.init_session("t")
+    assert mock.apply(session, 'have "x by y"').ok
+    assert mock.apply(session, "by simp").ok
+
+
 def test_mock_auto_done_at_closing_qed():
     mock = accepting_mock(['proof - have "a" by simp qed'])
     session = mock.init_session("t")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -253,9 +254,11 @@ def test_run_benchmark_resumes_past_a_final_record_without_newline(tmp_path):
 def test_run_benchmark_malformed_inner_line_still_raises(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"problem_name": "p1", "succ\n{}\n')
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
+                       "Unterminated string") as raised:
         run_benchmark(_spec(["p1"]), None, None, path, pool_size=1,
                       prove_fn=_fake_prove({}))
+    assert isinstance(raised.value.__cause__, json.JSONDecodeError)
 
 
 def test_run_benchmark_rerun_is_noop(tmp_path):

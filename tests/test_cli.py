@@ -896,6 +896,13 @@ def test_mock_prover_fixture_takes_outcome_objects(tmp_path):
     assert prover.apply(sid, HAMMER_STEP).message == "by auto"
 
 
+def test_cmd_report_torn_inner_line_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"problem_name": "p1", "succ\n{}\n', encoding="utf-8")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
+
+
 @pytest.mark.parametrize("config_text", [
     "[]", '{"mode": "offline"}', '{"budget": 5}', '{"model": {"top_p": 2}}'])
 def test_cmd_report_bad_config_exits_2(tmp_path, capsys, config_text):
@@ -910,6 +917,20 @@ def test_cmd_prove_unknown_mock_prover_key_exits_2(tmp_path, capsys):
     (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
     (tmp_path / "prover_mock.json").write_text(
         json.dumps({"table": {}, "tabel": {}}), encoding="utf-8")
+    fixtures = {
+        "model_replay": write_replay_model(
+            tmp_path, {SIMPLE_STATEMENT: ["by simp"]}),
+        "prover_mock": "prover_mock.json",
+    }
+    config = write_config(tmp_path, fixtures=fixtures)
+    assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
+    assert "fixtures.prover_mock" in capsys.readouterr().err
+
+
+def test_cmd_prove_mock_prover_table_not_an_object_exits_2(tmp_path, capsys):
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    (tmp_path / "prover_mock.json").write_text(
+        json.dumps({"table": [1]}), encoding="utf-8")
     fixtures = {
         "model_replay": write_replay_model(
             tmp_path, {SIMPLE_STATEMENT: ["by simp"]}),

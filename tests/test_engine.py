@@ -329,6 +329,33 @@ def test_cascade_that_timed_out_runs_again_after_the_heuristic_rewrite():
     assert 'have "x" by auto' in record.final_script
 
 
+def test_placeholder_cascade_sends_again_only_the_tactic_that_timed_out():
+    # The heuristic's placeholder is repaired in the form the refused step
+    # was: the refused `have "x" by auto`, the goal body and the refused
+    # hammer are answered with no call, and only simp, which timed out, is
+    # sent again, into the goal body the first cascade left open.
+    candidate = 'proof -\n  have "x" by bad\n  show ?thesis by simp\nqed'
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "x"': "ok", 'have "x" by simp': SLOW}))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
+                          cascade=TacticCascade(("auto", "simp")))
+    record = prove(STATEMENT, _model(candidate), prover, budget)
+    steps = _steps(prover)
+    assert steps[:steps.index("close")] == [
+        "init", "proof -", 'have "x" by bad', 'have "x" by auto',
+        'have "x" by simp', 'have "x"', "\u27e8hammer\u27e9", "by simp"]
+    assert record.extra_calls == 7 and record.has_timeout
+
+
+@pytest.mark.parametrize("written", ["by(bad)", "by (bad)"])
+def test_keyword_against_its_paren_is_repaired_as_if_spaced(written):
+    candidate = f'proof -\n  have "x" {written}\n  show ?thesis by simp\nqed'
+    record = prove(STATEMENT, _model(candidate), _atp_prover(),
+                   BudgetConfig(sample_budget=1, erp_enabled=False))
+    assert record.success and record.success_stage == "atp"
+    assert 'have "x" by simp' in record.final_script
+
+
 def test_claim_whose_prefix_a_backtrack_changed_is_tried_again():
     # `have "x"` is refused at index 3 inside the inner block.  Collapsing
     # that block moves the later `have "x"` to index 3 under another prefix:
@@ -844,6 +871,56 @@ def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
 
 
 # ---------------------------------------------------------------------------
+# property: a placeholder's cascade repeats only what timed out
+
+_REPAIR_TACTICS = ("auto", "simp", "blast")
+
+
+@st.composite
+def _tactic_tables(draw):
+    """A coherent MockProver table for `have "x"` after `proof -`, whose goal
+    body and cascade tactics answer ok, error or timeout, whole or bare, and
+    a hammer that is refused or times out."""
+    answer = st.sampled_from(["ok", "error", SLOW])
+    body = draw(answer)
+    table = {"proof -": "ok", 'have "x"': body}
+    for tactic in _REPAIR_TACTICS:
+        table[f"by {tactic}"] = draw(answer)
+        whole = draw(st.sampled_from([None, "ok", "error", SLOW]))
+        if whole == "error" or (whole == "ok" and body == "ok") or (
+                whole is SLOW and body != "error"):
+            table[f'have "x" by {tactic}'] = whole
+    return table, draw(st.sampled_from([None, SLOW]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_tactic_tables())
+@example(({"proof -": "ok", 'have "x"': "ok", "by auto": "error",
+           "by simp": SLOW, "by blast": "error"}, None))
+def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
+    # The cascade on a refused tactic step, then, in the same cursor, on the
+    # placeholder the heuristic makes of it: the second run may send only
+    # steps whose first answer was a timeout, a tactic sent bare into the
+    # goal body it left open counting as its whole step.
+    table, hammer = drawn
+    prover = RecordingProver(MockProver(table=table, hammer=hammer))
+    cursor = _cursor(prover)
+    assert cursor.advance(["proof -"]).count == 1
+    script = parse_script('proof - have "x" by bad')
+    cascade = TacticCascade(_REPAIR_TACTICS)
+    if atp_substitute(cursor, script, 1, cascade).success:
+        return
+    timed_out = {e["request"]["step"] for e in prover.trace
+                 if e["response"]["status"] == "timeout"}
+    sent = len(prover.trace)
+    cursor.seek(["proof -"])
+    atp_substitute(cursor, heuristic_repair(script, 1), 1, cascade)
+    again = [f'have "x" {step}' if step.startswith("by ") else step
+             for step in _steps(prover)[sent:]]
+    assert set(again) <= timed_out
+
+
+# ---------------------------------------------------------------------------
 # differential: runs of steps in one request against one request per step
 
 _RUN_OPS = st.one_of(_SEEK, st.tuples(
@@ -1203,15 +1280,17 @@ GOLDEN_REQUESTS = [
     # cascade fix of a timed-out tactic step
     INIT, ("apply", "proof -", 10.0), ("apply", 'have "a" by foo', 10.0),
     ("apply", 'have "a" by auto', 10.0), *PREFIX[1:], ("apply", "proof -", 10.0),
-    # two-phase placeholder falls through to a failing hammer: the cursor
-    # holds the goal body `have "d"`, and the claim `have "d"` is refused
-    ("apply", 'have "d"', 10.0), *CASCADE, HAMMER,
+    # the placeholder is repaired as a tactic step is: each tactic as the
+    # whole step, then the goal body `have "d"`, which the cursor then
+    # holds, and a failing hammer
+    *[("apply", f'have "d" {step}', timeout) for _, step, timeout in CASCADE],
+    ("apply", 'have "d"', 10.0), HAMMER,
     # ERP round: the continuation restates `have "d"`, so only `by e2` is
     # sent, into the held body, and refused.  Dropped: ERP's rebuild (close,
     # init, the four prefix steps) and its `have "d" by e2`
     ("apply", "by e2", 10.0),
-    # the heuristic's placeholder at `have "d"` is the refused claim: straight
-    # to the backtrack, whose bare placeholder does not reopen the body, so
+    # the heuristic rewrites nothing at a placeholder: straight to the
+    # backtrack, whose bare placeholder does not reopen the body, so
     # the session is rebuilt here; the hammer discharges the placeholder
     CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0), *CASCADE, HAMMER,
     # the block closer fails and gets no cascade, and the heuristic rewrites

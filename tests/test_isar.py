@@ -188,6 +188,22 @@ _C = "(* c *)"
         f"by simp {_C}",
         [((), ("by", "simp"), ())], (_C,),
         id="comment-at-the-end-trails"),
+    pytest.param(
+        "by(simp)",
+        [((), ("by", "(simp)"), ())], (),
+        id="a-keyword-against-its-paren-opens-a-step"),
+    pytest.param(
+        'have "x" by(simp)',
+        [(("have", '"x"'), ("by", "(simp)"), ())], (),
+        id="a-keyword-against-its-paren-continues-a-step"),
+    pytest.param(
+        "proof(induct n)",
+        [(("proof", "(induct", "n)"), (), ())], (),
+        id="a-delimiter-against-its-paren"),
+    pytest.param(
+        'have "x" using foo(1) by simp',
+        [(("have", '"x"', "using", "foo(1)"), ("by", "simp"), ())], (),
+        id="another-word-holding-a-paren-stays-whole"),
 ])
 def test_step_grammar(text, steps, trailing):
     script = parse_script(text)
