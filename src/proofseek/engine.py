@@ -256,8 +256,6 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     prefix_texts = [s.text for s in prefix_steps]
     completion = model.complete(
         budget.model, erp_prompt(statement, "\n".join(prefix_texts), few_shots), 1)
-    if not completion[0].strip():
-        return RepairOutcome(False, script)
     try:
         continuation = parse_script(extract_proof_text(completion[0]))
     except ParseError:

@@ -165,6 +165,8 @@ class ChatModelClient(ModelBackend):
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
                 payload = loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # an error reply holds its connection open
             raise TransportError(f"model endpoint failed: {exc}") from exc
         return _completions(payload)
 

@@ -6,20 +6,20 @@ Requests carry ``{command, session_id, step, timeout_s}`` and responses
 ``command`` is one of ``init`` (step holds the theory text), ``apply``,
 ``apply_steps`` or ``close``.  ``COMMANDS`` is the one statement of each
 command: its row names the request field that carries its text and that
-field's type test, the server's handler, the client's reply reader, and
-whether it is a capability.  The server's request check, its dispatch, the
-request builder, the recorder and the reply reading of both the wire client
-and replay read that table, so the wire, recorded traces and their replay
-agree byte for byte, and a recorded reply is checked as a wire reply is.
+field's type test, the server's handler and the client's reply reader.
+The server's request check, its dispatch, the request builder, the recorder
+and the reply reading of both the wire client and replay read that table, so
+the wire, recorded traces and their replay agree byte for byte, and a
+recorded reply is checked as a wire reply is.
 
-``ProverServer`` lists the capability rows in the ``capabilities`` of an
-accepted ``init`` reply.  With ``apply_steps`` there, a run of steps travels
-in one request, ``{command, session_id, steps, timeout_s}``, answered
-``{status: "ok", results: [...]}`` with one ``apply`` reply per step taken:
-the backend stops at the first step that is not ok or that completes the
-proof (``ProverBackend.apply_steps``), each step with ``timeout_s``.  A
-client sends it only to a server that advertised it, and a recorded trace
-holds one ``apply`` entry per step either way.
+A run of steps travels in one request, ``{command, session_id, steps,
+timeout_s}``, answered ``{status: "ok", results: [...]}`` with one ``apply``
+reply per step taken: the backend stops at the first step that is not ok or
+that completes the proof (``ProverBackend.apply_steps``), each step with
+``timeout_s``.  Every ``ProverServer`` takes runs, and the wire client sends
+every run as ``apply_steps``; a server without it answers with a
+``protocol`` error, a transport fault.  A recorded trace holds one ``apply``
+entry per step taken.
 
 Two conventions make tactic cascades possible without state addressing:
 
@@ -150,13 +150,9 @@ def _step_response(result: StepResult) -> dict:
                      result.is_done)
 
 
-def _opened(session_id: str, capabilities: Sequence[str] = ()) -> dict:
-    """The response to an accepted ``init``, listing the server's
-    capabilities when it has any."""
-    response = _response(OK, f"{session_id}/0")
-    if capabilities:
-        response["capabilities"] = list(capabilities)
-    return response
+def _opened(session_id: str) -> dict:
+    """The response to an accepted ``init``."""
+    return _response(OK, f"{session_id}/0")
 
 
 def _malformed(response) -> TransportError:
@@ -180,20 +176,16 @@ def _judged(response) -> StepResult:
     return StepResult(status, state_id, message, is_done)
 
 
-def _read_init(response: dict, _sent: dict) -> tuple[str, list[str]]:
-    """The session id and the capabilities of an ``init`` reply, checked:
-    the capabilities, when present, are a list of names.  A refusal is
+def _read_init(response: dict, _sent: dict) -> str:
+    """The session id of an ``init`` reply, checked.  A refusal is
     TheoryLoadError; a timeout is no verdict on the theory, so it is a
     TransportError."""
     result = _judged(response)
-    capabilities = response.get("capabilities", [])
-    if not is_texts(capabilities):
-        raise _malformed(response)
     if result.status == TIMEOUT:
         raise TransportError(f"theory load timed out: {result.message}")
     if not result.ok:
         raise TheoryLoadError(response.get("message", "theory rejected"))
-    return result.new_state_id.split("/")[0], capabilities
+    return result.new_state_id.split("/")[0]
 
 
 def _read_run(response: dict, sent: dict) -> list[StepResult]:
@@ -221,30 +213,27 @@ class Command(NamedTuple):
     request with ``serve(backend, session_id, payload, timeout_s)``; a
     client reads the reply with ``read(reply, request)``, raising
     TransportError when it is of the wrong shape.  ``session`` says whether
-    the request names a session; a ``capability`` is listed in an accepted
-    ``init`` reply, and a client sends it only to a server that listed
-    it."""
+    the request names a session."""
 
     payload: str
     valid: Callable[[object], bool]
     serve: Callable[..., dict]
     read: Callable[[dict, dict], object]
     session: bool = True
-    capability: bool = False
 
 
 COMMANDS: dict[str, Command] = {
     "init": Command(
         "step", _text, session=False, read=_read_init,
         serve=lambda backend, _session, text, _timeout_s: _opened(
-            backend.init_session(text), CAPABILITIES)),
+            backend.init_session(text))),
     "apply": Command(
         "step", _text, read=lambda response, _sent: _judged(response),
         serve=lambda backend, session, text, timeout_s: _step_response(
             backend.apply(session, text, timeout_s))),
     "apply_steps": Command(
         "steps", lambda steps: is_texts(steps) and steps != [],
-        capability=True, read=_read_run,
+        read=_read_run,
         serve=lambda backend, session, texts, timeout_s: {
             "status": OK, "results": [
                 _step_response(result) for result
@@ -255,9 +244,6 @@ COMMANDS: dict[str, Command] = {
         serve=lambda backend, session, _text, _timeout_s:
             backend.close(session) or _response(OK)),
 }
-
-# the commands a client sends only to a server that lists them
-CAPABILITIES = tuple(name for name, command in COMMANDS.items() if command.capability)
 
 
 def _request(command: str, session_id: Optional[str],
@@ -309,8 +295,7 @@ class ProverBackend:
                     timeout_s: Optional[float] = None) -> list[StepResult]:
         """Apply ``texts`` in order, each with ``timeout_s``, until one is not
         ok or the prover reports completion: the answers, one per step
-        taken.  A wire client sends the run in one request to a server that
-        takes it."""
+        taken.  A wire client sends the run in one request."""
         results = []
         for text in texts:
             result = self.apply(session_id, text, timeout_s)
@@ -578,7 +563,7 @@ class ReplayProver(ProverBackend):
         return _read_reply(want, entry["response"])
 
     def init_session(self, theory_text: str) -> str:
-        return self._call("init", theory_text)[0]
+        return self._call("init", theory_text)
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
@@ -688,10 +673,9 @@ class WireProver(ProverBackend):
     too, since the request was never judged, and so is a reply of the wrong
     shape (each command's reader in ``COMMANDS``).
 
-    A run of steps goes out as one ``apply_steps`` request once the last
-    accepted ``init`` reply has advertised it, and as one ``apply`` per step
-    otherwise, so a server that does not take runs sees the bytes it always
-    did.  The wait for a reply is the steps' timeouts plus 10 s.
+    A run of steps goes out as one ``apply_steps`` request; a server that
+    does not take it answers with a ``protocol`` error, so the run is a
+    TransportError.  The wait for a reply is the steps' timeouts plus 10 s.
     """
 
     def __init__(self, config: ProverConfig):
@@ -700,8 +684,6 @@ class WireProver(ProverBackend):
             raise TransportError(f"no prover endpoint ({ENV_PROVER_ADDR} "
                                  "and prover.endpoint unset)")
         self._idle: list[_Connection] = []  # guarded by self._lock
-        # the capabilities the last accepted init reply listed
-        self._advertised: frozenset[str] = frozenset()
 
     def _call(self, command: str, session_id: Optional[str],
               payload: Union[str, list[str]],
@@ -725,10 +707,7 @@ class WireProver(ProverBackend):
         return _read_reply(request, response)
 
     def init_session(self, theory_text: str) -> str:
-        session, capabilities = self._call("init", None, theory_text,
-                                           self.config.init_timeout_s)
-        self._advertised = frozenset(capabilities)
-        return session
+        return self._call("init", None, theory_text, self.config.init_timeout_s)
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
@@ -737,8 +716,6 @@ class WireProver(ProverBackend):
 
     def apply_steps(self, session_id: str, texts: Sequence[str],
                     timeout_s: Optional[float] = None) -> list[StepResult]:
-        if "apply_steps" not in self._advertised:
-            return super().apply_steps(session_id, texts, timeout_s)
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
         return self._call("apply_steps", session_id, list(texts), timeout_s)
 
@@ -861,10 +838,11 @@ class Advance:
 
 def justification(tactic: str) -> str:
     """The ``by`` step that closes a goal with ``tactic``, a method or a
-    ``by …`` step; the cursor files a repaired step under the same text."""
+    ``by …`` step, spaced as ``parse_script`` reads it back (``by(m)`` is
+    ``by (m)``); the cursor files a repaired step under the same text."""
     tactic = tactic.strip()
     if tactic.startswith(("by ", "by(")):
-        return tactic
+        return "by " + tactic[2:].lstrip()
     return f"by ({tactic})" if " " in tactic else f"by {tactic}"
 
 

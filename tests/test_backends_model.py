@@ -2,6 +2,7 @@ import io
 import json
 import sys
 import threading
+import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -264,6 +265,23 @@ def test_chat_client_sends_concurrent_requests_at_once():
                 ["first"], ["second"]]
     finally:
         server.stop()
+
+
+def test_chat_client_closes_an_error_reply():
+    # The HTTPError of a 500 holds the reply's connection; left open, the
+    # socket lived until a garbage collection reached it.
+    def answer(_body):
+        raise RuntimeError("overloaded")
+
+    server = ChatServer(answer)
+    client = ChatModelClient(url=server.url, api_key="", timeout_s=30)
+    try:
+        with pytest.raises(TransportError, match="HTTP Error 500") as caught:
+            client.complete(ModelParams(), _prompt(), 1)
+    finally:
+        server.stop()
+    error = caught.value.__cause__
+    assert isinstance(error, urllib.error.HTTPError) and error.fp.closed
 
 
 def test_chat_client_unreachable_endpoint_is_transport_error():

@@ -678,7 +678,7 @@ def test_wire_run_reaches_the_backend_as_one_apply_per_step(served_mock,
 
 
 _INIT_RUNS = (b'{"status": "ok", "state_id": "s-1/0", "message": "", '
-              b'"is_done": false, "capabilities": ["apply_steps"]}\n')
+              b'"is_done": false}\n')
 
 
 def _run_reply(*results: str) -> bytes:
@@ -715,33 +715,9 @@ def test_wire_run_reply_of_the_wrong_shape_is_a_transport_error(reply):
         server.stop()
 
 
-@pytest.mark.parametrize("capabilities", [b'"apply_steps"', b'null', b'[1]',
-                                          b'{"apply_steps": true}'])
-def test_wire_capabilities_of_the_wrong_shape_are_a_transport_error(
-        capabilities):
-    reply = _INIT_RUNS.replace(b'["apply_steps"]', capabilities)
-    server = LineServer(lambda _index, _line: reply)
-    client = WireProver(ProverConfig(endpoint=server.address))
-    try:
-        with pytest.raises(TransportError, match="malformed prover reply"):
-            client.init_session("theory T")
-    finally:
-        client.shutdown()
-        server.stop()
-
-
-@pytest.mark.parametrize("init, reply", [
-    (_INIT_RUNS, _run_reply(*[_STEP_OK] * 4)),
-    (_INIT_RUNS, _run_reply(_STEP_DONE, _STEP_OK, _STEP_OK)),
-    (_INIT_RUNS.replace(b'["apply_steps"]', b'"apply_steps"'), b'[]\n'),
-])
-def test_wire_run_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
-        init, reply, tmp_path):
-    # The candidate's three steps go out as one run; a reply that cannot be
-    # read as its verdicts makes the problem undetermined, as does an init
-    # reply whose capabilities are not a list.
-    server = LineServer(
-        lambda _index, line: init if b'"init"' in line else reply)
+def _three_step_record(server: LineServer, tmp_path):
+    """The benchmark record of one problem whose one candidate, three steps,
+    is checked through ``server``."""
     client = WireProver(ProverConfig(endpoint=server.address))
     try:
         spec = BenchmarkSpec(
@@ -751,10 +727,48 @@ def test_wire_run_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
             "proof -\n  show ?thesis by simp\nqed"]]})
         [record] = run_benchmark(spec, model, client,
                                  tmp_path / "records.jsonl", pool_size=1)
-        assert record.undetermined and not record.success
+        return record
     finally:
         client.shutdown()
         server.stop()
+
+
+@pytest.mark.parametrize("reply", [
+    _run_reply(*[_STEP_OK] * 4),
+    _run_reply(_STEP_DONE, _STEP_OK, _STEP_OK),
+])
+def test_wire_run_reply_of_the_wrong_shape_leaves_the_problem_undetermined(
+        reply, tmp_path):
+    # The candidate's three steps go out as one run; a reply that cannot be
+    # read as its verdicts makes the problem undetermined.
+    server = LineServer(
+        lambda _index, line: _INIT_RUNS if b'"init"' in line else reply)
+    record = _three_step_record(server, tmp_path)
+    assert record.undetermined and not record.success
+
+
+def _without_runs(_index, line):
+    """A server that takes ``init``, ``apply`` and ``close`` but not
+    ``apply_steps``; every step it applies is accepted."""
+    request = json.loads(line)
+    if request["command"] == "apply_steps":
+        reply = {"status": "error", "error_kind": "protocol",
+                 "message": "unknown command 'apply_steps'"}
+    else:
+        reply = {"status": "ok", "state_id": "s-1/1", "message": "",
+                 "is_done": request["step"] == "qed"}
+        if request["command"] == "close":
+            reply["state_id"] = None
+    return (json.dumps(reply) + "\n").encode("utf-8")
+
+
+def test_a_server_without_runs_leaves_the_problem_undetermined(tmp_path):
+    # The client sends every run as apply_steps and never steps it one
+    # apply at a time, so the server's protocol error is a transport fault.
+    server = LineServer(_without_runs)
+    record = _three_step_record(server, tmp_path)
+    assert record.undetermined and not record.success
+    assert b'"apply_steps"' in server.lines[1]
 
 
 # ---------------------------------------------------------------------------

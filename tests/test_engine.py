@@ -37,6 +37,7 @@ from proofseek.prover import (
     RecordingProver,
     SessionCursor,
     WireProver,
+    check_script,
 )
 
 from fixtures import (
@@ -1129,6 +1130,22 @@ def test_atp_substitute_hammer_result_spliced():
     assert outcome.success
     assert outcome.extra_calls == 10  # 9 tactics + hammer
     assert outcome.script.steps[0].text == 'have "g" by (metis foo)'
+
+
+@pytest.mark.parametrize("hammer", ["by(metis h)", "by(simp)", "by (metis h)",
+                                    "metis h"])
+def test_a_hammer_win_lands_in_a_script_that_rechecks(hammer):
+    # However the hammer writes the tactic it found, the final script parses
+    # back into steps the prover that proved it accepts.
+    prover = MockProver(table={"proof -": "ok", 'have "x"': "ok",
+                               "show ?thesis": "ok",
+                               "show ?thesis by simp": "ok", "qed": "ok"},
+                        hammer=hammer)
+    record = prove(STATEMENT, _model(ATP_CANDIDATE), prover,
+                   BudgetConfig(sample_budget=1, erp_enabled=False))
+    assert record.success_stage == "atp"
+    assert check_script(prover, STATEMENT,
+                        parse_script(record.final_script)).success
 
 
 def test_atp_substitute_total_failure_leaves_script_unchanged():

@@ -1,10 +1,10 @@
 """Byte-level goldens for the prover wire protocol: the trace
 ``RecordingProver.dump`` writes, the lines ``ProverServer`` answers with, the
 lines ``WireProver`` sends, and the replay of the literal trace.  Old traces
-must keep replaying, and old servers must keep reading what the client sends,
-so these literals never change with a refactor.  The one edit so far is the
-``capabilities`` list in the server's accepted-``init`` reply, which a client
-that does not read it ignores."""
+must keep replaying, so these literals never change with a refactor.  The
+server's accepted-``init`` reply is the one line edited so far, twice: it
+gained a ``capabilities`` list, and lost it again when every server took
+runs of steps; the trace bytes never changed."""
 
 import json
 import socket
@@ -50,8 +50,7 @@ GOLDEN_SERVER_EXCHANGE = [
     (b'{"command": "init", "session_id": null, "step": "theory Bad", "timeout_s": 120.0}\n',
      b'{"status": "error", "state_id": null, "message": "bad header", "is_done": false, "error_kind": "theory"}\n'),
     (b'{"command": "init", "session_id": null, "step": "theory T", "timeout_s": 120.0}\n',
-     b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false, '
-     b'"capabilities": ["apply_steps"]}\n'),
+     b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'),
     (b'{"command": "apply", "session_id": "s-1", "step": "have a: \\"x\\" by simp", "timeout_s": 10.0}\n',
      b'{"status": "ok", "state_id": "s-1/1", "message": "", "is_done": false}\n'),
     (b'{"command": "apply", "session_id": "s-1", "step": "\\u27e8hammer\\u27e9", "timeout_s": 40.0}\n',
@@ -211,62 +210,24 @@ def test_a_recorded_run_is_the_golden_apply_entries_and_replays(tmp_path):
 
 
 _CHECKED = 'theorem t:\n  shows "P"\n  oops'
-_STEP_LINES = [
-    b'{"command": "init", "session_id": null, "step": "theory Scratch\\n  '
-    b'imports Main\\nbegin\\n\\ntheorem t:\\n  shows \\"P\\"", "timeout_s": 120.0}\n',
-    b'{"command": "apply", "session_id": "s-1", "step": "proof -", "timeout_s": 10.0}\n',
-    b'{"command": "apply", "session_id": "s-1", "step": "have \\"a\\" by simp", "timeout_s": 10.0}\n',
-    b'{"command": "apply", "session_id": "s-1", "step": "show ?thesis by simp", "timeout_s": 10.0}\n',
-    b'{"command": "apply", "session_id": "s-1", "step": "qed", "timeout_s": 10.0}\n',
-    b'{"command": "close", "session_id": "s-1", "step": "", "timeout_s": null}\n',
-]
 
 
-def _answer(capabilities: bool):
+def _answer(_index, line):
     """Canned replies: every step accepted, the proof done at ``qed``."""
-    init = {"status": "ok", "state_id": "s-1/0", "message": "", "is_done": False}
-    if capabilities:
-        init["capabilities"] = ["apply_steps"]
-
-    def step(index: int, text: str) -> dict:
-        return {"status": "ok", "state_id": f"s-1/{index}", "message": "",
-                "is_done": text == "qed"}
-
-    def respond(_index, line):
-        request = json.loads(line)
-        command = request["command"]
-        if command == "init":
-            reply = init
-        elif command == "apply_steps":
-            reply = {"status": "ok", "results": [
-                step(i, text) for i, text in enumerate(request["steps"], 1)]}
-        elif command == "apply":
-            reply = step(1, request["step"])
-        else:
-            reply = {"status": "ok", "state_id": None, "message": "",
-                     "is_done": False}
-        return (json.dumps(reply) + "\n").encode("utf-8")
-
-    return respond
-
-
-def test_wire_client_steps_one_apply_at_a_time_for_a_server_without_runs():
-    # A server whose init reply lists no capabilities reads the lines it
-    # always did: one apply per step.
-    server = LineServer(_answer(capabilities=False))
-    client = WireProver(ProverConfig(endpoint=server.address))
-    script = parse_script('proof -\n  have "a" by simp\n'
-                          '  show ?thesis by simp\nqed')
-    try:
-        assert check_script(client, _CHECKED, script).success
-    finally:
-        client.shutdown()
-        server.stop()
-    assert server.lines == _STEP_LINES
+    request = json.loads(line)
+    reply = {"status": "ok", "state_id": None, "message": "", "is_done": False}
+    if request["command"] == "init":
+        reply["state_id"] = "s-1/0"
+    elif request["command"] == "apply_steps":
+        reply = {"status": "ok", "results": [
+            {"status": "ok", "state_id": f"s-1/{i}", "message": "",
+             "is_done": text == "qed"}
+            for i, text in enumerate(request["steps"], 1)]}
+    return (json.dumps(reply) + "\n").encode("utf-8")
 
 
 def test_checking_a_long_script_takes_three_requests():
-    server = LineServer(_answer(capabilities=True))
+    server = LineServer(_answer)
     client = WireProver(ProverConfig(endpoint=server.address))
     steps = ["proof -", *(f'have "g{i}" by simp' for i in range(38)), "qed"]
     try:
