@@ -37,6 +37,7 @@ from .errors import (
 )
 from .formalize import (
     FormalizationRecord,
+    _dedupe,
     compile_policy,
     formalize_nl,
     render_theory,
@@ -211,9 +212,10 @@ def cmd_policy(args: argparse.Namespace, config: RunConfig) -> int:
     theories_dir = out_dir / "theories"
     theories_dir.mkdir(exist_ok=True)
 
-    records, errors = [], []
+    records, errors, used = [], [], set()
     for index, (row_name, policy_text) in enumerate(rows):
-        name = _sanitize_name(row_name or f"policy_{index}")
+        # names that sanitize alike get a numeric suffix: one theory file each
+        name = _dedupe(_sanitize_name(row_name or f"policy_{index}"), used)
         try:
             policy = parse_policy(policy_text, source_name=row_name)
             if model is not None:

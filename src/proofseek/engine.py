@@ -67,12 +67,10 @@ __all__ = [
     "AttemptRecord",
     "AttemptState",
     "BudgetConfig",
-    "RAW_CASCADE_METHODS",
+    "CASCADE",
     "RepairOutcome",
     "Stage",
-    "TacticCascade",
     "atp_substitute",
-    "default_cascade",
     "erp_repair",
     "heuristic_repair",
     "prove",
@@ -93,29 +91,11 @@ def _advance(stage: Stage, to: Stage) -> Stage:
     return max(stage, to, key=list(Stage).index)
 
 
-# The configured method list names auto twice; the cascade drops duplicates
-# keeping first occurrence, then appends Sledgehammer.
-RAW_CASCADE_METHODS = (
-    "auto", "simp", "auto", "blast", "fastforce", "eval", "sos", "arith",
-    "simp add: field_simps", "simp add: mod_simps",
-)
-
-
-@dataclass(frozen=True)
-class TacticCascade:
-    tactics: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tactics:
-            raise ValueError("cascade must name at least one tactic")
-        deduped: dict[str, None] = {}
-        for tactic in self.tactics:
-            deduped.setdefault(tactic, None)
-        object.__setattr__(self, "tactics", tuple(deduped))
-
-
-def default_cascade() -> TacticCascade:
-    return TacticCascade(RAW_CASCADE_METHODS)
+# The tactics tried, in order, before Sledgehammer.  The paper's list names
+# auto twice (auto, simp, auto, blast, ...); the repeat is dropped, since a
+# second try of one tactic on one goal gets the same answer.
+CASCADE = ("auto", "simp", "blast", "fastforce", "eval", "sos", "arith",
+           "simp add: field_simps", "simp add: mod_simps")
 
 
 @dataclass(frozen=True)
@@ -124,7 +104,6 @@ class BudgetConfig:
     model: ModelParams = field(default_factory=ModelParams)
     prover: ProverConfig = field(default_factory=ProverConfig)
     erp_enabled: bool = True
-    cascade: TacticCascade = field(default_factory=default_cascade)
 
     def __post_init__(self) -> None:
         if self.sample_budget < 1:
@@ -202,10 +181,10 @@ class RepairOutcome:
     is_done: bool = False
 
 
-def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
-                   cascade: TacticCascade) -> RepairOutcome:
-    """Try each cascade tactic as the step's justification, then Sledgehammer
-    on its goal body.
+def atp_substitute(cursor: SessionCursor, script: ProofScript,
+                   position: int) -> RepairOutcome:
+    """Try each ``CASCADE`` tactic as the step's justification, then
+    Sledgehammer on its goal body.
 
     A sorry placeholder is repaired as a tactic step is: each tactic is sent
     as the step with that justification (``have "x" by auto``), then the
@@ -221,7 +200,7 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
     if step.head in DELIMITERS:
         return RepairOutcome(False, script)
     extra = 0
-    for tactic in (*cascade.tactics, None):  # None: the hammer
+    for tactic in (*CASCADE, None):  # None: the hammer
         if tactic is not None:
             text = step.with_justification(justification(tactic)).text
         elif step.body_text and not cursor.advance((step.body_text,)).last.ok:
@@ -400,14 +379,13 @@ ChainStep = tuple[bool, ProofScript, int, bool]
 
 
 def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
-             state: AttemptState,
-             cascade: TacticCascade) -> Optional[ChainStep]:
+             state: AttemptState) -> Optional[ChainStep]:
     """``atp_substitute`` at ``index``, sought to the step's prefix.  A win
     is booked here and returned as the chain's next step; a loss returns
     None.  A cascade run again on one claim sends only the steps that timed
     out: the cursor answers the rest with no call."""
     cursor.seek(s.text for s in script.steps[:index])
-    outcome = atp_substitute(cursor, script, index, cascade)
+    outcome = atp_substitute(cursor, script, index)
     state.extra_calls += outcome.extra_calls
     if outcome.success:
         state.stage = _advance(state.stage, Stage.ATP)
@@ -431,7 +409,7 @@ def _repair_chain(
 
     Returns (proof_done, script, applied_count_or_next_index, alive).
     """
-    won = _cascade(cursor, script, index, state, budget.cascade)
+    won = _cascade(cursor, script, index, state)
     if won:
         return won
 
@@ -455,7 +433,7 @@ def _repair_chain(
     truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:
         return lost
-    return _cascade(cursor, truncated, target, state, budget.cascade) or lost
+    return _cascade(cursor, truncated, target, state) or lost
 
 
 # ---------------------------------------------------------------------------

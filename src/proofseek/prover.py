@@ -334,7 +334,6 @@ class MockOutcome:
 class _SessionState:
     counter: int = 0
     depth: int = 0
-    open: bool = True
     body: Optional[str] = None  # the last accepted step, when a goal body
 
 
@@ -437,7 +436,7 @@ class MockProver(ProverBackend):
         timeout_s = self.config.step_timeout_s if timeout_s is None else timeout_s
         with self._lock:
             state = self._sessions.get(session_id)
-            if state is None or not state.open:
+            if state is None:
                 raise SessionClosed(f"session {session_id} is not open")
             if step_text == HAMMER_STEP:
                 outcome, judged = self._next_hammer(), step_text
@@ -470,9 +469,7 @@ class MockProver(ProverBackend):
 
     def close(self, session_id: str) -> None:
         with self._lock:
-            state = self._sessions.get(session_id)
-            if state is not None:
-                state.open = False
+            self._sessions.pop(session_id, None)
 
     # -- internals ----------------------------------------------------------
 
@@ -863,17 +860,17 @@ class SessionCursor:
     its parent and answer, and each refusal under the node it was refused
     at; a step accepted as ``<body>`` then ``by T``, or through the hammer,
     is also filed as the ``<body> by T`` it lands in a proof as.  ``seek``
-    makes no call: the caller stands at the node its prefix ends at.  An
+    makes no call and takes only steps this cursor saw accepted, so the
+    caller always stands at a trie node: the one its prefix ends at.  An
     apply where the session does not stand is answered from the trie with no
     call when the step is known there, finishes the goal body the session
-    stands in when it is ``<body> by T``, and otherwise, like the first apply
-    after a seek the trie cannot place, rebuilds the session at the caller's
-    prefix.  A kept answer that finishes the proof is never recalled: the
-    step is asked again, so completion is only ever reported by the prover.
-    Where the session stands, steps go to the prover a run at a time, each
-    run in one request.  ``recalled`` counts the answers given
-    with no call, and ``timeouts`` the applies that timed out, over every
-    session the cursor has held; a timeout is no verdict and is never
+    stands in when it is ``<body> by T``, and otherwise rebuilds the session
+    at the caller's prefix.  A kept answer that finishes the proof is never
+    recalled: the step is asked again, so completion is only ever reported
+    by the prover.  Where the session stands, steps go to the prover a run
+    at a time, each run in one request.  ``recalled`` counts the answers
+    given with no call, and ``timeouts`` the applies that timed out, over
+    every session the cursor has held; a timeout is no verdict and is never
     kept."""
 
     def __init__(self, prover: ProverBackend, statement: str,
@@ -889,7 +886,7 @@ class SessionCursor:
         # node -> (parent, step text, the prover's answer)
         self._edges: list[tuple[int, str, Optional[StepResult]]] = [(0, "", None)]
         self._node = 0  # where the session stands
-        self._at: Optional[int] = 0  # where the caller stands; None: off the trie
+        self._at = 0  # where the caller stands
         self._path: list[str] = []  # the caller's step texts, to rebuild at
 
     def advance(self, texts: Iterable[str]) -> Advance:
@@ -913,23 +910,22 @@ class SessionCursor:
         return Advance(count, result)
 
     def seek(self, prefix: Iterable[str]) -> None:
-        """Stand at ``prefix``, steps the prover accepted in order.  No call
-        is made: a prefix the trie does not hold is rebuilt at the next
-        apply."""
-        self._path = list(prefix)
+        """Stand at ``prefix``, steps this cursor saw the prover accept in
+        that order; any other prefix raises ValueError.  No call is made: the
+        session goes there at the next apply that needs it."""
+        path = list(prefix)
         node: Union[None, int, StepResult] = 0
-        for text in self._path:
+        for text in path:
             node = self._trie.get((node, text))
             if not isinstance(node, int):
-                node = None
-                break
-        self._at = node
+                raise ValueError(f"seek past a step never accepted: {text!r}")
+        self._path, self._at = path, node
 
     def _step(self, texts: list[str]) -> list[StepResult]:
         """The verdict on the first of ``texts`` where the caller stands,
         apart from the session; after a rebuild, on a leading run of them."""
         text = texts[0]
-        seen = None if self._at is None else self._trie.get((self._at, text))
+        seen = self._trie.get((self._at, text))
         if isinstance(seen, int) and self._edges[seen][2].is_done:
             seen = None  # completion comes from the prover, never the trie
         if seen is not None:
@@ -1035,20 +1031,26 @@ class SessionCursor:
         return keys
 
     def _rebuild(self) -> None:
-        """Re-apply the caller's prefix in a fresh session, a run at a time.
-        A refusal now is the prover misbehaving (a timeout under load, say),
-        not a verdict on the proof, so it raises TransportError."""
+        """Re-apply the caller's prefix in a fresh session through
+        ``advance``.  The theory and every step of the prefix were accepted
+        before, so a refusal now is the prover misbehaving (a timeout under
+        load, say), not a verdict on the proof: it raises TransportError."""
         self.prover.close(self.session)
-        self.session = self.prover.init_session(self.theory)
+        try:
+            self.session = self.prover.init_session(self.theory)
+        except TheoryLoadError as exc:
+            raise TransportError(f"theory no longer loads: {exc}") from exc
         self._node = self._at = 0
         texts, self._path = self._path, []
         replayed = 0
         while replayed < len(texts):
-            for result in self._run(texts[replayed:]):
-                if not result.ok:
-                    raise TransportError(
-                        f"validated prefix no longer replays: {result.message}")
-                replayed += 1
+            # `advance` stops at a step that finishes the proof, which the
+            # caller's prefix may run past
+            run = self.advance(texts[replayed:])
+            if run.failed:
+                raise TransportError(
+                    f"validated prefix no longer replays: {run.last.message}")
+            replayed += run.count
 
     def close(self) -> None:
         self.prover.close(self.session)

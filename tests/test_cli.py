@@ -301,6 +301,26 @@ def test_cmd_policy_csv_collects_row_errors(tmp_path, capsys):
     assert summary["errors"][0]["problem_name"] == "bad_deny"
 
 
+def test_cmd_policy_keeps_both_rows_whose_names_sanitize_alike(tmp_path,
+                                                               capsys):
+    # `a-b` and `a_b` both sanitize to `a_b`: each row still gets its own
+    # theory file and a record name of its own.
+    allow = json.dumps({"Statement": [{"Effect": "Allow", "Action": "a:Run",
+                                       "Resource": "arn:aws:a:r:acct:*"}]})
+    cell = '"{}"'.format(allow.replace('"', '""'))
+    csv_path = tmp_path / "policies.csv"
+    csv_path.write_text(f"problem_name,policy_json\na-b,{cell}\na_b,{cell}",
+                        encoding="utf-8")
+    config = write_config(tmp_path, mode="mock")
+    assert main(["policy", str(csv_path), "--config", config]) == 0
+    assert _record_from_stdout(capsys)["n_theories"] == 2
+    out = tmp_path / "out"
+    theories = sorted(p.stem for p in (out / "theories").iterdir())
+    names = [r["problem_name"]
+             for r in read_jsonl(out / "formalizations.jsonl")]
+    assert theories == sorted(names) == ["a_b", "a_b2"]
+
+
 def test_cmd_policy_llm_path_provenance(tmp_path, capsys):
     csv_path = _policy_csv(tmp_path)
     model_mock = {

@@ -5,12 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proofseek.engine import (
+    CASCADE,
     AttemptRecord,
     BudgetConfig,
-    TacticCascade,
     _backtrack_target,
     atp_substitute,
-    default_cascade,
     erp_repair,
     heuristic_repair,
     prove,
@@ -38,6 +37,7 @@ from proofseek.prover import (
     SessionCursor,
     WireProver,
     check_script,
+    justification,
 )
 
 from fixtures import (
@@ -68,16 +68,23 @@ def _model(candidate, erp=None):
 # ---------------------------------------------------------------------------
 # cascade
 
-def test_default_cascade_deduplicates_preserving_order():
-    cascade = default_cascade()
-    assert cascade.tactics == (
+# the justifications the cascade sends, in order
+CASCADE_BY = ["by auto", "by simp", "by blast", "by fastforce", "by eval",
+              "by sos", "by arith", "by (simp add: field_simps)",
+              "by (simp add: mod_simps)"]
+
+
+def _tried(body=""):
+    """The steps a cascade sends for the goal body ``body``: each tactic
+    with the body, or bare into a body the session holds open."""
+    return [f"{body} {by}" if body else by for by in CASCADE_BY]
+
+
+def test_cascade_is_the_readme_list():
+    assert CASCADE == (
         "auto", "simp", "blast", "fastforce", "eval", "sos", "arith",
         "simp add: field_simps", "simp add: mod_simps")
-
-
-def test_cascade_requires_tactics():
-    with pytest.raises(ValueError):
-        TacticCascade(())
+    assert [justification(t) for t in CASCADE] == CASCADE_BY
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +252,15 @@ def test_refused_claim_runs_its_cascade_once():
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok", "qed": "ok",
         "show ?thesis": "ok", "show ?thesis by h": "ok", "by h": "ok",
     }, hammer=[None, "by h"]))
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto", "simp")))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(NESTED_CANDIDATE), prover, budget)
     assert record.success and record.success_stage == "heuristic"
     assert _steps(prover) == [
         "init", "proof -", 'have "a"', "proof -", 'have "b" by s2',
-        'have "b" by auto', 'have "b" by simp', 'have "b"', "\u27e8hammer\u27e9",
+        *_tried('have "b"'), 'have "b"', "\u27e8hammer\u27e9",
         "close", "init", "proof -", 'have "a"', "proof -",
-        "by auto", "by simp", "\u27e8hammer\u27e9", "qed",
-        "show ?thesis by s4", "show ?thesis by auto", "show ?thesis by simp",
+        *_tried(), "\u27e8hammer\u27e9", "qed",
+        "show ?thesis by s4", *_tried("show ?thesis"),
         "show ?thesis", "\u27e8hammer\u27e9", "qed", "close"]
 
 
@@ -277,14 +283,13 @@ def test_heuristic_leaves_later_tactic_steps_to_be_sent_whole():
     # steps after the block were right as written: each is sent once, whole,
     # with no cascade and no hammer call.
     prover = _block_then_tactics_prover(**{'have "y" by t': "ok"})
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto",)))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(BLOCK_THEN_TACTICS.format(y="t")),
                    prover, budget)
     assert record.success and record.success_stage == "heuristic"
     steps = _steps(prover)
     assert steps[steps.index("by auto"):] == [
-        "by auto", "\u27e8hammer\u27e9", "qed", 'have "x" by t',
+        *_tried(), "\u27e8hammer\u27e9", "qed", 'have "x" by t',
         'have "y" by t', "show ?thesis by t", "qed", "close"]
     assert steps.count("\u27e8hammer\u27e9") == 1
     assert record.final_script == (
@@ -297,14 +302,13 @@ def test_later_step_whose_tactic_is_refused_gets_its_own_cascade():
     # its own chain rewrites it with each cascade tactic, then the hammer
     # proves its goal body.
     prover = _block_then_tactics_prover()
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto",)))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(BLOCK_THEN_TACTICS.format(y="wrong")),
                    prover, budget)
     assert record.success and record.success_stage == "heuristic"
     steps = _steps(prover)
     assert steps[steps.index('have "x" by t'):] == [
-        'have "x" by t', 'have "y" by wrong', 'have "y" by auto', 'have "y"',
+        'have "x" by t', 'have "y" by wrong', *_tried('have "y"'), 'have "y"',
         "\u27e8hammer\u27e9", "show ?thesis by t", "qed", "close"]
     assert record.final_script == (
         'proof -\n  have "a"\n  proof -\n    by h\n  qed\n  have "x" by t\n'
@@ -319,13 +323,12 @@ def test_cascade_that_timed_out_runs_again_after_the_heuristic_rewrite():
         "proof -": "ok", 'have "x"': "ok", "show ?thesis": "ok", "qed": "ok",
         'have "x" by auto': SLOW, "show ?thesis by h": "ok",
     }, hammer=[None, "by h"]))
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto",)))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(HEUR_CANDIDATE), prover, budget)
     assert record.success and record.has_timeout
-    assert _steps(prover)[:7] == [
-        "init", "proof -", 'have "x" by gross', 'have "x" by auto', 'have "x"',
-        "\u27e8hammer\u27e9", "by auto"]
+    first = ["init", "proof -", 'have "x" by gross', *_tried('have "x"'),
+             'have "x"', "\u27e8hammer\u27e9", "by auto"]
+    assert _steps(prover)[:len(first)] == first
     assert len(prover.requests("init")) == 1
     assert 'have "x" by auto' in record.final_script
 
@@ -338,14 +341,15 @@ def test_placeholder_cascade_sends_again_only_the_tactic_that_timed_out():
     candidate = 'proof -\n  have "x" by bad\n  show ?thesis by simp\nqed'
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "x"': "ok", 'have "x" by simp': SLOW}))
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto", "simp")))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(candidate), prover, budget)
     steps = _steps(prover)
     assert steps[:steps.index("close")] == [
-        "init", "proof -", 'have "x" by bad', 'have "x" by auto',
-        'have "x" by simp', 'have "x"', "\u27e8hammer\u27e9", "by simp"]
-    assert record.extra_calls == 7 and record.has_timeout
+        "init", "proof -", 'have "x" by bad', *_tried('have "x"'),
+        'have "x"', "\u27e8hammer\u27e9", "by simp"]
+    # the cascade's nine tactics and the hammer, simp again, and the
+    # backtrack's cascade on its placeholder
+    assert record.extra_calls == 21 and record.has_timeout
 
 
 @pytest.mark.parametrize("written", ["by(bad)", "by (bad)"])
@@ -368,8 +372,7 @@ def test_claim_whose_prefix_a_backtrack_changed_is_tried_again():
         "show ?thesis": "ok", "qed": "ok", "by h1": "ok", "by h2": "ok",
         'have "x" by h3': "ok",
     }, hammer=[None, "by h1", "by h2", "by h3", "by h4"]))
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto",)))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(candidate), prover, budget)
     assert record.success and record.success_stage == "heuristic"
     assert _steps(prover).count('have "x"') == 2
@@ -399,17 +402,16 @@ def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
     model = RecordingModel(MockModel({
         "whole_proof": [[candidate]],
         "erp": [[""], ['have "f" by good\nshow ?thesis by good\nqed']]}))
-    record = prove(STATEMENT, model, prover, BudgetConfig(
-        sample_budget=1, cascade=TacticCascade(("auto",))))
+    record = prove(STATEMENT, model, prover, BudgetConfig(sample_budget=1))
     assert [r["purpose"] for r in model.requests] == [
         "whole_proof", "erp", "erp"]
     assert _steps(prover) == [
         "init", "proof -", 'have "a"', "proof -", 'have "b" by s2',
         "show ?thesis by s3", "oops", "close", "init", "proof -", 'have "a"',
-        "by auto", "\u27e8hammer\u27e9",
-        'have "d" by s6', 'have "d" by auto', 'have "d"', "\u27e8hammer\u27e9",
-        'have "e" by s7', 'have "e" by auto', 'have "e"', "\u27e8hammer\u27e9",
-        'have "f" by bad', 'have "f" by auto', 'have "f"', "\u27e8hammer\u27e9",
+        *_tried(), "\u27e8hammer\u27e9",
+        'have "d" by s6', *_tried('have "d"'), 'have "d"', "\u27e8hammer\u27e9",
+        'have "e" by s7', *_tried('have "e"'), 'have "e"', "\u27e8hammer\u27e9",
+        'have "f" by bad', *_tried('have "f"'), 'have "f"', "\u27e8hammer\u27e9",
         "by good", "show ?thesis by good", "qed", "close"]
     assert record.success and record.success_stage == "erp"
     assert 'have "f" by good' in record.final_script
@@ -427,8 +429,7 @@ def test_rebuild_replays_the_step_a_hammer_call_found():
         "show ?thesis": "ok", "show ?thesis by simp": "ok", "qed": "ok",
     }, hammer=["by (metis h)", None]))
     record = prove(STATEMENT, _model(candidate, erp='have "c" by x'), prover,
-                   BudgetConfig(sample_budget=1,
-                                cascade=TacticCascade(("auto",))))
+                   BudgetConfig(sample_budget=1))
     assert not record.undetermined
     assert 'have "a" by (metis h)' in _steps(prover)
 
@@ -613,6 +614,31 @@ def test_erp_seek_prefix_replay_failure_is_undetermined(tmp_path):
     assert [r["purpose"] for r in model.requests] == ["whole_proof", "erp"]
 
 
+def test_rebuild_whose_theory_load_is_refused_is_undetermined(tmp_path):
+    # The theory loaded once, so its refusal when ERP's continuation rebuilds
+    # the session is the prover misbehaving, not a verdict on the proof.
+    from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
+
+    loads = []
+
+    def refuse_after_the_first(theory):
+        loads.append(theory)
+        return "theory refused" if len(loads) > 1 else None
+
+    prover = MockProver(table={
+        "proof -": "ok", 'have "x"': "ok", "show ?thesis": "ok",
+        "show ?thesis by simp": "ok", "qed": "ok"},
+        reject_theory=refuse_after_the_first)
+    model = _model('proof -\n  have "x" by bad\n  show ?thesis by simp\nqed',
+                   erp="show ?thesis by simp\nqed")
+    spec = BenchmarkSpec("reload", (BenchmarkProblem("p", STATEMENT),),
+                         BudgetConfig(sample_budget=1))
+    [record] = run_benchmark(spec, model, prover, tmp_path / "records.jsonl",
+                             pool_size=1)
+    assert record.undetermined and not record.success
+    assert len(loads) == 2
+
+
 def test_erp_after_a_clean_cascade_continues_in_the_same_session():
     # The goal `have "x"` is refused, so the hammer is never sent and no
     # cascade attempt opened a goal body: the session still stands at the
@@ -622,12 +648,11 @@ def test_erp_after_a_clean_cascade_continues_in_the_same_session():
         "show ?thesis": "ok", "show ?thesis by simp": "ok", "qed": "ok"}))
     model = _model(ATP_CANDIDATE, erp='have "y" by (meson helper)\n'
                                       'show ?thesis by simp\nqed')
-    cascade = TacticCascade(("auto",))
-    record = prove(STATEMENT, model, prover, BudgetConfig(cascade=cascade))
+    record = prove(STATEMENT, model, prover)
     assert record.success and record.success_stage == "erp"
     assert len(prover.requests("init")) == 1
     assert [r["step"] for r in prover.requests()] == [
-        "proof -", 'have "x" by foo', 'have "x" by auto', 'have "x"',
+        "proof -", 'have "x" by foo', *_tried('have "x"'), 'have "x"',
         'have "y" by (meson helper)', "show ?thesis by simp", "qed"]
 
 
@@ -641,8 +666,7 @@ def test_failing_block_closer_gets_no_cascade():
     # `qed` takes no justification, so a refused `qed` sends no `qed by ...`
     # and no hammer: the backtrack collapses its block at once.
     prover = RecordingProver(MockProver(table=NESTED_QED_TABLE))
-    budget = BudgetConfig(sample_budget=1, erp_enabled=False,
-                          cascade=TacticCascade(("auto",)))
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     prove(STATEMENT, _model(NESTED_QED), prover, budget)
     assert _steps(prover)[:10] == [
         "init", "proof -", 'have "a"', "proof -", 'have "b" by s2', "qed",
@@ -656,7 +680,7 @@ def test_dirty_repair_then_backtrack_costs_one_rebuild():
     # over the inner block then rebuilds once for both.
     prover = RecordingProver(MockProver(table=NESTED_QED_TABLE))
     model = _model(NESTED_QED, erp="show ?thesis by s3\nqed\nqed")
-    budget = BudgetConfig(sample_budget=1, cascade=TacticCascade(("auto",)))
+    budget = BudgetConfig(sample_budget=1)
     prove(STATEMENT, model, prover, budget)
     assert _steps(prover)[:13] == [
         "init", "proof -", 'have "a"', "proof -", 'have "b" by s2', "qed",
@@ -713,23 +737,23 @@ def _held_body_cursor(prover):
     after `proof -`."""
     cursor = _cursor(prover)
     cursor.advance(["proof -"])
-    outcome = atp_substitute(cursor, parse_script('proof - have "x" sorry'), 1,
-                             TacticCascade(("auto",)))
+    outcome = atp_substitute(cursor, parse_script('proof - have "x" sorry'), 1)
     assert not outcome.success
     return cursor
 
 
+# metis and presburger are outside CASCADE, so no cascade sends them
 @pytest.mark.parametrize("texts, sent, inits", [
     # reopening the body is answered with no call
-    (['have "x"', "by simp"], ["by simp"], 1),
+    (['have "x"', "by metis"], ["by metis"], 1),
     # `<body> by T` sends only `by T`
-    (['have "x" by simp'], ["by simp"], 1),
+    (['have "x" by metis'], ["by metis"], 1),
     # anything else rebuilds at the sought prefix first
     (['have "y"'], ["proof -", 'have "y"'], 2),
 ])
 def test_seek_settles_a_held_body_at_the_next_apply(texts, sent, inits):
     prover = RecordingProver(MockProver(table={
-        "proof -": "ok", 'have "x"': "ok", 'have "x" by simp': "ok",
+        "proof -": "ok", 'have "x"': "ok", 'have "x" by metis': "ok",
         'have "y"': "ok"}))
     cursor = _held_body_cursor(prover)
     before = len(prover.requests())
@@ -742,31 +766,30 @@ def test_seek_settles_a_held_body_at_the_next_apply(texts, sent, inits):
 
 
 def test_refused_tactic_leaves_the_held_body_open():
-    # `by blast` is refused inside the held body, which stays open: the next
-    # attempt needs no rebuild either.
+    # `by presburger` is refused inside the held body, which stays open: the
+    # next attempt needs no rebuild either.
     prover = RecordingProver(MockProver(table={
-        "proof -": "ok", 'have "x"': "ok", 'have "x" by simp': "ok"}))
+        "proof -": "ok", 'have "x"': "ok", 'have "x" by metis': "ok"}))
     cursor = _held_body_cursor(prover)
     cursor.seek(["proof -"])
-    assert cursor.advance(['have "x" by blast']).failed
-    assert cursor.advance(['have "x" by blast']).failed
-    assert cursor.advance(['have "x" by simp']).count == 1
-    assert [r["step"] for r in prover.requests()][-2:] == ["by blast", "by simp"]
+    assert cursor.advance(['have "x" by presburger']).failed
+    assert cursor.advance(['have "x" by presburger']).failed
+    assert cursor.advance(['have "x" by metis']).count == 1
+    assert [r["step"] for r in prover.requests()][-2:] == [
+        "by presburger", "by metis"]
     assert len(prover.requests("init")) == 1
 
 
-def test_seek_off_the_session_path_rebuilds_at_the_next_apply():
-    # The session stands after `have "b"`.  A seek to a prefix the cursor
-    # never saw accepted sends nothing; the next apply rebuilds there first.
+def test_seek_off_the_trie_is_refused():
+    # The caller only ever stands on steps the prover accepted: a seek to a
+    # prefix the cursor never saw accepted raises and sends nothing.
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok"}))
     cursor = _cursor(prover)
     assert cursor.advance(["proof -", 'have "b"']).count == 2
-    cursor.seek(["proof -", 'have "a"'])
+    with pytest.raises(ValueError):
+        cursor.seek(["proof -", 'have "a"'])
     assert len(prover.trace) == 3
-    assert cursor.advance(['have "b"']).count == 1
-    assert _steps(prover)[3:] == [
-        "close", "init", "proof -", 'have "a"', 'have "b"']
 
 
 def test_partly_accepted_continuation_is_walked_again_with_no_call():
@@ -874,7 +897,8 @@ def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
 # ---------------------------------------------------------------------------
 # property: a placeholder's cascade repeats only what timed out
 
-_REPAIR_TACTICS = ("auto", "simp", "blast")
+# the drawn table answers the first three tactics and refuses the rest
+_REPAIR_TACTICS = CASCADE[:3]
 
 
 @st.composite
@@ -908,14 +932,13 @@ def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
     cursor = _cursor(prover)
     assert cursor.advance(["proof -"]).count == 1
     script = parse_script('proof - have "x" by bad')
-    cascade = TacticCascade(_REPAIR_TACTICS)
-    if atp_substitute(cursor, script, 1, cascade).success:
+    if atp_substitute(cursor, script, 1).success:
         return
     timed_out = {e["request"]["step"] for e in prover.trace
                  if e["response"]["status"] == "timeout"}
     sent = len(prover.trace)
     cursor.seek(["proof -"])
-    atp_substitute(cursor, heuristic_repair(script, 1), 1, cascade)
+    atp_substitute(cursor, heuristic_repair(script, 1), 1)
     again = [f'have "x" {step}' if step.startswith("by ") else step
              for step in _steps(prover)[sent:]]
     assert set(again) <= timed_out
@@ -1116,7 +1139,7 @@ def test_atp_substitute_sorry_position_arithmetic():
     prover = MockProver(table={'have "g"': "ok", "by fastforce": "ok"})
     cursor = _cursor(prover)
     script = parse_script('have "g" sorry')
-    outcome = atp_substitute(cursor, script, 0, default_cascade())
+    outcome = atp_substitute(cursor, script, 0)
     assert outcome.success
     assert outcome.extra_calls == 4  # auto, simp, blast, fastforce
     assert outcome.script.steps[0].text == 'have "g" by fastforce'
@@ -1126,7 +1149,7 @@ def test_atp_substitute_hammer_result_spliced():
     prover = MockProver(table={'have "g"': "ok"}, hammer="by (metis foo)")
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
-    outcome = atp_substitute(cursor, script, 0, default_cascade())
+    outcome = atp_substitute(cursor, script, 0)
     assert outcome.success
     assert outcome.extra_calls == 10  # 9 tactics + hammer
     assert outcome.script.steps[0].text == 'have "g" by (metis foo)'
@@ -1152,7 +1175,7 @@ def test_atp_substitute_total_failure_leaves_script_unchanged():
     prover = RecordingProver(MockProver(table={'have "g"': "ok"}))
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
-    outcome = atp_substitute(cursor, script, 0, default_cascade())
+    outcome = atp_substitute(cursor, script, 0)
     assert not outcome.success
     assert outcome.script is script
     # the goal body opened for the hammer is where the session stands, so a
@@ -1289,8 +1312,7 @@ INIT = ("init", 'theory Scratch\n  imports Main\nbegin\n\ntheorem t:\n  shows "P
         120.0)
 CLOSE = ("close", "", None)
 HAMMER = ("apply", "\u27e8hammer\u27e9", 40.0)
-CASCADE = [("apply", "by auto", 10.0), ("apply", "by simp", 10.0),
-           ("apply", "by blast", 10.0)]
+TACTICS = [("apply", by, 10.0) for by in CASCADE_BY]
 PREFIX = [("apply", "proof -", 10.0), ("apply", 'have "a" by simp', 10.0),
           ("apply", 'have "c"', 10.0)]
 GOLDEN_REQUESTS = [
@@ -1300,7 +1322,7 @@ GOLDEN_REQUESTS = [
     # the placeholder is repaired as a tactic step is: each tactic as the
     # whole step, then the goal body `have "d"`, which the cursor then
     # holds, and a failing hammer
-    *[("apply", f'have "d" {step}', timeout) for _, step, timeout in CASCADE],
+    *[("apply", f'have "d" {step}', timeout) for _, step, timeout in TACTICS],
     ("apply", 'have "d"', 10.0), HAMMER,
     # ERP round: the continuation restates `have "d"`, so only `by e2` is
     # sent, into the held body, and refused.  Dropped: ERP's rebuild (close,
@@ -1309,16 +1331,16 @@ GOLDEN_REQUESTS = [
     # the heuristic rewrites nothing at a placeholder: straight to the
     # backtrack, whose bare placeholder does not reopen the body, so
     # the session is rebuilt here; the hammer discharges the placeholder
-    CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0), *CASCADE, HAMMER,
+    CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0), *TACTICS, HAMMER,
     # the block closer fails and gets no cascade, and the heuristic rewrites
-    # nothing there.  Dropped: `oops by auto`, `oops by simp`, `oops by
-    # blast` and the hammer's body `oops`.  Then backtrack, seek with a
+    # nothing there.  Dropped: `oops` with each tactic, and the hammer's
+    # body `oops`.  Then backtrack, seek with a
     # rebuild, close; `show ?thesis by x` keeps its tactic and is refused,
     # so its cascade rewrites it whole, and the hammer proves its body
     ("apply", "oops", 10.0), CLOSE,
-    INIT, *PREFIX, *CASCADE, HAMMER, ("apply", "show ?thesis by x", 10.0),
+    INIT, *PREFIX, *TACTICS, HAMMER, ("apply", "show ?thesis by x", 10.0),
     *[("apply", f"show ?thesis {step}", timeout)
-      for _, step, timeout in CASCADE],
+      for _, step, timeout in TACTICS],
     ("apply", "show ?thesis", 10.0), HAMMER, ("apply", "qed", 10.0), CLOSE,
 ]
 
@@ -1336,13 +1358,12 @@ def test_golden_request_trace_through_every_repair_stage():
     }, hammer=[None, "by (metis h)"]))
     model = RecordingModel(
         MockModel({"whole_proof": [[candidate]], "erp": [[erp], [""]]}))
-    record = prove(STATEMENT, model, prover, BudgetConfig(
-        sample_budget=1, cascade=TacticCascade(("auto", "simp", "blast"))))
+    record = prove(STATEMENT, model, prover, BudgetConfig(sample_budget=1))
     assert [(e["request"]["command"], e["request"]["step"],
              e["request"]["timeout_s"]) for e in prover.trace] == GOLDEN_REQUESTS
     assert [r["purpose"] for r in model.requests] == [
         "whole_proof", "erp", "erp"]
-    assert (record.success_stage, record.extra_calls) == ("atp", 18)
+    assert (record.success_stage, record.extra_calls) == ("atp", 42)
     assert record.has_timeout and record.has_sc
     assert record.final_script == ('proof -\n  have "a" by simp\n  have "c"\n'
                                    '  by (metis h)\n'
