@@ -14,15 +14,23 @@ import io
 import logging
 import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .engine import AttemptRecord, BudgetConfig, Stage, prove, run_pool
+from .engine import (
+    AttemptRecord,
+    BudgetConfig,
+    Stage,
+    prove,
+    run_pool,
+    sampling_request,
+)
 from .errors import EmptyInput, TransportError
 from .jsonl import append_jsonl, loads, read_rows
-from .model import ModelBackend
+from .model import ModelBackend, ModelParams, PromptRecord
 from .prover import ProverBackend
 
 __all__ = [
@@ -91,6 +99,29 @@ def _cut_torn_tail(path: Path) -> None:
             handle.write(b"\n")
 
 
+class _SampledAhead(ModelBackend):
+    """The run's model as one problem sees it: the problem's whole-proof
+    request, sent ahead, is answered from its future, once and only for
+    that exact request; every other request goes to the model.  A fault of
+    the request sent ahead is raised here, where ``prove`` asks for it."""
+
+    def __init__(self, model: ModelBackend, request: tuple, answer: Future):
+        super().__init__()
+        self.model = model
+        self._request: Optional[tuple] = request
+        self._answer = answer
+
+    def complete(self, params: ModelParams, prompt: PromptRecord,
+                 n: int = 1) -> list[str]:
+        with self._lock:
+            ahead = (params, prompt, n) == self._request
+            if ahead:
+                self._request = None
+        if ahead:
+            return self._answer.result()
+        return self.model.complete(params, prompt, n)
+
+
 def run_benchmark(
     spec: BenchmarkSpec, model: ModelBackend, prover: ProverBackend,
     records_path: Union[str, Path],
@@ -102,8 +133,20 @@ def run_benchmark(
 
     Problems whose last record in ``records_path`` is determined are not
     re-run; backend aborts become undetermined records rather than failures,
-    and a resume runs those problems again.  The problems run on
-    ``pool_size`` workers, by default the prover's own ``pool_size``.
+    and a resume runs those problems again.  The problems run in spec order
+    on ``pool_size`` workers, by default the prover's own ``pool_size``.
+
+    At a pool size p above 1 the model samples ahead of the prover: p
+    sampler threads keep the whole-proof requests (``sampling_request``) of
+    the next p problems in flight.  The first go out as the run starts, and
+    the worker that takes problem i sends problem i+p's.  ``prove_fn`` gets
+    a model that answers its problem's request from there and passes every
+    other request (ERP's) to ``model``, so a fault of the request sent ahead
+    is raised where ``prove`` asks for it, and a TransportError still leaves
+    only that problem undetermined.  Up to 2p model requests are in flight
+    at once: p sent ahead and the workers' own.  Requests still queued when
+    the run ends are cancelled.  At pool size 1 nothing is sent ahead, and
+    every model request runs on the caller's thread.
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
@@ -112,11 +155,33 @@ def run_benchmark(
     existing = {record.problem_name: record for record in rows}
     todo = [p for p in spec.problems if p.problem_name not in existing
             or existing[p.problem_name].undetermined]
+    pool_size = pool_size or prover.config.pool_size
     write_lock = threading.Lock()
+    sampler = (ThreadPoolExecutor(pool_size, "sampler") if pool_size > 1
+               else None)
+    ahead: dict[int, tuple[tuple, Future]] = {}  # index in todo -> request
+    sent = 0
+    send_lock = threading.Lock()
 
-    def worker(problem: BenchmarkProblem) -> AttemptRecord:
+    def send_through(last: int) -> None:
+        """Send the requests of ``todo`` through index ``last`` that are not
+        yet sent, in order; the caller holds ``send_lock``."""
+        nonlocal sent
+        while sent <= last and sent < len(todo):
+            request = sampling_request(todo[sent].formal_statement,
+                                       spec.budget, few_shots)
+            ahead[sent] = request, sampler.submit(model.complete, *request)
+            sent += 1
+
+    def worker(item: tuple[int, BenchmarkProblem]) -> AttemptRecord:
+        index, problem = item
+        sampled = model
+        if sampler is not None:
+            with send_lock:
+                send_through(index + pool_size)
+                sampled = _SampledAhead(model, *ahead.pop(index))
         try:
-            record = prove_fn(problem.formal_statement, model, prover,
+            record = prove_fn(problem.formal_statement, sampled, prover,
                               spec.budget, few_shots,
                               problem_name=problem.problem_name)
         except TransportError:
@@ -125,7 +190,11 @@ def run_benchmark(
             append_jsonl(records_path, record.to_json())
         return record
 
-    outcomes = run_pool(todo, worker, pool_size or prover.config.pool_size)
+    try:
+        outcomes = run_pool(list(enumerate(todo)), worker, pool_size)
+    finally:
+        if sampler is not None:
+            sampler.shutdown(cancel_futures=True)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

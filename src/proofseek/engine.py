@@ -52,7 +52,7 @@ from .isar import (
     truncate_to_block,
     with_steps,
 )
-from .model import ModelBackend, ModelParams
+from .model import ModelBackend, ModelParams, PromptRecord
 from .prompts import erp_prompt, whole_proof_prompt
 from .prover import (
     HAMMER_STEP,
@@ -75,6 +75,7 @@ __all__ = [
     "heuristic_repair",
     "prove",
     "run_pool",
+    "sampling_request",
 ]
 
 
@@ -274,6 +275,16 @@ def _backtrack_target(script: ProofScript, position: int) -> int:
 # ---------------------------------------------------------------------------
 # the prove loop
 
+def sampling_request(statement: str, budget: BudgetConfig,
+                     few_shots: Sequence[tuple[str, str]] = ()
+                     ) -> tuple[ModelParams, PromptRecord, int]:
+    """The one request ``prove`` samples a statement's whole-proof
+    candidates with: the ``(params, prompt, n)`` that
+    ``ModelBackend.complete`` takes."""
+    return (budget.model, whole_proof_prompt(statement, few_shots),
+            budget.sample_budget)
+
+
 def prove(statement: str, model: ModelBackend, prover: ProverBackend,
           budget: Optional[BudgetConfig] = None,
           few_shots: Sequence[tuple[str, str]] = (),
@@ -281,9 +292,12 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
     """Run the full pipeline for one statement.
 
     Samples up to ``sample_budget`` whole-proof candidates in one model
-    request, then validates and repairs each in turn.  Returns the first
-    successful AttemptRecord, else a failure record whose state fields
-    describe the last candidate.  A fault that gives no verdict (a
+    request (``sampling_request``), then validates and repairs each in
+    turn.  Returns the first successful AttemptRecord, else a failure record
+    whose state fields describe the last candidate.  ``wall_time_s`` runs
+    from the call, so it counts any wait for the sampling request's answer
+    but not the time that request was in flight before (``run_benchmark``
+    sends it ahead at pool sizes above 1).  A fault that gives no verdict (a
     TransportError: an unreachable backend, a malformed completion, a lost
     session, a prefix the prover no longer replays) propagates, so the
     caller leaves the problem undetermined; it is never reported as a proof
@@ -294,9 +308,7 @@ def prove(statement: str, model: ModelBackend, prover: ProverBackend,
     budget = budget or BudgetConfig()
     started = time.monotonic()
 
-    candidates = model.complete(
-        budget.model, whole_proof_prompt(statement, few_shots),
-        budget.sample_budget)
+    candidates = model.complete(*sampling_request(statement, budget, few_shots))
 
     has_timeout = False
     state = AttemptState()

@@ -335,6 +335,7 @@ class _SessionState:
     counter: int = 0
     depth: int = 0
     body: Optional[str] = None  # the last accepted step, when a goal body
+    done: bool = False  # a step finished the proof: no goals are left
 
 
 def _words(text: str) -> dict[str, int]:
@@ -372,8 +373,10 @@ class MockProver(ProverBackend):
     message, an outcome answers as given, a list is consumed one entry per
     invocation.  ``is_done`` is taken from the outcome when given,
     otherwise inferred structurally (closing ``qed`` at depth zero, or a
-    top-level terminal ``by``).  Simulated ``delay_s`` greater than the
-    request timeout yields a timeout without sleeping.
+    top-level terminal ``by``).  Once a step finishes the proof, every later
+    step is refused ("no goals left"), as Isabelle refuses it.  Simulated
+    ``delay_s`` greater than the request timeout yields a timeout without
+    sleeping.
 
     The table is read as a prover reads Isar, where ``<body> by T`` is
     ``<body>`` followed by ``by T``: an unlisted ``<body> by T`` is answered
@@ -438,6 +441,8 @@ class MockProver(ProverBackend):
             state = self._sessions.get(session_id)
             if state is None:
                 raise SessionClosed(f"session {session_id} is not open")
+            if state.done:
+                return StepResult(ERROR, None, "no goals left", False)
             if step_text == HAMMER_STEP:
                 outcome, judged = self._next_hammer(), step_text
             else:
@@ -464,8 +469,9 @@ class MockProver(ProverBackend):
             if done is None:
                 done = state.depth == 0 and (
                     head in CLOSERS or head in ("done", "by"))
+            state.done = bool(done)
             return StepResult(OK, f"{session_id}/{state.counter}",
-                              outcome.message, bool(done))
+                              outcome.message, state.done)
 
     def close(self, session_id: str) -> None:
         with self._lock:
@@ -1031,10 +1037,11 @@ class SessionCursor:
         return keys
 
     def _rebuild(self) -> None:
-        """Re-apply the caller's prefix in a fresh session through
+        """Re-apply the caller's prefix in a fresh session, in one
         ``advance``.  The theory and every step of the prefix were accepted
-        before, so a refusal now is the prover misbehaving (a timeout under
-        load, say), not a verdict on the proof: it raises TransportError."""
+        before, so a step not accepted now is the prover misbehaving (a
+        timeout under load, say), not a verdict on the proof: it raises
+        TransportError."""
         self.prover.close(self.session)
         try:
             self.session = self.prover.init_session(self.theory)
@@ -1042,15 +1049,10 @@ class SessionCursor:
             raise TransportError(f"theory no longer loads: {exc}") from exc
         self._node = self._at = 0
         texts, self._path = self._path, []
-        replayed = 0
-        while replayed < len(texts):
-            # `advance` stops at a step that finishes the proof, which the
-            # caller's prefix may run past
-            run = self.advance(texts[replayed:])
-            if run.failed:
-                raise TransportError(
-                    f"validated prefix no longer replays: {run.last.message}")
-            replayed += run.count
+        run = self.advance(texts)
+        if run.count < len(texts):
+            raise TransportError(
+                f"validated prefix no longer replays: {run.last.message}")
 
     def close(self) -> None:
         self.prover.close(self.session)

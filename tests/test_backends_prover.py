@@ -157,6 +157,17 @@ def test_mock_auto_done_at_closing_qed():
     assert mock.apply(session, "qed").is_done
 
 
+def test_mock_refuses_every_step_after_a_finished_proof():
+    # Isabelle answers "no goals left"; the mock accepted `by simp` again
+    mock = MockProver(table={"by simp": "ok"}, hammer="simp")
+    session = mock.init_session("t")
+    assert mock.apply(session, "by simp").is_done
+    for step in ("by simp", "qed", HAMMER_STEP):
+        result = mock.apply(session, step)
+        assert (result.status, result.message) == ("error", "no goals left")
+    assert mock.apply(mock.init_session("t"), "by simp").is_done
+
+
 def test_mock_hammer_sequence():
     mock = MockProver(hammer=[None, "by (metis foo)"])
     session = mock.init_session("t")

@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import re
+import sys
+import threading
+import time
 
 import pytest
 
@@ -13,9 +17,17 @@ from proofseek.bench import (
     load_benchmark,
     run_benchmark,
 )
-from proofseek.engine import AttemptRecord, BudgetConfig
+from proofseek.engine import AttemptRecord, BudgetConfig, sampling_request
 from proofseek.errors import EmptyInput, TransportError
 from proofseek.jsonl import read_jsonl, write_jsonl
+from proofseek.model import (
+    ModelBackend,
+    RecordingModel,
+    ReplayModel,
+    prompt_digest,
+)
+from proofseek.prompts import erp_prompt
+from proofseek.prover import MockProver
 
 
 def _record(name, success, i_try=0, wall=1.0, undetermined=False):
@@ -329,6 +341,248 @@ def test_run_benchmark_concurrent_pool_with_real_backends(tmp_path):
     assert [r.problem_name for r in records] == [p.problem_name
                                                  for p in spec.problems]
     assert all(r.success for r in records)
+
+
+# ---------------------------------------------------------------------------
+# sampling ahead
+
+_ERP_CANDIDATE = 'proof -\n  have "x" by foo\n  show ?thesis by simp\nqed'
+_ERP_COMPLETION = 'have "x" by (meson helper)\nshow ?thesis by simp\nqed'
+_ERP_TABLE = {"proof -": "ok", 'have "x"': "ok",
+              'have "x" by (meson helper)': "ok", "show ?thesis": "ok",
+              "show ?thesis by simp": "ok", "qed": "ok"}
+
+
+def _sampled_run(count=8):
+    """A spec whose even problems are proved as sampled and whose odd ones
+    ERP repairs; the model fixtures and the prover that prove them all."""
+    budget = BudgetConfig(sample_budget=1)
+    problems, fixtures, table = [], {}, dict(_ERP_TABLE)
+    for i in range(count):
+        statement = f'theorem q{i}: shows "Q{i}" oops'
+        problems.append(BenchmarkProblem(f"q{i}", statement))
+        whole = prompt_digest(sampling_request(statement, budget)[1])
+        if i % 2:
+            fixtures[whole] = [_ERP_CANDIDATE]
+            erp = prompt_digest(erp_prompt(statement, "proof -"))
+            fixtures[erp] = [_ERP_COMPLETION]
+        else:
+            fixtures[whole] = [f"by (meson w{i})"]
+            table[f"by (meson w{i})"] = "ok"
+    return (BenchmarkSpec("sampled", tuple(problems), budget), fixtures,
+            lambda: MockProver(table=table))
+
+
+class _ThreadNoting(ModelBackend):
+    """Answers as ``inner`` does, noting each request's purpose, digest and
+    thread; a request whose digest is in ``faults`` is a TransportError."""
+
+    def __init__(self, inner, faults=()):
+        super().__init__()
+        self.inner = inner
+        self.faults = set(faults)
+        self.requests = []
+
+    def _complete(self, params, prompt, n):
+        with self._lock:
+            self.requests.append((prompt.purpose, prompt_digest(prompt),
+                                  threading.current_thread()))
+        if prompt_digest(prompt) in self.faults:
+            raise TransportError("model endpoint failed")
+        return self.inner.complete(params, prompt, n)
+
+    def digests(self, purpose="whole_proof"):
+        return [digest for kind, digest, _ in self.requests if kind == purpose]
+
+    def threads(self, purpose):
+        return {thread for kind, _, thread in self.requests if kind == purpose}
+
+
+def _timeless(records):
+    return [dataclasses.replace(r, wall_time_s=0.0) for r in records]
+
+
+def _whole_proof_digest(spec, name):
+    statement = next(p.formal_statement for p in spec.problems
+                     if p.problem_name == name)
+    return prompt_digest(sampling_request(statement, spec.budget)[1])
+
+
+class _GatedModel(ModelBackend):
+    """Notes each request's problem as it arrives, and answers it once the
+    test opens that problem's gate."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+        self.gates = {}
+
+    def gate(self, name):
+        with self._lock:
+            return self.gates.setdefault(name, threading.Event())
+
+    def _complete(self, params, prompt, n):
+        name = re.search(r"theorem (\w+):", prompt.text).group(1)
+        self.sent.append(name)
+        if not self.gate(name).wait(10):
+            raise TransportError(f"gate of {name} never opened")
+        return [f"proof of {name}"]
+
+
+def _settled(check, timeout_s=10.0):
+    """Whether ``check`` holds once it first does, and still a moment later,
+    long enough for a request sent too early to arrive."""
+    deadline = time.monotonic() + timeout_s
+    while not check() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    time.sleep(0.05)
+    return check()
+
+
+def test_pool_2_keeps_the_next_two_samples_in_flight(tmp_path):
+    # Problem i+2's request is in flight while problem i is at the prover,
+    # and no more than two problems' requests are ever ahead of the two
+    # there.
+    names = [f"p{i}" for i in range(6)]
+    model, at_prover = _GatedModel(), []
+    provers = {name: threading.Event() for name in names}
+
+    def proving(statement, model, prover, budget, few_shots=(),
+                problem_name=""):
+        model.complete(*sampling_request(statement, budget, few_shots))
+        at_prover.append(problem_name)
+        if not provers[problem_name].wait(10):
+            raise TransportError(f"{problem_name} was never let go")
+        at_prover.remove(problem_name)
+        return _record(problem_name, True)
+
+    outcome = []
+    run = threading.Thread(target=lambda: outcome.append(run_benchmark(
+        _spec(names), model, None, tmp_path / "records.jsonl", pool_size=2,
+        prove_fn=proving)))
+    model.gate("p0").set()
+    model.gate("p1").set()
+    run.start()
+    try:
+        for i in range(len(names)):
+            # p(i) and p(i+1) are at the prover; p(i+2) and p(i+3) are sent
+            # and wait for their answers
+            assert _settled(lambda: (
+                sorted(at_prover) == names[i:i + 2]
+                and sorted(model.sent) == names[:i + 4])), \
+                (i, at_prover, model.sent)
+            provers[names[i]].set()
+            if i + 2 < len(names):
+                model.gate(names[i + 2]).set()
+    finally:
+        for name in names:
+            model.gate(name).set()
+            provers[name].set()
+        run.join(10)
+    assert not run.is_alive()
+    assert [r.success for r in outcome[0]] == [True] * len(names)
+    assert sorted(model.sent) == names  # each request sent once
+
+
+def test_many_workers_each_get_their_own_sample_once(tmp_path):
+    # more workers than cores, switching threads as often as it can: a lost
+    # update to what was sent would send a request twice or hand a problem
+    # another's answer
+    names = [f"p{i}" for i in range(40)]
+    model = _GatedModel()
+    for name in names:
+        model.gate(name).set()
+
+    def proving(statement, model, prover, budget, few_shots=(),
+                problem_name=""):
+        (proof,) = model.complete(*sampling_request(statement, budget))
+        return _record(problem_name, proof == f"proof of {problem_name}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = run_benchmark(_spec(names), model, None,
+                                tmp_path / "records.jsonl", pool_size=8,
+                                prove_fn=proving)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.success for r in records)
+    assert sorted(model.sent) == sorted(names)
+
+
+def test_pool_2_sends_each_sample_once_ahead_and_records_as_pool_1(tmp_path):
+    spec, fixtures, prover = _sampled_run()
+    runs, models = [], []
+    for pool in (1, 2):
+        model = _ThreadNoting(ReplayModel(fixtures))
+        runs.append(run_benchmark(spec, model, prover(),
+                                  tmp_path / f"pool{pool}.jsonl",
+                                  pool_size=pool))
+        models.append(model)
+    assert [r.success_stage for r in runs[0]] == ["init_proof", "erp"] * 4
+    assert _timeless(runs[1]) == _timeless(runs[0])
+    assert sorted(models[1].digests()) == sorted(models[0].digests())
+    assert len(set(models[1].digests())) == len(spec.problems)
+    # the samples ran ahead, on the sampler's threads; ERP asks the run's
+    # model from the problem's worker
+    assert {t.name.split("_")[0] for t in models[1].threads("whole_proof")} \
+        == {"sampler"}
+    assert models[1].threads("whole_proof").isdisjoint(
+        models[1].threads("erp"))
+
+
+def test_a_fault_of_a_sample_sent_ahead_leaves_only_its_problem_undetermined(
+        tmp_path):
+    spec, fixtures, prover = _sampled_run()
+    bad = _whole_proof_digest(spec, "q3")
+    model = _ThreadNoting(ReplayModel(fixtures), faults=[bad])
+    records = run_benchmark(spec, model, prover(), tmp_path / "records.jsonl",
+                            pool_size=2)
+    assert [(r.problem_name, r.undetermined) for r in records
+            if not r.success] == [("q3", True)]
+    thread = next(t for _, digest, t in model.requests if digest == bad)
+    assert thread.name.startswith("sampler")
+
+
+def test_pool_1_asks_the_model_on_the_callers_thread(tmp_path):
+    spec, fixtures, prover = _sampled_run()
+    model = _ThreadNoting(ReplayModel(fixtures))
+    records = run_benchmark(spec, model, prover(), tmp_path / "records.jsonl",
+                            pool_size=1)
+    assert all(r.success for r in records)
+    assert {kind for kind, _, _ in model.requests} == {"whole_proof", "erp"}
+    assert {t for _, _, t in model.requests} == {threading.current_thread()}
+
+
+def test_a_resume_at_pool_2_samples_no_recorded_problem(tmp_path):
+    spec, fixtures, prover = _sampled_run(6)
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [_record("q0", True).to_json(),
+                       _record("q1", False).to_json(),
+                       _record("q2", False, undetermined=True).to_json()])
+    model = _ThreadNoting(ReplayModel(fixtures))
+    records = run_benchmark(spec, model, prover(), path, pool_size=2)
+    assert sorted(model.digests()) == sorted(
+        _whole_proof_digest(spec, name) for name in ("q2", "q3", "q4", "q5"))
+    assert [r.success for r in records] == [True, False, True, True, True,
+                                            True]
+
+
+def test_a_pool_2_recording_replays_and_dumps_as_a_pool_1_one(tmp_path):
+    spec, fixtures, prover = _sampled_run()
+    runs = []
+    for pool in (1, 2):
+        recorder = RecordingModel(ReplayModel(fixtures))
+        runs.append(run_benchmark(spec, recorder, prover(),
+                                  tmp_path / f"live{pool}.jsonl",
+                                  pool_size=pool))
+        recorder.dump(tmp_path / f"fixtures{pool}.jsonl")
+    assert (tmp_path / "fixtures2.jsonl").read_bytes() == \
+        (tmp_path / "fixtures1.jsonl").read_bytes()
+    replayed = run_benchmark(spec, ReplayModel(tmp_path / "fixtures2.jsonl"),
+                             prover(), tmp_path / "replayed.jsonl",
+                             pool_size=2)
+    assert _timeless(replayed) == _timeless(runs[1]) == _timeless(runs[0])
 
 
 def test_load_benchmark_and_unique_names(tmp_path):
