@@ -3,12 +3,13 @@ backtrack until the prover accepts or the budget runs out.
 
 The repair chain at a failing position is, in order: the tactic cascade plus
 Sledgehammer (``atp_substitute``), a model-driven continuation from the
-verified prefix (``erp_repair``), placeholder rewriting of the failing step
-(``heuristic_repair``, whose placeholder feeds back into the cascade), and
-finally truncation of the innermost enclosing block (or ``next`` segment)
-with one last cascade attempt on the closing placeholder.  The engine never
-declares success on its own judgment — only the prover's terminal accepted
-state (``is_done``) counts.
+verified prefix (``erp_repair``), and truncation of the innermost enclosing
+block (or ``next`` segment) with one last cascade attempt on the placeholder
+the block collapses into.  That backtrack is the paper's placeholder
+heuristic: its win is the ``heuristic`` stage when the failing step is one
+the heuristic applies to (``heuristic_repair``).  The engine never declares
+success on its own judgment — only the prover's terminal accepted state
+(``is_done``) counts.
 
 Every prover call goes through one ``SessionCursor`` per candidate, whose
 ``advance`` applies steps until one fails, the proof is done, or the steps
@@ -25,10 +26,9 @@ replays a prefix into a fresh session only when it must.
 
 A verdict is a function of the session's steps and the step text, so the
 cursor never re-sends a step refused at the same place; it is the engine's
-one memory of prover answers, and a cascade run again on one claim sends
-only what timed out.  ERP asks the model once per claim: the validated
-prefix plus the failing step's goal body, which a tactic step and its
-placeholder share.
+one memory of prover answers.  The chain never comes back to one prefix and
+goal body within a candidate, so ERP needs no memory of its own to ask the
+model at most once for each.
 """
 
 from __future__ import annotations
@@ -114,28 +114,15 @@ class BudgetConfig:
                              f"max_samples {self.model.max_samples}")
 
 
-Claim = tuple[str, ...]
-
-
-def _claim(script: ProofScript, index: int) -> Claim:
-    """What a repair at ``index`` asks the prover: the texts of the steps
-    before it, then that step's goal body.  A tactic step and the placeholder
-    it is rewritten to make the same claim."""
-    return (*(s.text for s in script.steps[:index]),
-            script.steps[index].body_text)
-
-
 @dataclass
 class AttemptState:
-    """Mutable bookkeeping for one candidate attempt.  ``erp_claims`` holds
-    the claims on which ERP has asked the model; ``timed_out`` is set once,
-    when the attempt's session cursor closes."""
+    """Mutable bookkeeping for one candidate attempt.  ``timed_out`` is set
+    once, when the attempt's session cursor closes."""
 
     extra_calls: int = 0
     stage: Stage = Stage.INIT_PROOF
     timed_out: bool = False
     has_sc: bool = False
-    erp_claims: set[Claim] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -189,13 +176,12 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript,
 
     A sorry placeholder is repaired as a tactic step is: each tactic is sent
     as the step with that justification (``have "x" by auto``), then the
-    goal body, then the hammer, so the cursor answers every repeat of a
-    cascade with no call.  A block delimiter takes no justification, so it
-    gets no cascade.  Every tactic and hammer request sent counts one extra
-    call; goal-body applications and answers the cursor gives with no call
-    do not.  On overall failure after a body application the session is
-    left mid-goal, where the cursor finds it for the next step that restates
-    that body.
+    goal body, then the hammer.  A block delimiter takes no justification,
+    so it gets no cascade.  Every tactic and hammer request sent counts one
+    extra call; goal-body applications and answers the cursor gives with no
+    call do not.  On overall failure after a body application the session
+    is left mid-goal, where the cursor finds it for the next step that
+    restates that body.
     """
     step = script.step_at(position)
     if step.head in DELIMITERS:
@@ -251,16 +237,17 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     return RepairOutcome(True, merged, is_done=True)
 
 
-def heuristic_repair(script: ProofScript, position: int) -> ProofScript:
-    """Rewrite the failing step's justification to a sorry placeholder for
-    the cascade to discharge.  Later steps keep the model's tactics: the main
-    loop sends them as written, and one the prover refuses gets the chain at
-    its own index.  A placeholder or a block delimiter (which takes no
-    justification) is left alone."""
+def heuristic_repair(script: ProofScript, position: int) -> bool:
+    """Whether the paper's placeholder heuristic applies to the failing
+    step: it is neither a sorry placeholder nor a block delimiter, which
+    takes no justification.  A backtrack's win over such a step is the
+    ``heuristic`` stage, the heuristic being the backtrack's collapse of the
+    block into a placeholder that the cascade discharges.  The step itself
+    is not rewritten to a placeholder, which would ask the prover what the
+    refused step asked.  The name stays because perfbench's tracer counts
+    this function's calls by name (``engine.heuristic``)."""
     step = script.steps[position]
-    if step.is_sorry or step.head in DELIMITERS:
-        return script
-    return splice(script, position, step.with_justification("sorry"))
+    return not step.is_sorry and step.head not in DELIMITERS
 
 
 def _backtrack_target(script: ProofScript, position: int) -> int:
@@ -391,16 +378,16 @@ ChainStep = tuple[bool, ProofScript, int, bool]
 
 
 def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
-             state: AttemptState) -> Optional[ChainStep]:
+             state: AttemptState, stage: Stage = Stage.ATP
+             ) -> Optional[ChainStep]:
     """``atp_substitute`` at ``index``, sought to the step's prefix.  A win
-    is booked here and returned as the chain's next step; a loss returns
-    None.  A cascade run again on one claim sends only the steps that timed
-    out: the cursor answers the rest with no call."""
+    is booked at ``stage`` and returned as the chain's next step; a loss
+    returns None."""
     cursor.seek(s.text for s in script.steps[:index])
     outcome = atp_substitute(cursor, script, index)
     state.extra_calls += outcome.extra_calls
     if outcome.success:
-        state.stage = _advance(state.stage, Stage.ATP)
+        state.stage = _advance(state.stage, stage)
         state.has_sc = state.has_sc or script.steps[index].is_sorry
         return outcome.is_done, outcome.script, index + 1, True
     return None
@@ -412,12 +399,11 @@ def _repair_chain(
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
 ) -> ChainStep:
     """Repair at a failing or placeholder position: the cascade, then ERP,
-    then the heuristic rewrite, then a backtrack with one last cascade.  The
-    placeholder the heuristic makes of a refused step comes back here and is
-    repaired as the step was, so its cascade costs no call but for steps
-    that timed out, and the heuristic leaves it alone.  ERP asks the model
-    once per claim (``AttemptState.erp_claims``); a step a backtrack moved
-    under a new prefix is a new claim.
+    then a backtrack with one last cascade, on the placeholder the block
+    collapses into.  The backtrack's win is the ``heuristic`` stage when
+    ``heuristic_repair`` holds for the failing step, and ``atp`` otherwise.
+    The chain never comes back to one prefix and goal body within a
+    candidate, so ERP asks the model at most once for each.
 
     Returns (proof_done, script, applied_count_or_next_index, alive).
     """
@@ -425,27 +411,20 @@ def _repair_chain(
     if won:
         return won
 
-    claim = _claim(script, index)
-    if budget.erp_enabled and claim not in state.erp_claims:
-        state.erp_claims.add(claim)
+    if budget.erp_enabled:
         erp = erp_repair(cursor, script, index, model, statement, budget,
                          few_shots)
         if erp.success:
             state.stage = _advance(state.stage, Stage.ERP)
             return True, erp.script, len(erp.script.steps), True
 
-    rewritten = heuristic_repair(script, index)
-    if rewritten.steps != script.steps:
-        state.stage = _advance(state.stage, Stage.HEURISTIC)
-        # The placeholder at `index` is re-attempted by the main loop.
-        return False, rewritten, index, True
-
+    stage = Stage.HEURISTIC if heuristic_repair(script, index) else Stage.ATP
     lost = (False, script, index, False)
     target = _backtrack_target(script, index)
     truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:
         return lost
-    return _cascade(cursor, truncated, target, state) or lost
+    return _cascade(cursor, truncated, target, state, stage) or lost
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,9 @@ class MockProver(ProverBackend):
     ``<body> by T`` but not ``<body>`` gives the two forms different verdicts
     and raises ValueError.  The ``by`` step a hammer call found for an open
     goal body is accepted later too, bare after that body or as
-    ``<body> by T``, as a prover accepts the tactic it reconstructed; one
-    found with no goal body open is accepted bare wherever none is open.
+    ``<body> by T``, whatever the table says, as a prover accepts the tactic
+    it reconstructed; one found with no goal body open is accepted bare
+    wherever none is open.
     """
 
     def __init__(
@@ -487,13 +488,11 @@ class MockProver(ProverBackend):
             whole = f"{body} {text}"
             return (self._found.get((body, text)) or self.table.get(whole)
                     or self.table.get(text, self.default)), whole
+        split = _split_by(text)
         outcome = ((self._found.get(("", text)) if body is None else None)
-                   or self.table.get(text))
-        split = None if outcome is not None else _split_by(text)
-        if split is None:
+                   or self._found.get(split) or self.table.get(text))
+        if outcome is not None or split is None:
             return outcome or self.default, text
-        if split in self._found:
-            return self._found[split], text
         first = self.table.get(split[0], self.default)
         if first.status != OK:
             return first, text

@@ -185,6 +185,21 @@ def test_mock_hammer_takes_one_outcome_object():
         assert result.ok and result.message == "by (metis foo)"
 
 
+def test_mock_accepts_a_found_step_whole_as_after_its_body():
+    # The table refuses `show "d" by h1`, but the hammer found `by h1` for
+    # the goal `show "d"`: a later session accepts it in either form.
+    mock = MockProver(table={"proof -": "ok", 'show "d"': "ok",
+                             'show "d" by h1': "error"}, hammer="by h1")
+    session = mock.init_session("t")
+    for step in ("proof -", 'show "d"', HAMMER_STEP):
+        assert mock.apply(session, step, timeout_s=40.0).ok
+    for steps in (['show "d"', "by h1"], ['show "d" by h1']):
+        session = mock.init_session("t")
+        assert mock.apply(session, "proof -").ok
+        assert [mock.apply(session, step).ok for step in steps] == \
+            [True] * len(steps)
+
+
 def test_mock_closed_session_raises():
     mock = MockProver()
     session = mock.init_session("t")

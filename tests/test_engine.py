@@ -1,9 +1,11 @@
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proofseek import engine
 from proofseek.engine import (
     CASCADE,
     AttemptRecord,
@@ -16,7 +18,7 @@ from proofseek.engine import (
     run_pool,
 )
 from proofseek.errors import TransportError
-from proofseek.isar import parse_script, truncate_to_block
+from proofseek.isar import parse_script, splice, truncate_to_block
 from proofseek.jsonl import typed
 from proofseek.model import (
     MockModel,
@@ -47,7 +49,6 @@ from fixtures import (
     GOLDEN_STATE_RECORD,
     PROBLEM_NAME,
     accepting_mock,
-    placeholders,
 )
 
 STATEMENT = 'theorem t:\n  shows "P"\n  oops'
@@ -184,8 +185,8 @@ def test_scenario_erp_disabled_degrades_with_zero_erp_prompts():
 
 def test_scenario_erp_rejected_completion_falls_through():
     # The inner claim `show "x"` is refused in either form, and so is the
-    # ERP completion there.  The chain falls through to the heuristic; the
-    # backtrack cuts the inner block, and the outer `show ?thesis by crude`,
+    # ERP completion there.  The chain falls through to the backtrack, which
+    # cuts the inner block, and the outer `show ?thesis by crude`,
     # refused as written, is repaired by its own cascade.
     candidate = ('proof -\n  have "x"\n  proof -\n    show "x" by gross\n'
                  '  qed\n  show ?thesis by crude\nqed')
@@ -244,10 +245,10 @@ def _steps(prover):
 
 
 def test_refused_claim_runs_its_cascade_once():
-    # The heuristic's placeholder at `have "b"` makes the claim the cascade
-    # was refused on, so it goes straight to the backtrack, whose placeholder
-    # is a new claim.  The later `show ?thesis by s4` keeps its tactic: it is
-    # sent whole, refused, and gets its own cascade, then the hammer.
+    # After the cascade and the hammer are refused at `have "b"`, the chain
+    # goes straight to the backtrack, whose placeholder is a new claim.  The
+    # later `show ?thesis by s4` keeps its tactic: it is sent whole, refused,
+    # and gets its own cascade, then the hammer.
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok", "qed": "ok",
         "show ?thesis": "ok", "show ?thesis by h": "ok", "by h": "ok",
@@ -315,10 +316,10 @@ def test_later_step_whose_tactic_is_refused_gets_its_own_cascade():
         '  have "y" by h2\n  show ?thesis by t\nqed')
 
 
-def test_cascade_that_timed_out_runs_again_after_the_heuristic_rewrite():
-    # A timeout is no verdict: the placeholder's cascade sends auto again,
-    # into the goal body the first cascade left open, and auto, no longer
-    # slow, proves it.  The refused hammer is not asked again.
+def test_cascade_tactic_that_timed_out_is_sent_once_then_the_backtrack():
+    # A timeout is no verdict, yet the chain does not come back to the
+    # refused step: auto, which would prove `have "x"` if sent again, is
+    # sent once, and the backtrack's placeholder takes the hammer's proof.
     prover = RecordingProver(FlakyOnReplay({'have "x" by auto': "ok"}, table={
         "proof -": "ok", 'have "x"': "ok", "show ?thesis": "ok", "qed": "ok",
         'have "x" by auto': SLOW, "show ?thesis by h": "ok",
@@ -326,30 +327,30 @@ def test_cascade_that_timed_out_runs_again_after_the_heuristic_rewrite():
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(HEUR_CANDIDATE), prover, budget)
     assert record.success and record.has_timeout
-    first = ["init", "proof -", 'have "x" by gross', *_tried('have "x"'),
-             'have "x"', "\u27e8hammer\u27e9", "by auto"]
-    assert _steps(prover)[:len(first)] == first
-    assert len(prover.requests("init")) == 1
-    assert 'have "x" by auto' in record.final_script
+    assert record.success_stage == "heuristic"
+    assert _steps(prover) == [
+        "init", "proof -", 'have "x" by gross', *_tried('have "x"'),
+        'have "x"', "\u27e8hammer\u27e9", "close", "init", "proof -",
+        *_tried(), "\u27e8hammer\u27e9", "qed", "close"]
+    assert record.final_script == "proof -\n  by h\nqed"
 
 
-def test_placeholder_cascade_sends_again_only_the_tactic_that_timed_out():
-    # The heuristic's placeholder is repaired in the form the refused step
-    # was: the refused `have "x" by auto`, the goal body and the refused
-    # hammer are answered with no call, and only simp, which timed out, is
-    # sent again, into the goal body the first cascade left open.
+def test_refused_step_sends_the_tactic_that_timed_out_once_then_the_backtrack():
+    # simp times out on `have "x"` and is not sent again: the chain goes
+    # from the refused hammer straight to the backtrack, which rebuilds the
+    # session for its placeholder.
     candidate = 'proof -\n  have "x" by bad\n  show ?thesis by simp\nqed'
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "x"': "ok", 'have "x" by simp': SLOW}))
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(candidate), prover, budget)
-    steps = _steps(prover)
-    assert steps[:steps.index("close")] == [
+    assert _steps(prover) == [
         "init", "proof -", 'have "x" by bad', *_tried('have "x"'),
-        'have "x"', "\u27e8hammer\u27e9", "by simp"]
-    # the cascade's nine tactics and the hammer, simp again, and the
-    # backtrack's cascade on its placeholder
-    assert record.extra_calls == 21 and record.has_timeout
+        'have "x"', "\u27e8hammer\u27e9", "close", "init", "proof -",
+        *_tried(), "\u27e8hammer\u27e9", "close"]
+    # the cascade's nine tactics and the hammer, then the backtrack's
+    # cascade on its placeholder
+    assert record.extra_calls == 20 and record.has_timeout
 
 
 @pytest.mark.parametrize("written", ["by(bad)", "by (bad)"])
@@ -382,12 +383,12 @@ def test_claim_whose_prefix_a_backtrack_changed_is_tried_again():
 
 
 def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
-    # The inner block's `oops` fails at index 5: ERP and the heuristic run
-    # there, and the heuristic rewrites nothing at a block closer.  The
-    # backtrack collapses the block; the steps after it keep their tactics,
-    # and each refused one gets its own cascade.  The hammer proves `have
-    # "d"` and `have "e"` but not `have "f" by bad`, now at index 5 under
-    # another prefix, so ERP runs again there and its continuation verifies.
+    # The inner block's `oops` fails at index 5: ERP runs there, and the
+    # heuristic does not apply to a block closer.  The backtrack collapses
+    # the block; the steps after it keep their tactics, and each refused one
+    # gets its own cascade.  The hammer proves `have "d"` and `have "e"` but
+    # not `have "f" by bad`, now at index 5 under another prefix, so ERP runs
+    # again there and its continuation verifies.
     candidate = ('proof -\n  have "a"\n  proof -\n    have "b" by s2\n'
                  '    show ?thesis by s3\n  oops\n  have "d" by s6\n'
                  '  have "e" by s7\n  have "f" by bad\n  show ?thesis by s9\nqed')
@@ -417,16 +418,19 @@ def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
     assert 'have "f" by good' in record.final_script
 
 
-def test_rebuild_replays_the_step_a_hammer_call_found():
+@pytest.mark.parametrize("listed", [{}, {'have "a" by (metis h)': "error"}])
+def test_rebuild_replays_the_step_a_hammer_call_found(listed):
     # The hammer discharges the placeholder `have "a"`; the cascade at
     # `have "b"` fails inside its goal body, so ERP's first step rebuilds the
     # session and replays `have "a" by (metis h)`, which the prover accepts
-    # because it found that tactic for that goal.
+    # because it found that tactic for that goal, even where the table
+    # lists that step as refused.
     candidate = ('proof -\n  have "a" sorry\n  have "b" by bad\n'
                  '  show ?thesis by simp\nqed')
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok",
         "show ?thesis": "ok", "show ?thesis by simp": "ok", "qed": "ok",
+        **listed,
     }, hammer=["by (metis h)", None]))
     record = prove(STATEMENT, _model(candidate, erp='have "c" by x'), prover,
                    BudgetConfig(sample_budget=1))
@@ -923,10 +927,10 @@ def _tactic_tables(draw):
 @example(({"proof -": "ok", 'have "x"': "ok", "by auto": "error",
            "by simp": SLOW, "by blast": "error"}, None))
 def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
-    # The cascade on a refused tactic step, then, in the same cursor, on the
-    # placeholder the heuristic makes of it: the second run may send only
-    # steps whose first answer was a timeout, a tactic sent bare into the
-    # goal body it left open counting as its whole step.
+    # The cascade on a refused tactic step, then, in the same cursor, on its
+    # placeholder: the second run may send only steps whose first answer was
+    # a timeout, a tactic sent bare into the goal body it left open counting
+    # as its whole step.
     table, hammer = drawn
     prover = RecordingProver(MockProver(table=table, hammer=hammer))
     cursor = _cursor(prover)
@@ -938,10 +942,94 @@ def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
                  if e["response"]["status"] == "timeout"}
     sent = len(prover.trace)
     cursor.seek(["proof -"])
-    atp_substitute(cursor, heuristic_repair(script, 1), 1)
+    placeholder = script.steps[1].with_justification("sorry")
+    atp_substitute(cursor, splice(script, 1, placeholder), 1)
     again = [f'have "x" {step}' if step.startswith("by ") else step
              for step in _steps(prover)[sent:]]
     assert set(again) <= timed_out
+
+
+# ---------------------------------------------------------------------------
+# property: ERP asks the model at most once per prefix and goal body
+
+_GOALS = ('have "a"', 'have "b"', 'show "c"', "show ?thesis")
+# `by h1` is the tactic the hammer finds, `by bad` is always refused and
+# `by slow` always times out
+_CANDIDATE_BYS = ("by auto", "by simp", "by h1", "by bad", "by slow")
+
+
+@st.composite
+def _candidate_steps(draw, depth=0):
+    """Steps of a block body: goals with a tactic or a placeholder, and
+    goals proved by a nested block, plain or split by ``next``."""
+    kinds = ["by", "sorry"] + (["block", "cases"] if depth < 2 else [])
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        goal = draw(st.sampled_from(_GOALS))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "by":
+            steps.append(f"{goal} {draw(st.sampled_from(_CANDIDATE_BYS))}")
+        elif kind == "sorry":
+            steps.append(f"{goal} sorry")
+        elif kind == "block":
+            steps += [goal, "proof -", *draw(_candidate_steps(depth + 1)),
+                      "qed"]
+        else:
+            steps += [goal, "proof (cases x)",
+                      *draw(_candidate_steps(depth + 1)), "next",
+                      *draw(_candidate_steps(depth + 1)), "qed"]
+    return steps
+
+
+@st.composite
+def _hammer_coherent_tables(draw):
+    """A MockProver table over the candidate steps and a hammer that finds
+    ``by h1`` or nothing: the table accepts a whole step only where it
+    accepts its goal body, and never refuses the hammer's ``by h1``."""
+    verdict = st.sampled_from(["ok", "error"])
+    table = {text: draw(verdict) for text in (
+        *_GOALS, "by auto", "by simp", "proof -", "proof (cases x)", "next",
+        "qed")}
+    table["by slow"] = SLOW
+    for goal in _GOALS:
+        for by in ("by auto", "by simp", "by h1"):
+            listed = draw(st.sampled_from([None, "ok", "error"]))
+            if (listed == "ok" and table[goal] == "ok") or (
+                    listed == "error" and by != "by h1"):
+                table[f"{goal} {by}"] = listed
+    hammer = draw(st.lists(st.sampled_from([None, "by h1", SLOW]),
+                           min_size=1, max_size=4))
+    return table, hammer
+
+
+_ERP_COMPLETIONS = st.lists(
+    st.lists(st.sampled_from((*(f"{goal} {by}" for goal in _GOALS
+                                for by in _CANDIDATE_BYS), "qed")),
+             max_size=4).map("\n".join),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_candidate_steps(), _hammer_coherent_tables(), _ERP_COMPLETIONS)
+def test_erp_asks_the_model_once_per_prefix_and_goal_body(
+        steps, drawn, completions):
+    # No memo guards ERP: the chain must never come back to one prefix and
+    # goal body within a candidate, or ERP would ask the model again there.
+    table, hammer = drawn
+    candidate = "\n".join(["proof -", *steps, "qed"])
+    asked = []
+
+    def recording(cursor, script, position, *args):
+        asked.append((tuple(s.text for s in script.steps[:position]),
+                      script.steps[position].body_text))
+        return erp_repair(cursor, script, position, *args)
+
+    model = MockModel({"whole_proof": [[candidate]],
+                       "erp": [[completion] for completion in completions]})
+    with mock.patch.object(engine, "erp_repair", recording):
+        prove(STATEMENT, model, MockProver(table=table, hammer=hammer),
+              BudgetConfig(sample_budget=1))
+    assert len(asked) == len(set(asked))
 
 
 # ---------------------------------------------------------------------------
@@ -1084,9 +1172,9 @@ _TIMEOUT_CASES = {
         candidates=[ATP_CANDIDATE], erp=ERP_COMPLETION, hammer=SLOW,
         stage="erp", table={'have "x"': "ok",
                             'have "x" by (meson helper)': "ok"}),
-    # ERP's continuation times out on its first step; after the heuristic
-    # rewrite, a backtrack's placeholder is discharged by auto, which proves
-    # the block's goal but not `have "x"`.
+    # ERP's continuation times out on its first step; a backtrack's
+    # placeholder is discharged by auto, which proves the block's goal but
+    # not `have "x"`.
     "erp continuation step": dict(
         candidates=[ATP_CANDIDATE], erp='have "x" by slow\nqed', hammer=None,
         stage="heuristic", table={'have "x" by slow': SLOW, "by auto": "ok",
@@ -1200,29 +1288,18 @@ def test_erp_repair_merges_validated_continuation():
                      "show ?thesis by simp", "qed"]
 
 
-def test_heuristic_repair_rewrites_the_failing_step_only():
-    script = parse_script('have "a" by (metis x)\nhave "b" by blast\n'
-                          'fix y\nhave "c" by auto')
-    rewritten = heuristic_repair(script, 0)
-    assert [s.text for s in rewritten.steps] == [
-        'have "a" sorry', 'have "b" by blast', "fix y", 'have "c" by auto']
-    assert placeholders(rewritten) == [0]
-
-
-def test_heuristic_repair_leaves_later_tactics_alone():
-    script = parse_script('have "a" by x\nhave "b" by y\nhave "c" by z\n'
-                          'have "d" by w')
-    rewritten = heuristic_repair(script, 1)
-    assert placeholders(rewritten) == [1]
-
-
-def test_heuristic_repair_noop_without_tactics():
-    script = parse_script("fix x fix y")
-    rewritten = heuristic_repair(script, 1)
-    assert [s.text for s in rewritten.steps] == ["fix x", "fix y sorry"]
-    # position itself is always rewritten; nothing else changes
-    script2 = parse_script('have "a" sorry fix y')
-    assert heuristic_repair(script2, 0).steps == script2.steps
+@pytest.mark.parametrize("text, position, applies", [
+    ('have "a" by (metis x)\nhave "b" by blast', 0, True),
+    ("fix x fix y", 1, True),
+    ('have "a" sorry fix y', 0, False),
+    ('proof -\nhave "a" by x\nqed', 0, False),
+    ('proof -\nhave "a" by x\nqed', 2, False),
+])
+def test_heuristic_applies_to_a_step_that_takes_a_justification(
+        text, position, applies):
+    # not to a placeholder, nor to a block delimiter
+    script = parse_script(text)
+    assert heuristic_repair(script, position) is applies
 
 
 def test_failing_block_closer_terminates():
@@ -1245,13 +1322,6 @@ def test_failing_block_closer_terminates():
                    BudgetConfig(sample_budget=1, erp_enabled=False))
     assert not record.success
     assert record.has_timeout
-
-
-def test_heuristic_never_rewrites_structural_steps():
-    script = parse_script('proof -\nhave "a" by x\nqed')
-    rewritten = heuristic_repair(script, 2)
-    assert [s.text for s in rewritten.steps] == ["proof -", 'have "a" by x',
-                                                 "qed"]
 
 
 def test_backtrack_collapses_block_when_closer_fails():
@@ -1328,14 +1398,13 @@ GOLDEN_REQUESTS = [
     # sent, into the held body, and refused.  Dropped: ERP's rebuild (close,
     # init, the four prefix steps) and its `have "d" by e2`
     ("apply", "by e2", 10.0),
-    # the heuristic rewrites nothing at a placeholder: straight to the
+    # the heuristic does not apply to a placeholder: straight to the
     # backtrack, whose bare placeholder does not reopen the body, so
     # the session is rebuilt here; the hammer discharges the placeholder
     CLOSE, INIT, *PREFIX, ("apply", "proof -", 10.0), *TACTICS, HAMMER,
-    # the block closer fails and gets no cascade, and the heuristic rewrites
-    # nothing there.  Dropped: `oops` with each tactic, and the hammer's
-    # body `oops`.  Then backtrack, seek with a
-    # rebuild, close; `show ?thesis by x` keeps its tactic and is refused,
+    # the block closer fails and gets no cascade, and the heuristic does not
+    # apply there.  Dropped: `oops` with each tactic, and the hammer's body
+    # `oops`.  Then backtrack, seek with a rebuild, close; `show ?thesis by x` keeps its tactic and is refused,
     # so its cascade rewrites it whole, and the hammer proves its body
     ("apply", "oops", 10.0), CLOSE,
     INIT, *PREFIX, *TACTICS, HAMMER, ("apply", "show ?thesis by x", 10.0),
