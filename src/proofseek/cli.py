@@ -9,9 +9,10 @@ backends it calls.  Replay and mock modes are fully offline — no sockets are
 ever opened.
 
 Exit codes: 0 success, 1 proof failure (``prove`` only), 2 any error — a bad
-config or input file, a missing fixture, an unreachable backend, a diverging
-replay trace.  ``main`` is the one place an error becomes exit 2; ``policy``
-and ``formalize`` record a row's error in their summary and go on.
+config or input file, an unreachable backend, a question the replay fixture
+or trace never recorded.  ``main`` is the one place an error becomes
+exit 2; ``policy`` and ``formalize`` record a row's error in their summary
+and go on.
 """
 
 from __future__ import annotations
@@ -129,15 +130,14 @@ def build_model(config: RunConfig) -> ModelBackend:
 
 def build_prover(config: RunConfig) -> ProverBackend:
     """The live wire client; in replay mode a recorded trace when one is
-    given, played from one worker, since a trace is one order of requests;
-    otherwise the mock prover, whose JSON fixture holds MockProver's own
-    keyword arguments."""
+    given, which answers each request by its question, so it replays at any
+    pool size; otherwise the mock prover, whose JSON fixture holds
+    MockProver's own keyword arguments."""
     if config.mode == "live":
         return WireProver(config.budget.prover)
     trace = config.fixture("prover_trace", required=False)
     if config.mode == "replay" and trace is not None:
-        return ReplayProver(trace, config=replace(config.budget.prover,
-                                                  pool_size=1))
+        return ReplayProver(trace, config=config.budget.prover)
     spec = loads(config.fixture("prover_mock").read_text(encoding="utf-8"))
     try:
         return MockProver(**spec, config=config.budget.prover)

@@ -78,9 +78,5 @@ class MissingFixture(ProofSeekError):
     """A replay backend had no recorded response for the request."""
 
 
-class ReplayMismatch(ProofSeekError):
-    """A replayed request diverged from the recorded trace."""
-
-
 class EmptyInput(ProofSeekError):
     """An aggregate was requested over zero records."""

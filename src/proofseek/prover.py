@@ -46,13 +46,14 @@ import json
 import socket
 import socketserver
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    MissingFixture,
     ParseError,
-    ReplayMismatch,
     SessionClosed,
     TheoryLoadError,
     TransportError,
@@ -521,61 +522,107 @@ class MockProver(ProverBackend):
 # replay
 
 def _trace_entry(where: str, entry: object) -> dict:
-    """A trace file's entry, checked: an object with a ``response`` and a
+    """A trace's entry, checked: an object with a ``response`` and a
     ``request`` naming a command in ``COMMANDS``, whose ``step``, if
-    present, is a string.  Anything else raises ValueError naming
-    ``where``."""
+    present, is a string and whose ``session_id``, if present, is a string
+    or null.  Anything else raises ValueError naming ``where``."""
     request = entry.get("request") if isinstance(entry, dict) else None
     name = request.get("command") if isinstance(request, dict) else None
     if not (isinstance(name, str) and name in COMMANDS and "response" in entry
-            and isinstance(request.get("step", ""), str)):
+            and isinstance(request.get("step", ""), str)
+            and isinstance(request.get("session_id"), (str, type(None)))):
         raise ValueError(f"{where}: a trace entry is an object with a "
                          "request naming a command and a response")
     return entry
 
 
+def _question(paths: dict[str, tuple], request: dict) -> tuple:
+    """What an ``init`` or ``apply`` request asks: its theory, or its
+    normalized step after its session's question so far in ``paths`` (the
+    theory and the steps the session accepted; ``(None,)`` for a session
+    never opened)."""
+    if request["command"] == "init":
+        return (request.get("step", ""),)
+    session = paths.get(request.get("session_id"), (None,))
+    return session + (normalize_step(request.get("step", "")),)
+
+
+def _key(question: tuple) -> tuple:
+    """The question with its theory whitespace-normalized."""
+    return (question[0] and normalize_step(question[0]), *question[1:])
+
+
+def _move_past(paths: dict, request: dict, question: tuple, reply) -> None:
+    """Move ``paths`` past a reply: the session an ``init`` opened stands at
+    its theory, and an accepted step extends its session's question."""
+    if request["command"] == "init":
+        paths[reply] = question
+    elif reply.ok:
+        paths[request.get("session_id")] = question
+
+
 class ReplayProver(ProverBackend):
-    """Plays back a recorded request/response trace, verifying each request
-    and reading each recorded reply as the wire client reads it, so a reply
-    of the wrong shape is a TransportError here too.  A trace is one order
-    of requests, so a run replays it from one worker."""
+    """Answers each request with the reply a trace recorded for the same
+    question, read as the wire client reads it, so a reply of the wrong
+    shape is a TransportError here too.  An ``init`` asks about its theory;
+    an ``apply`` asks about its step after the theory and the steps its
+    session had accepted, all whitespace-normalized.  A recorded session's
+    accepted steps are read from the trace's replies as a live session's
+    are, so the order of requests does not matter: a trace answers any
+    engine that asks only questions it recorded, from any number of
+    workers.  Replies filed under one question are given in recorded order,
+    the last one repeating (a timeout, then its retry); an ``init`` reply is
+    never repeated, since two live sessions would share its id.  A question
+    never recorded, or an ``init`` asked more often than recorded, raises
+    MissingFixture.  ``close`` needs no entry."""
 
     def __init__(self, trace: Union[str, Path, Sequence[dict]],
                  config: Optional[ProverConfig] = None):
         super().__init__(config)
-        self.trace = ([_trace_entry(where, entry)
-                       for where, entry in numbered_values(trace)]
-                      if isinstance(trace, (str, Path)) else list(trace))
-        self._pos = 0
+        self._replies: dict[tuple, list[dict]] = {}  # question -> entries left
+        self._paths: dict[str, tuple] = {}  # live session -> its question
+        recorded: dict[str, tuple] = {}
+        entries = (numbered_values(trace) if isinstance(trace, (str, Path))
+                   else ((f"trace entry {n}", e) for n, e in enumerate(trace)))
+        for where, entry in entries:
+            request = _trace_entry(where, entry)["request"]
+            if request["command"] in ("init", "apply"):
+                question = _question(recorded, request)
+                self._replies.setdefault(_key(question), []).append(entry)
+                with suppress(TheoryLoadError, TransportError):
+                    _move_past(recorded, request, question,
+                          _read_reply(request, entry["response"]))
 
-    def _call(self, command: str, step: str) -> object:
-        """The next entry's reply, read by its command's row, once its
-        request is ``command`` with ``step``."""
+    def _ask(self, request: dict) -> object:
+        """The reply next in turn for ``request``'s question, read by its
+        command's row.  No reply left is MissingFixture, naming the
+        theory's first line, the number of accepted steps and the step."""
         with self._lock:
-            if self._pos >= len(self.trace):
-                raise ReplayMismatch(f"trace exhausted at request {self._pos}")
-            entry = self.trace[self._pos]
-            self._pos += 1
-            want = entry["request"]
-            if want["command"] != command or \
-                    normalize_step(want.get("step", "")) != normalize_step(step):
-                raise ReplayMismatch(
-                    f"request {self._pos - 1} diverged: expected "
-                    f"{want['command']}/{want.get('step', '')!r}, got {command}/{step!r}")
-        return _read_reply(want, entry["response"])
+            question = _question(self._paths, request)
+            entries = self._replies.get(_key(question))
+            if not entries:
+                theory, *steps = question
+                asked = (f"{steps[-1]!r} after {len(steps) - 1} accepted "
+                         "steps" if steps else "init")
+                first = theory and theory.splitlines()[0]
+                raise MissingFixture(f"no recorded reply left to {asked} in "
+                                     f"theory {first!r}")
+            entry = (entries.pop(0) if len(entries) > 1
+                     or request["command"] == "init" else entries[0])
+            reply = _read_reply(entry["request"], entry["response"])
+            _move_past(self._paths, request, question, reply)
+        return reply
 
     def init_session(self, theory_text: str) -> str:
-        return self._call("init", theory_text)
+        return self._ask(_request("init", None, theory_text, None))
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
-        return self._call("apply", step_text)
+        return self._ask(_request("apply", session_id, step_text, timeout_s))
 
     def close(self, session_id: str) -> None:
         with self._lock:
-            if self._pos < len(self.trace) and \
-                    self.trace[self._pos]["request"]["command"] == "close":
-                self._pos += 1
+            self._paths.pop(session_id, None)
 
 
 class RecordingProver(ProverBackend):
@@ -621,6 +668,9 @@ class RecordingProver(ProverBackend):
     def close(self, session_id: str) -> None:
         self.inner.close(session_id)
         self._record(_request("close", session_id, "", None), _response(OK))
+
+    def shutdown(self) -> None:
+        self.inner.shutdown()
 
     def requests(self, command: str = "apply") -> list[dict]:
         """The recorded requests of one command kind, in order."""

@@ -10,7 +10,7 @@ from proofseek.bench import BenchmarkProblem, BenchmarkSpec, run_benchmark
 from proofseek.curate import TheoremProofPair, filter_self_contained
 from proofseek.engine import BudgetConfig, prove
 from proofseek.errors import (
-    ReplayMismatch,
+    MissingFixture,
     SessionClosed,
     TheoryLoadError,
     TransportError,
@@ -324,8 +324,65 @@ def test_replay_mismatch_detected():
     trace, _ = _record_trace("by simp")
     replay = ReplayProver(trace)
     replay.init_session("theory T")
-    with pytest.raises(ReplayMismatch):
+    with pytest.raises(MissingFixture, match="'by blast' after 0 accepted "
+                       "steps in theory 'theory T'"):
         replay.apply("s-1", "by blast", 10.0)
+
+
+def test_replay_answers_by_question_not_by_order():
+    # Two sessions recorded one after the other replay interleaved, and a
+    # step is answered after the steps its own session accepted.
+    recorder = RecordingProver(MockProver(default="ok"))
+    for theory in ("theory A", "theory B"):
+        session = recorder.init_session(theory)
+        recorder.apply(session, "have a", 10.0)
+        recorder.apply(session, "by simp", 10.0)
+        recorder.close(session)
+    replay = ReplayProver(recorder.trace)
+    a, b = replay.init_session("theory A"), replay.init_session("theory B")
+    assert (a, b) == ("s-1", "s-2")
+    assert replay.apply(b, "have a", 10.0).new_state_id == "s-2/1"
+    assert replay.apply(a, "have a", 10.0).new_state_id == "s-1/1"
+    assert replay.apply(a, "by  simp", 10.0).new_state_id == "s-1/2"
+    with pytest.raises(MissingFixture, match="'have b' after 2 accepted "
+                       "steps in theory 'theory A'"):
+        replay.apply(a, "have b", 10.0)
+
+
+def test_replay_gives_a_question_its_replies_in_order_the_last_repeating():
+    # A hammer call that timed out, then was refused when sent again: the
+    # two replies are given in that order, and the second from then on.
+    recorder = RecordingProver(MockProver(hammer=[MockOutcome("timeout"),
+                                                  None]))
+    session = recorder.init_session("theory T")
+    recorder.apply(session, HAMMER_STEP, 40.0)
+    recorder.apply(session, HAMMER_STEP, 40.0)
+    replay = ReplayProver(recorder.trace)
+    session = replay.init_session("theory T")
+    assert [replay.apply(session, HAMMER_STEP).status for _ in range(3)] == [
+        "timeout", "error", "error"]
+
+
+def test_replay_init_asked_more_often_than_recorded_is_a_missing_fixture():
+    # Given twice, an init reply would hand two live sessions one id.
+    trace, _ = _record_trace("by simp")
+    replay = ReplayProver(trace)
+    assert replay.init_session("theory  T") == "s-1"
+    with pytest.raises(MissingFixture,
+                       match="no recorded reply left to init in theory 'theory T'"):
+        replay.init_session("theory T")
+
+
+@pytest.mark.parametrize("entry", [
+    {"req": {}},
+    {"request": {"command": "apply", "step": 3}, "response": {}},
+    {"request": {"command": "apply", "session_id": [1]}, "response": {}},
+])
+def test_replay_checks_a_trace_passed_as_a_list_as_it_checks_a_file(entry):
+    # A list entry used to raise a bare KeyError on the first request.
+    with pytest.raises(ValueError, match="trace entry 1: a trace entry is"):
+        ReplayProver([{"request": {"command": "close"}, "response": {}},
+                      entry])
 
 
 @pytest.mark.parametrize("reply", [
@@ -519,6 +576,23 @@ def test_wire_call_after_shutdown_reconnects():
         client.shutdown()
         assert client.init_session("theory T") == "s-1"
         assert server.connections == 2
+    finally:
+        client.shutdown()
+        server.stop()
+
+
+def test_recording_shutdown_reaches_the_client_it_wraps():
+    # The recorder holds no connection itself: its shutdown closes the idle
+    # connection of the wire client it records, which was left open.
+    ok = b'{"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}\n'
+    server = LineServer(lambda _index, _line: ok)
+    client = WireProver(ProverConfig(endpoint=server.address))
+    recorder = RecordingProver(client)
+    try:
+        assert recorder.init_session("theory T") == "s-1"
+        assert len(client._idle) == 1
+        recorder.shutdown()
+        assert client._idle == []
     finally:
         client.shutdown()
         server.stop()

@@ -27,7 +27,7 @@ from proofseek.model import (
     prompt_digest,
 )
 from proofseek.prompts import erp_prompt
-from proofseek.prover import MockProver
+from proofseek.prover import MockProver, RecordingProver, ReplayProver
 
 
 def _record(name, success, i_try=0, wall=1.0, undetermined=False):
@@ -529,6 +529,27 @@ def test_pool_2_sends_each_sample_once_ahead_and_records_as_pool_1(tmp_path):
         == {"sampler"}
     assert models[1].threads("whole_proof").isdisjoint(
         models[1].threads("erp"))
+
+
+def test_a_trace_recorded_at_pool_1_replays_at_pool_4_to_equal_records(
+        tmp_path):
+    # The replay answers each request by its question, not by its place in
+    # the trace: four workers, switching threads as often as they can,
+    # interleave the sessions that one worker opened in turn.
+    spec, fixtures, prover = _sampled_run(12)
+    recorder = RecordingProver(prover())
+    want = run_benchmark(spec, ReplayModel(fixtures), recorder,
+                         tmp_path / "pool1.jsonl", pool_size=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_benchmark(spec, ReplayModel(fixtures),
+                            ReplayProver(recorder.trace),
+                            tmp_path / "pool4.jsonl", pool_size=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.success_stage for r in want] == ["init_proof", "erp"] * 6
+    assert _timeless(got) == _timeless(want)
 
 
 def test_a_fault_of_a_sample_sent_ahead_leaves_only_its_problem_undetermined(

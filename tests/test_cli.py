@@ -129,7 +129,8 @@ def test_cmd_prove_replay_trace_divergence_exits_2(tmp_path, capsys):
                           budget={"sample_budget": 1, "erp_enabled": False})
     code = main(["prove", str(tmp_path / "stmt.thy"), "--config", config])
     assert code == 2
-    assert "diverged" in capsys.readouterr().err
+    assert "no recorded reply left to init in theory 'theory Scratch'" in \
+        capsys.readouterr().err
 
 
 def _live_model(monkeypatch, answer):
@@ -778,11 +779,12 @@ def test_cmd_curate_replay_on_a_pool_reruns_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["bench", "curate"])
-def test_replay_with_a_prover_trace_runs_one_worker(tmp_path, monkeypatch,
-                                                    capsys, command):
-    # A trace is one order of requests: recorded from one worker, it is
-    # played from one worker whatever the prover's pool size, so every
-    # session opens on the calling thread.
+def test_replay_with_a_prover_trace_runs_on_the_configured_pool(
+        tmp_path, monkeypatch, capsys, command):
+    # A trace answers each request by its question, not by its place: one
+    # recorded from one worker replays on the prover's pool of 4, with
+    # sessions opened on more than one worker thread, and writes what the
+    # recorded run wrote.
     from proofseek import cli
     from proofseek.prover import RecordingProver, ReplayProver
 
@@ -805,21 +807,42 @@ def test_replay_with_a_prover_trace_runs_one_worker(tmp_path, monkeypatch,
                      "--out", str(tmp_path / "recorded")]) == 0
     recorders[0].dump(tmp_path / "prover_trace.jsonl")
 
-    threads = set()
+    threads, second = set(), threading.Event()
     init_session = ReplayProver.init_session
 
     def traced(self, theory_text):
-        threads.add(threading.current_thread())
+        # the first session waits for a second worker's, so a run that
+        # opened every session on one thread would show it
+        with self._lock:
+            threads.add(threading.current_thread())
+        if len(threads) > 1:
+            second.set()
+        second.wait(5.0)
         return init_session(self, theory_text)
 
     monkeypatch.setattr(ReplayProver, "init_session", traced)
     fixtures = {"model_replay": fixtures["model_replay"],
                 "prover_trace": "prover_trace.jsonl"}
-    config = write_config(tmp_path, fixtures=fixtures, name="replay.json")
+    config = write_config(tmp_path, fixtures=fixtures,
+                          prover={"pool_size": 4}, name="replay.json")
     assert main([*args, "--config", config,
                  "--out", str(tmp_path / "replayed")]) == 0
     capsys.readouterr()
-    assert threads == {threading.main_thread()}
+    assert len(threads) > 1
+    if command == "bench":  # records are appended as problems finish
+        assert _timeless_records(tmp_path / "replayed") == \
+            _timeless_records(tmp_path / "recorded")
+    else:
+        for name in ("sft.jsonl", "rl.jsonl", "manifest.json"):
+            assert (tmp_path / "replayed" / name).read_bytes() == \
+                (tmp_path / "recorded" / name).read_bytes()
+
+
+def _timeless_records(out):
+    """The benchmark records in ``out``, by problem, without wall time."""
+    return sorted(({k: v for k, v in row.items() if k != "wall_time_s"}
+                   for row in read_jsonl(out / "records.jsonl")),
+                  key=lambda row: row["problem_name"])
 
 
 def test_cmd_curate_exits_2_on_a_model_fault(tmp_path, monkeypatch, capsys):

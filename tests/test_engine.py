@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -36,6 +37,7 @@ from proofseek.prover import (
     ProverConfig,
     ProverServer,
     RecordingProver,
+    ReplayProver,
     SessionCursor,
     WireProver,
     check_script,
@@ -351,6 +353,35 @@ def test_refused_step_sends_the_tactic_that_timed_out_once_then_the_backtrack():
     # the cascade's nine tactics and the hammer, then the backtrack's
     # cascade on its placeholder
     assert record.extra_calls == 20 and record.has_timeout
+
+
+def test_a_trace_holding_a_question_the_engine_no_longer_asks_replays():
+    # Before the backtrack became the heuristic stage, the chain rewrote the
+    # refused step to a placeholder whose cascade sent the timed-out simp
+    # again, bare into the goal body `have "x"` left open.  The requests
+    # below are the ones that engine sent, in its order; their trace still
+    # answers every question this engine asks, and the replayed record is
+    # the live one.
+    candidate = 'proof -\n  have "x" by bad\n  show ?thesis by simp\nqed'
+    table = {"proof -": "ok", 'have "x"': "ok", 'have "x" by simp': SLOW,
+             "show ?thesis": "ok", "show ?thesis by h": "ok", "qed": "ok"}
+    recorder = RecordingProver(MockProver(table=table, hammer=[None, "by h"]))
+    theory = ProverConfig().theory_header + '\n\ntheorem t:\n  shows "P"'
+    for steps in (["proof -", 'have "x" by bad', *_tried('have "x"'),
+                   'have "x"', HAMMER_STEP, "by simp"],
+                  ["proof -", *_tried(), HAMMER_STEP, "qed"]):
+        session = recorder.init_session(theory)
+        for step in steps:
+            recorder.apply(session, step, 40.0 if step == HAMMER_STEP else 10.0)
+        recorder.close(session)
+    assert recorder.trace[14]["response"]["status"] == "timeout"
+    budget = BudgetConfig(sample_budget=1, erp_enabled=False)
+    live = prove(STATEMENT, _model(candidate),
+                 MockProver(table=table, hammer=[None, "by h"]), budget)
+    replayed = prove(STATEMENT, _model(candidate),
+                     ReplayProver(recorder.trace), budget)
+    assert replace(replayed, wall_time_s=0.0) == replace(live, wall_time_s=0.0)
+    assert replayed.success and replayed.success_stage == "heuristic"
 
 
 @pytest.mark.parametrize("written", ["by(bad)", "by (bad)"])
