@@ -356,13 +356,13 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
             chain_budget -= 1
             if chain_budget < 0:
                 return None
-            done, script, index, alive = _repair_chain(
-                cursor, script, index, state, statement, model, budget,
-                few_shots)
+            repaired = _repair_chain(cursor, script, index, state, statement,
+                                     model, budget, few_shots)
+            if repaired is None:
+                return None
+            script, index, done = repaired
             if done:
                 return _final_text(script, index)
-            if not alive:
-                return None
     finally:
         state.timed_out = cursor.timeouts > 0
         cursor.close()
@@ -374,22 +374,19 @@ def _final_text(script: ProofScript, applied_count: int) -> str:
     return script.text
 
 
-ChainStep = tuple[bool, ProofScript, int, bool]
-
-
 def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
              state: AttemptState, stage: Stage = Stage.ATP
-             ) -> Optional[ChainStep]:
+             ) -> Optional[tuple[ProofScript, int, bool]]:
     """``atp_substitute`` at ``index``, sought to the step's prefix.  A win
-    is booked at ``stage`` and returned as the chain's next step; a loss
-    returns None."""
+    is booked at ``stage`` and returned as ``_repair_chain`` returns it; a
+    loss returns None."""
     cursor.seek(s.text for s in script.steps[:index])
     outcome = atp_substitute(cursor, script, index)
     state.extra_calls += outcome.extra_calls
     if outcome.success:
         state.stage = _advance(state.stage, stage)
         state.has_sc = state.has_sc or script.steps[index].is_sorry
-        return outcome.is_done, outcome.script, index + 1, True
+        return outcome.script, index + 1, outcome.is_done
     return None
 
 
@@ -397,7 +394,7 @@ def _repair_chain(
     cursor: SessionCursor, script: ProofScript, index: int,
     state: AttemptState, statement: str, model: ModelBackend,
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
-) -> ChainStep:
+) -> Optional[tuple[ProofScript, int, bool]]:
     """Repair at a failing or placeholder position: the cascade, then ERP,
     then a backtrack with one last cascade, on the placeholder the block
     collapses into.  The backtrack's win is the ``heuristic`` stage when
@@ -405,10 +402,12 @@ def _repair_chain(
     The chain never comes back to one prefix and goal body within a
     candidate, so ERP asks the model at most once for each.
 
-    Returns (proof_done, script, applied_count_or_next_index, alive).
+    Returns the repaired script, the index to go on from (the count of
+    steps applied when the proof is done) and whether the proof is done; None
+    when every stage lost.
     """
     won = _cascade(cursor, script, index, state)
-    if won:
+    if won is not None:
         return won
 
     if budget.erp_enabled:
@@ -416,15 +415,14 @@ def _repair_chain(
                          few_shots)
         if erp.success:
             state.stage = _advance(state.stage, Stage.ERP)
-            return True, erp.script, len(erp.script.steps), True
+            return erp.script, len(erp.script.steps), True
 
     stage = Stage.HEURISTIC if heuristic_repair(script, index) else Stage.ATP
-    lost = (False, script, index, False)
     target = _backtrack_target(script, index)
     truncated = truncate_to_block(script, target)
     if truncated.steps == script.steps or target == 0:
-        return lost
-    return _cascade(cursor, truncated, target, state, stage) or lost
+        return None
+    return _cascade(cursor, truncated, target, state, stage)
 
 
 # ---------------------------------------------------------------------------

@@ -297,18 +297,6 @@ def validate_formal_statement(text: str) -> list[Finding]:
 # ---------------------------------------------------------------------------
 # staged LLM workflow
 
-def _shots_for(stage: str, few_shots: Sequence[FormalizationRecord]) -> list[tuple[str, str]]:
-    shots = []
-    for rec in few_shots:
-        if stage == "description":
-            shots.append((rec.natural_statement, rec.informal_description))
-        elif stage == "informal_proof":
-            shots.append((rec.natural_statement, rec.informal_proof))
-        else:
-            shots.append((rec.natural_statement, rec.formal_statement))
-    return shots
-
-
 def formalize_nl(
     statement: str,
     model: ModelBackend,
@@ -325,15 +313,16 @@ def formalize_nl(
         raise ValueError("statement must be non-empty")
     params = params or ModelParams()
 
-    description = model.complete(
-        params, prompts.stage_description_prompt(
-            statement, _shots_for("description", few_shots)), 1)[0].strip()
-    informal_proof = model.complete(
-        params, prompts.stage_informal_proof_prompt(
-            statement, description, _shots_for("informal_proof", few_shots)), 1)[0].strip()
+    description_shots = [(r.natural_statement, r.informal_description) for r in few_shots]
+    description = model.complete(params, prompts.stage_description_prompt(
+        statement, description_shots), 1)[0].strip()
+    proof_shots = [(r.natural_statement, r.informal_proof) for r in few_shots]
+    informal_proof = model.complete(params, prompts.stage_informal_proof_prompt(
+        statement, description, proof_shots), 1)[0].strip()
 
+    formal_shots = [(r.natural_statement, r.formal_statement) for r in few_shots]
     prompt = prompts.stage_formal_statement_prompt(
-        statement, description, informal_proof, _shots_for("formal", few_shots))
+        statement, description, informal_proof, formal_shots)
     formal = model.complete(params, prompt, 1)[0].strip()
     findings = validate_formal_statement(formal)
     if findings:
@@ -341,7 +330,7 @@ def formalize_nl(
             statement, description,
             informal_proof + "\n\nThe previous output was structurally invalid: "
             + "; ".join(map(str, findings)),
-            _shots_for("formal", few_shots))
+            formal_shots)
         formal = model.complete(params, retry_prompt, 1)[0].strip()
         findings = validate_formal_statement(formal)
         if findings:

@@ -916,14 +916,16 @@ class SessionCursor:
     at; a step accepted as ``<body>`` then ``by T``, or through the hammer,
     is also filed as the ``<body> by T`` it lands in a proof as.  ``seek``
     makes no call and takes only steps this cursor saw accepted, so the
-    caller always stands at a trie node: the one its prefix ends at.  An
-    apply where the session does not stand is answered from the trie with no
-    call when the step is known there, finishes the goal body the session
-    stands in when it is ``<body> by T``, and otherwise rebuilds the session
-    at the caller's prefix.  A kept answer that finishes the proof is never
+    caller always stands at a trie node: the one its prefix ends at.  Every
+    apply goes through the answerer (``_answer``).  Where the session does
+    not stand, it answers from the trie with no call when the step is known
+    at the caller's node, finishes the goal body the session stands in when
+    the step is ``<body> by T``, and otherwise rebuilds the session at the
+    caller's prefix.  A kept answer that finishes the proof is never
     recalled: the step is asked again, so completion is only ever reported
-    by the prover.  Where the session stands, steps go to the prover a run
-    at a time, each run in one request.  ``recalled`` counts the answers
+    by the prover.  Where the session stands, the sender (``_send``) answers
+    a refusal kept there with no call and sends the other steps a run at a
+    time, each run in one request.  ``recalled`` counts the answers
     given with no call, and ``timeouts`` the applies that timed out, over
     every session the cursor has held; a timeout is no verdict and is never
     kept."""
@@ -947,16 +949,15 @@ class SessionCursor:
     def advance(self, texts: Iterable[str]) -> Advance:
         """Apply step texts in order, from where the caller stands, until one
         is not ok, the prover reports completion, or the texts run out.  The
-        texts are taken at once: each run of them the trie cannot answer is
-        built and sent in one request (``_run``), and the prover stops it
-        where this loop stops.  The hammer pseudo-step gets the hammer
+        texts are taken at once: each pass hands the rest to the answerer
+        (``_answer``), and each run of them the trie cannot answer is built
+        and sent in one request by the sender (``_send``); the prover stops
+        it where this loop stops.  The hammer pseudo-step gets the hammer
         timeout, every other step the step timeout."""
         texts = list(texts)
         count, result = 0, None
         while count < len(texts):
-            rest = texts[count:]
-            for result in (self._run(rest) if self._at == self._node
-                           else self._step(rest)):
+            for result in self._answer(texts[count:]):
                 if not result.ok:
                     return Advance(count, result, failed=True)
                 count += 1
@@ -976,38 +977,46 @@ class SessionCursor:
                 raise ValueError(f"seek past a step never accepted: {text!r}")
         self._path, self._at = path, node
 
-    def _step(self, texts: list[str]) -> list[StepResult]:
-        """The verdict on the first of ``texts`` where the caller stands,
-        apart from the session; after a rebuild, on a leading run of them."""
-        text = texts[0]
-        seen = self._trie.get((self._at, text))
-        if isinstance(seen, int) and self._edges[seen][2].is_done:
-            seen = None  # completion comes from the prover, never the trie
-        if seen is not None:
-            self.recalled += 1
-            if isinstance(seen, StepResult):
-                return [seen]
-            self._at = seen
-            self._path.append(text)
-            return [self._edges[seen][2]]
-        # `<body> by T` is `<body>`, where the session stands, then `by T`
-        parent, body, _ = self._edges[self._node]
-        tactic = _after_body(text, body) if parent == self._at else None
-        if tactic is not None:
-            return [self._ask(tactic, text)]
-        self._rebuild()
-        return self._run(texts)
+    def _answer(self, texts: list[str]) -> list[StepResult]:
+        """The verdicts on a leading run of ``texts`` where the caller
+        stands, at least one.  Apart from the session, the first text is
+        answered from the trie at the caller's node, or as ``by T`` in the
+        goal body the session stands in, or else the session is rebuilt at
+        the caller's prefix; where the session stands, the sender asks."""
+        if self._at != self._node:
+            text = texts[0]
+            seen = self._trie.get((self._at, text))
+            if isinstance(seen, int) and self._edges[seen][2].is_done:
+                seen = None  # completion comes from the prover, never the trie
+            if seen is not None:
+                self.recalled += 1
+                if isinstance(seen, StepResult):
+                    return [seen]
+                self._at = seen
+                self._path.append(text)
+                return [self._edges[seen][2]]
+            # `<body> by T` is `<body>`, where the session stands, then `by T`
+            parent, body, _ = self._edges[self._node]
+            tactic = _after_body(text, body) if parent == self._at else None
+            if tactic is not None:
+                return self._send([tactic], text)
+            self._rebuild()
+        return self._send(texts)
 
-    def _run(self, texts: list[str]) -> list[StepResult]:
+    def _send(self, texts: list[str], said: Optional[str] = None) -> list[StepResult]:
         """The verdicts on a leading run of ``texts`` where the session
-        stands, at least one.  The run is the longest that no answer the
-        trie keeps could cut short: it ends before a kept refusal, before the
-        hammer, which has its own timeout, and after a ``by`` step, whose
-        alias can move the session onto a kept node.  A run of more than one
-        step goes out in one ``apply_steps``, and each answer is filed as
-        ``_ask`` files it."""
+        stands, at least one: a refusal kept there, or the prover's answers,
+        each filed.  The run is the longest that no answer the trie keeps
+        could cut short: it ends before a kept refusal, before the hammer,
+        which has its own timeout, and after a ``by`` step, whose alias can
+        move the session onto a kept node.  One step goes out as ``apply``,
+        filed with ``said``, and a longer run as one ``apply_steps``."""
         trie, size = self._trie, 0
         node: Union[None, int, StepResult] = self._node
+        seen = trie.get((node, texts[0]))
+        if isinstance(seen, StepResult):
+            self.recalled += 1
+            return [seen]
         for text in texts:
             if text == HAMMER_STEP:
                 break
@@ -1018,23 +1027,14 @@ class SessionCursor:
             size += 1
             if text.startswith(("by ", "by(")):
                 break
-        if size < 2:
-            return [self._ask(texts[0])]
-        results = self.prover.apply_steps(self.session, texts[:size],
-                                          self.config.step_timeout_s)
-        return [self._file(text, result) for text, result in zip(texts, results)]
-
-    def _ask(self, text: str, said: Optional[str] = None) -> StepResult:
-        """The verdict on ``text`` where the session stands: a kept refusal,
-        or the prover's answer, filed."""
-        seen = self._trie.get((self._node, text))
-        if isinstance(seen, StepResult):
-            self.recalled += 1
-            return seen
+        if size > 1:
+            results = self.prover.apply_steps(self.session, texts[:size],
+                                              self.config.step_timeout_s)
+            return [self._file(text, result) for text, result in zip(texts, results)]
+        text = texts[0]
         timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
                      else self.config.step_timeout_s)
-        return self._file(text, self.prover.apply(self.session, text, timeout_s),
-                          said)
+        return [self._file(text, self.prover.apply(self.session, text, timeout_s), said)]
 
     def _file(self, text: str, result: StepResult,
               said: Optional[str] = None) -> StepResult:

@@ -753,6 +753,34 @@ def test_step_that_timed_out_is_sent_again():
     assert (cursor.timeouts, cursor.recalled) == (2, 1)
 
 
+def test_refusal_kept_where_the_caller_stands_is_answered_off_the_session():
+    # `have "b"` is refused at the root.  After `have "a"` the session stands
+    # past the root; back there, the kept refusal answers with no rebuild:
+    # no init, no close, no apply.
+    prover = RecordingProver(MockProver(table={'have "a"': "ok"}))
+    cursor = _cursor(prover)
+    assert cursor.advance(['have "b"']).failed
+    assert cursor.advance(['have "a"']).count == 1
+    cursor.seek([])
+    before, recalled = len(prover.trace), cursor.recalled
+    assert cursor.advance(['have "b"']).failed
+    assert len(prover.trace) == before
+    assert cursor.recalled == recalled + 1
+
+
+def test_refused_hammer_is_answered_where_the_session_stands():
+    # A hammer call refused after `have "a"` is kept like any refusal: asked
+    # again at the same place, it is answered with no call.
+    prover = RecordingProver(MockProver(table={'have "a"': "ok"}))
+    cursor = _cursor(prover)
+    assert cursor.advance(['have "a"']).count == 1
+    assert cursor.advance([HAMMER_STEP]).failed
+    before, recalled = len(prover.trace), cursor.recalled
+    assert cursor.advance([HAMMER_STEP]).failed
+    assert len(prover.trace) == before
+    assert cursor.recalled == recalled + 1
+
+
 def test_erp_continuation_restating_the_failing_step_opens_no_session():
     # The hammer attempt leaves the goal body `have "x"` open.  ERP's first
     # step restates it with another tactic, so only that tactic is sent,
