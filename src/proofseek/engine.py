@@ -177,11 +177,13 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript,
     A sorry placeholder is repaired as a tactic step is: each tactic is sent
     as the step with that justification (``have "x" by auto``), then the
     goal body, then the hammer.  A block delimiter takes no justification,
-    so it gets no cascade.  Every tactic and hammer request sent counts one
-    extra call; goal-body applications and answers the cursor gives with no
-    call do not.  On overall failure after a body application the session
-    is left mid-goal, where the cursor finds it for the next step that
-    restates that body.
+    so it gets no cascade, and the tactic the step already names is not
+    sent again: refused, the cursor would answer it with no call, and timed
+    out, it would take the same timeout again.  Every tactic and hammer
+    request sent counts one extra call; goal-body applications and answers
+    the cursor gives with no call do not.  On overall failure after a body
+    application the session is left mid-goal, where the cursor finds it for
+    the next step that restates that body.
     """
     step = script.step_at(position)
     if step.head in DELIMITERS:
@@ -190,6 +192,8 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript,
     for tactic in (*CASCADE, None):  # None: the hammer
         if tactic is not None:
             text = step.with_justification(justification(tactic)).text
+            if text == step.text:
+                continue
         elif step.body_text and not cursor.advance((step.body_text,)).last.ok:
             break
         else:

@@ -365,14 +365,13 @@ def _goal_body(text: str) -> Optional[str]:
 
 
 class MockProver(ProverBackend):
-    """Deterministic in-process prover driven by a step-text table.
+    """Deterministic in-process prover driven by a step-text table.  Every
+    answer is a function of the request and the session's own accepted
+    steps, so a step one session had accepted is accepted in any other.
 
     ``table`` maps whitespace-normalized step text to an outcome ("ok",
     "error", "timeout", a MockOutcome, or its JSON object form); unlisted
-    steps get ``default``.  ``hammer`` configures the Sledgehammer
-    pseudo-step: None fails, a tactic string succeeds with that string in the
-    message, an outcome answers as given, a list is consumed one entry per
-    invocation.  ``is_done`` is taken from the outcome when given,
+    steps get ``default``.  ``is_done`` is taken from the outcome when given,
     otherwise inferred structurally (closing ``qed`` at depth zero, or a
     top-level terminal ``by``).  Once a step finishes the proof, every later
     step is refused ("no goals left"), as Isabelle refuses it.  Simulated
@@ -384,18 +383,20 @@ class MockProver(ProverBackend):
     as those two steps, and a bare ``by T`` right after an accepted goal body
     is answered from the entry for ``<body> by T``.  A table that accepts
     ``<body> by T`` but not ``<body>`` gives the two forms different verdicts
-    and raises ValueError.  The ``by`` step a hammer call found for an open
-    goal body is accepted later too, bare after that body or as
-    ``<body> by T``, whatever the table says, as a prover accepts the tactic
-    it reconstructed; one found with no goal body open is accepted bare
-    wherever none is open.
+    and raises ValueError.
+
+    ``hammer`` is None, a tactic, or a list of tactics, tried in order by
+    the Sledgehammer pseudo-step: the first whose ``by T`` the table does
+    not refuse where the session stands answers, an acceptance with ``T`` as
+    its message and the session moved as by that step; when the table
+    refuses every one, no proof is found.
     """
 
     def __init__(
         self,
         table: Optional[dict[str, Union[str, MockOutcome]]] = None,
         default: Union[str, MockOutcome] = ERROR,
-        hammer: Union[None, str, MockOutcome, Sequence[Union[None, str, MockOutcome]]] = None,
+        hammer: Union[None, str, Sequence[str]] = None,
         reject_theory: Union[bool, str, Callable[[str], Optional[str]]] = False,
         config: Optional[ProverConfig] = None,
     ):
@@ -413,14 +414,13 @@ class MockProver(ProverBackend):
             if body.status != OK or body.delay_s > outcome.delay_s:
                 raise ValueError(f"incoherent table: {text!r} is accepted "
                                  f"but {split[0]!r} is not")
-        if hammer is None or isinstance(hammer, (str, dict, MockOutcome)):
-            self._hammer_seq: list[Union[None, str, MockOutcome]] = [hammer]
-        else:
-            self._hammer_seq = list(hammer)
-        self._hammer_pos = 0
-        # (open goal body or "", `by T` step) -> its verdict, for steps the
-        # hammer found
-        self._found: dict[tuple[str, str], MockOutcome] = {}
+        tactics = ([] if hammer is None
+                   else [hammer] if isinstance(hammer, str) else hammer)
+        if not isinstance(tactics, (list, tuple)) or not all(
+                isinstance(tactic, str) for tactic in tactics):
+            raise ValueError(f"hammer must be null, a tactic or a list of "
+                             f"tactics, got {hammer!r:.80}")
+        self.hammer = list(tactics)
         self.reject_theory = reject_theory
         self._sessions: dict[str, _SessionState] = {}
         self._ids = itertools.count(1)
@@ -446,7 +446,7 @@ class MockProver(ProverBackend):
             if state.done:
                 return StepResult(ERROR, None, "no goals left", False)
             if step_text == HAMMER_STEP:
-                outcome, judged = self._next_hammer(), step_text
+                outcome, judged = self._hammer_call(state.body, timeout_s)
             else:
                 outcome, judged = self._judge(state.body,
                                               normalize_step(step_text))
@@ -456,10 +456,6 @@ class MockProver(ProverBackend):
             if outcome.status != OK:
                 return StepResult(outcome.status, None,
                                   outcome.message or "step failed", False)
-            if judged == HAMMER_STEP:
-                found = normalize_step(justification(outcome.message or "smt"))
-                self._found[state.body or "", found] = MockOutcome(
-                    OK, is_done=outcome.is_done)
             state.body = _goal_body(judged)
             head = judged.split()[0] if judged.split() else ""
             if head == OPENER:
@@ -487,13 +483,11 @@ class MockProver(ProverBackend):
         goal body if any, and the step it stands for."""
         if body is not None and text.startswith(("by ", "by(")):
             whole = f"{body} {text}"
-            return (self._found.get((body, text)) or self.table.get(whole)
+            return (self.table.get(whole)
                     or self.table.get(text, self.default)), whole
         split = _split_by(text)
-        outcome = ((self._found.get(("", text)) if body is None else None)
-                   or self._found.get(split) or self.table.get(text))
-        if outcome is not None or split is None:
-            return outcome or self.default, text
+        if text in self.table or split is None:
+            return self.table.get(text, self.default), text
         first = self.table.get(split[0], self.default)
         if first.status != OK:
             return first, text
@@ -508,14 +502,19 @@ class MockProver(ProverBackend):
                     else "theory rejected by mock")
         return None
 
-    def _next_hammer(self) -> MockOutcome:
-        entry = self._hammer_seq[min(self._hammer_pos, len(self._hammer_seq) - 1)]
-        self._hammer_pos += 1
-        if entry is None:
-            return MockOutcome(ERROR, message="no proof found")
-        if isinstance(entry, str):
-            return MockOutcome(OK, is_done=False, message=entry)
-        return MockOutcome.of(entry)
+    def _hammer_call(self, body: Optional[str],
+                     timeout_s: float) -> tuple[MockOutcome, str]:
+        """The answer to a hammer call right after ``body``, the session's
+        open goal body if any, and the step it stands for: those of the
+        first tactic whose ``by T`` the table does not refuse there."""
+        for tactic in self.hammer:
+            outcome, judged = self._judge(
+                body, normalize_step(justification(tactic)))
+            if outcome.status == OK:
+                return replace(outcome, message=tactic), judged
+            if outcome.status == TIMEOUT or outcome.delay_s > timeout_s:
+                return outcome, judged
+        return MockOutcome(ERROR, message="no proof found"), HAMMER_STEP
 
 
 # ---------------------------------------------------------------------------

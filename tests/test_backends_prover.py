@@ -168,28 +168,58 @@ def test_mock_refuses_every_step_after_a_finished_proof():
     assert mock.apply(mock.init_session("t"), "by simp").is_done
 
 
-def test_mock_hammer_sequence():
-    mock = MockProver(hammer=[None, "by (metis foo)"])
+def test_mock_hammer_answers_with_the_first_tactic_the_table_accepts():
+    # `have "x" by h1` is refused, so the hammer goes on to h2, which the
+    # table accepts there; after `have "y"`, which accepts neither, no proof
+    # is found.
+    mock = MockProver(table={'have "x"': "ok", 'have "y"': "ok",
+                             'have "x" by h2': "ok"}, hammer=["h1", "h2"])
     session = mock.init_session("t")
-    first = mock.apply(session, HAMMER_STEP, timeout_s=40.0)
-    assert not first.ok
-    second = mock.apply(session, HAMMER_STEP, timeout_s=40.0)
-    assert second.ok and second.message == "by (metis foo)"
+    assert mock.apply(session, 'have "x"').ok
+    found = mock.apply(session, HAMMER_STEP, timeout_s=40.0)
+    assert (found.status, found.message, found.is_done) == ("ok", "h2", False)
+    assert mock.apply(session, 'have "y"').ok
+    lost = mock.apply(session, HAMMER_STEP, timeout_s=40.0)
+    assert (lost.status, lost.message) == ("error", "no proof found")
 
 
-def test_mock_hammer_takes_one_outcome_object():
-    mock = MockProver(hammer={"status": "ok", "message": "by (metis foo)"})
-    session = mock.init_session("t")
-    for _ in range(2):
-        result = mock.apply(session, HAMMER_STEP, timeout_s=40.0)
-        assert result.ok and result.message == "by (metis foo)"
+def test_mock_hammer_win_moves_the_session_as_its_step_would():
+    # With no goal body open the hammer's `by (metis h)` is a top-level
+    # terminal `by`, so the proof is done, as it is when that step is sent.
+    table = {"by (metis h)": "ok"}
+    for step in (HAMMER_STEP, "by (metis h)"):
+        mock = MockProver(table=table, hammer="metis h")
+        session = mock.init_session("t")
+        assert mock.apply(session, step, timeout_s=40.0).is_done
+        assert mock.apply(session, "by (metis h)").message == "no goals left"
+
+
+@pytest.mark.parametrize("timeout_s, status, message", [
+    (40.0, "timeout", "step exceeded 40.0s"), (60.0, "ok", "h2")])
+def test_mock_hammer_times_out_on_a_tactic_slower_than_its_timeout(
+        timeout_s, status, message):
+    # h1 is refused, but only after 50 s: within a 40 s hammer timeout the
+    # call times out before h2 is tried.
+    mock = MockProver(table={"by h1": MockOutcome("error", delay_s=50.0),
+                             "by h2": "ok"}, hammer=["h1", "h2"])
+    result = mock.apply(mock.init_session("t"), HAMMER_STEP, timeout_s)
+    assert (result.status, result.message) == (status, message)
+
+
+@pytest.mark.parametrize("hammer", [
+    {"status": "ok", "message": "by (metis foo)"}, [None, "by h"],
+    ["h", MockOutcome("ok")], 5, False])
+def test_mock_hammer_is_null_a_tactic_or_a_list_of_tactics(hammer):
+    with pytest.raises(ValueError, match="hammer must be"):
+        MockProver(hammer=hammer)
 
 
 def test_mock_accepts_a_found_step_whole_as_after_its_body():
-    # The table refuses `show "d" by h1`, but the hammer found `by h1` for
-    # the goal `show "d"`: a later session accepts it in either form.
-    mock = MockProver(table={"proof -": "ok", 'show "d"': "ok",
-                             'show "d" by h1': "error"}, hammer="by h1")
+    # The hammer finds `by h1` for the goal `show "d"` because the table
+    # accepts `show "d" by h1`; a later session accepts it in either form.
+    # Where the table refuses that step, the hammer finds nothing.
+    table = {"proof -": "ok", 'show "d"': "ok", 'show "d" by h1': "ok"}
+    mock = MockProver(table=table, hammer="h1")
     session = mock.init_session("t")
     for step in ("proof -", 'show "d"', HAMMER_STEP):
         assert mock.apply(session, step, timeout_s=40.0).ok
@@ -198,6 +228,24 @@ def test_mock_accepts_a_found_step_whole_as_after_its_body():
         assert mock.apply(session, "proof -").ok
         assert [mock.apply(session, step).ok for step in steps] == \
             [True] * len(steps)
+    mock = MockProver(table={**table, 'show "d" by h1': "error"}, hammer="h1")
+    session = mock.init_session("t")
+    for step in ("proof -", 'show "d"'):
+        assert mock.apply(session, step).ok
+    assert not mock.apply(session, HAMMER_STEP, timeout_s=40.0).ok
+
+
+def test_mock_answers_alike_after_another_sessions_hammer_call():
+    # A verdict is a function of the session's steps and the step: the
+    # hammer call in session `a` changes nothing `b` is told.
+    mock = MockProver(table={'show "d"': "ok"}, hammer="h1")
+    a, b = mock.init_session("t"), mock.init_session("t")
+    assert mock.apply(b, 'show "d"').ok
+    before = mock.apply(b, "by h1")
+    assert mock.apply(a, 'show "d"').ok
+    mock.apply(a, HAMMER_STEP, timeout_s=40.0)
+    assert mock.apply(b, "by h1") == before
+    assert mock.apply(b, 'show "d" by h1').status == before.status == "error"
 
 
 def test_mock_closed_session_raises():
@@ -351,13 +399,23 @@ def test_replay_answers_by_question_not_by_order():
 
 def test_replay_gives_a_question_its_replies_in_order_the_last_repeating():
     # A hammer call that timed out, then was refused when sent again: the
-    # two replies are given in that order, and the second from then on.
-    recorder = RecordingProver(MockProver(hammer=[MockOutcome("timeout"),
-                                                  None]))
-    session = recorder.init_session("theory T")
-    recorder.apply(session, HAMMER_STEP, 40.0)
-    recorder.apply(session, HAMMER_STEP, 40.0)
-    replay = ReplayProver(recorder.trace)
+    # two replies are given in that order, and the second from then on.  No
+    # prover that answers from its arguments alone gives them, so the trace
+    # is written out.
+    def hammer(response):
+        return {"request": {"command": "apply", "session_id": "s-1",
+                            "step": HAMMER_STEP, "timeout_s": 40.0},
+                "response": {"state_id": None, "is_done": False, **response}}
+
+    trace = [
+        {"request": {"command": "init", "session_id": None,
+                     "step": "theory T", "timeout_s": 120.0},
+         "response": {"status": "ok", "state_id": "s-1/0", "message": "",
+                      "is_done": False}},
+        hammer({"status": "timeout", "message": "step exceeded 40.0s"}),
+        hammer({"status": "error", "message": "no proof found"}),
+    ]
+    replay = ReplayProver(trace)
     session = replay.init_session("theory T")
     assert [replay.apply(session, HAMMER_STEP).status for _ in range(3)] == [
         "timeout", "error", "error"]
@@ -419,8 +477,8 @@ def test_replay_reads_a_recorded_reply_as_the_wire_client_does(reply):
 
 @pytest.fixture
 def served_mock(golden_proof_body):
-    mock = RecordingProver(accepting_mock([golden_proof_body],
-                                          hammer="by (metis served)"))
+    mock = RecordingProver(accepting_mock(
+        [golden_proof_body, "by (metis served)"], hammer="by (metis served)"))
     server = ProverServer(mock).start()
     yield server, mock
     server.stop()

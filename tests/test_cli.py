@@ -925,9 +925,11 @@ def test_mock_prover_fixture_takes_outcome_objects(tmp_path):
 
     (tmp_path / "prover_mock.json").write_text(json.dumps({
         "table": {"by simp": {"status": "ok", "is_done": False,
-                              "message": "m"}},
+                              "message": "m"},
+                  "by blast": "error", "by auto": {"status": "ok",
+                                                   "is_done": False}},
         "default": {"status": "timeout"},
-        "hammer": [None, {"status": "ok", "message": "by auto"}],
+        "hammer": ["blast", "auto"],
     }), encoding="utf-8")
     prover = build_prover(load_config(write_config(
         tmp_path, mode="mock", fixtures={"prover_mock": "prover_mock.json"})))
@@ -935,8 +937,20 @@ def test_mock_prover_fixture_takes_outcome_objects(tmp_path):
     result = prover.apply(sid, "by   simp")
     assert (result.status, result.message, result.is_done) == ("ok", "m", False)
     assert prover.apply(sid, "by other").status == "timeout"
-    assert prover.apply(sid, HAMMER_STEP).status == "error"
-    assert prover.apply(sid, HAMMER_STEP).message == "by auto"
+    assert prover.apply(sid, HAMMER_STEP).message == "auto"
+
+
+def test_mock_prover_fixture_with_a_hammer_outcome_exits_2(tmp_path, capsys):
+    # A hammer is null, a tactic or a list of tactics; a list holding null
+    # or an outcome object is a config error.
+    hammer = [None, {"status": "ok", "message": "by auto"}]
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    (tmp_path / "model_mock.json").write_text("{}", encoding="utf-8")
+    fixtures = {"model_mock": "model_mock.json",
+                "prover_mock": write_mock_prover(tmp_path, {}, hammer=hammer)}
+    config = write_config(tmp_path, mode="mock", fixtures=fixtures)
+    assert main(["prove", str(tmp_path / "stmt.thy"), "--config", config]) == 2
+    assert "bad fixtures.prover_mock: hammer must be" in capsys.readouterr().err
 
 
 def test_cmd_report_torn_inner_line_exits_2_naming_its_line(tmp_path, capsys):

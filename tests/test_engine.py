@@ -254,7 +254,8 @@ def test_refused_claim_runs_its_cascade_once():
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok", "qed": "ok",
         "show ?thesis": "ok", "show ?thesis by h": "ok", "by h": "ok",
-    }, hammer=[None, "by h"]))
+        'have "b" by h': "error",
+    }, hammer="h"))
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(NESTED_CANDIDATE), prover, budget)
     assert record.success and record.success_stage == "heuristic"
@@ -276,8 +277,9 @@ def _block_then_tactics_prover(**table):
     return RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", "qed": "ok", 'have "x"': "ok",
         'have "x" by t': "ok", 'have "y"': "ok", "show ?thesis": "ok",
-        "show ?thesis by t": "ok", **table,
-    }, hammer=["by h", "by h2"]))
+        "show ?thesis by t": "ok", "by h": "ok", 'have "y" by h2': "ok",
+        **table,
+    }, hammer=["h2", "h"]))
 
 
 def test_heuristic_leaves_later_tactic_steps_to_be_sent_whole():
@@ -324,8 +326,8 @@ def test_cascade_tactic_that_timed_out_is_sent_once_then_the_backtrack():
     # sent once, and the backtrack's placeholder takes the hammer's proof.
     prover = RecordingProver(FlakyOnReplay({'have "x" by auto': "ok"}, table={
         "proof -": "ok", 'have "x"': "ok", "show ?thesis": "ok", "qed": "ok",
-        'have "x" by auto': SLOW, "show ?thesis by h": "ok",
-    }, hammer=[None, "by h"]))
+        'have "x" by auto': SLOW, "by h": "ok", 'have "x" by h': "error",
+    }, hammer="h"))
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(HEUR_CANDIDATE), prover, budget)
     assert record.success and record.has_timeout
@@ -335,6 +337,22 @@ def test_cascade_tactic_that_timed_out_is_sent_once_then_the_backtrack():
         'have "x"', "\u27e8hammer\u27e9", "close", "init", "proof -",
         *_tried(), "\u27e8hammer\u27e9", "qed", "close"]
     assert record.final_script == "proof -\n  by h\nqed"
+
+
+def test_cascade_does_not_send_again_the_step_that_timed_out():
+    # `have "x" by auto` times out in the main loop.  The cascade's first
+    # rewrite is that same step, so it is skipped, not asked again with the
+    # same timeout; simp wins.
+    candidate = 'proof -\n  have "x" by auto\n  show ?thesis by simp\nqed'
+    prover = RecordingProver(MockProver(table={
+        "proof -": "ok", 'have "x"': "ok", 'have "x" by auto': SLOW,
+        'have "x" by simp': "ok", "show ?thesis": "ok",
+        "show ?thesis by simp": "ok", "qed": "ok"}))
+    record = prove(STATEMENT, _model(candidate), prover,
+                   BudgetConfig(sample_budget=1, erp_enabled=False))
+    assert record.success and record.success_stage == "atp"
+    assert _steps(prover).count('have "x" by auto') == 1
+    assert record.extra_calls == 1 and record.has_timeout
 
 
 def test_refused_step_sends_the_tactic_that_timed_out_once_then_the_backtrack():
@@ -364,8 +382,9 @@ def test_a_trace_holding_a_question_the_engine_no_longer_asks_replays():
     # the live one.
     candidate = 'proof -\n  have "x" by bad\n  show ?thesis by simp\nqed'
     table = {"proof -": "ok", 'have "x"': "ok", 'have "x" by simp': SLOW,
-             "show ?thesis": "ok", "show ?thesis by h": "ok", "qed": "ok"}
-    recorder = RecordingProver(MockProver(table=table, hammer=[None, "by h"]))
+             "show ?thesis": "ok", "by h": "ok", 'have "x" by h': "error",
+             "qed": "ok"}
+    recorder = RecordingProver(MockProver(table=table, hammer="h"))
     theory = ProverConfig().theory_header + '\n\ntheorem t:\n  shows "P"'
     for steps in (["proof -", 'have "x" by bad', *_tried('have "x"'),
                    'have "x"', HAMMER_STEP, "by simp"],
@@ -377,7 +396,7 @@ def test_a_trace_holding_a_question_the_engine_no_longer_asks_replays():
     assert recorder.trace[14]["response"]["status"] == "timeout"
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     live = prove(STATEMENT, _model(candidate),
-                 MockProver(table=table, hammer=[None, "by h"]), budget)
+                 MockProver(table=table, hammer="h"), budget)
     replayed = prove(STATEMENT, _model(candidate),
                      ReplayProver(recorder.trace), budget)
     assert replace(replayed, wall_time_s=0.0) == replace(live, wall_time_s=0.0)
@@ -396,21 +415,25 @@ def test_keyword_against_its_paren_is_repaired_as_if_spaced(written):
 def test_claim_whose_prefix_a_backtrack_changed_is_tried_again():
     # `have "x"` is refused at index 3 inside the inner block.  Collapsing
     # that block moves the later `have "x"` to index 3 under another prefix:
-    # a new claim, so its cascade runs, and the hammer proves it.
+    # a new claim, so its cascade runs and the hammer is asked again.  The
+    # hammer proves no `have "x"`, so the last backtrack's placeholder
+    # takes its proof.
     candidate = ('proof -\n  have "a"\n  proof -\n    have "x" by bad\n'
                  '  oops\n  have "x" by bad\n  show ?thesis by s\nqed')
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "x"': "ok",
-        "show ?thesis": "ok", "qed": "ok", "by h1": "ok", "by h2": "ok",
-        'have "x" by h3': "ok",
-    }, hammer=[None, "by h1", "by h2", "by h3", "by h4"]))
+        "show ?thesis": "ok", "qed": "ok", "by h": "ok",
+        'have "x" by h': "error",
+    }, hammer="h"))
     budget = BudgetConfig(sample_budget=1, erp_enabled=False)
     record = prove(STATEMENT, _model(candidate), prover, budget)
     assert record.success and record.success_stage == "heuristic"
-    assert _steps(prover).count('have "x"') == 2
-    assert record.final_script == ('proof -\n  have "a"\n  by h2\n'
-                                   '  have "x" by h3\n'
-                                   '  show ?thesis by h4\nqed')
+    steps = _steps(prover)
+    assert steps.count('have "x"') == 2
+    assert [steps[n + 1] for n, step in enumerate(steps)
+            if step == 'have "x"'] == [HAMMER_STEP] * 2
+    assert record.final_script == ('proof -\n  have "a"\n  by h\n  by h\n'
+                                   'qed')
 
 
 def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
@@ -427,10 +450,10 @@ def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok",
         'have "b" by s2': "ok", "show ?thesis": "ok",
         "show ?thesis by s3": "ok", 'have "d"': "ok", 'have "e"': "ok",
-        'have "f"': "ok", "qed": "ok", "by h1": "ok", 'have "d" by h2': "ok",
-        'have "e" by h3': "ok", 'have "f" by good': "ok",
-        "show ?thesis by good": "ok",
-    }, hammer=["by h1", "by h2", "by h3", None]))
+        'have "f"': "ok", "qed": "ok", 'have "a" by h1': "ok",
+        'have "d" by h2': "ok", 'have "e" by h3': "ok",
+        'have "f" by good': "ok", "show ?thesis by good": "ok",
+    }, hammer=["h1", "h2", "h3"]))
     model = RecordingModel(MockModel({
         "whole_proof": [[candidate]],
         "erp": [[""], ['have "f" by good\nshow ?thesis by good\nqed']]}))
@@ -449,20 +472,18 @@ def test_erp_and_heuristic_run_again_where_a_backtrack_reused_the_index():
     assert 'have "f" by good' in record.final_script
 
 
-@pytest.mark.parametrize("listed", [{}, {'have "a" by (metis h)': "error"}])
-def test_rebuild_replays_the_step_a_hammer_call_found(listed):
+def test_rebuild_replays_the_step_a_hammer_call_found():
     # The hammer discharges the placeholder `have "a"`; the cascade at
     # `have "b"` fails inside its goal body, so ERP's first step rebuilds the
     # session and replays `have "a" by (metis h)`, which the prover accepts
-    # because it found that tactic for that goal, even where the table
-    # lists that step as refused.
+    # as the step the hammer found.
     candidate = ('proof -\n  have "a" sorry\n  have "b" by bad\n'
                  '  show ?thesis by simp\nqed')
     prover = RecordingProver(MockProver(table={
         "proof -": "ok", 'have "a"': "ok", 'have "b"': "ok",
         "show ?thesis": "ok", "show ?thesis by simp": "ok", "qed": "ok",
-        **listed,
-    }, hammer=["by (metis h)", None]))
+        'have "a" by (metis h)': "ok",
+    }, hammer="metis h"))
     record = prove(STATEMENT, _model(candidate, erp='have "c" by x'), prover,
                    BudgetConfig(sample_budget=1))
     assert not record.undetermined
@@ -968,23 +989,23 @@ _REPAIR_TACTICS = CASCADE[:3]
 def _tactic_tables(draw):
     """A coherent MockProver table for `have "x"` after `proof -`, whose goal
     body and cascade tactics answer ok, error or timeout, whole or bare, and
-    a hammer that is refused or times out."""
+    a hammer that is refused or times out: its `by slow` always does."""
     answer = st.sampled_from(["ok", "error", SLOW])
     body = draw(answer)
-    table = {"proof -": "ok", 'have "x"': body}
+    table = {"proof -": "ok", 'have "x"': body, "by slow": SLOW}
     for tactic in _REPAIR_TACTICS:
         table[f"by {tactic}"] = draw(answer)
         whole = draw(st.sampled_from([None, "ok", "error", SLOW]))
         if whole == "error" or (whole == "ok" and body == "ok") or (
                 whole is SLOW and body != "error"):
             table[f'have "x" by {tactic}'] = whole
-    return table, draw(st.sampled_from([None, SLOW]))
+    return table, draw(st.sampled_from([None, "slow"]))
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(_tactic_tables())
 @example(({"proof -": "ok", 'have "x"': "ok", "by auto": "error",
-           "by simp": SLOW, "by blast": "error"}, None))
+           "by simp": SLOW, "by blast": "error", "by slow": SLOW}, None))
 def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
     # The cascade on a refused tactic step, then, in the same cursor, on its
     # placeholder: the second run may send only steps whose first answer was
@@ -1012,8 +1033,8 @@ def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
 # property: ERP asks the model at most once per prefix and goal body
 
 _GOALS = ('have "a"', 'have "b"', 'show "c"', "show ?thesis")
-# `by h1` is the tactic the hammer finds, `by bad` is always refused and
-# `by slow` always times out
+# `by h1` is the tactic the hammer finds where the table accepts it, `by bad`
+# is always refused and `by slow` always times out
 _CANDIDATE_BYS = ("by auto", "by simp", "by h1", "by bad", "by slow")
 
 
@@ -1042,9 +1063,10 @@ def _candidate_steps(draw, depth=0):
 
 @st.composite
 def _hammer_coherent_tables(draw):
-    """A MockProver table over the candidate steps and a hammer that finds
-    ``by h1`` or nothing: the table accepts a whole step only where it
-    accepts its goal body, and never refuses the hammer's ``by h1``."""
+    """A MockProver table over the candidate steps and a hammer: none, h1,
+    or slow.  The table accepts a whole step only where it accepts its goal
+    body, so the hammer finds ``by h1`` for the goals that list
+    ``<goal> by h1`` as accepted, and times out on ``by slow``."""
     verdict = st.sampled_from(["ok", "error"])
     table = {text: draw(verdict) for text in (
         *_GOALS, "by auto", "by simp", "proof -", "proof (cases x)", "next",
@@ -1053,12 +1075,9 @@ def _hammer_coherent_tables(draw):
     for goal in _GOALS:
         for by in ("by auto", "by simp", "by h1"):
             listed = draw(st.sampled_from([None, "ok", "error"]))
-            if (listed == "ok" and table[goal] == "ok") or (
-                    listed == "error" and by != "by h1"):
+            if listed == "error" or (listed == "ok" and table[goal] == "ok"):
                 table[f"{goal} {by}"] = listed
-    hammer = draw(st.lists(st.sampled_from([None, "by h1", SLOW]),
-                           min_size=1, max_size=4))
-    return table, hammer
+    return table, draw(st.sampled_from([None, "h1", "slow"]))
 
 
 _ERP_COMPLETIONS = st.lists(
@@ -1089,6 +1108,37 @@ def test_erp_asks_the_model_once_per_prefix_and_goal_body(
         prove(STATEMENT, model, MockProver(table=table, hammer=hammer),
               BudgetConfig(sample_budget=1))
     assert len(asked) == len(set(asked))
+
+
+# every goal body, delimiter and `show ?thesis by auto` accepted, the bare
+# cascade tactics refused
+_ALL_GOALS_TABLE = {**dict.fromkeys((*_GOALS, "proof -", "proof (cases x)",
+                                     "next", "qed", "show ?thesis by auto"),
+                                    "ok"),
+                    "by auto": "error", "by simp": "error", "by slow": SLOW}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_candidate_steps(), _hammer_coherent_tables(), _ERP_COMPLETIONS)
+@example(['have "a" by bad', "show ?thesis by auto"],
+         (_ALL_GOALS_TABLE, "h1"), [""])
+@example(['have "a" by bad', "show ?thesis by auto"],
+         ({**_ALL_GOALS_TABLE, 'have "a" by h1': "ok"}, "h1"), [""])
+def test_a_success_rechecks_on_a_fresh_mock(steps, drawn, completions):
+    # A verdict is a function of the session's steps and the step, so every
+    # final script passes `check_script` on a fresh MockProver with the same
+    # table and hammer.  The first example's table does not list
+    # `have "a" by h1`, so the hammer finds no proof of `have "a"`; in the
+    # second it does, and the proof that lands it re-checks.
+    table, hammer = drawn
+    candidate = "\n".join(["proof -", *steps, "qed"])
+    model = MockModel({"whole_proof": [[candidate]],
+                       "erp": [[completion] for completion in completions]})
+    record = prove(STATEMENT, model, MockProver(table=table, hammer=hammer),
+                   BudgetConfig(sample_budget=1))
+    if record.success:
+        assert check_script(MockProver(table=table, hammer=hammer), STATEMENT,
+                            parse_script(record.final_script)).success
 
 
 # ---------------------------------------------------------------------------
@@ -1130,10 +1180,8 @@ def _advance_stepwise(cursor, texts) -> Advance:
 @example({'have "a"': "ok", 'have "a" by simp': "ok", "qed": "error"}, None,
          [("advance", ['have "a" by simp', "qed"], None), ("seek", 0, 0),
           ("advance", ['have "a"', "by simp", "qed"], None)])
-@example({"by auto": "error"}, "by auto",
-         [("advance", ["by auto"], None), ("advance", [HAMMER_STEP], None),
-          ("advance", ["by auto"], None)])
-@example({'have "a"': "ok", 'have "b"': "ok", "by auto": "error"}, "by auto",
+@example({'have "a"': "ok", 'have "b"': "ok",
+          "by auto": MockOutcome("ok", is_done=False)}, "by auto",
          [("advance", [HAMMER_STEP, 'have "b"'], None), ("seek", 0, 0),
           ("advance", ["by auto", 'have "a"'], None)])
 def test_runs_of_steps_send_what_one_step_at_a_time_sends(
@@ -1144,10 +1192,9 @@ def test_runs_of_steps_send_what_one_step_at_a_time_sends(
     # examples pin two cuts.  After the rebuild for `qed`, the session walks
     # `proof -` again, and the run ends before the `have "a"` refused there.
     # After the rebuild, `by simp` lands where `have "a" by simp` did, so
-    # the run ends after it, before the `qed` refused there.  The last two
-    # pin a hammer that finds the `by auto` the table refuses: its win is
-    # filed over the kept refusal, and the mock accepts it again after a
-    # rebuild.
+    # the run ends after it, before the `qed` refused there.  The last pins
+    # a hammer win filed as the `by auto` it found, which the trie answers
+    # with no call and the rebuild replays as text.
     server, client = wire_cursor_server
     recorders = [RecordingProver(MockProver(table, hammer=hammer))
                  for _ in range(3)]
@@ -1173,10 +1220,28 @@ def test_runs_of_steps_send_what_one_step_at_a_time_sends(
 
 
 def test_a_hammer_win_outranks_the_refusal_kept_for_its_step():
-    # `by auto` is refused, then the hammer finds it.  The acceptance is
-    # filed under `by auto` too, where the refusal was kept: the cursor must
-    # stand on the hammer's node, and `by auto` is then known as accepted.
-    prover = RecordingProver(MockProver(hammer="auto"))
+    # `by auto` is refused, then the hammer finds it: a real prover may
+    # reconstruct a proof its first try refused.  The acceptance is filed
+    # under `by auto` too, where the refusal was kept: the cursor must stand
+    # on the hammer's node, and `by auto` is then known as accepted.  A
+    # MockProver never answers so, so the prover's replies are written out.
+    theory = ProverConfig().theory_header + '\n\ntheorem t:\n  shows "P"'
+
+    def apply(step, reply):
+        return {"request": {"command": "apply", "session_id": "s-1",
+                            "step": step, "timeout_s": 10.0},
+                "response": {"message": "", "is_done": False, **reply}}
+
+    prover = RecordingProver(ReplayProver([
+        {"request": {"command": "init", "session_id": None, "step": theory,
+                     "timeout_s": 120.0},
+         "response": {"status": "ok", "state_id": "s-1/0", "message": "",
+                      "is_done": False}},
+        apply("by auto", {"status": "error", "state_id": None}),
+        apply(HAMMER_STEP, {"status": "ok", "state_id": "s-1/1",
+                            "message": "auto"}),
+        apply("by auto", {"status": "ok", "state_id": "s-1/2"}),
+    ]))
     cursor = _cursor(prover)
     assert cursor.advance(["by auto"]).failed
     assert cursor.advance([HAMMER_STEP]).count == 1
@@ -1188,11 +1253,12 @@ def test_a_hammer_win_outranks_the_refusal_kept_for_its_step():
     assert _steps(prover) == ["init", "by auto", HAMMER_STEP, "by auto"]
 
 
-def test_mock_keeps_a_hammer_win_with_no_goal_body_open():
+def test_rebuild_replays_a_hammer_win_with_no_goal_body_open():
     # The cursor files the top-level hammer win as `by auto`; the rebuild
-    # for `have "a"` replays it as text, which the mock must accept.
+    # for `have "a"` replays it as text, which the table accepts.
     prover = RecordingProver(MockProver(
-        table={'have "a"': "ok", 'have "b"': "ok"}, hammer="auto"))
+        table={'have "a"': "ok", 'have "b"': "ok",
+               "by auto": MockOutcome("ok", is_done=False)}, hammer="auto"))
     cursor = _cursor(prover)
     assert cursor.advance([HAMMER_STEP, 'have "b"']).count == 2
     cursor.seek([])
@@ -1228,8 +1294,8 @@ _TIMEOUT_CASES = {
         table={'have "x" by auto': SLOW, 'have "x" by simp': "ok"}),
     # Every tactic is refused and the hammer times out; ERP completes.
     "hammer": dict(
-        candidates=[ATP_CANDIDATE], erp=ERP_COMPLETION, hammer=SLOW,
-        stage="erp", table={'have "x"': "ok",
+        candidates=[ATP_CANDIDATE], erp=ERP_COMPLETION, hammer="slow",
+        stage="erp", table={'have "x"': "ok", 'have "x" by slow': SLOW,
                             'have "x" by (meson helper)': "ok"}),
     # ERP's continuation times out on its first step; a backtrack's
     # placeholder is discharged by auto, which proves the block's goal but
@@ -1293,7 +1359,9 @@ def test_atp_substitute_sorry_position_arithmetic():
 
 
 def test_atp_substitute_hammer_result_spliced():
-    prover = MockProver(table={'have "g"': "ok"}, hammer="by (metis foo)")
+    prover = MockProver(table={'have "g"': "ok",
+                               'have "g" by (metis foo)': "ok"},
+                        hammer="by (metis foo)")
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
     outcome = atp_substitute(cursor, script, 0)
@@ -1306,15 +1374,15 @@ def test_atp_substitute_hammer_result_spliced():
                                     "metis h"])
 def test_a_hammer_win_lands_in_a_script_that_rechecks(hammer):
     # However the hammer writes the tactic it found, the final script parses
-    # back into steps the prover that proved it accepts.
-    prover = MockProver(table={"proof -": "ok", 'have "x"': "ok",
-                               "show ?thesis": "ok",
-                               "show ?thesis by simp": "ok", "qed": "ok"},
-                        hammer=hammer)
-    record = prove(STATEMENT, _model(ATP_CANDIDATE), prover,
+    # back into steps a fresh prover accepts.
+    table = {"proof -": "ok", 'have "x"': "ok", "show ?thesis": "ok",
+             "show ?thesis by simp": "ok", "qed": "ok",
+             f'have "x" {justification(hammer)}': "ok"}
+    record = prove(STATEMENT, _model(ATP_CANDIDATE),
+                   MockProver(table=table, hammer=hammer),
                    BudgetConfig(sample_budget=1, erp_enabled=False))
     assert record.success_stage == "atp"
-    assert check_script(prover, STATEMENT,
+    assert check_script(MockProver(table=table, hammer=hammer), STATEMENT,
                         parse_script(record.final_script)).success
 
 
@@ -1482,8 +1550,9 @@ def test_golden_request_trace_through_every_repair_stage():
         "proof -": "ok", 'have "a"': "ok",
         'have "a" by foo': MockOutcome("ok", delay_s=30.0),
         'have "a" by simp': "ok", 'have "c"': "ok", 'have "d"': "ok",
-        "show ?thesis": "ok", "qed": "ok",
-    }, hammer=[None, "by (metis h)"]))
+        "show ?thesis": "ok", "qed": "ok", "by (metis h)": "ok",
+        'have "d" by (metis h)': "error",
+    }, hammer="metis h"))
     model = RecordingModel(
         MockModel({"whole_proof": [[candidate]], "erp": [[erp], [""]]}))
     record = prove(STATEMENT, model, prover, BudgetConfig(sample_budget=1))

@@ -67,7 +67,8 @@ GOLDEN_SERVER_EXCHANGE = [
 def _mock() -> MockProver:
     return MockProver(
         table={'have a: "x"': "ok", 'have a: "x" by simp': "ok",
-               "by slow": MockOutcome("ok", delay_s=30.0)},
+               "by slow": MockOutcome("ok", delay_s=30.0),
+               "by (metis foo)": MockOutcome("ok", is_done=False)},
         hammer="by (metis foo)",
         reject_theory=lambda text: "bad header" if "Bad" in text else None)
 
