@@ -99,6 +99,11 @@ def _cut_torn_tail(path: Path) -> None:
             handle.write(b"\n")
 
 
+def _text_size(answer: Future) -> int:
+    """How much candidate text a returned sample holds; a fault holds none."""
+    return 0 if answer.exception() else sum(map(len, answer.result()))
+
+
 class _SampledAhead(ModelBackend):
     """The run's model as one problem sees it: the problem's whole-proof
     request, sent ahead, is answered from its future, once and only for
@@ -133,20 +138,26 @@ def run_benchmark(
 
     Problems whose last record in ``records_path`` is determined are not
     re-run; backend aborts become undetermined records rather than failures,
-    and a resume runs those problems again.  The problems run in spec order
-    on ``pool_size`` workers, by default the prover's own ``pool_size``.
+    and a resume runs those problems again.  The problems run on
+    ``pool_size`` workers, by default the prover's own ``pool_size``.
 
-    At a pool size p above 1 the model samples ahead of the prover: p
-    sampler threads keep the whole-proof requests (``sampling_request``) of
-    the next p problems in flight.  The first go out as the run starts, and
-    the worker that takes problem i sends problem i+p's.  ``prove_fn`` gets
-    a model that answers its problem's request from there and passes every
-    other request (ERP's) to ``model``, so a fault of the request sent ahead
-    is raised where ``prove`` asks for it, and a TransportError still leaves
+    At a pool size p above 1 the model samples ahead of the prover: the
+    whole-proof requests (``sampling_request``) of every problem to run go
+    out as the run starts, in spec order, p at a time on p sampler threads.
+    A free worker takes, of the problems whose sample is back, the one whose
+    candidates hold the most text (ties in spec order, a faulted sample
+    last), or the next problem in spec order if none is back, so a long
+    problem does not start last and run alone.  ``prove_fn`` gets a model
+    that answers its problem's request from there and passes every other
+    request (ERP's) to ``model``, so a fault of the request sent ahead is
+    raised where ``prove`` asks for it, and a TransportError still leaves
     only that problem undetermined.  Up to 2p model requests are in flight
     at once: p sent ahead and the workers' own.  Requests still queued when
-    the run ends are cancelled.  At pool size 1 nothing is sent ahead, and
-    every model request runs on the caller's thread.
+    the run ends are cancelled.  A killed run loses the samples of the
+    problems it never started, and a resume sends them again.  The records
+    file is in completion order.  At pool size 1 nothing is sent ahead, the
+    problems run in spec order, and every model request runs on the
+    caller's thread.  The returned records are in spec order.
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
@@ -159,27 +170,18 @@ def run_benchmark(
     write_lock = threading.Lock()
     sampler = (ThreadPoolExecutor(pool_size, "sampler") if pool_size > 1
                else None)
-    ahead: dict[int, tuple[tuple, Future]] = {}  # index in todo -> request
-    sent = 0
-    send_lock = threading.Lock()
+    unstarted = list(range(len(todo)))  # indices into todo, in spec order
+    pick_lock = threading.Lock()
 
-    def send_through(last: int) -> None:
-        """Send the requests of ``todo`` through index ``last`` that are not
-        yet sent, in order; the caller holds ``send_lock``."""
-        nonlocal sent
-        while sent <= last and sent < len(todo):
-            request = sampling_request(todo[sent].formal_statement,
-                                       spec.budget, few_shots)
-            ahead[sent] = request, sampler.submit(model.complete, *request)
-            sent += 1
-
-    def worker(item: tuple[int, BenchmarkProblem]) -> AttemptRecord:
-        index, problem = item
-        sampled = model
-        if sampler is not None:
-            with send_lock:
-                send_through(index + pool_size)
-                sampled = _SampledAhead(model, *ahead.pop(index))
+    def worker(_: int) -> AttemptRecord:
+        # the sampled problem with the most candidate text, else the next one
+        with pick_lock:
+            index = max((i for i in unstarted if sent and sent[i][1].done()),
+                        key=lambda i: _text_size(sent[i][1]),
+                        default=unstarted[0])
+            unstarted.remove(index)
+        problem = todo[index]
+        sampled = _SampledAhead(model, *sent[index]) if sent else model
         try:
             record = prove_fn(problem.formal_statement, sampled, prover,
                               spec.budget, few_shots,
@@ -191,7 +193,12 @@ def run_benchmark(
         return record
 
     try:
-        outcomes = run_pool(list(enumerate(todo)), worker, pool_size)
+        requests = ([sampling_request(p.formal_statement, spec.budget,
+                                      few_shots) for p in todo]
+                    if sampler is not None else [])
+        sent = [(request, sampler.submit(model.complete, *request))
+                for request in requests]
+        outcomes = run_pool(range(len(todo)), worker, pool_size)
     finally:
         if sampler is not None:
             sampler.shutdown(cancel_futures=True)

@@ -17,7 +17,12 @@ from proofseek.bench import (
     load_benchmark,
     run_benchmark,
 )
-from proofseek.engine import AttemptRecord, BudgetConfig, sampling_request
+from proofseek.engine import (
+    AttemptRecord,
+    BudgetConfig,
+    run_pool,
+    sampling_request,
+)
 from proofseek.errors import EmptyInput, TransportError
 from proofseek.jsonl import read_jsonl, write_jsonl
 from proofseek.model import (
@@ -409,13 +414,17 @@ def _whole_proof_digest(spec, name):
 
 
 class _GatedModel(ModelBackend):
-    """Notes each request's problem as it arrives, and answers it once the
-    test opens that problem's gate."""
+    """Notes each request's problem and thread as it arrives, and answers it
+    once the test opens that problem's gate; ``peak`` is the most requests
+    it has held at once."""
 
     def __init__(self):
         super().__init__()
         self.sent = []
+        self.threads = []
         self.gates = {}
+        self.waiting = 0
+        self.peak = 0
 
     def gate(self, name):
         with self._lock:
@@ -423,9 +432,17 @@ class _GatedModel(ModelBackend):
 
     def _complete(self, params, prompt, n):
         name = re.search(r"theorem (\w+):", prompt.text).group(1)
-        self.sent.append(name)
-        if not self.gate(name).wait(10):
-            raise TransportError(f"gate of {name} never opened")
+        with self._lock:
+            self.sent.append(name)
+            self.threads.append(threading.current_thread().name)
+            self.waiting += 1
+            self.peak = max(self.peak, self.waiting)
+        try:
+            if not self.gate(name).wait(10):
+                raise TransportError(f"gate of {name} never opened")
+        finally:
+            with self._lock:
+                self.waiting -= 1
         return [f"proof of {name}"]
 
 
@@ -439,49 +456,150 @@ def _settled(check, timeout_s=10.0):
     return check()
 
 
-def test_pool_2_keeps_the_next_two_samples_in_flight(tmp_path):
-    # Problem i+2's request is in flight while problem i is at the prover,
-    # and no more than two problems' requests are ever ahead of the two
-    # there.
-    names = [f"p{i}" for i in range(6)]
-    model, at_prover = _GatedModel(), []
-    provers = {name: threading.Event() for name in names}
+def _sampling(statement, model, prover, budget, few_shots=(),
+              problem_name=""):
+    """A prove_fn that asks for its sample and succeeds."""
+    model.complete(*sampling_request(statement, budget, few_shots))
+    return _record(problem_name, True)
+
+
+def test_pool_2_sends_every_sample_at_the_start_two_at_a_time(tmp_path):
+    # Every unrecorded problem's request goes out as the run starts, once, in
+    # spec order, on the sampler's threads, even while both workers are held
+    # at the prover; only two are in flight at once, however slowly they are
+    # answered.
+    names = [f"p{i}" for i in range(7)]
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [_record("p3", True).to_json()])
+    model, release = _GatedModel(), threading.Event()
+
+    def held(statement, model, prover, budget, few_shots=(),
+             problem_name=""):
+        # held longer than a check waits, so no request is sent only
+        # because a held worker gave up
+        if not release.wait(60):
+            raise TransportError(f"{problem_name} was never let go")
+        return _sampling(statement, model, prover, budget, few_shots,
+                         problem_name)
+
+    run = threading.Thread(target=lambda: run_benchmark(
+        _spec(names), model, None, path, pool_size=2, prove_fn=held))
+    run.start()
+    unrecorded = [name for name in names if name != "p3"]
+    try:
+        for count, name in enumerate(unrecorded, start=2):
+            # the first requests in spec order are sent, none beyond them
+            assert _settled(lambda: sorted(model.sent)
+                            == unrecorded[:min(count, len(unrecorded))]), \
+                (name, model.sent)
+            model.gate(name).set()
+    finally:
+        for name in names:
+            model.gate(name).set()
+        release.set()
+        run.join(10)
+    assert not run.is_alive()
+    assert sorted(model.sent) == unrecorded
+    assert {thread.split("_")[0] for thread in model.threads} == {"sampler"}
+    assert model.peak == 2
+
+
+class _SizedModel(ModelBackend):
+    """Answers each problem's request with its candidates in ``answers``, or
+    with a TransportError where they are None; ``answered`` counts the
+    requests it has answered either way."""
+
+    def __init__(self, answers):
+        super().__init__()
+        self.answers = answers
+        self.answered = 0
+
+    def _complete(self, params, prompt, n):
+        name = re.search(r"theorem (\w+):", prompt.text).group(1)
+        try:
+            if self.answers[name] is None:
+                raise TransportError(f"sample of {name} failed")
+            return self.answers[name]
+        finally:
+            with self._lock:
+                self.answered += 1
+
+
+def test_the_longest_sample_is_proved_first(tmp_path, monkeypatch):
+    # Candidates: p2 holds the most text; p1 and p4 tie; p5 holds two; p3's
+    # sample fails, so it counts as none.
+    answers = {"p0": ["abc"], "p1": ["a" * 7], "p2": ["a" * 12], "p3": None,
+               "p4": ["b" * 7], "p5": ["a" * 4, "b" * 5]}
+    names = list(answers)
+    spec = BenchmarkSpec("sized", tuple(BenchmarkProblem(
+        n, f'theorem {n}: shows "P" oops') for n in names),
+        BudgetConfig(sample_budget=2))
+    model = _SizedModel(answers)
+
+    def run_pool_once_sampled(items, worker, pool_size):
+        # every sample is back before the first worker picks its problem
+        assert _settled(lambda: model.answered == len(names))
+        return run_pool(items, worker, pool_size)
+
+    monkeypatch.setattr("proofseek.bench.run_pool", run_pool_once_sampled)
+    started, finish = [], {name: threading.Event() for name in names}
 
     def proving(statement, model, prover, budget, few_shots=(),
                 problem_name=""):
+        started.append(problem_name)
         model.complete(*sampling_request(statement, budget, few_shots))
-        at_prover.append(problem_name)
-        if not provers[problem_name].wait(10):
+        if not finish[problem_name].wait(10):
             raise TransportError(f"{problem_name} was never let go")
-        at_prover.remove(problem_name)
         return _record(problem_name, True)
 
     outcome = []
     run = threading.Thread(target=lambda: outcome.append(run_benchmark(
-        _spec(names), model, None, tmp_path / "records.jsonl", pool_size=2,
+        spec, model, None, tmp_path / "records.jsonl", pool_size=2,
         prove_fn=proving)))
-    model.gate("p0").set()
-    model.gate("p1").set()
     run.start()
+    want = ["p2", "p5", "p1", "p4", "p0", "p3"]
     try:
-        for i in range(len(names)):
-            # p(i) and p(i+1) are at the prover; p(i+2) and p(i+3) are sent
-            # and wait for their answers
-            assert _settled(lambda: (
-                sorted(at_prover) == names[i:i + 2]
-                and sorted(model.sent) == names[:i + 4])), \
-                (i, at_prover, model.sent)
-            provers[names[i]].set()
-            if i + 2 < len(names):
-                model.gate(names[i + 2]).set()
+        # the two longest start together; then each problem the test lets
+        # go frees a worker for the next, one at a time
+        assert _settled(lambda: sorted(started) == sorted(want[:2])), started
+        for count, name in enumerate(want[:-2], start=3):
+            finish[name].set()
+            assert _settled(lambda: len(started) == count), (name, started)
+        assert started[2:] == want[2:]
     finally:
         for name in names:
-            model.gate(name).set()
-            provers[name].set()
+            finish[name].set()
         run.join(10)
     assert not run.is_alive()
-    assert [r.success for r in outcome[0]] == [True] * len(names)
-    assert sorted(model.sent) == names  # each request sent once
+    assert [(r.problem_name, r.undetermined) for r in outcome[0]] == [
+        (name, name == "p3") for name in names]
+
+
+def _sampler_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("sampler")]
+
+
+def test_no_sampler_thread_outlives_the_run(tmp_path):
+    names = [f"p{i}" for i in range(6)]
+    model = _GatedModel()
+    for name in names:
+        model.gate(name).set()
+    run_benchmark(_spec(names), model, None, tmp_path / "ok.jsonl",
+                  pool_size=2, prove_fn=_sampling)
+    assert model.threads and not _sampler_threads()
+
+    def proving(statement, model, prover, budget, few_shots=(),
+                problem_name=""):
+        if problem_name == "p2":
+            raise RuntimeError("prover bug")
+        return _sampling(statement, model, prover, budget, few_shots,
+                         problem_name)
+
+    with pytest.raises(RuntimeError, match="prover bug"):
+        run_benchmark(_spec(names), model, None, tmp_path / "bug.jsonl",
+                      pool_size=2, prove_fn=proving)
+    assert not _sampler_threads()
 
 
 def test_many_workers_each_get_their_own_sample_once(tmp_path):
