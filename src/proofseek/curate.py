@@ -7,8 +7,8 @@ a fresh session is one that needs extra dependencies, so its pair belongs to
 the remainder and its reward is 0.  Transport faults mark a pair
 undetermined and exclude it from both pools — an infrastructure outage must
 not look like an unverifiable proof.  The same principle runs through the
-rewards: verification returns a distinct UNDETERMINED value on transport
-failure, never 0.
+rewards: verification returns None (no verdict) on a transport failure,
+never 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .engine import run_pool
 from .errors import ParseError, TheoryLoadError, TransportError
@@ -31,7 +31,6 @@ __all__ = [
     "RlRecord",
     "SftRecord",
     "TheoremProofPair",
-    "UNDETERMINED",
     "build_rl_records",
     "build_sft_records",
     "filter_self_contained",
@@ -40,19 +39,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-class _Undetermined:
-    """Outcome distinct from both reward values; returned on transport faults."""
-
-    def __repr__(self) -> str:
-        return "UNDETERMINED"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNDETERMINED = _Undetermined()
 
 
 @dataclass(frozen=True)
@@ -234,14 +220,14 @@ def reward_correctness(response: str, ground_truth: str,
 
 
 def reward_verification(response: str, statement: str,
-                        prover: ProverBackend) -> Union[int, _Undetermined]:
+                        prover: ProverBackend) -> Optional[int]:
     """1 iff the extracted proof checks end-to-end against the statement.
 
-    Transport aborts return UNDETERMINED — never 0 — so infrastructure
+    Transport aborts return None, no verdict — never 0 — so infrastructure
     faults cannot poison the reward signal.
     """
     try:
         return 1 if _verifies(prover, statement, response or "") else 0
     except TransportError as exc:
         log.warning("verification undetermined (transport): %s", exc)
-        return UNDETERMINED
+        return None

@@ -6,8 +6,8 @@ Two routes produce prover-ready statements:
   access policies to an Isabelle theory skeleton — action/resource/principal
   datatypes, a ``policy_entry`` record, a ``policy_allows`` function mirroring
   the evaluator's matching rule, and a correctness theorem whose conjuncts
-  are exactly the (action, resource) pairs the evaluator allows over the
-  canonical request universe.  Output is byte-stable.
+  are exactly the (action, resource) pairs the evaluator allows, one
+  witness resource per resource class.  Output is byte-stable.
 
 * ``formalize_nl``: the staged LLM workflow — description, informal proof,
   then the formal statement, each a separate model call in that order, with
@@ -39,7 +39,6 @@ from .policy import (
 from . import prompts
 
 __all__ = [
-    "Finding",
     "FormalizationRecord",
     "TheorySkeleton",
     "compile_policy",
@@ -82,15 +81,13 @@ class FormalizationRecord:
 # ---------------------------------------------------------------------------
 # identifier sanitation
 
-def _camel(raw: str, suffix: str = "") -> str:
+def _camel(raw: str) -> str:
     parts = re.split(r"[^0-9A-Za-z]+", raw)
     name = "".join(p[:1].upper() + p[1:] for p in parts if p)
     if not name:
         name = "X"
     if name[0].isdigit():
         name = "R" + name
-    if suffix and not name.endswith(suffix):
-        name += suffix
     return name
 
 
@@ -212,7 +209,7 @@ def compile_policy(policy: PolicyDocument) -> TheorySkeleton:
     )
 
     # Theorem conjuncts: exactly the (action, resource) pairs the evaluator
-    # allows over the canonical universe, in universe order.
+    # allows, one witness resource per class, in class order.
     allowed = granted(policy, action,
                       [instantiate_pattern(pattern) for _, pattern in classes])
     conjuncts = [f"policy_allows {entry_name} {action_ctor} {class_name}"
@@ -259,38 +256,31 @@ def wrap_theory(body: str, theory_name: str) -> str:
 # ---------------------------------------------------------------------------
 # structural validation of formal statements
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.detail}" if self.detail else self.code
-
-
-def validate_formal_statement(text: str) -> list[Finding]:
-    """Structural guardrail before engine submission.
+def validate_formal_statement(text: str) -> list[str]:
+    """Structural guardrail before engine submission: the findings, each a
+    code with its detail after a colon when it has one (``MissingTheorem``,
+    ``ParseFailure: <detail>``).
 
     Empty findings mean submit-ready: a theorem/lemma keyword is present,
     proof blocks balance, and the statement ends open (oops or sorry).
     """
-    findings: list[Finding] = []
+    findings: list[str] = []
     if not text or not text.strip():
-        return [Finding("EmptyStatement")]
+        return ["EmptyStatement"]
     try:
         tokens = tokenize(text)
     except Exception as exc:
-        return [Finding("ParseFailure", str(exc))]
+        return [f"ParseFailure: {exc}"]
     words = [t.text for t in tokens if t.kind == "word"]
     if not any(w in ("theorem", "lemma", "corollary", "proposition") for w in words):
-        findings.append(Finding("MissingTheorem"))
+        findings.append("MissingTheorem")
     script = parse_script(text)
     if not script.balanced:
-        findings.append(Finding("UnbalancedBlocks"))
+        findings.append("UnbalancedBlocks")
     terminal = next((w for w in reversed(words)), "")
     if terminal not in ("oops", "sorry"):
-        findings.append(Finding("MissingTerminal",
-                                "statement should end with oops or sorry"))
+        findings.append(
+            "MissingTerminal: statement should end with oops or sorry")
     return findings
 
 
@@ -329,14 +319,14 @@ def formalize_nl(
         retry_prompt = prompts.stage_formal_statement_prompt(
             statement, description,
             informal_proof + "\n\nThe previous output was structurally invalid: "
-            + "; ".join(map(str, findings)),
+            + "; ".join(findings),
             formal_shots)
         formal = model.complete(params, retry_prompt, 1)[0].strip()
         findings = validate_formal_statement(formal)
         if findings:
             raise StageValidationError(
                 "formal statement failed validation after retry: "
-                + "; ".join(map(str, findings)))
+                + "; ".join(findings))
 
     return FormalizationRecord(
         problem_name=problem_name,

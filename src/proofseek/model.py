@@ -5,13 +5,14 @@ All backends share one surface: ``complete(params, prompt, n) -> list[str]``,
 1 to ``n`` completions, safe to call from many threads at once.  No lock is
 held across a request, so ``ChatModelClient`` sends concurrent requests in
 parallel; only the backends that mutate shared state lock it (``MockModel``
-its per-purpose cursor, ``RecordingModel`` its ``requests`` list).  Backends
-only answer requests; wrapping one in ``RecordingModel`` captures each
-request (purpose, sampling parameters, n, completions) for budget and
-sampling audits and for writing replay fixtures.  Replay fixtures are JSONL
-records ``{"digest": ..., "completions": [...]}`` keyed by a stable digest
-of (purpose, prompt text); identical prompts always replay identical
-outputs.
+its per-purpose cursor, ``ReplayModel`` its batches left, ``RecordingModel``
+its ``requests`` list).  Backends only answer requests; wrapping one in
+``RecordingModel`` captures each request (purpose, sampling parameters, n,
+completions) for budget and sampling audits and for writing replay
+fixtures.  Replay fixtures are JSONL records ``{"digest": ...,
+"completions": [...]}``, one per answered request, keyed by a stable digest
+of (purpose, prompt text); the requests with one prompt replay the answers
+recorded for it, in recorded order.
 """
 
 from __future__ import annotations
@@ -193,30 +194,40 @@ class _ReplayFixture:
     completions: tuple[str, ...]
 
 
-def load_replay_fixtures(path: Union[str, Path]) -> dict[str, list[str]]:
-    """The replay fixtures of a JSONL file, each row read by ``typed``: an
-    object whose ``digest`` is a string and whose ``completions`` are a list
-    of strings.  Anything else raises ValueError naming the line."""
-    return {row.digest: list(row.completions)
-            for row in read_rows(path, _ReplayFixture)}
+def load_replay_fixtures(path: Union[str, Path]) -> dict[str, list[list[str]]]:
+    """The completion batches of a JSONL fixture file by digest, each
+    digest's in file order.  Each row is read by ``typed``: an object whose
+    ``digest`` is a string and whose ``completions`` are a list of strings.
+    Anything else raises ValueError naming the line."""
+    batches: dict[str, list[list[str]]] = {}
+    for row in read_rows(path, _ReplayFixture):
+        batches.setdefault(row.digest, []).append(list(row.completions))
+    return batches
 
 
 class ReplayModel(ModelBackend):
-    """Serves stored completions keyed by prompt digest; pure by design."""
+    """Serves stored completions keyed by prompt digest.  A fixture file
+    may hold several batches for one digest (``load_replay_fixtures``), and
+    they are given in file order, the last one repeating; a dict maps each
+    digest to its one batch."""
 
     def __init__(self, fixtures: Union[str, Path, dict[str, list[str]]]):
         super().__init__()
-        if isinstance(fixtures, (str, Path)):
-            fixtures = load_replay_fixtures(fixtures)
-        self.fixtures = dict(fixtures)
+        self._batches = (load_replay_fixtures(fixtures)
+                         if isinstance(fixtures, (str, Path))
+                         else {digest: [list(batch)]
+                               for digest, batch in fixtures.items()})
 
     def _complete(self, params: ModelParams, prompt: PromptRecord,
                   n: int) -> list[str]:
         digest = prompt_digest(prompt)
-        if digest not in self.fixtures:
-            raise MissingFixture(
-                f"no replay fixture for purpose={prompt.purpose} digest={digest}")
-        return list(self.fixtures[digest][:n])
+        with self._lock:
+            batches = self._batches.get(digest)
+            if not batches:
+                raise MissingFixture(f"no replay fixture for "
+                                     f"purpose={prompt.purpose} digest={digest}")
+            batch = batches.pop(0) if len(batches) > 1 else batches[0]
+        return batch[:n]
 
 
 class MockModel(ModelBackend):
@@ -254,7 +265,8 @@ class MockModel(ModelBackend):
 class RecordingModel(ModelBackend):
     """Wraps a backend and records every answered request, in order: its
     purpose, sampling parameters, n, digest and completions.  ``dump``
-    writes the replay fixtures (the last completions per digest)."""
+    writes the replay fixtures: one row per answered request, sorted by
+    digest, each digest's rows in the order they were answered."""
 
     def __init__(self, inner: ModelBackend):
         super().__init__()
@@ -277,7 +289,8 @@ class RecordingModel(ModelBackend):
         return out
 
     def dump(self, path: Union[str, Path]) -> None:
-        fixtures = {r["digest"]: r["completions"] for r in self.requests}
-        lines = [json.dumps({"digest": d, "completions": c})
-                 for d, c in sorted(fixtures.items())]
+        # a stable sort: a digest's rows stay in answer order
+        lines = [json.dumps({"digest": r["digest"],
+                             "completions": r["completions"]})
+                 for r in sorted(self.requests, key=lambda r: r["digest"])]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -15,7 +15,8 @@ pass: it keeps the resource patterns of the statements that admit the
 action and principal, Allow and Deny apart, then allows a resource iff some
 kept Allow pattern matches it and no kept Deny pattern does.  Its answers
 equal ``evaluate(...).allowed`` request by request; the policy compiler
-decides a policy's grants with it.
+decides a policy's grants with it, over one witness resource per resource
+pattern (``instantiate_pattern``).
 
 The matcher takes fast paths with C-level string operations for the two
 common pattern shapes: a literal pattern is compared with ``==``, and a
@@ -48,7 +49,6 @@ __all__ = [
     "Effect",
     "PolicyDocument",
     "PolicyStatement",
-    "enumerate_universe",
     "evaluate",
     "granted",
     "load_policy_csv",
@@ -295,12 +295,12 @@ def granted(policy: PolicyDocument, action: str, resources: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# canonical request universe
+# witnesses
 
-def instantiate_pattern(pattern: str, witness: str = WITNESS_TOKEN) -> str:
-    """Replace wildcards with a fixed witness token; the result is matched by
+def instantiate_pattern(pattern: str) -> str:
+    """Replace wildcards with the witness token; the result is matched by
     the pattern that produced it."""
-    return pattern.replace("*", witness).replace("?", witness)
+    return pattern.replace("*", WITNESS_TOKEN).replace("?", WITNESS_TOKEN)
 
 
 def literal_actions(policy: PolicyDocument) -> list[str]:
@@ -319,15 +319,3 @@ def resource_patterns(policy: PolicyDocument) -> list[str]:
         for res in stmt.resources:
             seen.setdefault(res, None)
     return list(seen)
-
-
-def enumerate_universe(policy: PolicyDocument,
-                       principal: str = "anyone") -> list[AccessRequest]:
-    """Canonical requests: every literal action crossed with every resource
-    pattern's witness instantiation, deduplicated in order."""
-    requests: dict[AccessRequest, None] = {}
-    for action in literal_actions(policy):
-        for pattern in resource_patterns(policy):
-            requests.setdefault(
-                AccessRequest(action, instantiate_pattern(pattern), principal), None)
-    return list(requests)

@@ -156,6 +156,15 @@ def _opened(session_id: str) -> dict:
     return _response(OK, f"{session_id}/0")
 
 
+def _fault(exc: Exception) -> dict:
+    """The error response that reports ``exc``, raised by a backend, by its
+    ``error_kind``: ``theory`` for TheoryLoadError, ``session`` for
+    SessionClosed, and ``internal`` for anything else."""
+    kind = ("theory" if isinstance(exc, TheoryLoadError) else
+            "session" if isinstance(exc, SessionClosed) else "internal")
+    return _response(ERROR, message=str(exc), error_kind=kind)
+
+
 def _malformed(response) -> TransportError:
     return TransportError(f"malformed prover reply: {response!r}")
 
@@ -258,15 +267,15 @@ def _read_reply(request: dict, response) -> object:
     """The reply to ``request`` read by its command's row, as the wire
     client and replay read it.  A reply that is not an object, or a server
     fault (``internal`` or ``protocol``), is a TransportError, since the
-    request was never judged; a ``session`` fault on a request that names a
-    session is SessionClosed."""
+    request was never judged, and a ``session`` fault is SessionClosed, one
+    too, even on an ``init``, which names no session."""
     if not isinstance(response, dict):
         raise _malformed(response)
     name = request["command"]
     kind = response.get("error_kind")
     if kind in ("internal", "protocol"):
         raise TransportError(f"prover fault: {response.get('message', name)}")
-    if kind == "session" and COMMANDS[name].session:
+    if kind == "session":
         raise SessionClosed(response.get("message", request.get("session_id")))
     return COMMANDS[name].read(response, request)
 
@@ -522,16 +531,15 @@ class MockProver(ProverBackend):
 
 def _trace_entry(where: str, entry: object) -> dict:
     """A trace's entry, checked: an object with a ``response`` and a
-    ``request`` naming a command in ``COMMANDS``, whose ``step``, if
-    present, is a string and whose ``session_id``, if present, is a string
-    or null.  Anything else raises ValueError naming ``where``."""
-    request = entry.get("request") if isinstance(entry, dict) else None
-    name = request.get("command") if isinstance(request, dict) else None
-    if not (isinstance(name, str) and name in COMMANDS and "response" in entry
-            and isinstance(request.get("step", ""), str)
-            and isinstance(request.get("session_id"), (str, type(None)))):
-        raise ValueError(f"{where}: a trace entry is an object with a "
-                         "request naming a command and a response")
+    ``request`` that the server's request check (``_checked``) takes.
+    Anything else raises ValueError naming ``where``."""
+    try:
+        if not (isinstance(entry, dict) and "response" in entry):
+            raise ValueError("not an object with a response")
+        _checked(entry.get("request"))
+    except ValueError as exc:
+        raise ValueError(f"{where}: a trace entry is an object with a request "
+                         f"the server takes and a response ({exc})") from None
     return entry
 
 
@@ -627,7 +635,9 @@ class ReplayProver(ProverBackend):
 class RecordingProver(ProverBackend):
     """Wraps a backend and captures a replayable request/response trace:
     the one record of what was sent to the prover (``requests``), and the
-    fixture ``ReplayProver`` plays back (``dump``)."""
+    fixture ``ReplayProver`` plays back (``dump``).  A TransportError of
+    the backend is recorded as the error reply that reports it (``_fault``)
+    and raised again, so a replay raises it where the run did."""
 
     def __init__(self, inner: ProverBackend):
         super().__init__(inner.config)
@@ -644,21 +654,35 @@ class RecordingProver(ProverBackend):
         except TheoryLoadError as exc:
             self._record(request, _response(ERROR, message=str(exc)))
             raise
+        except TransportError as exc:
+            self._record(request, _fault(exc))
+            raise
         self._record(request, _opened(sid))
         return sid
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
-        result = self.inner.apply(session_id, step_text, timeout_s)
-        self._record(_request("apply", session_id, step_text, timeout_s),
-                     _step_response(result))
+        request = _request("apply", session_id, step_text, timeout_s)
+        try:
+            result = self.inner.apply(session_id, step_text, timeout_s)
+        except TransportError as exc:
+            self._record(request, _fault(exc))
+            raise
+        self._record(request, _step_response(result))
         return result
 
     def apply_steps(self, session_id: str, texts: Sequence[str],
                     timeout_s: Optional[float] = None) -> list[StepResult]:
         """The inner backend's run, recorded as one ``apply`` per step
-        taken, so a trace reads the same however its steps travelled."""
-        results = self.inner.apply_steps(session_id, texts, timeout_s)
+        taken, so a trace reads the same however its steps travelled.  A
+        run that faulted was one request, recorded under its first step."""
+        try:
+            results = self.inner.apply_steps(session_id, texts, timeout_s)
+        except TransportError as exc:
+            if texts:  # an empty run asks nothing a replay could answer
+                self._record(_request("apply", session_id, texts[0],
+                                      timeout_s), _fault(exc))
+            raise
         for text, result in zip(texts, results):
             self._record(_request("apply", session_id, text, timeout_s),
                          _step_response(result))
@@ -788,12 +812,18 @@ SERVER_POLL_S = 0.05
 
 
 def _read_request(raw: bytes) -> tuple[Command, dict]:
-    """The request on one line and its command's row, checked: a UTF-8 JSON
-    object naming a command in ``COMMANDS``, with a ``session_id`` string
-    when the row names a session, ``step`` a string when present, the row's
-    payload field passing its type test, and ``timeout_s`` a number.
-    Anything else raises ValueError."""
+    """The request on one line, a UTF-8 JSON text, and its command's row,
+    checked by ``_checked``.  Anything else raises ValueError."""
     request = loads(raw.decode("utf-8"))
+    return _checked(request), request
+
+
+def _checked(request: object) -> Command:
+    """The row of ``request``'s command, the request checked: an object
+    naming a command in ``COMMANDS``, with a ``session_id`` string when the
+    row names a session, ``step`` a string when present, the row's payload
+    field passing its type test, and ``timeout_s`` a number or null.
+    Anything else raises ValueError."""
     if not isinstance(request, dict):
         raise ValueError("request is not a JSON object")
     name = request.get("command")
@@ -810,7 +840,7 @@ def _read_request(raw: bytes) -> tuple[Command, dict]:
     if timeout_s is not None and (isinstance(timeout_s, bool)
                                   or not isinstance(timeout_s, (int, float))):
         raise ValueError("timeout_s is not a number")
-    return command, request
+    return command
 
 
 class ProverServer:
@@ -855,9 +885,7 @@ class ProverServer:
                                  request.get(command.payload, ""),
                                  request.get("timeout_s"))
         except Exception as exc:  # protocol server must not die mid-connection
-            kind = ("theory" if isinstance(exc, TheoryLoadError) else
-                    "session" if isinstance(exc, SessionClosed) else "internal")
-            return _response(ERROR, message=str(exc), error_kind=kind)
+            return _fault(exc)
 
     def start(self) -> "ProverServer":
         # the serve loop notices stop() only at its next poll

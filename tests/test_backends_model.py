@@ -97,7 +97,7 @@ def test_replay_fixture_file_round_trip(tmp_path):
     recorder.complete(ModelParams(), prompt, 1)
     path = tmp_path / "fixtures.jsonl"
     recorder.dump(path)
-    assert load_replay_fixtures(path) == {prompt_digest(prompt): ["answer"]}
+    assert load_replay_fixtures(path) == {prompt_digest(prompt): [["answer"]]}
     replay = ReplayModel(path)
     assert replay.complete(ModelParams(), prompt, 1) == ["answer"]
 
@@ -117,7 +117,9 @@ def test_replay_fixture_row_of_the_wrong_shape_is_a_value_error(tmp_path, row):
         load_replay_fixtures(path)
 
 
-def test_recording_dump_keeps_last_completions_sorted_by_digest(tmp_path):
+def test_recording_dump_keeps_every_answer_sorted_by_digest(tmp_path):
+    # One prompt answered twice: the dump kept only the second answer, so
+    # a replay gave it to the first ask too.
     recorder = RecordingModel(MockModel({"whole_proof": [["one"], ["two"]],
                                          "erp": [["cont"]]}))
     for prompt in (_prompt(), _prompt("erp", "go on"), _prompt()):
@@ -127,7 +129,28 @@ def test_recording_dump_keeps_last_completions_sorted_by_digest(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     recorder.dump(path)
     assert path.read_bytes() == (
+        b'{"digest": "0f77f04e6ddfe26b", "completions": ["one"]}\n'
         b'{"digest": "0f77f04e6ddfe26b", "completions": ["two"]}\n'
+        b'{"digest": "b1c9c34c73c6cd96", "completions": ["cont"]}\n')
+    replay = ReplayModel(path)
+    assert [replay.complete(ModelParams(), _prompt(), 1) for _ in range(3)] \
+        == [["one"], ["two"], ["two"]]
+
+
+def test_a_dump_with_one_row_per_digest_replays_and_dumps_byte_identically(
+        tmp_path):
+    recorder = RecordingModel(MockModel({"whole_proof": [["one", "two"]],
+                                         "erp": [["cont"]]}))
+    for prompt in (_prompt(), _prompt("erp", "go on")):
+        recorder.complete(ModelParams(), prompt, 2)
+    recorder.dump(tmp_path / "live.jsonl")
+    replayed = RecordingModel(ReplayModel(tmp_path / "live.jsonl"))
+    for prompt in (_prompt("erp", "go on"), _prompt()):
+        replayed.complete(ModelParams(), prompt, 2)
+    replayed.dump(tmp_path / "replayed.jsonl")
+    assert (tmp_path / "replayed.jsonl").read_bytes() == \
+        (tmp_path / "live.jsonl").read_bytes() == (
+        b'{"digest": "0f77f04e6ddfe26b", "completions": ["one", "two"]}\n'
         b'{"digest": "b1c9c34c73c6cd96", "completions": ["cont"]}\n')
 
 

@@ -421,6 +421,68 @@ def test_replay_gives_a_question_its_replies_in_order_the_last_repeating():
         "timeout", "error", "error"]
 
 
+class _Faulting(MockProver):
+    """Raises ``fault`` for an init of theory "down" and for any step
+    "have b"."""
+
+    def __init__(self, fault):
+        super().__init__(default="ok")
+        self.fault = fault
+
+    def init_session(self, theory_text):
+        if theory_text == "down":
+            raise self.fault
+        return super().init_session(theory_text)
+
+    def apply(self, session_id, step_text, timeout_s=None):
+        if step_text == "have b":
+            raise self.fault
+        return super().apply(session_id, step_text, timeout_s)
+
+
+@pytest.mark.parametrize("fault,kind", [
+    (TransportError("prover connection failed"), "internal"),
+    (SessionClosed("session s-1 is not open"), "session"),
+])
+def test_a_recorded_fault_is_an_error_reply_that_replays_as_the_fault(
+        fault, kind):
+    # The trace held no reply to a faulted request, so a replay found no
+    # answer to it.  A run that faulted is filed under its first step.  A
+    # session fault on an init was read as the theory's refusal.
+    recorder = RecordingProver(_Faulting(fault))
+    session = recorder.init_session("theory T")
+    with pytest.raises(type(fault)):
+        recorder.init_session("down")
+    with pytest.raises(type(fault)):
+        recorder.apply(session, "have b", 10.0)
+    with pytest.raises(type(fault)):
+        recorder.apply_steps(session, ["have a", "have b"], 10.0)
+    assert [(e["request"]["step"], e["response"].get("error_kind"))
+            for e in recorder.trace[1:]] == [
+        ("down", kind), ("have b", kind), ("have a", kind)]
+    replay = ReplayProver(recorder.trace)
+    session = replay.init_session("theory T")
+    with pytest.raises(type(fault)):
+        replay.init_session("down")
+    with pytest.raises(type(fault)):
+        replay.apply(session, "have b", 10.0)
+    with pytest.raises(type(fault)):
+        replay.apply_steps(session, ["have a", "have b"], 10.0)
+
+
+def test_a_session_fault_on_an_init_is_no_verdict_on_the_theory():
+    # The wire client read it as the init's refusal, TheoryLoadError, so
+    # the statement counted as one that does not load.
+    server = ProverServer(_Faulting(SessionClosed("session lost"))).start()
+    client = WireProver(ProverConfig(endpoint=server.address))
+    try:
+        with pytest.raises(SessionClosed):
+            client.init_session("down")
+    finally:
+        client.shutdown()
+        server.stop()
+
+
 def test_replay_init_asked_more_often_than_recorded_is_a_missing_fixture():
     # Given twice, an init reply would hand two live sessions one id.
     trace, _ = _record_trace("by simp")
@@ -435,12 +497,19 @@ def test_replay_init_asked_more_often_than_recorded_is_a_missing_fixture():
     {"req": {}},
     {"request": {"command": "apply", "step": 3}, "response": {}},
     {"request": {"command": "apply", "session_id": [1]}, "response": {}},
+    {"request": {"command": "apply", "session_id": None, "step": "by simp"},
+     "response": {}},
+    {"request": {"command": "apply_steps", "session_id": "s-1", "steps": []},
+     "response": {}},
+    {"request": {"command": "apply", "session_id": "s-1", "step": "by simp",
+                 "timeout_s": "10"}, "response": {}},
 ])
 def test_replay_checks_a_trace_passed_as_a_list_as_it_checks_a_file(entry):
-    # A list entry used to raise a bare KeyError on the first request.
+    # A list entry used to raise a bare KeyError on the first request; the
+    # last three loaded, though the server refuses each request.
     with pytest.raises(ValueError, match="trace entry 1: a trace entry is"):
-        ReplayProver([{"request": {"command": "close"}, "response": {}},
-                      entry])
+        ReplayProver([{"request": {"command": "close", "session_id": "s-1"},
+                       "response": {}}, entry])
 
 
 @pytest.mark.parametrize("reply", [

@@ -26,6 +26,7 @@ from proofseek.engine import (
 from proofseek.errors import EmptyInput, TransportError
 from proofseek.jsonl import read_jsonl, write_jsonl
 from proofseek.model import (
+    MockModel,
     ModelBackend,
     RecordingModel,
     ReplayModel,
@@ -722,6 +723,87 @@ def test_a_pool_2_recording_replays_and_dumps_as_a_pool_1_one(tmp_path):
                              prover(), tmp_path / "replayed.jsonl",
                              pool_size=2)
     assert _timeless(replayed) == _timeless(runs[1]) == _timeless(runs[0])
+
+
+# The candidates of a recorded run: q0 and q4 are proved as sampled, ERP
+# repairs q1, q2's two candidates are one text, and q3's one step faults.
+_RECORDED_CANDIDATES = {
+    "q0": ["by (meson w0)"], "q1": [_ERP_CANDIDATE],
+    "q2": [_ERP_CANDIDATE] * 2, "q3": ["by (meson w3)"],
+    "q4": ["by (meson w4)"]}
+
+
+class _FaultingOnce(MockProver):
+    """Answers as MockProver, except that the first apply of ``step``
+    raises TransportError."""
+
+    def __init__(self, step, **kwargs):
+        super().__init__(**kwargs)
+        self.step = step
+
+    def apply(self, session_id, step_text, timeout_s=None):
+        if step_text == self.step:  # asked at pool 1 only: no race
+            self.step = None
+            raise TransportError("prover connection failed")
+        return super().apply(session_id, step_text, timeout_s)
+
+
+def _record_and_replay(tmp_path, names, pool_size):
+    """The records of problems ``names`` of ``_RECORDED_CANDIDATES`` proved
+    at pool 1 through a model and a prover that record, and the records of
+    their dumps replayed at ``pool_size``.  The live model answers q1's ERP
+    prompt with a continuation the prover accepts, and q2's one prompt
+    first with a continuation it refuses, then with the accepted one."""
+    spec = BenchmarkSpec("recorded", tuple(
+        BenchmarkProblem(name, f'theorem {name}: shows "{name.upper()}" oops')
+        for name in names), BudgetConfig(sample_budget=2))
+    erp = ([[_ERP_COMPLETION]] if "q1" in names else []) + (
+        [["by blast"], [_ERP_COMPLETION]] if "q2" in names else [])
+    model = RecordingModel(MockModel({
+        "whole_proof": [_RECORDED_CANDIDATES[name] for name in names],
+        "erp": erp}))
+    table = {**_ERP_TABLE, "by (meson w0)": "ok", "by (meson w3)": "ok",
+             "by (meson w4)": "ok"}
+    prover = RecordingProver(_FaultingOnce("by (meson w3)", table=table))
+    live = run_benchmark(spec, model, prover, tmp_path / "live.jsonl",
+                         pool_size=1)
+    model.dump(tmp_path / "model.jsonl")
+    prover.dump(tmp_path / "trace.jsonl")
+    replayed = run_benchmark(spec, ReplayModel(tmp_path / "model.jsonl"),
+                             ReplayProver(tmp_path / "trace.jsonl"),
+                             tmp_path / "replayed.jsonl", pool_size=pool_size)
+    return live, replayed
+
+
+def test_a_prompt_asked_twice_replays_its_answers_in_recorded_order(
+        tmp_path):
+    # The dump kept only the prompt's second answer, so the replay's first
+    # candidate got the continuation the live one was refused, and won.
+    live, replayed = _record_and_replay(tmp_path, ["q2"], 1)
+    assert [(r.success_stage, r.i_try) for r in live] == [("erp", 1)]
+    assert _timeless(replayed) == _timeless(live)
+
+
+def test_a_recorded_transport_fault_replays_as_the_same_fault(tmp_path):
+    # The trace held no reply to the faulted step, so the replay raised
+    # MissingFixture and wrote no record.
+    live, replayed = _record_and_replay(tmp_path, ["q3"], 1)
+    assert [r.undetermined for r in live] == [True]
+    assert _timeless(replayed) == _timeless(live)
+
+
+def test_a_recording_at_pool_1_replays_at_pool_4_to_equal_records(tmp_path):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        live, replayed = _record_and_replay(
+            tmp_path, list(_RECORDED_CANDIDATES), 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(r.success_stage, r.i_try, r.undetermined) for r in live] == [
+        ("init_proof", 0, False), ("erp", 0, False), ("erp", 1, False),
+        ("failed", 0, True), ("init_proof", 0, False)]
+    assert _timeless(replayed) == _timeless(live)
 
 
 def test_load_benchmark_and_unique_names(tmp_path):

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from proofseek.curate import (
-    UNDETERMINED,
     TheoremProofPair,
     build_rl_records,
     build_sft_records,
@@ -99,7 +98,7 @@ def test_a_lost_session_leaves_its_pair_undetermined():
         assert [p for p, _ in result.undetermined] == [pairs[1]]
         assert len(result.rl_pool) + len(result.sft_pool) == 3
         assert reward_verification("by simp", 'lemma l1: "P1"',
-                                   client) is UNDETERMINED
+                                   client) is None
         assert reward_verification("by simp", 'lemma l0: "P0"', client) == 1
     finally:
         client.shutdown()
@@ -380,8 +379,7 @@ def test_reward_verification_transport_is_undetermined():
             raise TransportError("unreachable")
 
     result = reward_verification("by simp", 'lemma x: "P"', Down())
-    assert result is UNDETERMINED
-    assert result != 0
+    assert result is None
 
 
 def test_reward_verification_statement_that_will_not_load_is_zero():

@@ -15,7 +15,8 @@ from proofseek.formalize import (
     wrap_theory,
 )
 from proofseek.isar import parse_script, token_equivalent
-from proofseek.model import MockModel, RecordingModel
+from proofseek import prompts
+from proofseek.model import MockModel, RecordingModel, prompt_digest
 from proofseek.policy import parse_policy
 
 from fixtures import EC2_POLICY_JSON, GOLDEN_FORMAL_STATEMENT, oracle_decision
@@ -163,18 +164,23 @@ def test_validate_golden_statement_clean():
 
 def test_validate_missing_theorem():
     findings = validate_formal_statement('definition d :: nat where "d = 1"\noops')
-    assert any(f.code == "MissingTheorem" for f in findings)
+    assert findings == ["MissingTheorem"]
 
 
 def test_validate_unbalanced_blocks():
     findings = validate_formal_statement(
         'theorem x: shows "A" proof - have "b" sorry')
-    assert any(f.code == "UnbalancedBlocks" for f in findings)
+    assert "UnbalancedBlocks" in findings
 
 
 def test_validate_missing_terminal():
     findings = validate_formal_statement('theorem x: shows "A"')
-    assert any(f.code == "MissingTerminal" for f in findings)
+    assert findings == ["MissingTerminal: statement should end with oops or sorry"]
+
+
+def test_validate_parse_failure_carries_its_detail():
+    findings = validate_formal_statement('theorem x: shows "A')
+    assert findings == ["ParseFailure: unterminated string (line 1, column 18)"]
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +221,24 @@ def test_formalize_nl_fails_after_retry():
         formalize_nl("allow running instances", model)
 
 
+def test_formalize_nl_retry_prompt_and_error_name_each_finding():
+    # Two findings, the second with a detail: the retry prompt and the
+    # error join them as "code" and "code: detail".
+    invalid = 'definition d :: nat where "d = 1"'
+    joined = ("MissingTheorem; "
+              "MissingTerminal: statement should end with oops or sorry")
+    model = _staged_model([invalid, invalid])
+    with pytest.raises(StageValidationError) as raised:
+        formalize_nl("allow running instances", model)
+    assert str(raised.value) == (
+        "formal statement failed validation after retry: " + joined)
+    retry = prompts.stage_formal_statement_prompt(
+        "allow running instances", "the policy grants run access",
+        "each grant follows from the wildcard\n\nThe previous output was "
+        "structurally invalid: " + joined)
+    assert model.requests[-1]["digest"] == prompt_digest(retry)
+
+
 def test_formalize_nl_rejects_empty_input():
     with pytest.raises(ValueError):
         formalize_nl("   ", _staged_model([GOLDEN_FORMAL_STATEMENT]))
@@ -223,8 +247,7 @@ def test_formalize_nl_rejects_empty_input():
 def test_formalize_nl_reproduces_golden_chain_from_replay():
     # Stage fixtures keyed by the real prompt digests: the record must carry
     # the replayed informal stages and the golden formal statement verbatim.
-    from proofseek.model import ReplayModel, prompt_digest
-    from proofseek import prompts
+    from proofseek.model import ReplayModel
     from fixtures import GOLDEN_INFORMAL_PROOF, GOLDEN_INFORMAL_STATEMENT
 
     policy_text = EC2_POLICY_JSON

@@ -12,7 +12,6 @@ from proofseek.formalize import compile_policy, render_theory
 from proofseek.policy import (
     AccessRequest,
     Effect,
-    enumerate_universe,
     evaluate,
     granted,
     instantiate_pattern,
@@ -232,37 +231,6 @@ def test_allow_monotonicity():
             decision = evaluate(doc, request)
             if decision.allowed:
                 assert evaluate(doc_plus, request).allowed
-
-
-# ---------------------------------------------------------------------------
-# universe enumeration
-
-def test_universe_ec2_policy(ec2_policy):
-    universe = enumerate_universe(ec2_policy)
-    assert len(universe) == 6
-    assert all(r.action == "ec2:RunInstances" for r in universe)
-    assert all(evaluate(ec2_policy, r).allowed for r in universe)
-
-
-def test_universe_minimal_policy():
-    doc = parse_policy('{"Statement":[{"Effect":"Allow","Action":"a:B",'
-                       '"Resource":"arn:r"}]}')
-    assert len(enumerate_universe(doc)) == 1
-
-
-def test_universe_size_is_product_before_dedup():
-    rng = random.Random(41)
-    for _ in range(50):
-        raw = gen_policy_dict(rng)
-        doc = parse_policy(json.dumps(raw))
-        actions = {a.replace("*", "w").replace("?", "w")
-                   for s in raw["Statement"] for a in s["Action"]}
-        resources = {r for s in raw["Statement"] for r in s["Resource"]}
-        assert len(enumerate_universe(doc)) <= len(actions) * len(resources)
-        # with distinct witness instantiations the bound is tight
-        witnesses = {r.replace("*", "w").replace("?", "w") for r in resources}
-        if len(witnesses) == len(resources):
-            assert len(enumerate_universe(doc)) == len(actions) * len(resources)
 
 
 # ---------------------------------------------------------------------------
