@@ -1,15 +1,18 @@
 """Proof construction: sample whole proofs, validate stepwise, repair, and
 backtrack until the prover accepts or the budget runs out.
 
-The repair chain at a failing position is, in order: the tactic cascade plus
-Sledgehammer (``atp_substitute``), a model-driven continuation from the
-verified prefix (``erp_repair``), and truncation of the innermost enclosing
-block (or ``next`` segment) with one last cascade attempt on the placeholder
-the block collapses into.  That backtrack is the paper's placeholder
-heuristic: its win is the ``heuristic`` stage when the failing step is one
-the heuristic applies to (``heuristic_repair``).  The engine never declares
-success on its own judgment — only the prover's terminal accepted state
-(``is_done``) counts.
+The repair chain at a failing position (``_repair_chain``) is, in order: the
+tactic cascade plus Sledgehammer (``atp_substitute``), a model-driven
+continuation from the verified prefix (``erp_repair``), and truncation of the
+innermost enclosing block (or ``next`` segment) with one last cascade attempt
+on the placeholder the block collapses into (``_backtrack``).  That backtrack
+is the paper's placeholder heuristic: its win is the ``heuristic`` stage when
+the failing step is one the heuristic applies to (``heuristic_repair``).
+Every stage has one interface: it takes the cursor, the script, the failing
+position and the candidate's ``AttemptState``, seeks the prefix it works
+from, books its own extra calls and win on the state, and returns a
+``RepairOutcome``.  The engine never declares success on its own judgment —
+only the prover's terminal accepted state (``is_done``) counts.
 
 Every prover call goes through one ``SessionCursor`` per candidate, whose
 ``advance`` applies steps until one fails, the proof is done, or the steps
@@ -20,9 +23,9 @@ that one session.
 A placeholder is repaired as a failed tactic step is: the step is rewritten
 with each tactic and applied whole, then its goal body takes the hammer.  A
 block delimiter gets no cascade.  Failed applies never advance the prover
-session.  Each stage seeks the prefix it works from and leaves the session
-wherever its applies left it: the cursor alone knows where that is, and
-replays a prefix into a fresh session only when it must.
+session.  A stage leaves the session wherever its applies left it: the
+cursor alone knows where that is, and replays a prefix into a fresh session
+only when it must.
 
 A verdict is a function of the session's steps and the step text, so the
 cursor never re-sends a step refused at the same place; it is the engine's
@@ -163,16 +166,20 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class RepairOutcome:
+    """A stage's result.  A win carries the repaired script, the index to go
+    on from (the count of steps applied when the proof is done) and whether
+    the proof is done; a loss carries the script unchanged."""
     success: bool
     script: ProofScript
-    extra_calls: int = 0
+    index: int
     is_done: bool = False
 
 
-def atp_substitute(cursor: SessionCursor, script: ProofScript,
-                   position: int) -> RepairOutcome:
-    """Try each ``CASCADE`` tactic as the step's justification, then
-    Sledgehammer on its goal body.
+def atp_substitute(cursor: SessionCursor, script: ProofScript, position: int,
+                   state: AttemptState, stage: Stage = Stage.ATP
+                   ) -> RepairOutcome:
+    """Seek the step's prefix, then try each ``CASCADE`` tactic as the
+    step's justification, then Sledgehammer on its goal body.
 
     A sorry placeholder is repaired as a tactic step is: each tactic is sent
     as the step with that justification (``have "x" by auto``), then the
@@ -180,15 +187,16 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript,
     so it gets no cascade, and the tactic the step already names is not
     sent again: refused, the cursor would answer it with no call, and timed
     out, it would take the same timeout again.  Every tactic and hammer
-    request sent counts one extra call; goal-body applications and answers
-    the cursor gives with no call do not.  On overall failure after a body
-    application the session is left mid-goal, where the cursor finds it for
-    the next step that restates that body.
+    request sent adds one to ``state.extra_calls``; goal-body applications
+    and answers the cursor gives with no call do not.  A win is booked on
+    ``state`` at ``stage``, with ``has_sc`` for a placeholder.  On overall
+    failure after a body application the session is left mid-goal, where
+    the cursor finds it for the next step that restates that body.
     """
+    cursor.seek(s.text for s in script.steps[:position])
     step = script.step_at(position)
     if step.head in DELIMITERS:
-        return RepairOutcome(False, script)
-    extra = 0
+        return RepairOutcome(False, script, position)
     for tactic in (*CASCADE, None):  # None: the hammer
         if tactic is not None:
             text = step.with_justification(justification(tactic)).text
@@ -200,27 +208,31 @@ def atp_substitute(cursor: SessionCursor, script: ProofScript,
             text = HAMMER_STEP
         recalled = cursor.recalled
         result = cursor.advance((text,)).last
-        extra += cursor.recalled == recalled
+        state.extra_calls += cursor.recalled == recalled
         if result.ok:
+            state.stage = _advance(state.stage, stage)
+            state.has_sc = state.has_sc or step.is_sorry
             closing = justification(tactic or result.message or "smt")
             repaired = splice(script, position, step.with_justification(closing))
-            return RepairOutcome(True, repaired, extra, result.is_done)
-    return RepairOutcome(False, script, extra)
+            return RepairOutcome(True, repaired, position + 1, result.is_done)
+    return RepairOutcome(False, script, position)
 
 
 def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
-               model: ModelBackend, statement: str, budget: BudgetConfig,
+               state: AttemptState, model: ModelBackend, statement: str,
+               budget: BudgetConfig,
                few_shots: Sequence[tuple[str, str]] = ()) -> RepairOutcome:
     """Ask the model to continue from the verified prefix, then validate the
     continuation stepwise in the cursor's session, sought to that prefix.
 
     Success means the prover reached its terminal accepted state on
-    prefix + continuation; the merged script is returned.  Anything less —
-    parse failure, rejection mid-continuation, running out of steps — is a
-    failure and the original script is returned unchanged, with the session
-    left after the continuation steps it accepted, which the cursor can walk
-    again.  A prefix that no longer replays is no verdict on the proof, so
-    it raises TransportError.
+    prefix + continuation; the merged script is returned and the win is
+    booked on ``state`` as ``erp``.  Anything less — parse failure,
+    rejection mid-continuation, running out of steps — is a failure and the
+    original script is returned unchanged, with the session left after the
+    continuation steps it accepted, which the cursor can walk again.  A
+    prefix that no longer replays is no verdict on the proof, so it raises
+    TransportError.
     """
     prefix_steps = script.steps[:position]
     prefix_texts = [s.text for s in prefix_steps]
@@ -229,16 +241,14 @@ def erp_repair(cursor: SessionCursor, script: ProofScript, position: int,
     try:
         continuation = parse_script(extract_proof_text(completion[0]))
     except ParseError:
-        return RepairOutcome(False, script)
-    if not continuation.steps:
-        return RepairOutcome(False, script)
-
+        return RepairOutcome(False, script, position)
     cursor.seek(prefix_texts)
     run = cursor.advance(s.text for s in continuation.steps)
     if not run.done:
-        return RepairOutcome(False, script)
+        return RepairOutcome(False, script, position)
+    state.stage = _advance(state.stage, Stage.ERP)
     merged = with_steps(script, [*prefix_steps, *continuation.steps[:run.count]])
-    return RepairOutcome(True, merged, is_done=True)
+    return RepairOutcome(True, merged, position + run.count, True)
 
 
 def heuristic_repair(script: ProofScript, position: int) -> bool:
@@ -261,6 +271,21 @@ def _backtrack_target(script: ProofScript, position: int) -> int:
     placeholder."""
     _, _, opener, closer = enclosing_block(script, position)
     return opener if position == closer else position
+
+
+def _backtrack(cursor: SessionCursor, script: ProofScript, position: int,
+               state: AttemptState) -> RepairOutcome:
+    """Truncate the innermost block (or ``next`` segment) around the failing
+    step to a placeholder, then one last cascade on it.  The win is the
+    ``heuristic`` stage when ``heuristic_repair`` holds for the failing step,
+    and ``atp`` otherwise.  A cut that changes nothing, or one at the first
+    step, loses."""
+    stage = Stage.HEURISTIC if heuristic_repair(script, position) else Stage.ATP
+    target = _backtrack_target(script, position)
+    truncated = truncate_to_block(script, target)
+    if truncated.steps == script.steps or target == 0:
+        return RepairOutcome(False, script, position)
+    return atp_substitute(cursor, truncated, target, state, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +385,12 @@ def _attempt(statement: str, candidate: str, state: AttemptState,
             chain_budget -= 1
             if chain_budget < 0:
                 return None
-            repaired = _repair_chain(cursor, script, index, state, statement,
-                                     model, budget, few_shots)
-            if repaired is None:
+            outcome = _repair_chain(cursor, script, index, state, statement,
+                                    model, budget, few_shots)
+            if not outcome.success:
                 return None
-            script, index, done = repaired
-            if done:
+            script, index = outcome.script, outcome.index
+            if outcome.is_done:
                 return _final_text(script, index)
     finally:
         state.timed_out = cursor.timeouts > 0
@@ -378,55 +403,23 @@ def _final_text(script: ProofScript, applied_count: int) -> str:
     return script.text
 
 
-def _cascade(cursor: SessionCursor, script: ProofScript, index: int,
-             state: AttemptState, stage: Stage = Stage.ATP
-             ) -> Optional[tuple[ProofScript, int, bool]]:
-    """``atp_substitute`` at ``index``, sought to the step's prefix.  A win
-    is booked at ``stage`` and returned as ``_repair_chain`` returns it; a
-    loss returns None."""
-    cursor.seek(s.text for s in script.steps[:index])
-    outcome = atp_substitute(cursor, script, index)
-    state.extra_calls += outcome.extra_calls
-    if outcome.success:
-        state.stage = _advance(state.stage, stage)
-        state.has_sc = state.has_sc or script.steps[index].is_sorry
-        return outcome.script, index + 1, outcome.is_done
-    return None
-
-
 def _repair_chain(
     cursor: SessionCursor, script: ProofScript, index: int,
     state: AttemptState, statement: str, model: ModelBackend,
     budget: BudgetConfig, few_shots: Sequence[tuple[str, str]],
-) -> Optional[tuple[ProofScript, int, bool]]:
-    """Repair at a failing or placeholder position: the cascade, then ERP,
-    then a backtrack with one last cascade, on the placeholder the block
-    collapses into.  The backtrack's win is the ``heuristic`` stage when
-    ``heuristic_repair`` holds for the failing step, and ``atp`` otherwise.
-    The chain never comes back to one prefix and goal body within a
-    candidate, so ERP asks the model at most once for each.
-
-    Returns the repaired script, the index to go on from (the count of
-    steps applied when the proof is done) and whether the proof is done; None
-    when every stage lost.
-    """
-    won = _cascade(cursor, script, index, state)
-    if won is not None:
-        return won
-
-    if budget.erp_enabled:
-        erp = erp_repair(cursor, script, index, model, statement, budget,
-                         few_shots)
-        if erp.success:
-            state.stage = _advance(state.stage, Stage.ERP)
-            return erp.script, len(erp.script.steps), True
-
-    stage = Stage.HEURISTIC if heuristic_repair(script, index) else Stage.ATP
-    target = _backtrack_target(script, index)
-    truncated = truncate_to_block(script, target)
-    if truncated.steps == script.steps or target == 0:
-        return None
-    return _cascade(cursor, truncated, target, state, stage)
+) -> RepairOutcome:
+    """Repair at a failing or placeholder position: the cascade, then ERP
+    when enabled, then the backtrack, each stage booking its own calls and
+    win; the first win, else the backtrack's loss.  The chain never comes
+    back to one prefix and goal body within a candidate, so ERP asks the
+    model at most once for each."""
+    outcome = atp_substitute(cursor, script, index, state)
+    if not outcome.success and budget.erp_enabled:
+        outcome = erp_repair(cursor, script, index, state, model, statement,
+                             budget, few_shots)
+    if not outcome.success:
+        outcome = _backtrack(cursor, script, index, state)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from proofseek import engine
 from proofseek.engine import (
     CASCADE,
     AttemptRecord,
+    AttemptState,
     BudgetConfig,
     _backtrack_target,
     atp_substitute,
@@ -39,9 +40,11 @@ from proofseek.prover import (
     RecordingProver,
     ReplayProver,
     SessionCursor,
+    StepResult,
     WireProver,
     check_script,
     justification,
+    normalize_step,
 )
 
 from fixtures import (
@@ -821,7 +824,8 @@ def _held_body_cursor(prover):
     after `proof -`."""
     cursor = _cursor(prover)
     cursor.advance(["proof -"])
-    outcome = atp_substitute(cursor, parse_script('proof - have "x" sorry'), 1)
+    outcome = atp_substitute(cursor, parse_script('proof - have "x" sorry'), 1,
+                             AttemptState())
     assert not outcome.success
     return cursor
 
@@ -919,6 +923,30 @@ def _coherent_tables(draw):
     return table
 
 
+class _SimpAfterA(MockProver):
+    """A MockProver whose verdicts hang on more history than block depth,
+    goal body and completion: `by simp`, bare or as `<body> by simp`, is
+    refused in a session that accepted no step with goal body `have "a"`
+    before it, the body of `<body> by simp` counting as before it.  So a
+    step sent from another place than the caller's can get another verdict
+    than one sent from there."""
+
+    def __init__(self, table):
+        super().__init__(table=table)
+        self.after_a: set[str] = set()  # sessions that accepted `have "a"`
+
+    def apply(self, session_id, step_text, timeout_s=None):
+        text = normalize_step(step_text)
+        body = text.split(" by ")[0]
+        if (text.endswith("by simp") and body != 'have "a"'
+                and session_id not in self.after_a):
+            return StepResult("error", None, 'simp needs "a"', False)
+        result = super().apply(session_id, step_text, timeout_s)
+        if result.ok and body == 'have "a"':
+            self.after_a.add(session_id)
+        return result
+
+
 class _FreshSessionCursor:
     """Reference: the caller's accepted steps, replayed into a fresh session
     before every apply."""
@@ -931,7 +959,7 @@ class _FreshSessionCursor:
         self.path = list(prefix)
 
     def apply(self, text):
-        prover = MockProver(table=self.table)
+        prover = _SimpAfterA(self.table)
         session = prover.init_session("theory")
         for step in self.path:
             assert prover.apply(session, step).ok
@@ -942,31 +970,40 @@ class _FreshSessionCursor:
 
 
 _SEEK = st.tuples(st.just("seek"), st.integers(0, 99), st.integers(0, 99))
-_OPS = st.one_of(_SEEK, st.tuples(st.just("apply"), st.sampled_from(_STEPS),
-                                  st.none()))
+# Half the steps applied are those the double's verdicts hang on: the bare
+# goal bodies (`have "a"` among them) and the `by simp` steps.
+_SIMP_STEPS = (*_BODIES, *(w for w in _WHOLES if w.endswith("by simp")))
+_APPLY = st.tuples(st.just("apply"), st.one_of(st.sampled_from(_STEPS),
+                                               st.sampled_from(_SIMP_STEPS)),
+                   st.none())
+_OPS = st.one_of(_SEEK, _APPLY, _APPLY)
 
 
 @settings(max_examples=500, deadline=None, database=None)
-@given(_coherent_tables(), st.lists(_OPS, max_size=30))
-@example({'have "b"': "ok", "by simp": "ok"},
-         [("apply", 'have "b"', None), ("seek", 0, 0),
-          ("apply", "by simp", None)])
+@given(_coherent_tables(), st.lists(_OPS, min_size=12, max_size=30))
+@example({'have "b"': "ok", "by auto": "ok"},
+         [("apply", 'have "b"', None), ("seek", 0, 1),
+          ("apply", "by auto", None)])
 @example({"proof -": "ok", 'have "a"': "ok", 'have "a" by auto': "ok",
           "by simp": "ok"},
-         [("apply", "proof -", None), ("seek", 0, 0),
-          ("apply", 'have "a"', None), ("seek", 1, 1),
+         [("apply", "proof -", None), ("seek", 0, 1),
+          ("apply", 'have "a"', None), ("seek", 1, 0),
           ("apply", 'have "a" by auto', None), ("apply", "by simp", None)])
 def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
     # Seeks go to prefixes the reference accepted; every verdict, whether
     # the cursor walked, recalled, finished a goal body, rebuilt or asked,
-    # must be the one a fresh session gives after the same steps.
-    cursor = _cursor(MockProver(table=table))
+    # must be the one a fresh session gives after the same steps.  Both
+    # sides run the history-sensitive double, so a step sent from the wrong
+    # place shows in the verdict.  A seek counts back from the latest path
+    # and from its end, so the small numbers that hypothesis favours step
+    # back a little from where the caller stands, as the repair stages do.
+    cursor = _cursor(_SimpAfterA(table))
     reference = _FreshSessionCursor(table)
     accepted = [[]]
     for op, first, second in ops:
         if op == "seek":
-            path = accepted[first % len(accepted)]
-            prefix = path[:second % (len(path) + 1)]
+            path = accepted[-1 - first % len(accepted)]
+            prefix = path[:len(path) - second % (len(path) + 1)]
             cursor.seek(prefix)
             reference.seek(prefix)
             continue
@@ -1016,14 +1053,13 @@ def test_placeholder_cascade_sends_only_what_timed_out_before(drawn):
     cursor = _cursor(prover)
     assert cursor.advance(["proof -"]).count == 1
     script = parse_script('proof - have "x" by bad')
-    if atp_substitute(cursor, script, 1).success:
+    if atp_substitute(cursor, script, 1, AttemptState()).success:
         return
     timed_out = {e["request"]["step"] for e in prover.trace
                  if e["response"]["status"] == "timeout"}
     sent = len(prover.trace)
-    cursor.seek(["proof -"])
     placeholder = script.steps[1].with_justification("sorry")
-    atp_substitute(cursor, splice(script, 1, placeholder), 1)
+    atp_substitute(cursor, splice(script, 1, placeholder), 1, AttemptState())
     again = [f'have "x" {step}' if step.startswith("by ") else step
              for step in _steps(prover)[sent:]]
     assert set(again) <= timed_out
@@ -1352,9 +1388,10 @@ def test_atp_substitute_sorry_position_arithmetic():
     prover = MockProver(table={'have "g"': "ok", "by fastforce": "ok"})
     cursor = _cursor(prover)
     script = parse_script('have "g" sorry')
-    outcome = atp_substitute(cursor, script, 0)
+    state = AttemptState()
+    outcome = atp_substitute(cursor, script, 0, state)
     assert outcome.success
-    assert outcome.extra_calls == 4  # auto, simp, blast, fastforce
+    assert state.extra_calls == 4  # auto, simp, blast, fastforce
     assert outcome.script.steps[0].text == 'have "g" by fastforce'
 
 
@@ -1364,9 +1401,10 @@ def test_atp_substitute_hammer_result_spliced():
                         hammer="by (metis foo)")
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
-    outcome = atp_substitute(cursor, script, 0)
+    state = AttemptState()
+    outcome = atp_substitute(cursor, script, 0, state)
     assert outcome.success
-    assert outcome.extra_calls == 10  # 9 tactics + hammer
+    assert state.extra_calls == 10  # 9 tactics + hammer
     assert outcome.script.steps[0].text == 'have "g" by (metis foo)'
 
 
@@ -1390,7 +1428,7 @@ def test_atp_substitute_total_failure_leaves_script_unchanged():
     prover = RecordingProver(MockProver(table={'have "g"': "ok"}))
     cursor = _cursor(prover)
     script = parse_script('have "g" by wrong')
-    outcome = atp_substitute(cursor, script, 0)
+    outcome = atp_substitute(cursor, script, 0, AttemptState())
     assert not outcome.success
     assert outcome.script is script
     # the goal body opened for the hammer is where the session stands, so a
@@ -1407,7 +1445,8 @@ def test_erp_repair_merges_validated_continuation():
     script = parse_script(ATP_CANDIDATE)
     cursor = _cursor(prover)
     cursor.advance(["proof -"])
-    outcome = erp_repair(cursor, script, 1, model, STATEMENT, BudgetConfig())
+    outcome = erp_repair(cursor, script, 1, AttemptState(), model, STATEMENT,
+                         BudgetConfig())
     assert outcome.success
     assert len(prover.requests("init")) == 1  # no probe session
     texts = [s.text for s in outcome.script.steps]
