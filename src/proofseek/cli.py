@@ -305,12 +305,11 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
         prover.shutdown()
     sample_count = len(result.sft_pool) if args.sample_count is None \
         else min(args.sample_count, len(result.sft_pool))
-    pool_size = config.budget.prover.pool_size
     sft_records, sft_drops = curate_mod.build_sft_records(
         result.sft_pool, model, sample_count, seed=seed,
-        params=config.budget.model, pool_size=pool_size)
+        params=config.budget.model)
     rl_records, rl_drops = curate_mod.build_rl_records(
-        result.rl_pool, model, params=config.budget.model, pool_size=pool_size)
+        result.rl_pool, model, params=config.budget.model)
 
     write_jsonl(out_dir / "sft.jsonl", [r.to_json() for r in sft_records])
     write_jsonl(out_dir / "rl.jsonl", [r.to_json() for r in rl_records])
@@ -347,6 +346,17 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _count(text: str) -> int:
+    """An argparse type for a count: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", help="filter a corpus and build datasets")
     common(p)
     p.add_argument("corpus", help="JSONL with statement/proof")
-    p.add_argument("--sample-count", type=int, default=None)
+    p.add_argument("--sample-count", type=_count, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_curate)
 

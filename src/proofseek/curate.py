@@ -24,7 +24,7 @@ from .errors import ParseError, TheoryLoadError, TransportError
 from .isar import extract_proof_text, parse_script, token_equivalent
 from .model import ModelBackend, ModelParams
 from .prompts import nl_statement_prompt
-from .prover import ProverBackend, ProverConfig, check_script
+from .prover import ProverBackend, check_script
 
 __all__ = [
     "FilterResult",
@@ -96,7 +96,8 @@ def filter_self_contained(pairs: Sequence[TheoremProofPair],
     A proof that fails to parse, or whose statement will not load, cannot be
     self-contained and lands in the remainder; transport aborts are excluded
     from both pools with a logged warning.  The partition is exact and
-    order-preserving.
+    order-preserving.  Checking is prover work: the pairs run on
+    ``pool_size`` workers, by default the prover's own pool size.
     """
     outcomes = run_pool(list(pairs),
                         lambda pair: _verifies(prover, pair.statement, pair.proof),
@@ -140,19 +141,19 @@ def _generate_nl(pair: TheoremProofPair, model: ModelBackend,
 
 def _nl_statements(
     pairs: Sequence[TheoremProofPair], model: ModelBackend,
-    params: Optional[ModelParams], pool_size: Optional[int],
+    params: Optional[ModelParams],
 ) -> tuple[list[Optional[str]], list[dict]]:
     """Each pair's NL statement, or None when its generation fails
     validation twice, in pair order, with a drop reported for each None.
-    The pairs run on a pool of ``pool_size`` workers (by default the
-    prover's default pool size).  The first error a model call raises (a
-    TransportError, say) is raised once the calls in flight are done, and
-    no call starts after it."""
+    Up to ``params.max_samples`` pairs are asked for at once: no more
+    completions in flight than one whole-proof request may ask for.  The
+    first error a model call raises (a TransportError, say) is raised once
+    the calls in flight are done, and no call starts after it."""
     params = params or ModelParams()
     faults: list[Exception] = []
     texts = run_pool(list(pairs),
                      lambda pair: _generate_nl(pair, model, params, faults),
-                     pool_size or ProverConfig.pool_size)
+                     params.max_samples)
     if faults:
         raise faults[0]
     drops = [{"statement": pair.statement,
@@ -164,30 +165,31 @@ def _nl_statements(
 def build_sft_records(
     pool: Sequence[TheoremProofPair], model: ModelBackend, sample_count: int,
     seed: int = 0, params: Optional[ModelParams] = None,
-    pool_size: Optional[int] = None,
 ) -> tuple[list[SftRecord], list[dict]]:
     """Seeded sample of the pool with one NL-statement generation per pair,
-    the pairs on a pool of ``pool_size`` workers.
+    up to ``params.max_samples`` pairs at a time.
 
     Pairs whose generation fails validation twice are dropped and reported,
     not retried further.  Returns (records, drops), in sample order.
     """
-    if sample_count > len(pool):
-        raise ValueError(f"sample_count {sample_count} exceeds pool size {len(pool)}")
+    if not 0 <= sample_count <= len(pool):
+        raise ValueError(f"sample_count {sample_count} is not within 0 and "
+                         f"the pool size {len(pool)}")
     rng = random.Random(seed)
     chosen = [pool[index]
               for index in sorted(rng.sample(range(len(pool)), sample_count))]
-    texts, drops = _nl_statements(chosen, model, params, pool_size)
+    texts, drops = _nl_statements(chosen, model, params)
     return [SftRecord(pair.proof, pair.statement, text)
             for pair, text in zip(chosen, texts) if text is not None], drops
 
 
 def build_rl_records(
     pool: Sequence[TheoremProofPair], model: ModelBackend,
-    params: Optional[ModelParams] = None, pool_size: Optional[int] = None,
+    params: Optional[ModelParams] = None,
 ) -> tuple[list[RlRecord], list[dict]]:
-    """NL statement per verified pair, same drop policy as the SFT records."""
-    texts, drops = _nl_statements(pool, model, params, pool_size)
+    """NL statement per verified pair, same drop policy and the same
+    ``params.max_samples`` pairs at a time as the SFT records."""
+    texts, drops = _nl_statements(pool, model, params)
     return [RlRecord(text, pair.proof)
             for pair, text in zip(pool, texts) if text is not None], drops
 

@@ -746,6 +746,23 @@ def test_cmd_curate_pools_and_manifest(tmp_path, capsys):
     assert len(read_jsonl(tmp_path / "out" / "rl.jsonl")) == 3
 
 
+def test_cmd_curate_rejects_a_negative_sample_count_before_proving(
+        tmp_path, monkeypatch, capsys):
+    from proofseek import cli
+
+    built = []
+    build = cli.build_prover
+    monkeypatch.setattr(cli, "build_prover", lambda config: built.append(
+        config) or build(config))
+    corpus, fixtures = _curate_fixture(tmp_path)
+    config = write_config(tmp_path, mode="mock", fixtures=fixtures)
+    with pytest.raises(SystemExit) as exit_:
+        main(["curate", corpus, "--config", config, "--sample-count", "-1"])
+    assert exit_.value.code == 2
+    assert "--sample-count" in capsys.readouterr().err
+    assert not built
+
+
 def test_cmd_curate_rerun_byte_identical(tmp_path):
     corpus, fixtures = _curate_fixture(tmp_path)
     out_a = tmp_path / "a"
@@ -760,8 +777,9 @@ def test_cmd_curate_rerun_byte_identical(tmp_path):
 
 
 def test_cmd_curate_replay_on_a_pool_reruns_byte_identical(tmp_path):
-    # Each pair has its own replayed statement, and the records are asked
-    # for on a pool of 4: both runs write the same bytes, in pair order.
+    # Each pair has its own replayed statement; the pairs are checked on a
+    # pool of 4 and their statements asked for up to 10 at a time (the
+    # model's max_samples): both runs write the same bytes, in pair order.
     corpus, fixtures = _curate_fixture(tmp_path)
     fixtures["model_replay"] = _replay_nl_statements(tmp_path, corpus)
     config = write_config(tmp_path, mode="replay", fixtures=fixtures,

@@ -14,7 +14,12 @@ from proofseek.curate import (
     reward_verification,
 )
 from proofseek.errors import TransportError
-from proofseek.model import MockModel, ModelBackend, RecordingModel
+from proofseek.model import (
+    MockModel,
+    ModelBackend,
+    ModelParams,
+    RecordingModel,
+)
 from proofseek.prover import (
     MockProver,
     ProverConfig,
@@ -170,6 +175,13 @@ def test_build_sft_records_sample_count_bound():
         build_sft_records(_pairs(3), MockModel({}), 5)
 
 
+def test_build_sft_records_rejects_a_negative_sample_count():
+    model = _PairModel()
+    with pytest.raises(ValueError, match="sample_count"):
+        build_sft_records(_pairs(3), model, -1)
+    assert not model.events
+
+
 def test_build_rl_records():
     pool = _pairs(3)
     model = MockModel({"nl_statement": [["nl text"]]})
@@ -215,7 +227,8 @@ def test_records_and_drops_come_in_pair_order_whatever_order_answers_come():
     pool = _pairs(6)
     model = _PairModel(answer=lambda i, _try: "" if i in (1, 4) else f"nl {i}",
                        delay=lambda i: 0.05 * (6 - i))
-    records, drops = build_rl_records(pool, model, pool_size=6)
+    records, drops = build_rl_records(pool, model,
+                                      params=ModelParams(max_samples=6))
     ends = [i for kind, i in model.events if kind == "end"]
     assert ends.index(5) < ends.index(0)
     assert [(r.formal_proof, r.natural_language_statement) for r in records] == \
@@ -227,24 +240,23 @@ def test_records_and_drops_come_in_pair_order_whatever_order_answers_come():
 
 def test_sft_records_come_in_sample_order_whatever_order_answers_come():
     pool = _pairs(8)
-    want, _ = build_sft_records(pool, _PairModel(), 5, seed=11, pool_size=1)
+    want, _ = build_sft_records(pool, _PairModel(), 5, seed=11,
+                                params=ModelParams(max_samples=1))
     records, drops = build_sft_records(
         pool, _PairModel(delay=lambda i: 0.02 * (8 - i)), 5, seed=11,
-        pool_size=5)
+        params=ModelParams(max_samples=5))
     assert records == want and not drops
 
 
-def test_no_more_requests_in_flight_than_the_pool_size():
-    model = _PairModel(delay=lambda _i: 0.05)
-    records, _ = build_rl_records(_pairs(10), model, pool_size=3)
-    assert len(records) == 10
-    assert 1 < model.peak <= 3
-
-
-def test_the_pool_size_defaults_to_the_prover_default():
-    model = _PairModel(delay=lambda _i: 0.05)
-    build_rl_records(_pairs(10), model)
-    assert 1 < model.peak <= ProverConfig().pool_size == 4
+@pytest.mark.parametrize("params, peak", [(ModelParams(), 10),
+                                          (ModelParams(max_samples=3), 3)])
+def test_no_more_requests_in_flight_than_the_models_max_samples(params, peak):
+    # One request per pair, as many in flight as one whole-proof request
+    # may ask the endpoint for: 10 by default, 3 when the model allows 3.
+    model = _PairModel(delay=lambda _i: 0.2)
+    records, _ = build_rl_records(_pairs(12), model, params=params)
+    assert len(records) == 12
+    assert model.peak == peak
 
 
 def test_each_pair_is_retried_once_on_its_own():
@@ -254,7 +266,8 @@ def test_each_pair_is_retried_once_on_its_own():
     model = _PairModel(
         answer=lambda i, attempt: f"nl {i}" if attempt and i % 2 == 0 else " ",
         delay=lambda i: 0.01 * i)
-    records, drops = build_rl_records(pool, model, pool_size=4)
+    records, drops = build_rl_records(pool, model,
+                                      params=ModelParams(max_samples=4))
     assert model.tries == Counter({i: 2 for i in range(6)})
     assert [r.natural_language_statement for r in records] == \
         ["nl 0", "nl 2", "nl 4"]
@@ -273,7 +286,8 @@ def test_a_model_fault_raises_and_no_request_starts_after_it():
 
     model = _PairModel(answer=answer, delay=lambda i: 0.05 if i == 0 else 0.3)
     with pytest.raises(TransportError, match="model endpoint failed"):
-        build_rl_records(_pairs(10), model, pool_size=2)
+        build_rl_records(_pairs(10), model,
+                         params=ModelParams(max_samples=2))
     assert model.tries == Counter({0: 1, 1: 1})
     assert sorted(model.events[:2]) == [("start", 0), ("start", 1)]
     assert model.events[2:] == [("end", 0), ("end", 1)]
@@ -294,7 +308,8 @@ def test_faults_from_many_workers_at_once_are_never_lost():
         for _ in range(20):
             model = _PairModel(answer=answer)
             with pytest.raises(TransportError):
-                build_rl_records(_pairs(40), model, pool_size=8)
+                build_rl_records(_pairs(40), model,
+                                 params=ModelParams(max_samples=8))
             assert max(model.tries.values()) <= 2
     finally:
         sys.setswitchinterval(interval)
