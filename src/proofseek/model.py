@@ -4,9 +4,9 @@ deterministic replay and mock implementations every test runs against.
 All backends share one surface: ``complete(params, prompt, n) -> list[str]``,
 1 to ``n`` completions, safe to call from many threads at once.  No lock is
 held across a request, so ``ChatModelClient`` sends concurrent requests in
-parallel; only the backends that mutate shared state lock it (``MockModel``
-its per-purpose cursor, ``ReplayModel`` its batches left, ``RecordingModel``
-its ``requests`` list).  Backends only answer requests; wrapping one in
+parallel; only the backends that mutate shared state lock it (``ReplayModel``,
+and so ``MockModel``, its batches left, ``RecordingModel`` its ``requests``
+list).  Backends only answer requests; wrapping one in
 ``RecordingModel`` captures each request (purpose, sampling parameters, n,
 completions) for budget and sampling audits and for writing replay
 fixtures.  Replay fixtures are JSONL records ``{"digest": ...,
@@ -209,7 +209,9 @@ class ReplayModel(ModelBackend):
     """Serves stored completions keyed by prompt digest.  A fixture file
     may hold several batches for one digest (``load_replay_fixtures``), and
     they are given in file order, the last one repeating; a dict maps each
-    digest to its one batch."""
+    digest to its one batch.  A key with no batches, or with an empty list
+    of them, is MissingFixture.  ``_key`` is the one thing a subclass
+    changes: which queue a prompt draws from."""
 
     def __init__(self, fixtures: Union[str, Path, dict[str, list[str]]]):
         super().__init__()
@@ -218,48 +220,43 @@ class ReplayModel(ModelBackend):
                          else {digest: [list(batch)]
                                for digest, batch in fixtures.items()})
 
+    def _key(self, prompt: PromptRecord) -> str:
+        return prompt_digest(prompt)
+
     def _complete(self, params: ModelParams, prompt: PromptRecord,
                   n: int) -> list[str]:
-        digest = prompt_digest(prompt)
+        key = self._key(prompt)
         with self._lock:
-            batches = self._batches.get(digest)
+            batches = self._batches.get(key)
             if not batches:
-                raise MissingFixture(f"no replay fixture for "
-                                     f"purpose={prompt.purpose} digest={digest}")
+                raise MissingFixture(f"no batch for purpose={prompt.purpose} "
+                                     f"under key {key}")
             batch = batches.pop(0) if len(batches) > 1 else batches[0]
         return batch[:n]
 
 
-class MockModel(ModelBackend):
-    """Scripted backend: per-purpose queues of completion batches.
+class MockModel(ReplayModel):
+    """Scripted backend: a ``ReplayModel`` keyed by purpose.
 
-    ``script`` maps purpose to a list of batches; each ``complete`` call for
-    that purpose consumes the next batch (the last batch is sticky, so a
-    single entry behaves like a constant function).  A script of any other
-    shape (a purpose not in ``PURPOSES``, batches or a batch that is not a
-    list, a completion that is not a string) raises ValueError.
+    ``script`` maps purpose to a list of batches, given in order, the last
+    one repeating (so a single entry behaves like a constant function).  A
+    script of any other shape (a purpose not in ``PURPOSES``, batches or a
+    batch that is not a list, a completion that is not a string) raises
+    ValueError.
     """
 
     def __init__(self, script: dict[str, list[list[str]]]):
-        super().__init__()
         if not isinstance(script, dict) or not all(
                 purpose in PURPOSES and isinstance(batches, list)
                 and all(is_texts(batch) for batch in batches)
                 for purpose, batches in script.items()):
             raise ValueError("a mock model script maps purposes to lists of "
                              "batches, each a list of strings")
-        self._script = {k: [list(batch) for batch in v] for k, v in script.items()}
-        self._cursor: dict[str, int] = {k: 0 for k in self._script}
+        super().__init__({})
+        self._batches = {k: [list(batch) for batch in v] for k, v in script.items()}
 
-    def _complete(self, params: ModelParams, prompt: PromptRecord,
-                  n: int) -> list[str]:
-        batches = self._script.get(prompt.purpose)
-        if not batches:
-            raise MissingFixture(f"mock has no script for purpose={prompt.purpose}")
-        with self._lock:
-            pos = min(self._cursor[prompt.purpose], len(batches) - 1)
-            self._cursor[prompt.purpose] += 1
-        return list(batches[pos][:n])
+    def _key(self, prompt: PromptRecord) -> str:
+        return prompt.purpose
 
 
 class RecordingModel(ModelBackend):

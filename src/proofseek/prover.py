@@ -63,6 +63,7 @@ from .isar import (
     GOAL_KEYWORDS,
     OPENER,
     ProofScript,
+    parse_script,
     strip_terminal_marker,
     tokenize,
 )
@@ -365,6 +366,19 @@ def _split_by(text: str) -> Optional[tuple[str, str]]:
     return (text[:at].rstrip(), text[at:]) if at else None
 
 
+def _as_step(text: str) -> str:
+    """``text`` as ``parse_script`` writes it when it is exactly one step
+    (``by(simp)`` is ``by (simp)``), then whitespace-normalized; any other
+    text is only whitespace-normalized."""
+    try:
+        script = parse_script(text)
+    except ParseError:  # no step keyword at all, or an unterminated string
+        return normalize_step(text)
+    if len(script.steps) == 1 and not (script.preamble or script.trailing_comments):
+        text = script.steps[0].text
+    return normalize_step(text)
+
+
 def _goal_body(text: str) -> Optional[str]:
     """``text`` when it states a goal and leaves it open, else None."""
     words = _words(text)
@@ -378,8 +392,10 @@ class MockProver(ProverBackend):
     answer is a function of the request and the session's own accepted
     steps, so a step one session had accepted is accepted in any other.
 
-    ``table`` maps whitespace-normalized step text to an outcome ("ok",
-    "error", "timeout", a MockOutcome, or its JSON object form); unlisted
+    ``table`` maps step text to an outcome ("ok", "error", "timeout", a
+    MockOutcome, or its JSON object form).  Each key, each request and each
+    hammer tactic's ``by`` step is read as ``parse_script`` writes the step
+    (``by(simp)`` is ``by (simp)``), then whitespace-normalized; unlisted
     steps get ``default``.  ``is_done`` is taken from the outcome when given,
     otherwise inferred structurally (closing ``qed`` at depth zero, or a
     top-level terminal ``by``).  Once a step finishes the proof, every later
@@ -412,7 +428,7 @@ class MockProver(ProverBackend):
         super().__init__(config)
         if not isinstance(table, (dict, type(None))):
             raise TypeError(f"table must be an object, got {table!r:.80}")
-        self.table = {normalize_step(k): MockOutcome.of(v)
+        self.table = {_as_step(k): MockOutcome.of(v)
                       for k, v in (table or {}).items()}
         self.default = MockOutcome.of(default)
         for text, outcome in self.table.items():
@@ -457,8 +473,7 @@ class MockProver(ProverBackend):
             if step_text == HAMMER_STEP:
                 outcome, judged = self._hammer_call(state.body, timeout_s)
             else:
-                outcome, judged = self._judge(state.body,
-                                              normalize_step(step_text))
+                outcome, judged = self._judge(state.body, _as_step(step_text))
             if outcome.delay_s > timeout_s:
                 return StepResult(TIMEOUT, None,
                                   f"step exceeded {timeout_s}s", False)
@@ -517,8 +532,7 @@ class MockProver(ProverBackend):
         open goal body if any, and the step it stands for: those of the
         first tactic whose ``by T`` the table does not refuse there."""
         for tactic in self.hammer:
-            outcome, judged = self._judge(
-                body, normalize_step(justification(tactic)))
+            outcome, judged = self._judge(body, _as_step(justification(tactic)))
             if outcome.status == OK:
                 return replace(outcome, message=tactic), judged
             if outcome.status == TIMEOUT or outcome.delay_s > timeout_s:
@@ -635,7 +649,9 @@ class ReplayProver(ProverBackend):
 class RecordingProver(ProverBackend):
     """Wraps a backend and captures a replayable request/response trace:
     the one record of what was sent to the prover (``requests``), and the
-    fixture ``ReplayProver`` plays back (``dump``).  A TransportError of
+    fixture ``ReplayProver`` plays back (``dump``).  Every step goes to the
+    inner backend through ``apply_steps``, a single ``apply`` as a run of
+    one, and is recorded there as one ``apply`` entry.  A TransportError of
     the backend is recorded as the error reply that reports it (``_fault``)
     and raised again, so a replay raises it where the run did."""
 
@@ -662,14 +678,7 @@ class RecordingProver(ProverBackend):
 
     def apply(self, session_id: str, step_text: str,
               timeout_s: Optional[float] = None) -> StepResult:
-        request = _request("apply", session_id, step_text, timeout_s)
-        try:
-            result = self.inner.apply(session_id, step_text, timeout_s)
-        except TransportError as exc:
-            self._record(request, _fault(exc))
-            raise
-        self._record(request, _step_response(result))
-        return result
+        return self.apply_steps(session_id, [step_text], timeout_s)[0]
 
     def apply_steps(self, session_id: str, texts: Sequence[str],
                     timeout_s: Optional[float] = None) -> list[StepResult]:
@@ -1067,9 +1076,10 @@ class SessionCursor:
               said: Optional[str] = None) -> StepResult:
         """Keep the prover's answer to ``text`` where the session stands,
         unless it is a timeout, under the step's other texts too.  An
-        accepted step moves the session and the caller to the node it leads
-        to, and adds ``said``, the caller's text for it, or ``text`` to the
-        caller's path."""
+        accepted step leads to the node one of its other texts already
+        leads to, if any, as ``text`` does from then on; it moves the
+        session and the caller there, and adds ``said``, the caller's text
+        for it, or ``text`` to the caller's path."""
         node = self._node
         key = (node, text)
         status = result.status
@@ -1084,15 +1094,18 @@ class SessionCursor:
                 self._trie[alias] = result
             return result
         seen = self._trie.get(key)
-        if seen is None:
-            seen = self._trie[key] = len(self._edges)
-            self._edges.append((node, text, result))
         for alias in aliases:
             kept = self._trie.get(alias)
             if isinstance(kept, int):
                 # an equivalent state already kept is where the session stands
                 seen = kept
-            else:  # the fresh acceptance outranks a refusal kept there
+        if seen is None:
+            seen = len(self._edges)
+            self._edges.append((node, text, result))
+        self._trie[key] = seen
+        for alias in aliases:
+            # the fresh acceptance outranks a refusal kept there
+            if not isinstance(self._trie.get(alias), int):
                 self._trie[alias] = seen
         self._node = self._at = seen
         self._path.append(said or text)
@@ -1140,7 +1153,6 @@ class SessionCursor:
 @dataclass(frozen=True)
 class CheckReport:
     success: bool
-    failing_index: Optional[int]
 
 
 def check_script(prover: ProverBackend, statement: str,
@@ -1149,13 +1161,13 @@ def check_script(prover: ProverBackend, statement: str,
 
     Steps are applied literally (placeholders included — this is a checker,
     not a repair engine).  Success means the prover reported a terminal
-    accepted state; an empty script fails at index 0 since goals remain.
+    accepted state; an empty script fails, since goals remain.
     """
     if not script.steps:
-        return CheckReport(False, 0)
+        return CheckReport(False)
     cursor = SessionCursor(prover, statement, prover.config)
     try:
         run = cursor.advance(step.text for step in script.steps)
     finally:
         cursor.close()
-    return CheckReport(run.done, run.count if run.failed else None)
+    return CheckReport(run.done)

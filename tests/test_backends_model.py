@@ -194,8 +194,10 @@ def test_empty_completion_batch_is_transport_error(backend):
 
 
 def test_mock_model_missing_purpose():
-    with pytest.raises(MissingFixture):
-        MockModel({}).complete(ModelParams(), _prompt(), 1)
+    # a purpose with no script, or with an empty list of batches
+    for script in ({}, {"whole_proof": []}):
+        with pytest.raises(MissingFixture):
+            MockModel(script).complete(ModelParams(), _prompt(), 1)
 
 
 @pytest.mark.parametrize("script", [
@@ -288,6 +290,24 @@ def test_chat_client_sends_concurrent_requests_at_once():
                 ["first"], ["second"]]
     finally:
         server.stop()
+
+
+def test_chat_client_sends_stop_sequences_as_a_list():
+    bodies = []
+
+    def answer(body):
+        bodies.append(body)
+        return ["done"]
+
+    server = ChatServer(answer)
+    client = ChatModelClient(url=server.url, api_key="", timeout_s=30)
+    try:
+        client.complete(ModelParams(stop=("qed", "end")), _prompt(), 1)
+        client.complete(ModelParams(), _prompt(), 1)
+    finally:
+        server.stop()
+    assert bodies[0]["stop"] == ["qed", "end"]
+    assert "stop" not in bodies[1]
 
 
 def test_chat_client_closes_an_error_reply():

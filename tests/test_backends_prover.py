@@ -149,6 +149,18 @@ def test_mock_holds_a_quoted_goal_with_a_by_as_an_open_goal_body():
     assert mock.apply(session, "by simp").ok
 
 
+def test_mock_reads_a_table_key_as_the_parser_writes_the_step():
+    # `by(simp)` is `by (simp)` to the parser, so a script written with the
+    # table's own key is checked step by step against that key, and the
+    # two-step form of `have "x" by (simp)` finds the bare `by(simp)` entry.
+    table = {"proof -": "ok", 'have "x"': "ok", 'have "x" by(simp)': "ok",
+             "qed": "ok"}
+    assert check_script(MockProver(table=table), "thm",
+                        parse_script('proof -\nhave "x" by(simp)\nqed')).success
+    mock = MockProver(table={'have "x"': "ok", "by(simp)": "ok"})
+    assert mock.apply(mock.init_session("t"), 'have "x" by (simp)').ok
+
+
 def test_mock_auto_done_at_closing_qed():
     mock = accepting_mock(['proof - have "a" by simp qed'])
     session = mock.init_session("t")
@@ -291,8 +303,14 @@ def test_check_script_golden_success(golden_proof_body, golden_mock):
     report = check_script(golden_mock, "theorem t: shows \"A\" oops",
                           parse_script(golden_proof_body))
     assert report.success
-    assert report.failing_index is None
     assert len(golden_mock.requests()) == 9
+
+
+def _answers(recorder):
+    """Each step the recorder's trace shows was sent, with its status."""
+    return [(entry["request"]["step"], entry["response"]["status"])
+            for entry in recorder.trace
+            if entry["request"]["command"] == "apply"]
 
 
 def test_check_script_failing_step():
@@ -302,20 +320,19 @@ def test_check_script_failing_step():
                           "have b": "ok", "have b by y": "ok"}))
     report = check_script(mock, "thm", script)
     assert not report.success
-    assert report.failing_index == 2
-    assert len(mock.requests()) == 3
+    assert _answers(mock) == [("have a by x", "ok"), ("have b by y", "ok"),
+                              ("have c by z", "error")]
 
 
 def test_check_script_empty_script():
     from proofseek.isar import slice_steps
     empty = slice_steps(parse_script("by simp"), 0)
-    report = check_script(MockProver(default="ok"), "thm", empty)
-    assert not report.success and report.failing_index == 0
-    # a script that runs out with goals remaining has no failing step
-    mock = MockProver(table={"have a": "ok",
-                             "have a by x": MockOutcome("ok", is_done=False)})
-    report = check_script(mock, "thm", parse_script("have a by x"))
-    assert (report.success, report.failing_index) == (False, None)
+    assert not check_script(MockProver(default="ok"), "thm", empty).success
+    # a script that runs out with goals remaining fails with no step refused
+    mock = RecordingProver(MockProver(
+        table={"have a": "ok", "have a by x": MockOutcome("ok", is_done=False)}))
+    assert not check_script(mock, "thm", parse_script("have a by x")).success
+    assert _answers(mock) == [("have a by x", "ok")]
 
 
 def test_check_script_stops_after_first_failure():
@@ -325,10 +342,12 @@ def test_check_script_stops_after_first_failure():
         text: "ok" for c, j in
         [("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"), ("e", "v")]
         for text in (f"have {c}", f"have {c} by {j}")}))
-    # step 5 fails: exactly 6 apply calls issued
+    # step 5 fails: the steps before it were accepted, and no step after
+    # it is sent
     report = check_script(mock, "thm", script)
-    assert report.failing_index == 5
-    assert len(mock.requests()) == 6
+    assert not report.success
+    assert _answers(mock) == [(step.text, "ok") for step in script.steps[:5]] \
+        + [("have f by u", "error")]
 
 
 # ---------------------------------------------------------------------------

@@ -763,6 +763,15 @@ def test_cmd_curate_rejects_a_negative_sample_count_before_proving(
     assert not built
 
 
+def test_cmd_curate_rejects_a_sample_count_that_is_no_integer(tmp_path, capsys):
+    corpus, fixtures = _curate_fixture(tmp_path)
+    config = write_config(tmp_path, mode="mock", fixtures=fixtures)
+    with pytest.raises(SystemExit) as exit_:
+        main(["curate", corpus, "--config", config, "--sample-count", "abc"])
+    assert exit_.value.code == 2
+    assert "--sample-count" in capsys.readouterr().err
+
+
 def test_cmd_curate_rerun_byte_identical(tmp_path):
     corpus, fixtures = _curate_fixture(tmp_path)
     out_a = tmp_path / "a"

@@ -91,6 +91,20 @@ def test_filter_transport_fault_is_undetermined():
     assert len(result.rl_pool) + len(result.sft_pool) == 3
 
 
+def test_filter_raises_a_check_error_that_is_no_transport_fault():
+    # a prover bug is neither a verdict on the pair nor a fault to log and
+    # go past: it is raised, and no pair is filed
+    class Broken(MockProver):
+        def init_session(self, theory_text):
+            if 'l1' in theory_text:
+                raise RuntimeError("prover bug")
+            return super().init_session(theory_text)
+
+    broken = Broken(table={proof: "ok" for proof in ACCEPTED})
+    with pytest.raises(RuntimeError, match="prover bug"):
+        filter_self_contained(_pairs(4), broken, pool_size=1)
+
+
 def test_a_lost_session_leaves_its_pair_undetermined():
     # The prover loses l1's session: the session fault escaped both the
     # filter and the reward.

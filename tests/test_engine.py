@@ -573,6 +573,17 @@ def test_soundness_relay_requires_prover_done():
     assert not record.success
 
 
+def test_steps_after_the_proof_is_done_are_cut_from_the_final_script():
+    # `by simp` finishes the proof, so the `by auto` after it is never sent
+    # and has no place in the proof the record keeps
+    table = {"by simp": "ok", "by auto": "ok"}
+    record = prove(STATEMENT, _model("by simp\nby auto"), MockProver(table=table),
+                   BudgetConfig(sample_budget=1))
+    assert record.success and record.final_script == "by simp"
+    assert check_script(MockProver(table=table), STATEMENT,
+                        parse_script(record.final_script)).success
+
+
 def test_transport_fault_raises_backend_unavailable():
     class FaultyProver(MockProver):
         def init_session(self, theory_text):
@@ -989,6 +1000,11 @@ _OPS = st.one_of(_SEEK, _APPLY, _APPLY)
          [("apply", "proof -", None), ("seek", 0, 1),
           ("apply", 'have "a"', None), ("seek", 1, 0),
           ("apply", 'have "a" by auto', None), ("apply", "by simp", None)])
+@example({'have "a"': "ok", "by simp": "ok"},
+         [("apply", 'have "a"', None), ("apply", 'have "a"', None),
+          ("seek", 0, 2), ("apply", 'have "a" by simp', None), ("seek", 2, 0),
+          ("apply", "by simp", None), ("apply", 'have "a"', None),
+          ("seek", 0, 0)])
 def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
     # Seeks go to prefixes the reference accepted; every verdict, whether
     # the cursor walked, recalled, finished a goal body, rebuilt or asked,
@@ -997,6 +1013,10 @@ def test_cursor_verdicts_match_a_fresh_session_replay(table, ops):
     # place shows in the verdict.  A seek counts back from the latest path
     # and from its end, so the small numbers that hypothesis favours step
     # back a little from where the caller stands, as the repair stages do.
+    # The last example pins a `by simp` accepted after `have "a"` where
+    # `have "a" by simp` was kept before: the step must lead to that kept
+    # node, where the session stands, or the path through it cannot be
+    # sought again.
     cursor = _cursor(_SimpAfterA(table))
     reference = _FreshSessionCursor(table)
     accepted = [[]]

@@ -53,6 +53,12 @@ def test_parse_missing_resource():
     assert err.value.field == "Resource"
 
 
+def test_parse_missing_action():
+    with pytest.raises(PolicyFormatError) as err:
+        parse_policy('{"Statement":[{"Effect":"Allow","Resource":"*"}]}')
+    assert err.value.field == "Action"
+
+
 def test_parse_missing_statement():
     with pytest.raises(PolicyFormatError) as err:
         parse_policy('{"Version": "2012-10-17"}')
