@@ -305,11 +305,9 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
         prover.shutdown()
     sample_count = len(result.sft_pool) if args.sample_count is None \
         else min(args.sample_count, len(result.sft_pool))
-    sft_records, sft_drops = curate_mod.build_sft_records(
-        result.sft_pool, model, sample_count, seed=seed,
+    sft_records, rl_records, drops = curate_mod.build_records(
+        result.sft_pool, result.rl_pool, model, sample_count, seed=seed,
         params=config.budget.model)
-    rl_records, rl_drops = curate_mod.build_rl_records(
-        result.rl_pool, model, params=config.budget.model)
 
     write_jsonl(out_dir / "sft.jsonl", [r.to_json() for r in sft_records])
     write_jsonl(out_dir / "rl.jsonl", [r.to_json() for r in rl_records])
@@ -324,7 +322,7 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
         "sft_sample_count": sample_count,
         "n_sft_records": len(sft_records),
         "n_rl_records": len(rl_records),
-        "drops": [*sft_drops, *rl_drops],
+        "drops": drops,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",

@@ -31,6 +31,7 @@ __all__ = [
     "RlRecord",
     "SftRecord",
     "TheoremProofPair",
+    "build_records",
     "build_rl_records",
     "build_sft_records",
     "filter_self_contained",
@@ -162,36 +163,51 @@ def _nl_statements(
     return texts, drops
 
 
+def build_records(
+    sft_pool: Sequence[TheoremProofPair], rl_pool: Sequence[TheoremProofPair],
+    model: ModelBackend, sample_count: int, seed: int = 0,
+    params: Optional[ModelParams] = None,
+) -> tuple[list[SftRecord], list[RlRecord], list[dict]]:
+    """SFT records for a seeded sample of ``sft_pool`` and RL records for
+    all of ``rl_pool``, from one NL-statement generation per pair.
+
+    The sample's pairs and then the RL pool's are asked for in one run of
+    ``_nl_statements``, so up to ``params.max_samples`` pairs of either
+    pool are in flight at once.  Pairs whose generation fails validation
+    twice are dropped and reported, not retried further.  Returns (SFT
+    records in sample order, RL records in pool order, drops in that same
+    order).
+    """
+    if not 0 <= sample_count <= len(sft_pool):
+        raise ValueError(f"sample_count {sample_count} is not within 0 and "
+                         f"the pool size {len(sft_pool)}")
+    rng = random.Random(seed)
+    chosen = [sft_pool[index]
+              for index in sorted(rng.sample(range(len(sft_pool)), sample_count))]
+    texts, drops = _nl_statements([*chosen, *rl_pool], model, params)
+    sft = [SftRecord(pair.proof, pair.statement, text)
+           for pair, text in zip(chosen, texts) if text is not None]
+    rl = [RlRecord(text, pair.proof)
+          for pair, text in zip(rl_pool, texts[len(chosen):]) if text is not None]
+    return sft, rl, drops
+
+
 def build_sft_records(
     pool: Sequence[TheoremProofPair], model: ModelBackend, sample_count: int,
     seed: int = 0, params: Optional[ModelParams] = None,
 ) -> tuple[list[SftRecord], list[dict]]:
-    """Seeded sample of the pool with one NL-statement generation per pair,
-    up to ``params.max_samples`` pairs at a time.
-
-    Pairs whose generation fails validation twice are dropped and reported,
-    not retried further.  Returns (records, drops), in sample order.
-    """
-    if not 0 <= sample_count <= len(pool):
-        raise ValueError(f"sample_count {sample_count} is not within 0 and "
-                         f"the pool size {len(pool)}")
-    rng = random.Random(seed)
-    chosen = [pool[index]
-              for index in sorted(rng.sample(range(len(pool)), sample_count))]
-    texts, drops = _nl_statements(chosen, model, params)
-    return [SftRecord(pair.proof, pair.statement, text)
-            for pair, text in zip(chosen, texts) if text is not None], drops
+    """``build_records`` for an SFT pool alone: (records, drops)."""
+    sft, _, drops = build_records(pool, (), model, sample_count, seed, params)
+    return sft, drops
 
 
 def build_rl_records(
     pool: Sequence[TheoremProofPair], model: ModelBackend,
     params: Optional[ModelParams] = None,
 ) -> tuple[list[RlRecord], list[dict]]:
-    """NL statement per verified pair, same drop policy and the same
-    ``params.max_samples`` pairs at a time as the SFT records."""
-    texts, drops = _nl_statements(pool, model, params)
-    return [RlRecord(text, pair.proof)
-            for pair, text in zip(pool, texts) if text is not None], drops
+    """``build_records`` for an RL pool alone: (records, drops)."""
+    _, rl, drops = build_records((), pool, model, 0, params=params)
+    return rl, drops
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,14 @@ justification when justifying, and open a plain step after a closed one.  A
 comment waits for the next token: it leads the step that token opens or
 joins the step it continues, and comments left at the end trail the script.
 
-Tokens are read by one compiled ``re`` scanner rather than a loop over
-characters (``tokenize``); each character can match it only one way, so
-tokenizing stays linear in the text.  A ``Token`` is a ``NamedTuple``
-(kind, text, offset): immutable and equal by value, and cheap to build.
+Atoms are read by one compiled ``re`` scanner (``_SCANNER``) rather than a
+loop over characters; each character can match it only one way, so reading
+stays linear in the text.  ``parse_script`` reads the scanner's matches in
+its own loop and builds no token objects: each atom's text goes straight
+into its step, and a keyword against its parenthesis is cut off by reading
+the rest of the word again.  ``tokenize`` returns the same atoms as
+``Token``s, a ``NamedTuple`` (kind, text, offset): immutable and equal by
+value, and cheap to build.
 
 The parser is structural, not semantic: quoted strings, cartouches, and
 ``(* ... *)`` comments are atomic tokens, unknown commands still form steps,
@@ -44,8 +48,7 @@ script.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, ParseError
@@ -196,16 +199,19 @@ class Step:
 
     ``tokens`` hold the body (including any interleaved comments); the
     justification tokens are kept separate so it can be rewritten without
-    re-parsing.
+    re-parsing.  ``text``, the body and justification tokens joined by
+    single spaces, is set once at construction (``dataclasses.replace``
+    sets it anew) and takes no part in equality, hashing or the repr.
     """
 
     tokens: tuple[str, ...]
     just_tokens: tuple[str, ...] = ()
     lead_comments: tuple[str, ...] = ()
+    text: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def text(self) -> str:
-        return " ".join((*self.tokens, *self.just_tokens))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text",
+                           " ".join((*self.tokens, *self.just_tokens)))
 
     @property
     def body_text(self) -> str:
@@ -292,19 +298,6 @@ class ProofScript:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _step_tokens(text: str) -> Iterator[Token]:
-    """``tokenize``'s tokens, with a step keyword written against its
-    parenthesis (``by(simp)``, valid Isar) split off as a word of its own.
-    Only a word that holds ``(`` is looked at."""
-    for tok in tokenize(text):
-        if tok.kind == "word" and "(" in tok.text:
-            head = tok.text[:tok.text.index("(")]
-            if head in STEP_KEYWORDS:
-                yield tok._replace(text=head)
-                tok = Token("word", tok.text[len(head):], tok.offset + len(head))
-        yield tok
-
-
 def parse_script(text: str) -> ProofScript:
     """Parse proof text into a ProofScript.
 
@@ -316,34 +309,54 @@ def parse_script(text: str) -> ProofScript:
         raise ParseError("empty proof text")
     preamble = text.strip()
     steps: list[tuple[list[str], list[str], list[str]]] = []  # body, just, lead
+    body: list[str] = []  # the open step's body and justification
+    just: list[str] = []
     mode, pending = "closed", []
-    for tok in _step_tokens(text):
-        word = tok.text
-        keyword = tok.kind == "word" and word in STEP_KEYWORDS
+    match = _SCANNER.match
+    pos = 0
+    while (m := match(text, pos)).lastgroup is not None:
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "word":
+            word = text[start:pos]
+            if "(" in word:
+                # a step keyword against its parenthesis (``by(simp)``, valid
+                # Isar) is a word of its own; the rest is read again
+                head = word[:word.index("(")]
+                if head in STEP_KEYWORDS:
+                    word, pos = head, start + len(head)
+            keyword = word in STEP_KEYWORDS
+        else:
+            if kind == "quote":
+                raise ParseError("unterminated string", text, start)
+            if kind in _FENCES:
+                pos = _close_nested(text, kind, start, pos)
+            word, keyword = text[start:pos], False
         if not steps:  # the preamble runs up to the first step keyword
             if not keyword:
                 continue
-            preamble = text[:tok.offset].strip()
-        if tok.kind == "comment":
+            preamble = text[:start].strip()
+        if kind == "comment":
             pending.append(word)
             continue
         if keyword:
             continues = word in _CONTINUES.get(mode, ())
         else:
             continues = mode != "closed"
-        if continues:
-            body, just, _ = steps[-1]
-            (just if mode == "justifying" else body).extend(pending)
-        else:
+        if not continues:
             body, just = [], []
             steps.append((body, just, pending))
-            mode = "plain"
-        pending = []
+            mode, pending = "plain", []
+        elif pending:
+            (just if mode == "justifying" else body).extend(pending)
+            pending = []
         # a fact modifier leaves a goal stated; any other keyword sets its mode
         if keyword and not (mode == "goal" and word in FACT_KEYWORDS):
             mode = _MODE_OF.get(word, "plain")
         (just if mode in ("justifying", "closed") else body).append(word)
-    return ProofScript(preamble, tuple(make_step(*parts) for parts in steps),
+    return ProofScript(preamble, tuple(Step(tuple(body), tuple(just),
+                                            tuple(lead))
+                                       for body, just, lead in steps),
                        tuple(pending))
 
 

@@ -1,5 +1,7 @@
+import json
 import re
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -14,6 +16,7 @@ from proofseek.curate import (
     reward_verification,
 )
 from proofseek.errors import TransportError
+from proofseek.jsonl import read_jsonl
 from proofseek.model import (
     MockModel,
     ModelBackend,
@@ -327,6 +330,80 @@ def test_faults_from_many_workers_at_once_are_never_lost():
             assert max(model.tries.values()) <= 2
     finally:
         sys.setswitchinterval(interval)
+
+
+class _GatedModel(_PairModel):
+    """A ``_PairModel`` whose requests wait at a gate: the requests that
+    start while one gate is shut are one wave, and ``open_waves`` opens
+    each gate once its wave stops growing."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.waves = [0]
+
+    def _complete(self, params, prompt, n):
+        with self._lock:
+            gate = self.gate
+            self.waves[-1] += 1
+        assert gate.wait(10), "a wave was never let through"
+        return super()._complete(params, prompt, n)
+
+    def open_waves(self, running, settle_s=0.5):
+        """Open each wave's gate once no request has joined it for
+        ``settle_s``, until ``running`` ends; the sizes of the waves."""
+        while running.is_alive():
+            seen = -1
+            while running.is_alive() and seen != self.waves[-1]:
+                seen = self.waves[-1]
+                time.sleep(settle_s)
+            with self._lock:
+                shut, self.gate = self.gate, threading.Event()
+                self.waves.append(0)
+            shut.set()
+        return [size for size in self.waves if size]
+
+
+def test_cmd_curate_asks_for_the_sft_sample_and_rl_pool_in_one_pool(
+        tmp_path, monkeypatch):
+    # 13 pairs verify (the RL pool) and 7 do not (the SFT pool), mixed:
+    # at max_samples 10 their 20 NL-statement requests start in two waves
+    # of 10, not one of 7 and then 10 and 3.
+    from proofseek import cli
+
+    accepted = [i % 3 != 1 for i in range(20)]
+    rows = [{"statement": f'lemma l{i}: "P{i}"',
+             "proof": "by simp" if ok else f"by (metis m{i})"}
+            for i, ok in enumerate(accepted)]
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    (tmp_path / "prover_mock.json").write_text(
+        json.dumps({"table": {"by simp": "ok"}}), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "mode": "mock", "out_dir": str(tmp_path / "out"),
+        "fixtures": {"model_mock": "unused.json",
+                     "prover_mock": "prover_mock.json"}}), encoding="utf-8")
+    model = _GatedModel()
+    monkeypatch.setattr(cli, "build_model", lambda config: model)
+    codes = []
+    running = threading.Thread(target=lambda: codes.append(cli.main(
+        ["curate", str(tmp_path / "corpus.jsonl"),
+         "--config", str(tmp_path / "config.json")])))
+    running.start()
+    try:
+        waves = model.open_waves(running)
+    finally:
+        model.gate.set()
+        running.join(30)
+    assert not running.is_alive()
+    assert codes == [0]
+    assert waves == [10, 10]
+    out = tmp_path / "out"
+    assert [r["statement"] for r in read_jsonl(out / "sft.jsonl")] == \
+        [row["statement"] for row, ok in zip(rows, accepted) if not ok]
+    assert [r["natural_language_statement"]
+            for r in read_jsonl(out / "rl.jsonl")] == \
+        [f"nl {i}" for i, ok in enumerate(accepted) if ok]
 
 
 def test_curation_and_formalization_have_separate_purposes():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -225,6 +226,105 @@ def test_rendered_keyword_soup_parses_back_to_the_same_script(text):
     assert parse_script(render(script)) == script
 
 
+# ---------------------------------------------------------------------------
+# differential: parse_script against a reference parse over reference_tokenize
+
+# The mode a keyword opens, and the keywords each mode takes (see the
+# ``isar`` module docstring).
+_REF_MODE_OF = {"by": "justifying", "apply": "justifying", "sorry": "closed",
+                **dict.fromkeys(isar.GOAL_KEYWORDS, "goal"),
+                **dict.fromkeys(isar.CHAIN_KEYWORDS, "chain")}
+_REF_CONTINUES = {"goal": isar.FACT_KEYWORDS | {"by", "sorry"},
+                  "chain": isar.GOAL_KEYWORDS | isar.CHAIN_KEYWORDS}
+
+
+def _reference_words(text):
+    """reference_tokenize's tokens as (kind, text, offset), with a step
+    keyword written against its parenthesis split off as a word of its
+    own."""
+    for tok in reference_tokenize(text):
+        if tok.kind == "word" and "(" in tok.text:
+            head = tok.text[:tok.text.index("(")]
+            if head in isar.STEP_KEYWORDS:
+                yield "word", head, tok.offset
+                yield "word", tok.text[len(head):], tok.offset + len(head)
+                continue
+        yield tok.kind, tok.text, tok.offset
+
+
+def _reference_parse(text):
+    """The step-mode machine, read token by token over the whole text's
+    tokens: (preamble, steps as (tokens, just_tokens, lead_comments),
+    trailing comments)."""
+    if not text or not text.strip():
+        raise ParseError("empty proof text")
+    preamble = text.strip()
+    steps = []
+    mode, pending = "closed", []
+    for kind, word, offset in list(_reference_words(text)):
+        keyword = kind == "word" and word in isar.STEP_KEYWORDS
+        if not steps:
+            if not keyword:
+                continue
+            preamble = text[:offset].strip()
+        if kind == "comment":
+            pending.append(word)
+            continue
+        if keyword:
+            continues = word in _REF_CONTINUES.get(mode, ())
+        else:
+            continues = mode != "closed"
+        if continues:
+            body, just, _ = steps[-1]
+            (just if mode == "justifying" else body).extend(pending)
+        else:
+            body, just = [], []
+            steps.append((body, just, pending))
+            mode = "plain"
+        pending = []
+        if keyword and not (mode == "goal" and word in isar.FACT_KEYWORDS):
+            mode = _REF_MODE_OF.get(word, "plain")
+        (just if mode in ("justifying", "closed") else body).append(word)
+    return (preamble, [tuple(map(tuple, step)) for step in steps],
+            tuple(pending))
+
+
+def _parsed_or_error(parse, text):
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    if isinstance(result, isar.ProofScript):
+        return (result.preamble,
+                [(s.tokens, s.just_tokens, s.lead_comments)
+                 for s in result.steps],
+                result.trailing_comments)
+    return result
+
+
+# Keywords, words glued to a parenthesis, strings, comments, cartouches,
+# their unterminated openers and stray closers, and whitespace that
+# ``str.split`` and ``str.isspace`` agree on beyond ASCII.
+_PARSE_PIECES = [
+    "proof", "qed", "next", "have", "show", "moreover", "then", "using",
+    "by", "apply", "sorry", "fix", "lemma", "x", "-", "?thesis",
+    "by(simp)", "proof(induct", "apply(auto", "using(", "foo(1)", "(", ")",
+    '"a b"', '"a \\" b"', "(* c *)", "(* (* n *) by *)", "‹t›",
+    "\\<open>by\\<close>", '"', "(*", "*)", "‹", "›", "\\<open>", "\\",
+    " ", " ", " ", "\n", "\t", "\xa0", "\x1c"]
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_PARSE_PIECES), max_size=24).map("".join))
+@example("lemma x: by(simp) (* c *)")
+@example('have "x" using h(1) by(auto) (* c *) qed(* d *)')
+@example('by simp "')
+@example(" \xa0\n")
+def test_parse_script_agrees_with_the_reference_parse(text):
+    assert (_parsed_or_error(parse_script, text)
+            == _parsed_or_error(_reference_parse, text))
+
+
 def test_unbalanced_best_effort():
     script = parse_script("proof - have \"a\" by simp")
     assert not script.balanced
@@ -334,6 +434,24 @@ def test_splice_locality():
         for j, (a, b) in enumerate(zip(script.steps, patched.steps)):
             if j != index:
                 assert a.text == b.text
+
+
+def test_step_text_is_the_joined_tokens_however_the_step_was_made():
+    def joined(step):
+        return " ".join((*step.tokens, *step.just_tokens))
+
+    script = parse_script('proof - have "a" (* c *) sorry show ?thesis by simp qed')
+    made = make_step(("have", '"a"', "(* c *)"), ("by", "auto"))
+    justified = script.steps[1].with_justification("by auto")
+    spliced = splice(script, 1, justified).steps[1]
+    replaced = dataclasses.replace(script.steps[1], just_tokens=("by", "auto"))
+    for step in (*script.steps, made, justified, spliced, replaced):
+        assert step.text == joined(step)
+    # The text takes no part in equality: four routes to one step.
+    assert made == justified == spliced == replaced
+    assert len({hash(s) for s in (made, justified, spliced, replaced)}) == 1
+    assert dataclasses.replace(made, tokens=("show", "?thesis")).text == \
+        "show ?thesis by auto"
 
 
 def test_splice_out_of_range():
