@@ -30,7 +30,6 @@ from .model import ModelBackend, ModelParams
 from .policy import (
     Effect,
     PolicyDocument,
-    allowing_patterns,
     evaluate,  # noqa: F401  not called here; perfbench/tracing.py wraps it
     granted,
     instantiate_pattern,
@@ -148,11 +147,6 @@ def compile_policy(policy: PolicyDocument) -> TheorySkeleton:
     Raises UnsupportedPolicy outside the deterministic fragment: Deny
     effects, wildcard or multiple actions, or resource classes not covered
     by an account-wide wildcard.
-
-    Each class is decided on its pattern's witness.  Since Deny statements
-    are refused first, a class whose pattern belongs to an Allow statement
-    that admits the action is allowed without a match (its pattern matches
-    its own witness); ``granted`` decides the other classes in one call.
     """
     if any(stmt.effect is Effect.DENY for stmt in policy.statements):
         raise UnsupportedPolicy("Deny statements have no deterministic encoding")
@@ -216,13 +210,10 @@ def compile_policy(policy: PolicyDocument) -> TheorySkeleton:
 
     # Theorem conjuncts: exactly the (action, resource) pairs the evaluator
     # allows, one witness resource per class, in class order.
-    own = allowing_patterns(policy, action)
-    rest = [pattern for _, pattern in classes if pattern not in own]
-    decided = dict(zip(rest, granted(
-        policy, action, [instantiate_pattern(p) for p in rest]))) if rest else {}
+    allowed = granted(policy, action,
+                      [instantiate_pattern(pattern) for _, pattern in classes])
     conjuncts = [f"policy_allows {entry_name} {action_ctor} {class_name}"
-                 for class_name, pattern in classes
-                 if pattern in own or decided[pattern]]
+                 for (class_name, _), ok in zip(classes, allowed) if ok]
     if not conjuncts:
         raise UnsupportedPolicy("the policy allows nothing over its universe")
     joined = " ∧\n         ".join(conjuncts)

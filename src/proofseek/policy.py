@@ -14,11 +14,9 @@ are one test per statement whatever the resource (``_admits``).
 pass: it keeps the resource patterns of the statements that admit the
 action and principal, Allow and Deny apart, then allows a resource iff some
 kept Allow pattern matches it and no kept Deny pattern does.  Its answers
-equal ``evaluate(...).allowed`` request by request.  The policy compiler
-decides a policy's grants over one witness resource per resource pattern
-(``instantiate_pattern``), which its own pattern always matches: with no
-Deny statement, the witnesses of ``allowing_patterns`` are allowed outright,
-and ``granted`` decides the rest.
+equal ``evaluate(...).allowed`` request by request; the policy compiler
+decides a policy's grants with it, over one witness resource per resource
+pattern (``instantiate_pattern``).
 
 The matcher takes fast paths with C-level string operations for the two
 common pattern shapes: a literal pattern is compared with ``==``, and a
@@ -51,7 +49,6 @@ __all__ = [
     "Effect",
     "PolicyDocument",
     "PolicyStatement",
-    "allowing_patterns",
     "evaluate",
     "granted",
     "load_policy_csv",
@@ -287,12 +284,7 @@ def granted(policy: PolicyDocument, action: str, resources: Sequence[str],
     """``evaluate(policy, AccessRequest(action, r, principal)).allowed`` for
     each resource ``r``, in one pass over the statements: each statement's
     action and principal are tested once, and each resource against the
-    resource patterns of the statements that admit them.
-
-    A pattern's own witness (``instantiate_pattern``) is always matched by
-    it, so a caller that knows no Deny statement applies need not ask about
-    the witnesses of ``allowing_patterns``; the compiler asks only about
-    the rest."""
+    resource patterns of the statements that admit them."""
     allow: list[str] = []
     deny: list[str] = []
     for stmt in policy.statements:
@@ -301,16 +293,6 @@ def granted(policy: PolicyDocument, action: str, resources: Sequence[str],
     return [any(match_pattern(p, r) for p in allow)
             and not any(match_pattern(p, r) for p in deny)
             for r in resources]
-
-
-def allowing_patterns(policy: PolicyDocument, action: str,
-                      principal: str = "anyone") -> set[str]:
-    """The resource patterns of the Allow statements that admit ``action``
-    and ``principal``: each allows its own witness unless a Deny statement
-    matches it too."""
-    return {pattern for stmt in policy.statements
-            if stmt.effect is Effect.ALLOW and _admits(stmt, action, principal)
-            for pattern in stmt.resources}
 
 
 # ---------------------------------------------------------------------------

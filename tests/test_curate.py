@@ -335,7 +335,7 @@ def test_faults_from_many_workers_at_once_are_never_lost():
 class _GatedModel(_PairModel):
     """A ``_PairModel`` whose requests wait at a gate: the requests that
     start while one gate is shut are one wave, and ``open_waves`` opens
-    each gate once its wave stops growing."""
+    each gate once its wave is full."""
 
     def __init__(self):
         super().__init__()
@@ -349,14 +349,15 @@ class _GatedModel(_PairModel):
         assert gate.wait(10), "a wave was never let through"
         return super()._complete(params, prompt, n)
 
-    def open_waves(self, running, settle_s=0.5):
-        """Open each wave's gate once no request has joined it for
-        ``settle_s``, until ``running`` ends; the sizes of the waves."""
+    def open_waves(self, running, size, timeout_s=5.0):
+        """Open each wave's gate once ``size`` requests wait at it, or
+        after ``timeout_s`` if fewer ever come, until ``running`` ends; the
+        sizes of the waves."""
         while running.is_alive():
-            seen = -1
-            while running.is_alive() and seen != self.waves[-1]:
-                seen = self.waves[-1]
-                time.sleep(settle_s)
+            deadline = time.monotonic() + timeout_s
+            while (running.is_alive() and self.waves[-1] < size
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
             with self._lock:
                 shut, self.gate = self.gate, threading.Event()
                 self.waves.append(0)
@@ -391,7 +392,7 @@ def test_cmd_curate_asks_for_the_sft_sample_and_rl_pool_in_one_pool(
          "--config", str(tmp_path / "config.json")])))
     running.start()
     try:
-        waves = model.open_waves(running)
+        waves = model.open_waves(running, size=10)
     finally:
         model.gate.set()
         running.join(30)

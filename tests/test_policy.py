@@ -322,29 +322,3 @@ def test_compile_decides_its_conjuncts_as_evaluate_does_per_class(raw):
             except UnsupportedPolicy as exc:
                 outcomes.append(f"UnsupportedPolicy: {exc}")
     assert outcomes[0] == outcomes[1]
-
-
-@pytest.mark.parametrize("raw", [
-    None,  # the ec2_policy fixture
-    {"Statement": [
-        {"Effect": "Allow", "Action": "s:Get", "Resource": "arn:aws:s:r:a:*",
-         "Principal": "*"},
-        {"Effect": "Allow", "Action": ["s:Get"], "Principal": {"AWS": "*"},
-         "Resource": ["arn:aws:s:r:a:bucket/?-*", "arn:aws:s:r:a:key/k"],
-         "Condition": {"Bool": {"aws:SecureTransport": "true"}}}]},
-])
-def test_compile_matches_no_witness_against_its_own_pattern(raw, ec2_policy):
-    # Every class's pattern is named by an Allow statement that admits the
-    # action and any principal, and a pattern matches its own witness: the
-    # compiler allows every class with no match at all.
-    doc = ec2_policy if raw is None else parse_policy(json.dumps(raw))
-    calls = []
-
-    def counted(pattern, value):
-        calls.append((pattern, value))
-        return match_pattern(pattern, value)
-
-    with mock.patch("proofseek.policy.match_pattern", counted):
-        theorem = compile_policy(doc).theorem
-    assert calls == []
-    assert theorem.count("policy_allows") == len(resource_patterns(doc))
