@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import StageValidationError, UnsupportedPolicy
+from .errors import ParseError, StageValidationError, UnsupportedPolicy
 from .isar import parse_script, tokenize
 from .model import ModelBackend, ModelParams
 from .policy import (
@@ -269,7 +269,7 @@ def validate_formal_statement(text: str) -> list[str]:
         return ["EmptyStatement"]
     try:
         tokens = tokenize(text)
-    except Exception as exc:
+    except ParseError as exc:
         return [f"ParseFailure: {exc}"]
     words = [t.text for t in tokens if t.kind == "word"]
     if not any(w in ("theorem", "lemma", "corollary", "proposition") for w in words):

@@ -914,13 +914,12 @@ class ProverServer:
 @dataclass(frozen=True)
 class Advance:
     """Where ``SessionCursor.advance`` stopped: ``count`` steps accepted,
-    then a non-ok step at index ``count`` (``failed``), the terminal
+    then a non-ok step at index ``count`` (``last`` not ok), the terminal
     accepted state (``done``), or the end of the steps (neither).  ``last``
     is the final prover result, None when no step was given."""
 
     count: int
     last: Optional[StepResult] = None
-    failed: bool = False
     done: bool = False
 
 
@@ -995,7 +994,7 @@ class SessionCursor:
         while count < len(texts):
             for result in self._answer(texts[count:]):
                 if not result.ok:
-                    return Advance(count, result, failed=True)
+                    return Advance(count, result)
                 count += 1
                 if result.is_done:
                     return Advance(count, result, done=True)
@@ -1043,10 +1042,11 @@ class SessionCursor:
         """The verdicts on a leading run of ``texts`` where the session
         stands, at least one: a refusal kept there, or the prover's answers,
         each filed.  The run is the longest that no answer the trie keeps
-        could cut short: it ends before a kept refusal, before the hammer,
-        which has its own timeout, and after a ``by`` step, whose alias can
-        move the session onto a kept node.  One step goes out as ``apply``,
-        filed with ``said``, and a longer run as one ``apply_steps``."""
+        could cut short: it ends before a kept refusal and after a ``by``
+        step, whose alias can move the session onto a kept node.  The hammer,
+        which has its own timeout, goes alone.  Every run goes out as one
+        ``apply_steps``; ``said`` is given only for a run of one, whose step
+        is filed with it."""
         trie, size = self._trie, 0
         node: Union[None, int, StepResult] = self._node
         seen = trie.get((node, texts[0]))
@@ -1063,14 +1063,12 @@ class SessionCursor:
             size += 1
             if text.startswith(("by ", "by(")):
                 break
-        if size > 1:
-            results = self.prover.apply_steps(self.session, texts[:size],
-                                              self.config.step_timeout_s)
-            return [self._file(text, result) for text, result in zip(texts, results)]
-        text = texts[0]
-        timeout_s = (self.config.hammer_timeout_s if text == HAMMER_STEP
-                     else self.config.step_timeout_s)
-        return [self._file(text, self.prover.apply(self.session, text, timeout_s), said)]
+        # only the hammer ends a run before its first step: it goes alone
+        timeout_s = (self.config.step_timeout_s if size
+                     else self.config.hammer_timeout_s)
+        results = self.prover.apply_steps(self.session, texts[:size or 1],
+                                          timeout_s)
+        return [self._file(text, result, said) for text, result in zip(texts, results)]
 
     def _file(self, text: str, result: StepResult,
               said: Optional[str] = None) -> StepResult:

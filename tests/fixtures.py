@@ -13,9 +13,15 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from proofseek.errors import ParseError
+from proofseek.errors import ParseError, SessionClosed, TransportError
 from proofseek.isar import Token
-from proofseek.prover import SERVER_POLL_S, MockOutcome, MockProver, normalize_step
+from proofseek.prover import (
+    SERVER_POLL_S,
+    MockOutcome,
+    MockProver,
+    ProverBackend,
+    normalize_step,
+)
 
 PROBLEM_NAME = "s3_samples_mutations_ec2_exp_single_ec2_prevent_running_classic_policy_6_0"
 
@@ -157,6 +163,45 @@ class SessionLosingProver(MockProver):
         if self.marker in theory_text:
             self.close(session)
         return session
+
+
+class ScheduledProver(ProverBackend):
+    """Forwards ``init_session``, ``apply_steps`` and ``close`` to
+    ``inner``, noting each run and its timeout in ``runs``.  It takes no
+    single ``apply``: a cursor sends every run as ``apply_steps``.  The
+    ``init_session``/``apply_steps`` call whose 0-based arrival index maps
+    to a fault in ``faults`` fails: ``transport`` and ``session`` raise
+    TransportError and SessionClosed before forwarding, and ``lost``
+    forwards, then raises TransportError, as a reply lost on its way back."""
+
+    def __init__(self, inner: ProverBackend, faults: Optional[dict] = None):
+        super().__init__(inner.config)
+        self.inner, self.faults = inner, faults or {}
+        self.count = 0
+        self.runs: list[tuple[list[str], Optional[float]]] = []
+
+    def _call(self, method, *args):
+        with self._lock:
+            fault, self.count = self.faults.get(self.count), self.count + 1
+        if fault == "transport":
+            raise TransportError("prover connection failed")
+        if fault == "session":
+            raise SessionClosed("session lost")
+        result = method(*args)
+        if fault == "lost":
+            raise TransportError("prover reply lost")
+        return result
+
+    def init_session(self, theory_text: str) -> str:
+        return self._call(self.inner.init_session, theory_text)
+
+    def apply_steps(self, session_id, texts, timeout_s=None):
+        with self._lock:
+            self.runs.append((list(texts), timeout_s))
+        return self._call(self.inner.apply_steps, session_id, texts, timeout_s)
+
+    def close(self, session_id: str) -> None:
+        self.inner.close(session_id)
 
 
 def placeholders(script) -> list[int]:

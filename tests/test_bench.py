@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
 import json
 import re
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofseek.bench import (
     BenchmarkProblem,
@@ -33,7 +38,9 @@ from proofseek.model import (
     prompt_digest,
 )
 from proofseek.prompts import erp_prompt
-from proofseek.prover import MockProver, RecordingProver, ReplayProver
+from proofseek.prover import MockOutcome, MockProver, RecordingProver, ReplayProver
+
+from fixtures import ScheduledProver
 
 
 def _record(name, success, i_try=0, wall=1.0, undetermined=False):
@@ -804,6 +811,127 @@ def test_a_recording_at_pool_1_replays_at_pool_4_to_equal_records(tmp_path):
         ("init_proof", 0, False), ("erp", 0, False), ("erp", 1, False),
         ("failed", 0, True), ("init_proof", 0, False)]
     assert _timeless(replayed) == _timeless(live)
+
+
+# ---------------------------------------------------------------------------
+# fault schedules over whole runs
+
+# A problem's candidates are drawn from these; `{i}` is its number.  ERP
+# repairs `_ERP_CANDIDATE` when its drawn continuation is accepted, or the
+# hammer does first when one is drawn.
+_FAULT_CANDIDATES = ("by (meson w{i})", "by nope", "by slow", _ERP_CANDIDATE,
+                     "I cannot prove this.")
+
+
+class _ByProblem(ReplayModel):
+    """A ReplayModel keyed by purpose and problem, one batch per key: every
+    answer is a function of the question, never of the order of arrival.
+    ``asked`` notes the problems whose whole-proof request it answered."""
+
+    def __init__(self, fixtures):
+        super().__init__(fixtures)
+        self.asked = set()
+
+    def _key(self, prompt):
+        problem = re.search(r"theorem (f\d+):", prompt.text)[1]
+        if prompt.purpose == "whole_proof":
+            with self._lock:
+                self.asked.add(problem)
+        return f"{prompt.purpose} {problem}"
+
+
+class _ScheduledModel(ModelBackend):
+    """Answers as ``inner`` does, except that the requests whose 0-based
+    arrival index is in ``faults`` raise TransportError."""
+
+    def __init__(self, inner, faults):
+        super().__init__()
+        self.inner, self.faults, self.count = inner, faults, 0
+
+    def _complete(self, params, prompt, n):
+        with self._lock:
+            index, self.count = self.count, self.count + 1
+        if index in self.faults:
+            raise TransportError("model endpoint failed")
+        return self.inner.complete(params, prompt, n)
+
+
+@st.composite
+def _fault_runs(draw):
+    """A spec of 3-8 problems, the model fixtures and MockProver arguments
+    that answer it, a pool size, the fault schedules of the prover and the
+    model, and the byte, if any, at which the records file is cut."""
+    count = draw(st.integers(3, 8))
+    budget = BudgetConfig(sample_budget=2)
+    table = {**_ERP_TABLE, "by slow": MockOutcome("ok", delay_s=99.0)}
+    problems, fixtures = [], {}
+    for i in range(count):
+        name = f"f{i}"
+        problems.append(BenchmarkProblem(name, f'theorem {name}: shows "F{i}" oops'))
+        table[f"by (meson w{i})"] = draw(st.sampled_from(["ok", "error"]))
+        fixtures[f"whole_proof {name}"] = [
+            text.format(i=i) for text in draw(st.lists(
+                st.sampled_from(_FAULT_CANDIDATES), min_size=1, max_size=2))]
+        fixtures[f"erp {name}"] = [draw(st.sampled_from(
+            [_ERP_COMPLETION, "show ?thesis by blast"]))]
+    prover = {"table": table,
+              "hammer": draw(st.sampled_from([None, "meson helper"]))}
+    prover_faults = draw(st.dictionaries(
+        st.integers(0, 60), st.sampled_from(["transport", "session", "lost"]),
+        max_size=4))
+    model_faults = draw(st.sets(st.integers(0, 12), max_size=3))
+    cut = draw(st.none() | st.integers(min_value=0))
+    return (BenchmarkSpec("faults", tuple(problems), budget), fixtures, prover,
+            draw(st.sampled_from([1, 2])), prover_faults, model_faults, cut)
+
+
+def _kept_records(data: bytes) -> dict:
+    """The records a resume reads from ``data``, by problem: every line that
+    ends in a newline, and a last line without one when it is whole."""
+    *lines, last = data.split(b"\n")
+    rows = [json.loads(line) for line in lines]
+    with contextlib.suppress(ValueError):  # a torn or empty last line
+        rows.append(json.loads(last))
+    return {row["problem_name"]: row for row in rows}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_fault_runs())
+def test_a_faulted_run_then_a_healthy_resume_gives_the_clean_runs_records(
+        run):
+    # Faults on prover and model requests leave their problems undetermined
+    # and no determined record differs from a clean run's; a resume on
+    # healthy backends, after the records file is cut anywhere, re-runs
+    # exactly the problems with no whole determined record left, and ends
+    # with the clean run's records.
+    spec, fixtures, prover, pool, prover_faults, model_faults, cut = run
+
+    def bench(path, prover_faults=None, model_faults=()):
+        model = _ByProblem(fixtures)
+        records = run_benchmark(
+            spec, _ScheduledModel(model, model_faults),
+            ScheduledProver(MockProver(**prover), prover_faults),
+            path, pool_size=pool)
+        return records, model.asked
+
+    with tempfile.TemporaryDirectory() as tmp:
+        clean, _ = bench(Path(tmp) / "clean.jsonl")
+        want = {r.problem_name: r for r in _timeless(clean)}
+        path = Path(tmp) / "records.jsonl"
+        bench(path, prover_faults, model_faults)
+        for row in read_jsonl(path):
+            record = dataclasses.replace(AttemptRecord(**row), wall_time_s=0.0)
+            assert record.undetermined or record == want[record.problem_name]
+        if cut is not None:
+            data = path.read_bytes()
+            path.write_bytes(data[:cut % (len(data) + 1)])
+        kept = _kept_records(path.read_bytes())
+        resumed, asked = bench(path)
+    names = [p.problem_name for p in spec.problems]
+    assert asked == {name for name in names
+                     if name not in kept or kept[name].get("undetermined")}
+    assert _timeless(resumed) == _timeless(clean)
+    assert aggregate(resumed).n_undetermined == 0
 
 
 def test_load_benchmark_and_unique_names(tmp_path):

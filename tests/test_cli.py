@@ -164,6 +164,30 @@ def test_cmd_prove_over_budget_config_exits_2_before_any_request(
     assert "sample_budget" in capsys.readouterr().err
 
 
+def test_cmd_prove_live_without_a_prover_address_exits_2_before_any_request(
+        tmp_path, monkeypatch, capsys):
+    # Neither PROOFSEEK_PROVER_ADDR nor prover.endpoint names a prover: the
+    # wire client refuses to start, and no model request is made.
+    (tmp_path / "stmt.thy").write_text(SIMPLE_STATEMENT, encoding="utf-8")
+    bodies = []
+
+    def answer(body):
+        bodies.append(body)
+        return ["by simp"]
+
+    server = _live_model(monkeypatch, answer)
+    monkeypatch.delenv("PROOFSEEK_PROVER_ADDR")
+    try:
+        config = write_config(tmp_path, mode="live")
+        code = main(["prove", str(tmp_path / "stmt.thy"),
+                     "--config", config])
+    finally:
+        server.stop()
+    assert code == 2
+    assert bodies == []
+    assert "PROOFSEEK_PROVER_ADDR" in capsys.readouterr().err
+
+
 def test_cmd_prove_live_prover_reply_nested_too_deeply_exits_2(
         tmp_path, monkeypatch, capsys):
     # The decoder's RecursionError made this a failed proof (exit 1) with a
@@ -601,6 +625,8 @@ def test_cmd_bench_exits_2_when_records_stay_undetermined(
         else:
             reply = {"status": "ok", "state_id": "s-1/1", "message": "",
                      "is_done": True}
+            if request["command"] == "apply_steps":
+                reply = {"status": "ok", "results": [reply]}
         return (json.dumps(reply) + "\n").encode("utf-8")
 
     prover = LineServer(respond)
@@ -629,8 +655,10 @@ def test_cmd_bench_closes_its_prover_connections(tmp_path, monkeypatch,
     def respond(_index, raw):
         command = json.loads(raw)["command"]
         reply = {"status": "ok", "state_id": "s-1/1", "message": ""}
-        if command == "apply":
+        if command in ("apply", "apply_steps"):
             reply["is_done"] = True
+        if command == "apply_steps":
+            reply = {"status": "ok", "results": [reply]}
         return (json.dumps(reply) + "\n").encode("utf-8")
 
     prover = LineServer(respond)

@@ -53,6 +53,7 @@ from fixtures import (
     GOLDEN_PROOF_WRAPPED,
     GOLDEN_STATE_RECORD,
     PROBLEM_NAME,
+    ScheduledProver,
     accepting_mock,
 )
 
@@ -562,6 +563,18 @@ def test_second_candidate_succeeds():
     assert record.i_try == 1
 
 
+@pytest.mark.parametrize("refusal", ["I cannot prove this.", 'have "x'])
+def test_a_candidate_with_no_step_opens_no_session(refusal):
+    # Prose holds no step keyword, and an unterminated string does not
+    # parse: neither opens a session, and the next candidate is tried.
+    prover = RecordingProver(MockProver(table={"by simp": "ok"}))
+    model = MockModel({"whole_proof": [[refusal, "by simp"]]})
+    record = prove(STATEMENT, model, prover,
+                   BudgetConfig(sample_budget=2, erp_enabled=False))
+    assert (record.success, record.i_try) == (True, 1)
+    assert _steps(prover) == ["init", "by simp", "close"]
+
+
 def test_soundness_relay_requires_prover_done():
     # Every step accepted but the prover never reports a terminal state.
     table = {text: MockOutcome("ok", is_done=False)
@@ -794,11 +807,11 @@ def test_refusal_kept_where_the_caller_stands_is_answered_off_the_session():
     # no init, no close, no apply.
     prover = RecordingProver(MockProver(table={'have "a"': "ok"}))
     cursor = _cursor(prover)
-    assert cursor.advance(['have "b"']).failed
+    assert not cursor.advance(['have "b"']).last.ok
     assert cursor.advance(['have "a"']).count == 1
     cursor.seek([])
     before, recalled = len(prover.trace), cursor.recalled
-    assert cursor.advance(['have "b"']).failed
+    assert not cursor.advance(['have "b"']).last.ok
     assert len(prover.trace) == before
     assert cursor.recalled == recalled + 1
 
@@ -809,9 +822,9 @@ def test_refused_hammer_is_answered_where_the_session_stands():
     prover = RecordingProver(MockProver(table={'have "a"': "ok"}))
     cursor = _cursor(prover)
     assert cursor.advance(['have "a"']).count == 1
-    assert cursor.advance([HAMMER_STEP]).failed
+    assert not cursor.advance([HAMMER_STEP]).last.ok
     before, recalled = len(prover.trace), cursor.recalled
-    assert cursor.advance([HAMMER_STEP]).failed
+    assert not cursor.advance([HAMMER_STEP]).last.ok
     assert len(prover.trace) == before
     assert cursor.recalled == recalled + 1
 
@@ -859,7 +872,7 @@ def test_seek_settles_a_held_body_at_the_next_apply(texts, sent, inits):
     cursor.seek(["proof -"])
     assert len(prover.requests()) == before
     run = cursor.advance(texts)
-    assert run.count == len(texts) and not run.failed
+    assert run.count == len(texts) and run.last.ok
     assert [r["step"] for r in prover.requests()[before:]] == sent
     assert len(prover.requests("init")) == inits
 
@@ -871,8 +884,8 @@ def test_refused_tactic_leaves_the_held_body_open():
         "proof -": "ok", 'have "x"': "ok", 'have "x" by metis': "ok"}))
     cursor = _held_body_cursor(prover)
     cursor.seek(["proof -"])
-    assert cursor.advance(['have "x" by presburger']).failed
-    assert cursor.advance(['have "x" by presburger']).failed
+    assert not cursor.advance(['have "x" by presburger']).last.ok
+    assert not cursor.advance(['have "x" by presburger']).last.ok
     assert cursor.advance(['have "x" by metis']).count == 1
     assert [r["step"] for r in prover.requests()][-2:] == [
         "by presburger", "by metis"]
@@ -1220,7 +1233,7 @@ def _advance_stepwise(cursor, texts) -> Advance:
     for text in texts:
         last = cursor.advance([text]).last
         if not last.ok:
-            return Advance(count, last, failed=True)
+            return Advance(count, last)
         count += 1
         if last.is_done:
             return Advance(count, last, done=True)
@@ -1299,7 +1312,7 @@ def test_a_hammer_win_outranks_the_refusal_kept_for_its_step():
         apply("by auto", {"status": "ok", "state_id": "s-1/2"}),
     ]))
     cursor = _cursor(prover)
-    assert cursor.advance(["by auto"]).failed
+    assert not cursor.advance(["by auto"]).last.ok
     assert cursor.advance([HAMMER_STEP]).count == 1
     assert cursor.advance(["by auto"]).count == 1
     cursor.seek([])
@@ -1395,6 +1408,20 @@ def test_timeout_plumbing_step_vs_hammer():
     others = [r for r in applies if r["step"] != "\u27e8hammer\u27e9"]
     assert hammer and all(r["timeout_s"] == 40.0 for r in hammer)
     assert others and all(r["timeout_s"] == 10.0 for r in others)
+
+
+def test_the_cursor_sends_every_run_as_one_apply_steps():
+    # The prover here takes no single `apply`: every run, one step or
+    # many, is an `apply_steps`.  The hammer goes alone with the hammer
+    # timeout, and ERP's goal-body shortcut sends its tactic as a run of one.
+    prover = ScheduledProver(_erp_prover())
+    record = prove(STATEMENT, _model(ATP_CANDIDATE, erp=ERP_COMPLETION), prover)
+    assert record.success and record.success_stage == "erp"
+    assert ([HAMMER_STEP], 40.0) in prover.runs
+    assert (["by (meson helper)"], 10.0) in prover.runs
+    assert all(timeout == (40.0 if HAMMER_STEP in texts else 10.0)
+               and (texts == [HAMMER_STEP] or HAMMER_STEP not in texts)
+               for texts, timeout in prover.runs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from proofseek.formalize import (
     wrap_theory,
 )
 from proofseek.isar import parse_script, token_equivalent
-from proofseek import prompts
+from proofseek import formalize, prompts
 from proofseek.model import MockModel, RecordingModel, prompt_digest
 from proofseek.policy import parse_policy
 
@@ -125,6 +125,26 @@ def test_compile_conjuncts_match_oracle_allow_set():
             assert resource_class(pattern) not in skeleton.theorem
 
 
+@pytest.mark.parametrize("action, resource, names", [
+    ("9svc:GetObject", "arn:aws:9svc:::2024logs/*",
+     {"p_9svc_action", "R2024logs"}),
+    (":GetObject", "arn:aws:9svc:::2024logs/*", {"x_action", "R2024logs"}),
+])
+def test_compiled_names_start_with_a_letter(action, resource, names):
+    # A service or resource kind led by a digit, or an empty service, still
+    # names every datatype, constructor and definition with a letter first.
+    skeleton = compile_policy(parse_policy(json.dumps({"Statement": [{
+        "Effect": "Allow", "Action": action, "Resource": resource}]})))
+    declared = {name for dt_name, ctors in skeleton.datatype_defs
+                for name in (dt_name, *ctors)}
+    defined = re.findall(r"^(?:definition|fun|theorem) (\w+)",
+                         "\n".join((*skeleton.fun_defs, skeleton.theorem)),
+                         re.MULTILINE)
+    assert len(defined) == 3
+    assert all(name[0].isalpha() for name in (*declared, *defined))
+    assert names <= declared
+
+
 def test_compiled_skeleton_constructors_all_declared(ec2_policy):
     # every capitalized name the funs and the theorem use is a constructor
     # of one of the skeleton's datatypes
@@ -181,6 +201,17 @@ def test_validate_missing_terminal():
 def test_validate_parse_failure_carries_its_detail():
     findings = validate_formal_statement('theorem x: shows "A')
     assert findings == ["ParseFailure: unterminated string (line 1, column 18)"]
+
+
+def test_validate_lets_a_tokenizer_bug_escape(monkeypatch):
+    # Only a ParseError is a finding; anything else the tokenizer raises is
+    # a bug, not a retry prompt for the model.
+    def broken(_text):
+        raise RuntimeError("tokenizer bug")
+
+    monkeypatch.setattr(formalize, "tokenize", broken)
+    with pytest.raises(RuntimeError, match="tokenizer bug"):
+        validate_formal_statement(GOLDEN_FORMAL_STATEMENT)
 
 
 # ---------------------------------------------------------------------------
