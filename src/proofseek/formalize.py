@@ -82,8 +82,15 @@ class FormalizationRecord:
 # identifier sanitation
 
 def _camel(raw: str) -> str:
-    parts = re.split(r"[^0-9A-Za-z]+", raw)
-    name = "".join(p[:1].upper() + p[1:] for p in parts if p)
+    # A word of ASCII letters and digits is one part of the split, so it is
+    # capitalised directly.  isalnum() alone is not that test: it is true of
+    # letters and digits outside ASCII too ("é", "²"), which the split's
+    # [0-9A-Za-z] class treats as separators.
+    if raw.isascii() and raw.isalnum():
+        name = raw[:1].upper() + raw[1:]
+    else:
+        parts = re.split(r"[^0-9A-Za-z]+", raw)
+        name = "".join(p[:1].upper() + p[1:] for p in parts if p)
     if not name:
         name = "X"
     if name[0].isdigit():
@@ -118,8 +125,8 @@ def resource_class(pattern: str) -> str:
     """
     if pattern == "*":
         return ALL_RESOURCES
-    parts = pattern.split(":")
-    tail = ":".join(parts[5:]) if len(parts) >= 6 else pattern
+    parts = pattern.split(":", 5)
+    tail = parts[5] if len(parts) == 6 else pattern
     if tail in ("*", ""):
         return ALL_RESOURCES
     kind = tail.split("/", 1)[0]

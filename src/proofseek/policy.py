@@ -18,12 +18,19 @@ equal ``evaluate(...).allowed`` request by request; the policy compiler
 decides a policy's grants with it, over one witness resource per resource
 pattern (``instantiate_pattern``).
 
-The matcher takes fast paths with C-level string operations for the two
-common pattern shapes: a literal pattern is compared with ``==``, and a
-pattern whose only wildcard is one trailing ``*`` with ``startswith``.  Any
-other pattern is first checked on its literal head, then walked with two
-pointers.  Patterns are not translated to ``re``: a backtracking regex
-engine is super-linear on many-star patterns, while the walk is not.
+Patterns come in three shapes (``_shape``): literal, no wildcard; prefix,
+whose only wildcard is one trailing ``*``; and any other, with a ``?`` or a
+``*`` before the end.  The matcher takes fast paths with C-level string
+operations for the first two: a literal pattern is compared with ``==``,
+and a prefix pattern with ``startswith``.  Any other pattern is first
+checked on its literal head, then walked with two pointers.  ``granted``
+sorts each side's kept patterns by shape once per call (``_ShapeIndex``),
+so a resource is tested against all the literal patterns of a side with one
+set lookup, all the prefix patterns with one ``startswith`` over a tuple,
+and the literal heads of all the other patterns with one more; only when
+some head matches are those patterns walked one by one.  Patterns are not
+translated to ``re``: a backtracking regex engine is super-linear on
+many-star patterns, while the walk is not.
 
 Caveat, stated loudly: Condition blocks are parsed and carried but never
 evaluated.  Any statement that carries conditions is treated as matching,
@@ -215,6 +222,24 @@ def load_policy_csv(text: str) -> list[PolicyDocument]:
 # ---------------------------------------------------------------------------
 # matching and evaluation
 
+# the shapes of a pattern (``_shape``)
+_LITERAL, _PREFIX, _WALK = range(3)
+
+
+def _shape(pattern: str) -> tuple[int, int]:
+    """A pattern's shape and the length of its literal head, the text before
+    its first wildcard: ``_LITERAL`` when it has no wildcard (the head is
+    the whole pattern), ``_PREFIX`` when its only wildcard is a trailing
+    ``*``, and ``_WALK`` otherwise."""
+    head = pattern.find("*")
+    question = pattern.find("?")
+    if question >= 0 and (head < 0 or question < head):
+        return _WALK, question
+    if head < 0:
+        return _LITERAL, len(pattern)
+    return (_PREFIX if head == len(pattern) - 1 else _WALK), head
+
+
 def match_pattern(pattern: str, value: str) -> bool:
     """Wildcard match: ``*`` any substring, ``?`` any single char, else exact.
 
@@ -223,15 +248,11 @@ def match_pattern(pattern: str, value: str) -> bool:
     (up to the first wildcard) with the value, and the rest is an iterative
     two-pointer walk with star backtracking.
     """
-    head = pattern.find("*")  # then the first wildcard of either kind
-    if "?" in pattern:
-        question = pattern.find("?")
-        if head < 0 or question < head:
-            head = question
-    elif head < 0:
+    shape, head = _shape(pattern)
+    if shape == _LITERAL:
         return pattern == value
-    elif head == len(pattern) - 1:
-        return value.startswith(pattern[:-1])
+    if shape == _PREFIX:
+        return value.startswith(pattern[:head])
     if not value.startswith(pattern[:head]):
         return False
     p = v = head
@@ -279,20 +300,57 @@ def evaluate(policy: PolicyDocument, request: AccessRequest) -> Decision:
     return Decision(outcome, tuple(matched_allow), tuple(matched_deny))
 
 
+class _ShapeIndex:
+    """Patterns sorted by shape, to test a value against all of them at once:
+    the literal patterns in a set, the prefixes of the prefix patterns in one
+    tuple for ``startswith``, and the rest in a list for ``match_pattern``.
+    A value is walked against the rest only when it starts with one of their
+    literal heads (``heads``, one ``startswith``): ``match_pattern`` rejects
+    a value that does not start with the pattern's head."""
+
+    __slots__ = ("literals", "prefixes", "heads", "walked")
+
+    def __init__(self, patterns: Sequence[str]) -> None:
+        literals: set[str] = set()
+        prefixes: list[str] = []
+        heads: list[str] = []
+        walked: list[str] = []
+        for pattern in patterns:
+            shape, head = _shape(pattern)
+            if shape == _LITERAL:
+                literals.add(pattern)
+            elif shape == _PREFIX:
+                prefixes.append(pattern[:head])
+            else:
+                heads.append(pattern[:head])
+                walked.append(pattern)
+        self.literals = literals
+        self.prefixes = tuple(prefixes)
+        self.heads = tuple(heads)
+        self.walked = walked
+
+    def matches(self, value: str) -> bool:
+        """Whether some pattern of the index matches ``value``."""
+        return (value in self.literals or value.startswith(self.prefixes)
+                or value.startswith(self.heads)
+                and any(match_pattern(p, value) for p in self.walked))
+
+
 def granted(policy: PolicyDocument, action: str, resources: Sequence[str],
             principal: str = "anyone") -> list[bool]:
     """``evaluate(policy, AccessRequest(action, r, principal)).allowed`` for
     each resource ``r``, in one pass over the statements: each statement's
-    action and principal are tested once, and each resource against the
-    resource patterns of the statements that admit them."""
+    action and principal are tested once, and each resource against one
+    shape index (``_ShapeIndex``) of the resource patterns of the Allow
+    statements that admit them, and one of the Deny statements'.  The
+    indexes live for this call only."""
     allow: list[str] = []
     deny: list[str] = []
     for stmt in policy.statements:
         if _admits(stmt, action, principal):
             (allow if stmt.effect is Effect.ALLOW else deny).extend(stmt.resources)
-    return [any(match_pattern(p, r) for p in allow)
-            and not any(match_pattern(p, r) for p in deny)
-            for r in resources]
+    allowing, denying = _ShapeIndex(allow), _ShapeIndex(deny)
+    return [allowing.matches(r) and not denying.matches(r) for r in resources]
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,21 @@ def test_resource_class_names():
     assert resource_class("*") == "AllResources"
 
 
+# Class names keep the meaning of the split on [^0-9A-Za-z]+: a letter or
+# digit outside ASCII separates words (though str.isalnum() is true of it),
+# and an ARN's tail is all that follows its fifth colon.
+@pytest.mark.parametrize("namer, raw, expected", [
+    (resource_class, "arn:aws:s3:::café/*", "Cafs"),
+    (resource_class, "arn:aws:s3:::a:b/*", "ABs"),
+    (resource_class, "a:b:c:d:e", "ABCDEs"),
+    (resource_class, "arn:aws:s3:::9lives/*", "R9lives"),
+    (formalize._camel, "jürgen", "JRgen"),
+    (formalize._camel, "²x", "X"),
+])
+def test_class_names_keep_the_regex_split(namer, raw, expected):
+    assert namer(raw) == expected
+
+
 def _fragment_policy(rng: random.Random) -> dict:
     """Random Allow-only single-action policy inside the compiler fragment."""
     action = rng.choice(["svc:Run", "svc:Start", "ec2:RunInstances"])

@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proofseek import formalize
@@ -294,10 +294,39 @@ def _per_request(policy, action, resources, principal="anyone"):
             for r in resources]
 
 
+def _sides(allow, deny=(), put=()):
+    """A policy whose ``s:Get`` statements allow ``allow`` and deny
+    ``deny``, and whose ``s:Put`` statement allows ``put``."""
+    statements = [{"Effect": "Allow", "Action": "s:Get", "Resource": allow}]
+    if deny:
+        statements.append({"Effect": "Deny", "Action": "s:Get",
+                           "Resource": list(deny)})
+    if put:
+        statements.append({"Effect": "Allow", "Action": "s:Put",
+                           "Resource": list(put)})
+    return {"Statement": statements}
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(_policies(), st.sampled_from(["s:Get", "s:Get", "s:Put", "x:Y"]),
        st.lists(st.text(alphabet="abw/", min_size=1, max_size=5), max_size=3),
        st.sampled_from(["anyone", "alice", "bob", "arn:aws:iam::1:user/bob"]))
+# Each shape of granted's index decides a resource on the Allow side, then
+# on the Deny side: a bare `*`; a prefix `*` whose resource is the prefix;
+# a literal equal to another pattern's witness; a `?`; an inner `*`; and
+# `?*`, which ends in `*` but is no prefix pattern.
+@example(_sides(["*"]), "s:Get", ["b"], "anyone")
+@example(_sides([_ARN + "a"], ["*"]), "s:Get", [], "anyone")
+@example(_sides([_ARN + "ab*"]), "s:Get", ["ab", "a"], "anyone")
+@example(_sides(["*"], [_ARN + "ab*"]), "s:Get", ["ab", "a"], "anyone")
+@example(_sides([_ARN + "awb"], put=[_ARN + "a*b"]), "s:Get", [], "anyone")
+@example(_sides([_ARN + "a*b"], [_ARN + "awb"]), "s:Get", [], "anyone")
+@example(_sides([_ARN + "a?b"]), "s:Get", ["ab", "abb"], "anyone")
+@example(_sides(["*"], [_ARN + "a?b"]), "s:Get", ["ab", "abb"], "anyone")
+@example(_sides([_ARN + "a*b"]), "s:Get", ["ab", "aba", "a/b"], "anyone")
+@example(_sides(["*"], [_ARN + "a*b"]), "s:Get", ["ab", "aba"], "anyone")
+@example(_sides([_ARN + "a?*"]), "s:Get", ["a", "ab"], "anyone")
+@example(_sides(["*"], [_ARN + "a?*"]), "s:Get", ["a", "ab"], "anyone")
 def test_granted_equals_evaluate_request_by_request(raw, action, extra,
                                                     principal):
     doc = parse_policy(json.dumps(raw))
