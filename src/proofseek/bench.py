@@ -40,6 +40,7 @@ __all__ = [
     "aggregate",
     "format_hms",
     "format_table",
+    "last_records",
     "load_benchmark",
     "run_benchmark",
 ]
@@ -51,6 +52,10 @@ log = logging.getLogger(__name__)
 class BenchmarkProblem:
     problem_name: str
     formal_statement: str
+
+    def __post_init__(self) -> None:
+        if not self.formal_statement.strip():
+            raise ValueError("formal_statement must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,14 @@ def load_benchmark(path: Union[str, Path], name: str = "",
     return BenchmarkSpec(name or Path(path).stem,
                          tuple(read_rows(path, BenchmarkProblem)),
                          budget or BudgetConfig())
+
+
+def last_records(path: Union[str, Path]) -> dict[str, AttemptRecord]:
+    """Each problem's record in a records file, by problem name: its last
+    one, since a resumed run appends a problem's new record after the
+    undetermined one it replaces."""
+    return {record.problem_name: record
+            for record in read_rows(path, AttemptRecord)}
 
 
 def _undetermined_record(problem_name: str) -> AttemptRecord:
@@ -161,9 +174,7 @@ def run_benchmark(
     """
     records_path = Path(records_path)
     _cut_torn_tail(records_path)
-    rows = (read_rows(records_path, AttemptRecord)
-            if records_path.exists() else [])
-    existing = {record.problem_name: record for record in rows}
+    existing = last_records(records_path) if records_path.exists() else {}
     todo = [p for p in spec.problems if p.problem_name not in existing
             or existing[p.problem_name].undetermined]
     pool_size = pool_size or prover.config.pool_size

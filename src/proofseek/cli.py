@@ -174,15 +174,26 @@ def _print_json(data: dict) -> None:
     print(json.dumps(data, ensure_ascii=False, sort_keys=True))
 
 
-def _write_report(out_dir: Path, dataset: str, config: RunConfig,
-                  report: bench_mod.EvalReport) -> str:
-    """Write report.md and report.csv for one row; return its method label."""
+def _report(args: argparse.Namespace, config: RunConfig, name: str,
+            records: Sequence[AttemptRecord],
+            records_path: Path) -> bench_mod.EvalReport:
+    """The one report step of ``bench`` and ``report``: aggregate the
+    records, write report.md and report.csv for their one row, labelled
+    ``<name> (<number of records> Problems)``, print the summary and return
+    the aggregate.  Records that do not aggregate (none, or none
+    determined) raise before a report file is written, and before
+    ``report`` makes its output directory."""
+    report = bench_mod.aggregate(records)
+    out_dir = _out_dir(args, config)
+    dataset = f"{name} ({len(records)} Problems)"
     method = (f"{config.label} "
               f"({'ERP' if config.budget.erp_enabled else 'No ERP'})")
     markdown, csv_text = bench_mod.format_table([(dataset, method, report)])
     (out_dir / "report.md").write_text(markdown, encoding="utf-8")
     (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
-    return method
+    _print_json({"dataset": dataset, "method": method, **vars(report),
+                 "records": str(records_path)})
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +289,7 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
                                           few_shots=few_shots)
     finally:
         prover.shutdown()
-    report = bench_mod.aggregate(records)
-    dataset = f"{spec.name} ({len(spec.problems)} Problems)"
-    method = _write_report(out_dir, dataset, config, report)
-    _print_json({
-        "dataset": dataset, "method": method,
-        "success_rate": report.success_rate,
-        "avg_attempts": report.avg_attempts,
-        "total_exec_time": report.total_exec_time,
-        "n_problems": report.n_problems, "n_success": report.n_success,
-        "n_undetermined": report.n_undetermined,
-        "records": str(records_path),
-    })
+    report = _report(args, config, spec.name, records, records_path)
     # a backend fault left problems unjudged: a rerun resumes them
     return EXIT_INFRA if report.n_undetermined else EXIT_OK
 
@@ -332,13 +332,9 @@ def cmd_curate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
-    report = bench_mod.aggregate(read_rows(args.records, AttemptRecord))
-    dataset = args.name or Path(args.records).stem
-    _write_report(_out_dir(args, config),
-                  f"{dataset} ({report.n_problems} Problems)", config, report)
-    _print_json({"success_rate": report.success_rate,
-                 "avg_attempts": report.avg_attempts,
-                 "total_exec_time": report.total_exec_time})
+    records_path = Path(args.records)
+    _report(args, config, args.name or records_path.stem,
+            list(bench_mod.last_records(records_path).values()), records_path)
     return EXIT_OK
 
 

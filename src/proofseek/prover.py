@@ -9,8 +9,11 @@ command: its row names the request field that carries its text and that
 field's type test, the server's handler and the client's reply reader.
 The server's request check, its dispatch, the request builder, the recorder
 and the reply reading of both the wire client and replay read that table, so
-the wire, recorded traces and their replay agree byte for byte, and a
-recorded reply is checked as a wire reply is.
+the wire, recorded traces and their replay agree on every request and
+verdict, and a recorded reply is checked as a wire reply is.  They are not
+byte-identical: the server's refusal of an ``init`` carries ``"error_kind":
+"theory"``, and a recorded refusal has no ``error_kind``, which the ``init``
+reader does not need, since any refused ``init`` is the theory's refusal.
 
 A run of steps travels in one request, ``{command, session_id, steps,
 timeout_s}``, answered ``{status: "ok", results: [...]}`` with one ``apply``

@@ -79,6 +79,11 @@ def test_mock_rejects_theory():
         mock.init_session("theory X")
 
 
+def test_mock_rejects_theory_with_its_own_message_when_given_true():
+    with pytest.raises(TheoryLoadError, match="^theory rejected by mock$"):
+        MockProver(reject_theory=True).init_session("theory X")
+
+
 def test_mock_table_and_advancement():
     mock = MockProver(table={"by simp": MockOutcome("ok", is_done=True)})
     session = mock.init_session("t")
@@ -159,6 +164,13 @@ def test_mock_reads_a_table_key_as_the_parser_writes_the_step():
                         parse_script('proof -\nhave "x" by(simp)\nqed')).success
     mock = MockProver(table={'have "x"': "ok", "by(simp)": "ok"})
     assert mock.apply(mock.init_session("t"), 'have "x" by (simp)').ok
+
+
+def test_mock_keeps_a_table_key_that_does_not_parse_whitespace_normalized():
+    # an unterminated string is no step to the parser: the key is only
+    # whitespace-normalized, and still answers the request it names
+    mock = MockProver(table={'have   "x': "ok"})
+    assert mock.apply(mock.init_session("t"), 'have "x').ok
 
 
 def test_mock_auto_done_at_closing_qed():

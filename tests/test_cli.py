@@ -611,6 +611,35 @@ def test_cmd_bench_spec_row_without_formal_statement_exits_2(tmp_path,
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def test_cmd_bench_blank_formal_statement_exits_2_before_any_request(
+        tmp_path, monkeypatch, capsys):
+    # A blank statement loaded; at pool 2 every whole-proof request went out
+    # and the other problems were proved before the run raised a ValueError
+    # that named neither the file nor the line.
+    bodies = []
+
+    def answer(body):
+        bodies.append(body)
+        return ["by simp"]
+
+    server = _live_model(monkeypatch, answer)
+    spec_path, _ = _bench_fixture(tmp_path, n_problems=3, n_fail=0)
+    rows = read_jsonl(spec_path)
+    rows[1]["formal_statement"] = "   "
+    write_jsonl(spec_path, rows)
+    try:
+        config = write_config(tmp_path, mode="live",
+                              budget={"sample_budget": 1},
+                              prover={"pool_size": 2})
+        code = main(["bench", spec_path, "--no-erp", "--config", config])
+    finally:
+        server.stop()
+    assert code == 2
+    assert f"{spec_path}:2: formal_statement" in capsys.readouterr().err
+    assert bodies == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_bench_exits_2_when_records_stay_undetermined(
         tmp_path, monkeypatch, capsys):
     # The prover faults on loading p1's theory, so p1 is undetermined: the
@@ -716,16 +745,70 @@ def test_cmd_bench_a_lost_session_leaves_its_problem_undetermined(
     assert "undetermined" not in records["p0"]
 
 
-def test_cmd_report_from_records(tmp_path, capsys):
-    spec_path, fixtures = _bench_fixture(tmp_path, n_problems=4, n_fail=2)
-    config = write_config(tmp_path, fixtures=fixtures)
-    main(["bench", spec_path, "--no-erp", "--config", config])
-    capsys.readouterr()
-    code = main(["report", str(tmp_path / "out" / "records.jsonl"),
-                 "--config", config])
+def test_cmd_report_on_bench_records_writes_what_bench_wrote(tmp_path,
+                                                              capsys):
+    # report labelled the dataset by its determined records and printed
+    # three of bench's nine summary keys.  The run resumes p1, left
+    # undetermined by an earlier one, so the file holds two records of p1:
+    # the last is p1's record, for report as for bench.
+    (tmp_path / "out").mkdir()
+    write_jsonl(tmp_path / "out" / "records.jsonl", [{
+        "problem_name": "p1", "success": False, "i_try": 0,
+        "success_stage": "failed", "has_timeout": False, "extra_calls": 0,
+        "has_sc": False, "undetermined": True}])
+    write_jsonl(tmp_path / "spec.jsonl", [
+        {"problem_name": f"p{i}",
+         "formal_statement": f'theorem p{i}:\n  shows "P{i}"\n  oops'}
+        for i in range(4)])
+    (tmp_path / "model_mock.json").write_text(json.dumps({"whole_proof": [
+        ["by nope"], ["by (meson h)"], ["by (meson h)"], ["by nope"]]}),
+        encoding="utf-8")
+    fixtures = {"model_mock": "model_mock.json",
+                "prover_mock": write_mock_prover(
+                    tmp_path, {"by (meson h)": "ok"})}
+    config = write_config(tmp_path, mode="mock", fixtures=fixtures,
+                          prover={"pool_size": 1})
+    assert main(["bench", str(tmp_path / "spec.jsonl"), "--name", "Curated",
+                 "--no-erp", "--config", config]) == 0
     summary = _record_from_stdout(capsys)
-    assert code == 0
-    assert summary["success_rate"] == 50.0
+    assert (summary["dataset"], summary["success_rate"],
+            summary["n_undetermined"]) == ("Curated (4 Problems)", 50.0, 0)
+    assert len(read_jsonl(summary["records"])) == 5
+    assert main(["report", summary["records"], "--name", "Curated",
+                 "--no-erp", "--config", config,
+                 "--out", str(tmp_path / "report")]) == 0
+    assert _record_from_stdout(capsys) == summary
+    for name in ("report.md", "report.csv"):
+        assert ((tmp_path / "report" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes())
+
+
+def test_cmd_report_labels_the_dataset_with_every_record(tmp_path, capsys):
+    # report labelled the dataset "(3 Problems)", counting only the
+    # determined records, and printed no n_undetermined.
+    def record(name, **fields):
+        return {"problem_name": name, "success": False, "i_try": 1,
+                "success_stage": "failed", "has_timeout": False,
+                "extra_calls": 0, "has_sc": False, **fields}
+
+    records_path = tmp_path / "records.jsonl"
+    write_jsonl(records_path, [
+        record("p0", success=True, success_stage="init_proof",
+               final_script="by simp"),
+        record("p1"),
+        record("p2", success=True, success_stage="atp",
+               final_script="by auto"),
+        record("p3", i_try=0, undetermined=True)])
+    config = write_config(tmp_path)
+    assert main(["report", str(records_path), "--name", "Curated",
+                 "--config", config]) == 0
+    summary = _record_from_stdout(capsys)
+    assert summary["dataset"] == "Curated (4 Problems)"
+    assert (summary["n_problems"], summary["n_success"],
+            summary["n_undetermined"]) == (3, 2, 1)
+    report_md = (tmp_path / "out" / "report.md").read_text("utf-8")
+    assert report_md.startswith("**Curated (4 Problems)**\n")
+    assert "_1 undetermined record(s) excluded" in report_md
 
 
 # ---------------------------------------------------------------------------
@@ -1023,6 +1106,18 @@ def test_cmd_report_bad_config_exits_2(tmp_path, capsys, config_text):
     assert main(["report", str(tmp_path / "records.jsonl"),
                  "--config", str(tmp_path / "config.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_interrupt_exits_2(tmp_path, monkeypatch, capsys):
+    import proofseek.cli as cli
+
+    def interrupted(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_report", interrupted)
+    assert main(["report", str(tmp_path / "records.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        "interrupted; partial outputs are flushed\n")
 
 
 def test_cmd_prove_unknown_mock_prover_key_exits_2(tmp_path, capsys):

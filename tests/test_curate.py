@@ -440,6 +440,15 @@ def test_reward_correctness_empty_response():
     assert reward_correctness("", "by simp") == 0.0
 
 
+@pytest.mark.parametrize("response, ground_truth", [
+    ("by simp", ""),  # an empty reference shares no token
+    ("proof - qed", "by auto"),  # tokens, but none in common
+])
+def test_reward_correctness_with_no_shared_token_is_zero(response,
+                                                         ground_truth):
+    assert reward_correctness(response, ground_truth) == 0.0
+
+
 def test_reward_correctness_half_overlap_f1():
     # extracted and reference share 5 of their 10 tokens each:
     # F1 = 2*5/(10+10) = 0.5, hand-computed

@@ -197,6 +197,10 @@ def test_validate_golden_statement_clean():
     assert validate_formal_statement(GOLDEN_FORMAL_STATEMENT) == []
 
 
+def test_validate_blank_statement():
+    assert validate_formal_statement("   ") == ["EmptyStatement"]
+
+
 def test_validate_missing_theorem():
     findings = validate_formal_statement('definition d :: nat where "d = 1"\noops')
     assert findings == ["MissingTheorem"]

@@ -574,6 +574,17 @@ def test_extract_plain_response_passthrough():
     assert extract_proof_text("by auto") == "by auto"
 
 
+def test_extract_keeps_a_comment_that_holds_no_step_keyword():
+    # neither a proof to unwrap nor a word to read: the text is the answer
+    assert extract_proof_text("(* a remark *)") == "(* a remark *)"
+
+
+def test_unwrap_stops_after_four_comment_levels():
+    wrapped = "(* " * 5 + "by simp" + " *)" * 5
+    assert unwrap_proof_comment(wrapped) == "(* by simp *)"
+    assert extract_proof_text(wrapped) == "(* by simp *)"
+
+
 # Prose, comments, fences and proof words, some unterminated.
 _EXTRACT_PIECES = ["proof", "-", "qed", "oops", "have", "by", "simp", "The",
                    "answer", "(*", "*)", '"', '"x"', "\\<open>", "‹", "›",

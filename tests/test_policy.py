@@ -79,6 +79,13 @@ def test_parse_bad_effect():
     assert err.value.field == "Effect"
 
 
+def test_parse_condition_that_is_no_object():
+    with pytest.raises(PolicyFormatError) as err:
+        parse_policy('{"Statement":[{"Effect":"Allow","Action":"a:B",'
+                     '"Resource":"*","Condition":["aws:user"]}]}')
+    assert err.value.field == "Condition"
+
+
 @pytest.mark.parametrize("source", [
     "[1]", '{"policy_json": "[1]"}', '{"policy_json": 5}',
     '{"policy_json": "{bad"}'])
