@@ -29,7 +29,7 @@ from .engine import (
     sampling_request,
 )
 from .errors import EmptyInput, TransportError
-from .jsonl import append_jsonl, loads, read_rows
+from .jsonl import append_jsonl, loads, read_rows, text_values, typed
 from .model import ModelBackend, ModelParams, PromptRecord
 from .prover import ProverBackend
 
@@ -79,12 +79,30 @@ def load_benchmark(path: Union[str, Path], name: str = "",
                          budget or BudgetConfig())
 
 
+def _torn_tail(data: bytes) -> Optional[int]:
+    """Where the torn last line of a records file's bytes starts, if it has
+    one: a last line that ends in no newline and is not JSON, as a killed or
+    still-running run leaves it."""
+    cut = data.rfind(b"\n") + 1
+    try:
+        loads(data[cut:])
+    except ValueError:
+        return cut if cut < len(data) else None
+    return None
+
+
 def last_records(path: Union[str, Path]) -> dict[str, AttemptRecord]:
     """Each problem's record in a records file, by problem name: its last
     one, since a resumed run appends a problem's new record after the
-    undetermined one it replaces."""
-    return {record.problem_name: record
-            for record in read_rows(path, AttemptRecord)}
+    undetermined one it replaces.  A torn last line is logged and skipped,
+    and the file is never written: a live run may still be writing it."""
+    data = Path(path).read_bytes()
+    cut = _torn_tail(data)
+    if cut is not None:
+        log.warning("%s: skipping torn final line %r", path, data[cut:][:80])
+    return {record.problem_name: record for record in (
+        typed(AttemptRecord, value, where)
+        for where, value in text_values(path, data[:cut].decode("utf-8")))}
 
 
 def _undetermined_record(problem_name: str) -> AttemptRecord:
@@ -99,15 +117,11 @@ def _cut_torn_tail(path: Path) -> None:
     onto its last line: a complete last record gets its missing newline, a
     torn one (left by a killed run) is logged and cut off."""
     data = path.read_bytes() if path.exists() else b""
-    if not data or data.endswith(b"\n"):
-        return
-    cut = data.rfind(b"\n") + 1
-    try:
-        loads(data[cut:])
-    except ValueError:
+    cut = _torn_tail(data)
+    if cut is not None:
         log.warning("%s: dropping torn final line %r", path, data[cut:][:80])
         os.truncate(path, cut)
-    else:
+    elif data and not data.endswith(b"\n"):
         with open(path, "ab") as handle:
             handle.write(b"\n")
 

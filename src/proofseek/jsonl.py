@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TypeVar, Union
 
 __all__ = ["append_jsonl", "is_texts", "loads", "numbered_values",
-           "read_jsonl", "read_rows", "typed", "write_jsonl"]
+           "read_jsonl", "read_rows", "text_values", "typed", "write_jsonl"]
 
 T = TypeVar("T")
 
@@ -95,8 +95,12 @@ def numbered_values(path: Union[str, Path]) -> Iterator[tuple[str, object]]:
     """``("<path>:<line>", value)`` for each non-blank line of a JSONL file.
     A missing file raises FileNotFoundError, naming the path, and a line
     that is not JSON a ValueError beginning ``<path>:<line>:``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for number, line in enumerate(lines, 1):
+    yield from text_values(path, Path(path).read_text(encoding="utf-8"))
+
+
+def text_values(path: Union[str, Path], text: str) -> Iterator[tuple[str, object]]:
+    """``numbered_values`` of ``text``, read from the JSONL file ``path``."""
+    for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
                 value = loads(line)

@@ -10,10 +10,7 @@ field's type test, the server's handler and the client's reply reader.
 The server's request check, its dispatch, the request builder, the recorder
 and the reply reading of both the wire client and replay read that table, so
 the wire, recorded traces and their replay agree on every request and
-verdict, and a recorded reply is checked as a wire reply is.  They are not
-byte-identical: the server's refusal of an ``init`` carries ``"error_kind":
-"theory"``, and a recorded refusal has no ``error_kind``, which the ``init``
-reader does not need, since any refused ``init`` is the theory's refusal.
+verdict, and a recorded reply is checked as a wire reply is.
 
 A run of steps travels in one request, ``{command, session_id, steps,
 timeout_s}``, answered ``{status: "ok", results: [...]}`` with one ``apply``
@@ -66,9 +63,9 @@ from .isar import (
     GOAL_KEYWORDS,
     OPENER,
     ProofScript,
+    Step,
     parse_script,
     strip_terminal_marker,
-    tokenize,
 )
 from .jsonl import is_texts, loads, numbered_values, typed
 
@@ -352,42 +349,24 @@ class _SessionState:
     done: bool = False  # a step finished the proof: no goals are left
 
 
-def _words(text: str) -> dict[str, int]:
-    """The words of a step, each at the offset of its first occurrence,
-    read as ``isar.tokenize`` reads them: a quoted string is one token, so a
-    ``by`` inside a goal is no word.  Text that does not tokenize has none."""
-    try:
-        tokens = tokenize(text)
-    except ParseError:
-        return {}
-    return {tok.text: tok.offset for tok in reversed(tokens) if tok.kind == "word"}
-
-
-def _split_by(text: str) -> Optional[tuple[str, str]]:
-    """(body, ``by T``) of a normalized ``<body> by T`` step, else None."""
-    at = _words(text).get("by")
-    return (text[:at].rstrip(), text[at:]) if at else None
-
-
-def _as_step(text: str) -> str:
+def _read(text: str) -> tuple[str, Optional[Step]]:
     """``text`` as ``parse_script`` writes it when it is exactly one step
-    (``by(simp)`` is ``by (simp)``), then whitespace-normalized; any other
-    text is only whitespace-normalized."""
-    try:
+    (``by(simp)`` is ``by (simp)``), then whitespace-normalized, and that
+    step; any other text only whitespace-normalized, and None.  Only a step
+    is split into its body and ``by T``, or held as an open goal body."""
+    with suppress(ParseError):  # blank, or an unterminated string
         script = parse_script(text)
-    except ParseError:  # no step keyword at all, or an unterminated string
-        return normalize_step(text)
-    if len(script.steps) == 1 and not (script.preamble or script.trailing_comments):
-        text = script.steps[0].text
-    return normalize_step(text)
+        if len(script.steps) == 1 and not (script.preamble or script.trailing_comments):
+            return normalize_step(script.steps[0].text), script.steps[0]
+    return normalize_step(text), None
 
 
-def _goal_body(text: str) -> Optional[str]:
-    """``text`` when it states a goal and leaves it open, else None."""
-    words = _words(text)
-    if GOAL_KEYWORDS.isdisjoint(words) or "by" in words or "sorry" in words:
+def _body_and_by(step: Optional[Step]) -> Optional[tuple[str, str]]:
+    """(body, ``by T``) of a ``<body> by T`` step, each normalized as
+    ``_read`` normalizes the whole, else None."""
+    if step is None or not step.tokens or step.just_tokens[:1] != ("by",):
         return None
-    return text
+    return normalize_step(step.body_text), normalize_step(" ".join(step.just_tokens))
 
 
 class MockProver(ProverBackend):
@@ -397,14 +376,16 @@ class MockProver(ProverBackend):
 
     ``table`` maps step text to an outcome ("ok", "error", "timeout", a
     MockOutcome, or its JSON object form).  Each key, each request and each
-    hammer tactic's ``by`` step is read as ``parse_script`` writes the step
-    (``by(simp)`` is ``by (simp)``), then whitespace-normalized; unlisted
-    steps get ``default``.  ``is_done`` is taken from the outcome when given,
-    otherwise inferred structurally (closing ``qed`` at depth zero, or a
-    top-level terminal ``by``).  Once a step finishes the proof, every later
-    step is refused ("no goals left"), as Isabelle refuses it.  Simulated
-    ``delay_s`` greater than the request timeout yields a timeout without
-    sleeping.
+    hammer tactic's ``by`` step is read once, by ``parse_script``: exactly
+    one step is written as the parser writes it (``by(simp)`` is
+    ``by (simp)``), then whitespace-normalized; any other text is only
+    whitespace-normalized, and is neither split nor held as an open goal
+    body.  Unlisted steps get ``default``.  ``is_done`` is taken from the
+    outcome when given, otherwise inferred structurally (closing ``qed`` at
+    depth zero, or a top-level terminal ``by``).  Once a step finishes the
+    proof, every later step is refused ("no goals left"), as Isabelle
+    refuses it.  Simulated ``delay_s`` greater than the request timeout
+    yields a timeout without sleeping.
 
     The table is read as a prover reads Isar, where ``<body> by T`` is
     ``<body>`` followed by ``by T``: an unlisted ``<body> by T`` is answered
@@ -431,11 +412,11 @@ class MockProver(ProverBackend):
         super().__init__(config)
         if not isinstance(table, (dict, type(None))):
             raise TypeError(f"table must be an object, got {table!r:.80}")
-        self.table = {_as_step(k): MockOutcome.of(v)
-                      for k, v in (table or {}).items()}
+        readings = [(*_read(k), MockOutcome.of(v)) for k, v in (table or {}).items()]
+        self.table = {text: outcome for text, _, outcome in readings}
         self.default = MockOutcome.of(default)
-        for text, outcome in self.table.items():
-            split = _split_by(text)
+        for text, step, _ in readings:  # keys that read alike: the last one's outcome
+            split, outcome = _body_and_by(step), self.table[text]
             if split is None or outcome.status != OK:
                 continue
             body = self.table.get(split[0], self.default)
@@ -473,17 +454,22 @@ class MockProver(ProverBackend):
                 raise SessionClosed(f"session {session_id} is not open")
             if state.done:
                 return StepResult(ERROR, None, "no goals left", False)
+            step = None  # a hammer win is a `by` step: it opens no goal
             if step_text == HAMMER_STEP:
                 outcome, judged = self._hammer_call(state.body, timeout_s)
             else:
-                outcome, judged = self._judge(state.body, _as_step(step_text))
+                text, step = _read(step_text)
+                outcome, judged = self._judge(state.body, text, step)
             if outcome.delay_s > timeout_s:
                 return StepResult(TIMEOUT, None,
                                   f"step exceeded {timeout_s}s", False)
             if outcome.status != OK:
                 return StepResult(outcome.status, None,
                                   outcome.message or "step failed", False)
-            state.body = _goal_body(judged)
+            # a step that states a goal and leaves it open is the body that
+            # a bare `by T` joins; a joined step has no goal open
+            state.body = (judged if step and not step.just_tokens
+                          and not GOAL_KEYWORDS.isdisjoint(step.tokens) else None)
             head = judged.split()[0] if judged.split() else ""
             if head == OPENER:
                 state.depth += 1
@@ -504,15 +490,16 @@ class MockProver(ProverBackend):
 
     # -- internals ----------------------------------------------------------
 
-    def _judge(self, body: Optional[str],
-               text: str) -> tuple[MockOutcome, str]:
-        """The outcome of ``text`` right after ``body``, the session's open
-        goal body if any, and the step it stands for."""
+    def _judge(self, body: Optional[str], text: str,
+               step: Optional[Step]) -> tuple[MockOutcome, str]:
+        """The outcome of ``text``, read by ``_read`` with ``step``, right
+        after ``body``, the session's open goal body if any, and the step it
+        stands for."""
         if body is not None and text.startswith(("by ", "by(")):
             whole = f"{body} {text}"
             return (self.table.get(whole)
                     or self.table.get(text, self.default)), whole
-        split = _split_by(text)
+        split = _body_and_by(step)
         if text in self.table or split is None:
             return self.table.get(text, self.default), text
         first = self.table.get(split[0], self.default)
@@ -535,7 +522,7 @@ class MockProver(ProverBackend):
         open goal body if any, and the step it stands for: those of the
         first tactic whose ``by T`` the table does not refuse there."""
         for tactic in self.hammer:
-            outcome, judged = self._judge(body, _as_step(justification(tactic)))
+            outcome, judged = self._judge(body, *_read(justification(tactic)))
             if outcome.status == OK:
                 return replace(outcome, message=tactic), judged
             if outcome.status == TIMEOUT or outcome.delay_s > timeout_s:
@@ -654,9 +641,10 @@ class RecordingProver(ProverBackend):
     the one record of what was sent to the prover (``requests``), and the
     fixture ``ReplayProver`` plays back (``dump``).  Every step goes to the
     inner backend through ``apply_steps``, a single ``apply`` as a run of
-    one, and is recorded there as one ``apply`` entry.  A TransportError of
-    the backend is recorded as the error reply that reports it (``_fault``)
-    and raised again, so a replay raises it where the run did."""
+    one, and is recorded there as one ``apply`` entry.  A theory's refusal
+    and a TransportError of the backend are recorded as the error reply that
+    reports them (``_fault``), as the server writes it, and raised again, so
+    a replay raises them where the run did."""
 
     def __init__(self, inner: ProverBackend):
         super().__init__(inner.config)
@@ -670,10 +658,7 @@ class RecordingProver(ProverBackend):
         request = _request("init", None, theory_text, self.config.init_timeout_s)
         try:
             sid = self.inner.init_session(theory_text)
-        except TheoryLoadError as exc:
-            self._record(request, _response(ERROR, message=str(exc)))
-            raise
-        except TransportError as exc:
+        except (TheoryLoadError, TransportError) as exc:
             self._record(request, _fault(exc))
             raise
         self._record(request, _opened(sid))

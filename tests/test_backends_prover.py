@@ -140,18 +140,27 @@ def test_mock_table_that_accepts_one_form_only_is_rejected(body):
     MockProver(table={**table, 'have "x"': "ok"})
 
 
-def test_mock_table_with_a_by_inside_a_quoted_goal_is_coherent():
+@pytest.mark.parametrize("key", [
     # the goal's `by` is no justification: `have "x` is not its body
-    mock = MockProver(table={'have "x by y"': "ok"})
-    assert mock.apply(mock.init_session("t"), 'have "x by y"').ok
+    'have "x by y"',
+    # two steps are no `<body> by T` step: the key is never split
+    'have "a" by simp have "b"',
+])
+def test_mock_keeps_whole_a_key_that_is_no_body_by_step(key):
+    mock = MockProver(table={key: "ok"})
+    assert mock.apply(mock.init_session("t"), key).ok
 
 
-def test_mock_holds_a_quoted_goal_with_a_by_as_an_open_goal_body():
-    mock = MockProver(table={'have "x by y"': "ok",
-                             'have "x by y" by simp': "ok"})
+@pytest.mark.parametrize("goal, held", [
+    ('have "x by y"', True),
+    # a preamble before the step: the text is not one step, so no body
+    ('foo have "x"', False),
+])
+def test_mock_holds_only_a_lone_goal_step_as_an_open_goal_body(goal, held):
+    mock = MockProver(table={goal: "ok", f"{goal} by simp": "ok"})
     session = mock.init_session("t")
-    assert mock.apply(session, 'have "x by y"').ok
-    assert mock.apply(session, "by simp").ok
+    assert mock.apply(session, goal).ok
+    assert mock.apply(session, "by simp").ok is held
 
 
 def test_mock_reads_a_table_key_as_the_parser_writes_the_step():
@@ -166,11 +175,17 @@ def test_mock_reads_a_table_key_as_the_parser_writes_the_step():
     assert mock.apply(mock.init_session("t"), 'have "x" by (simp)').ok
 
 
-def test_mock_keeps_a_table_key_that_does_not_parse_whitespace_normalized():
+@pytest.mark.parametrize("key, request_text", [
     # an unterminated string is no step to the parser: the key is only
     # whitespace-normalized, and still answers the request it names
-    mock = MockProver(table={'have   "x': "ok"})
-    assert mock.apply(mock.init_session("t"), 'have "x').ok
+    ('have   "x', 'have "x'),
+    ('have "x  y"', 'have "x y"'),
+    ("by(simp)", "by (simp)"),
+    ("by (simp)", "by(simp)"),
+])
+def test_mock_answers_a_request_read_as_its_key(key, request_text):
+    mock = MockProver(table={key: "ok"})
+    assert mock.apply(mock.init_session("t"), request_text).ok
 
 
 def test_mock_auto_done_at_closing_qed():

@@ -1098,6 +1098,27 @@ def test_cmd_report_torn_inner_line_exits_2_naming_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
 
 
+def test_cmd_report_skips_a_torn_final_line_and_leaves_the_file(
+        tmp_path, capsys, caplog):
+    # A killed or still-running bench leaves its last line torn: report
+    # exited 2 on it.  It must not cut the line, which a live run may still
+    # be writing.
+    path = tmp_path / "records.jsonl"
+    data = (json.dumps({"problem_name": "p1", "success": True, "i_try": 1,
+                        "success_stage": "init_proof", "has_timeout": False,
+                        "extra_calls": 0, "has_sc": False,
+                        "final_script": "by simp"}).encode()
+            + b'\n{"problem_name": "p2", "succ')
+    path.write_bytes(data)
+    config = write_config(tmp_path)
+    assert main(["report", str(path), "--config", config]) == 0
+    summary = _record_from_stdout(capsys)
+    assert summary["dataset"] == "records (1 Problems)"
+    assert (summary["n_problems"], summary["n_success"]) == (1, 1)
+    assert "torn final line" in caplog.text
+    assert path.read_bytes() == data
+
+
 @pytest.mark.parametrize("config_text", [
     "[]", '{"mode": "offline"}', '{"budget": 5}', '{"model": {"top_p": 2}}'])
 def test_cmd_report_bad_config_exits_2(tmp_path, capsys, config_text):

@@ -2,9 +2,10 @@
 ``RecordingProver.dump`` writes, the lines ``ProverServer`` answers with, the
 lines ``WireProver`` sends, and the replay of the literal trace.  Old traces
 must keep replaying, so these literals never change with a refactor.  The
-server's accepted-``init`` reply is the one line edited so far, twice: it
-gained a ``capabilities`` list, and lost it again when every server took
-runs of steps; the trace bytes never changed."""
+server's accepted-``init`` reply was edited twice: it gained a
+``capabilities`` list, and lost it again when every server took runs of
+steps.  The trace's refused ``init`` gained ``"error_kind": "theory"``, as
+the server writes it; a trace recorded without it still replays."""
 
 import json
 import socket
@@ -30,7 +31,7 @@ from fixtures import LineServer
 
 GOLDEN_TRACE = (
     b'{"request": {"command": "init", "session_id": null, "step": "theory Bad", "timeout_s": 120.0}, '
-    b'"response": {"status": "error", "state_id": null, "message": "bad header", "is_done": false}}\n'
+    b'"response": {"status": "error", "state_id": null, "message": "bad header", "is_done": false, "error_kind": "theory"}}\n'
     b'{"request": {"command": "init", "session_id": null, "step": "theory T", "timeout_s": 120.0}, '
     b'"response": {"status": "ok", "state_id": "s-1/0", "message": "", "is_done": false}}\n'
     b'{"request": {"command": "apply", "session_id": "s-1", "step": "have a: \\"x\\" by simp", "timeout_s": 10.0}, '
@@ -107,6 +108,9 @@ def test_recording_dump_is_byte_golden_and_replays(tmp_path):
 
     literal = tmp_path / "literal.jsonl"
     literal.write_bytes(GOLDEN_TRACE)
+    assert _drive(ReplayProver(literal)) == EXPECTED_RESULTS
+    # a refusal recorded before it carried its error_kind replays as one too
+    literal.write_bytes(GOLDEN_TRACE.replace(b', "error_kind": "theory"', b""))
     assert _drive(ReplayProver(literal)) == EXPECTED_RESULTS
 
 
