@@ -99,8 +99,10 @@ def numbered_values(path: Union[str, Path]) -> Iterator[tuple[str, object]]:
 
 
 def text_values(path: Union[str, Path], text: str) -> Iterator[tuple[str, object]]:
-    """``numbered_values`` of ``text``, read from the JSONL file ``path``."""
-    for number, line in enumerate(text.splitlines(), 1):
+    """``numbered_values`` of ``text``, read from the JSONL file ``path``.
+    A line ends only at ``"\\n"``: the writers keep U+0085, U+2028 and
+    U+2029 raw inside a value, where ``str.splitlines`` would end one."""
+    for number, line in enumerate(text.split("\n"), 1):
         if line.strip():
             try:
                 value = loads(line)

@@ -349,21 +349,25 @@ class _SessionState:
     done: bool = False  # a step finished the proof: no goals are left
 
 
-def _read(text: str) -> tuple[str, Optional[Step]]:
+def _read(text: str) -> tuple[str, tuple[Step, ...]]:
     """``text`` as ``parse_script`` writes it when it is exactly one step
-    (``by(simp)`` is ``by (simp)``), then whitespace-normalized, and that
-    step; any other text only whitespace-normalized, and None.  Only a step
-    is split into its body and ``by T``, or held as an open goal body."""
+    (``by(simp)`` is ``by (simp)``), then whitespace-normalized, and its
+    steps; any other text only whitespace-normalized.  Text that is not
+    steps alone (blank, an unterminated string, a preamble or trailing
+    comments) has none.  Only a lone step is split into its body and ``by
+    T``, or held as an open goal body."""
     with suppress(ParseError):  # blank, or an unterminated string
         script = parse_script(text)
-        if len(script.steps) == 1 and not (script.preamble or script.trailing_comments):
-            return normalize_step(script.steps[0].text), script.steps[0]
-    return normalize_step(text), None
+        if not (script.preamble or script.trailing_comments):
+            steps = script.steps
+            return normalize_step(steps[0].text if len(steps) == 1 else text), steps
+    return normalize_step(text), ()
 
 
-def _body_and_by(step: Optional[Step]) -> Optional[tuple[str, str]]:
-    """(body, ``by T``) of a ``<body> by T`` step, each normalized as
+def _body_and_by(steps: tuple[Step, ...]) -> Optional[tuple[str, str]]:
+    """(body, ``by T``) of a lone ``<body> by T`` step, each normalized as
     ``_read`` normalizes the whole, else None."""
+    step = steps[0] if len(steps) == 1 else None
     if step is None or not step.tokens or step.just_tokens[:1] != ("by",):
         return None
     return normalize_step(step.body_text), normalize_step(" ".join(step.just_tokens))
@@ -380,12 +384,14 @@ class MockProver(ProverBackend):
     one step is written as the parser writes it (``by(simp)`` is
     ``by (simp)``), then whitespace-normalized; any other text is only
     whitespace-normalized, and is neither split nor held as an open goal
-    body.  Unlisted steps get ``default``.  ``is_done`` is taken from the
-    outcome when given, otherwise inferred structurally (closing ``qed`` at
-    depth zero, or a top-level terminal ``by``).  Once a step finishes the
-    proof, every later step is refused ("no goals left"), as Isabelle
-    refuses it.  Simulated ``delay_s`` greater than the request timeout
-    yields a timeout without sleeping.
+    body.  Unlisted steps get ``default``.  An accepted text moves the
+    block depth step by step (``proof`` opens a block, ``qed`` and ``oops``
+    close one).  ``is_done`` is taken from the outcome when given, otherwise
+    inferred from the text's last step (closing ``qed`` at depth zero, or a
+    top-level terminal ``by``).  Once a step finishes the proof, every later
+    step is refused ("no goals left"), as Isabelle refuses it.  Simulated
+    ``delay_s`` greater than the request timeout yields a timeout without
+    sleeping.
 
     The table is read as a prover reads Isar, where ``<body> by T`` is
     ``<body>`` followed by ``by T``: an unlisted ``<body> by T`` is answered
@@ -415,8 +421,8 @@ class MockProver(ProverBackend):
         readings = [(*_read(k), MockOutcome.of(v)) for k, v in (table or {}).items()]
         self.table = {text: outcome for text, _, outcome in readings}
         self.default = MockOutcome.of(default)
-        for text, step, _ in readings:  # keys that read alike: the last one's outcome
-            split, outcome = _body_and_by(step), self.table[text]
+        for text, steps, _ in readings:  # keys that read alike: the last one's outcome
+            split, outcome = _body_and_by(steps), self.table[text]
             if split is None or outcome.status != OK:
                 continue
             body = self.table.get(split[0], self.default)
@@ -454,27 +460,28 @@ class MockProver(ProverBackend):
                 raise SessionClosed(f"session {session_id} is not open")
             if state.done:
                 return StepResult(ERROR, None, "no goals left", False)
-            step = None  # a hammer win is a `by` step: it opens no goal
             if step_text == HAMMER_STEP:
-                outcome, judged = self._hammer_call(state.body, timeout_s)
+                outcome, steps = self._hammer_call(state.body, timeout_s)
             else:
-                text, step = _read(step_text)
-                outcome, judged = self._judge(state.body, text, step)
+                outcome, steps = self._judge(state.body, *_read(step_text))
             if outcome.delay_s > timeout_s:
                 return StepResult(TIMEOUT, None,
                                   f"step exceeded {timeout_s}s", False)
             if outcome.status != OK:
                 return StepResult(outcome.status, None,
                                   outcome.message or "step failed", False)
-            # a step that states a goal and leaves it open is the body that
-            # a bare `by T` joins; a joined step has no goal open
-            state.body = (judged if step and not step.just_tokens
+            # a lone step that states a goal and leaves it open is the body
+            # that a bare `by T` joins
+            step = steps[0] if len(steps) == 1 else None
+            state.body = (normalize_step(step.text) if step and not step.just_tokens
                           and not GOAL_KEYWORDS.isdisjoint(step.tokens) else None)
-            head = judged.split()[0] if judged.split() else ""
-            if head == OPENER:
-                state.depth += 1
-            elif head in CLOSERS:
-                state.depth = max(0, state.depth - 1)
+            head = ""
+            for step in steps:
+                head = step.head
+                if head == OPENER:
+                    state.depth += 1
+                elif head in CLOSERS:
+                    state.depth = max(0, state.depth - 1)
             state.counter += 1
             done = outcome.is_done
             if done is None:
@@ -491,22 +498,22 @@ class MockProver(ProverBackend):
     # -- internals ----------------------------------------------------------
 
     def _judge(self, body: Optional[str], text: str,
-               step: Optional[Step]) -> tuple[MockOutcome, str]:
-        """The outcome of ``text``, read by ``_read`` with ``step``, right
-        after ``body``, the session's open goal body if any, and the step it
-        stands for."""
+               steps: tuple[Step, ...]) -> tuple[MockOutcome, tuple[Step, ...]]:
+        """The outcome of ``text``, read by ``_read`` into ``steps``, right
+        after ``body``, the session's open goal body if any, and the steps
+        that move the session: a ``by T`` that joins the body moves it no
+        deeper and finishes no proof."""
         if body is not None and text.startswith(("by ", "by(")):
-            whole = f"{body} {text}"
-            return (self.table.get(whole)
-                    or self.table.get(text, self.default)), whole
-        split = _body_and_by(step)
+            return (self.table.get(f"{body} {text}")
+                    or self.table.get(text, self.default)), steps[1:]
+        split = _body_and_by(steps)
         if text in self.table or split is None:
-            return self.table.get(text, self.default), text
+            return self.table.get(text, self.default), steps
         first = self.table.get(split[0], self.default)
         if first.status != OK:
-            return first, text
+            return first, steps
         second = self.table.get(split[1], self.default)
-        return replace(second, delay_s=max(first.delay_s, second.delay_s)), text
+        return replace(second, delay_s=max(first.delay_s, second.delay_s)), steps
 
     def _rejection(self, theory_text: str) -> Optional[str]:
         if callable(self.reject_theory):
@@ -517,17 +524,17 @@ class MockProver(ProverBackend):
         return None
 
     def _hammer_call(self, body: Optional[str],
-                     timeout_s: float) -> tuple[MockOutcome, str]:
+                     timeout_s: float) -> tuple[MockOutcome, tuple[Step, ...]]:
         """The answer to a hammer call right after ``body``, the session's
-        open goal body if any, and the step it stands for: those of the
-        first tactic whose ``by T`` the table does not refuse there."""
+        open goal body if any, and the steps that move the session: those of
+        the first tactic whose ``by T`` the table does not refuse there."""
         for tactic in self.hammer:
-            outcome, judged = self._judge(body, *_read(justification(tactic)))
+            outcome, steps = self._judge(body, *_read(justification(tactic)))
             if outcome.status == OK:
-                return replace(outcome, message=tactic), judged
+                return replace(outcome, message=tactic), steps
             if outcome.status == TIMEOUT or outcome.delay_s > timeout_s:
-                return outcome, judged
-        return MockOutcome(ERROR, message="no proof found"), HAMMER_STEP
+                return outcome, steps
+        return MockOutcome(ERROR, message="no proof found"), ()
 
 
 # ---------------------------------------------------------------------------
@@ -808,13 +815,6 @@ class WireProver(ProverBackend):
 SERVER_POLL_S = 0.05
 
 
-def _read_request(raw: bytes) -> tuple[Command, dict]:
-    """The request on one line, a UTF-8 JSON text, and its command's row,
-    checked by ``_checked``.  Anything else raises ValueError."""
-    request = loads(raw.decode("utf-8"))
-    return _checked(request), request
-
-
 def _checked(request: object) -> Command:
     """The row of ``request``'s command, the request checked: an object
     naming a command in ``COMMANDS``, with a ``session_id`` string when the
@@ -874,7 +874,8 @@ class ProverServer:
 
     def _dispatch(self, raw: bytes) -> dict:
         try:
-            command, request = _read_request(raw)
+            request = loads(raw.decode("utf-8"))
+            command = _checked(request)
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
             return _response(ERROR, message=str(exc), error_kind="protocol")
         try:
@@ -940,18 +941,21 @@ class SessionCursor:
     is also filed as the ``<body> by T`` it lands in a proof as.  ``seek``
     makes no call and takes only steps this cursor saw accepted, so the
     caller always stands at a trie node: the one its prefix ends at.  Every
-    apply goes through the answerer (``_answer``).  Where the session does
-    not stand, it answers from the trie with no call when the step is known
-    at the caller's node, finishes the goal body the session stands in when
-    the step is ``<body> by T``, and otherwise rebuilds the session at the
-    caller's prefix.  A kept answer that finishes the proof is never
-    recalled: the step is asked again, so completion is only ever reported
-    by the prover.  Where the session stands, the sender (``_send``) answers
-    a refusal kept there with no call and sends the other steps a run at a
-    time, each run in one request.  ``recalled`` counts the answers
-    given with no call, and ``timeouts`` the applies that timed out, over
-    every session the cursor has held; a timeout is no verdict and is never
-    kept."""
+    apply goes through the answerer (``_answer``), the one method that
+    answers from the trie.  A refusal kept at the caller's node is answered
+    with no call.  Where the session does not stand, a step accepted at the
+    caller's node is too, and the caller walks on to its node; ``<body> by
+    T`` finishes the goal body the session stands in; any other step
+    rebuilds the session at the caller's path.  A kept answer that finishes
+    the proof is never recalled: the step is asked again, so completion is
+    only ever reported by the prover.  Where the session stands, the sender
+    (``_send``) sends the steps a run at a time, each run in one request,
+    and files the answers, which moves the session and the caller together.
+    So the caller's path is read only while the caller stands apart from
+    the session: ``seek`` sets it, the walk extends it, and the rebuild
+    replays it.  ``recalled`` counts the answers given with no call, and
+    ``timeouts`` the applies that timed out, over every session the cursor
+    has held; a timeout is no verdict and is never kept."""
 
     def __init__(self, prover: ProverBackend, statement: str,
                  config: ProverConfig):
@@ -967,7 +971,8 @@ class SessionCursor:
         self._edges: list[tuple[int, str, Optional[StepResult]]] = [(0, "", None)]
         self._node = 0  # where the session stands
         self._at = 0  # where the caller stands
-        self._path: list[str] = []  # the caller's step texts, to rebuild at
+        # the caller's step texts, to rebuild at while it stands apart
+        self._path: list[str] = []
 
     def advance(self, texts: Iterable[str]) -> Advance:
         """Apply step texts in order, from where the caller stands, until one
@@ -1002,19 +1007,21 @@ class SessionCursor:
 
     def _answer(self, texts: list[str]) -> list[StepResult]:
         """The verdicts on a leading run of ``texts`` where the caller
-        stands, at least one.  Apart from the session, the first text is
-        answered from the trie at the caller's node, or as ``by T`` in the
-        goal body the session stands in, or else the session is rebuilt at
-        the caller's prefix; where the session stands, the sender asks."""
+        stands, at least one.  A refusal of the first text kept at the
+        caller's node is answered with no call.  Apart from the session, so
+        is an acceptance kept there that does not finish the proof, and the
+        caller walks on; else ``<body> by T`` is sent as ``by T`` in the
+        goal body the session stands in, or the session is rebuilt at the
+        caller's path.  Where the session stands, the sender asks."""
+        text = texts[0]
+        seen = self._trie.get((self._at, text))
+        if isinstance(seen, StepResult):
+            self.recalled += 1
+            return [seen]
         if self._at != self._node:
-            text = texts[0]
-            seen = self._trie.get((self._at, text))
-            if isinstance(seen, int) and self._edges[seen][2].is_done:
-                seen = None  # completion comes from the prover, never the trie
-            if seen is not None:
+            # completion comes from the prover, never the trie
+            if seen is not None and not self._edges[seen][2].is_done:
                 self.recalled += 1
-                if isinstance(seen, StepResult):
-                    return [seen]
                 self._at = seen
                 self._path.append(text)
                 return [self._edges[seen][2]]
@@ -1022,25 +1029,20 @@ class SessionCursor:
             parent, body, _ = self._edges[self._node]
             tactic = _after_body(text, body) if parent == self._at else None
             if tactic is not None:
-                return self._send([tactic], text)
+                return self._send([tactic])
             self._rebuild()
         return self._send(texts)
 
-    def _send(self, texts: list[str], said: Optional[str] = None) -> list[StepResult]:
-        """The verdicts on a leading run of ``texts`` where the session
-        stands, at least one: a refusal kept there, or the prover's answers,
-        each filed.  The run is the longest that no answer the trie keeps
-        could cut short: it ends before a kept refusal and after a ``by``
-        step, whose alias can move the session onto a kept node.  The hammer,
-        which has its own timeout, goes alone.  Every run goes out as one
-        ``apply_steps``; ``said`` is given only for a run of one, whose step
-        is filed with it."""
+    def _send(self, texts: list[str]) -> list[StepResult]:
+        """The prover's answers to a leading run of ``texts`` where the
+        session stands, at least one, each filed.  The first text goes as
+        it is: the answerer asked for it.  The run is the longest that no
+        answer the trie keeps could cut short: it ends before a kept refusal
+        and after a ``by`` step, whose alias can move the session onto a
+        kept node.  The hammer, which has its own timeout, goes alone.
+        Every run goes out as one ``apply_steps``."""
         trie, size = self._trie, 0
         node: Union[None, int, StepResult] = self._node
-        seen = trie.get((node, texts[0]))
-        if isinstance(seen, StepResult):
-            self.recalled += 1
-            return [seen]
         for text in texts:
             if text == HAMMER_STEP:
                 break
@@ -1051,21 +1053,19 @@ class SessionCursor:
             size += 1
             if text.startswith(("by ", "by(")):
                 break
-        # only the hammer ends a run before its first step: it goes alone
-        timeout_s = (self.config.step_timeout_s if size
-                     else self.config.hammer_timeout_s)
+        timeout_s = (self.config.hammer_timeout_s if texts[0] == HAMMER_STEP
+                     else self.config.step_timeout_s)
         results = self.prover.apply_steps(self.session, texts[:size or 1],
                                           timeout_s)
-        return [self._file(text, result, said) for text, result in zip(texts, results)]
+        return [self._file(text, result) for text, result in zip(texts, results)]
 
-    def _file(self, text: str, result: StepResult,
-              said: Optional[str] = None) -> StepResult:
+    def _file(self, text: str, result: StepResult) -> StepResult:
         """Keep the prover's answer to ``text`` where the session stands,
         unless it is a timeout, under the step's other texts too.  An
         accepted step leads to the node one of its other texts already
         leads to, if any, as ``text`` does from then on; it moves the
-        session and the caller there, and adds ``said``, the caller's text
-        for it, or ``text`` to the caller's path."""
+        session and the caller there.  The caller's path is left as it is:
+        it is read only after a ``seek`` sets it anew."""
         node = self._node
         key = (node, text)
         status = result.status
@@ -1094,7 +1094,6 @@ class SessionCursor:
             if not isinstance(self._trie.get(alias), int):
                 self._trie[alias] = seen
         self._node = self._at = seen
-        self._path.append(said or text)
         return result
 
     def _aliases(self, node: int, text: str,
@@ -1112,8 +1111,8 @@ class SessionCursor:
         return keys
 
     def _rebuild(self) -> None:
-        """Re-apply the caller's prefix in a fresh session, in one
-        ``advance``.  The theory and every step of the prefix were accepted
+        """Re-apply the caller's path, as it stands, in a fresh session, in
+        one ``advance``.  The theory and every step of the prefix were accepted
         before, so a step not accepted now is the prover misbehaving (a
         timeout under load, say), not a verdict on the proof: it raises
         TransportError."""
@@ -1123,9 +1122,8 @@ class SessionCursor:
         except TheoryLoadError as exc:
             raise TransportError(f"theory no longer loads: {exc}") from exc
         self._node = self._at = 0
-        texts, self._path = self._path, []
-        run = self.advance(texts)
-        if run.count < len(texts):
+        run = self.advance(self._path)
+        if run.count < len(self._path):
             raise TransportError(
                 f"validated prefix no longer replays: {run.last.message}")
 

@@ -207,6 +207,23 @@ def test_mock_refuses_every_step_after_a_finished_proof():
     assert mock.apply(mock.init_session("t"), "by simp").is_done
 
 
+@pytest.mark.parametrize("texts", [
+    # block depth and completion came from a text's first word only: this
+    # key left the session one block deep and not done
+    ['proof - have "a" by simp qed'],
+    # `by simp` joins the open goal body `have "a"`; the `qed` after it
+    # closes the block
+    ["proof -", 'have "a"', "by simp qed"],
+])
+def test_mock_moves_depth_and_completion_over_every_step_of_a_text(texts):
+    mock = MockProver(table={**dict.fromkeys(texts, "ok"), "by simp": "ok"})
+    session = mock.init_session("t")
+    assert [mock.apply(session, text).is_done for text in texts] == \
+        [False] * (len(texts) - 1) + [True]
+    result = mock.apply(session, "by simp")
+    assert (result.status, result.message) == ("error", "no goals left")
+
+
 def test_mock_hammer_answers_with_the_first_tactic_the_table_accepts():
     # `have "x" by h1` is refused, so the hammer goes on to h2, which the
     # table accepts there; after `have "y"`, which accepts neither, no proof

@@ -6,7 +6,7 @@ import pytest
 
 from proofseek.cli import main
 from proofseek.isar import token_equivalent
-from proofseek.jsonl import read_jsonl, write_jsonl
+from proofseek.jsonl import append_jsonl, read_jsonl, write_jsonl
 from proofseek.model import prompt_digest
 from proofseek.prompts import nl_statement_prompt, whole_proof_prompt
 
@@ -406,6 +406,26 @@ def test_cmd_policy_lists_a_row_that_does_not_parse_and_goes_on(
     theories = sorted(p.stem for p in (tmp_path / "out" / "theories").iterdir())
     assert theories == (["bad_deny", "ok_one", "ok_two"] if llm
                         else ["ok_one", "ok_two"])
+
+
+def test_cmd_policy_lists_a_row_with_no_statements_and_goes_on(tmp_path,
+                                                               capsys):
+    csv_path = _policy_csv(tmp_path)
+    with open(csv_path, "a", encoding="utf-8") as out:
+        out.write('\nempty,"{""Statement"": []}"')
+    config = write_config(tmp_path, mode="mock", fixtures={
+        "model_mock": "model_mock.json",
+        "prover_mock": write_mock_prover(tmp_path, {}),
+    })
+    (tmp_path / "model_mock.json").write_text("{}", encoding="utf-8")
+    code = main(["policy", csv_path, "--config", config])
+    summary = _record_from_stdout(capsys)
+    assert code == 0
+    assert summary["n_policies"] == 4
+    errors = {e["problem_name"]: e["error"] for e in summary["errors"]}
+    assert errors["empty"] == "Statement: policy has no statements"
+    theories = sorted(p.stem for p in (tmp_path / "out" / "theories").iterdir())
+    assert theories == ["ok_one", "ok_two"]
 
 
 def test_cmd_policy_csv_without_its_columns_exits_2(tmp_path, capsys):
@@ -1117,6 +1137,23 @@ def test_cmd_report_skips_a_torn_final_line_and_leaves_the_file(
     assert (summary["n_problems"], summary["n_success"]) == (1, 1)
     assert "torn final line" in caplog.text
     assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+def test_cmd_report_reads_a_record_holding_a_unicode_line_break(
+        tmp_path, capsys, char):
+    # bench writes each record with ensure_ascii=False, so these characters
+    # stay raw in a final_script; report split the line there and exited 2
+    # ("records.jsonl:1: Unterminated string").
+    path = tmp_path / "records.jsonl"
+    append_jsonl(path, {"problem_name": "p1", "success": True, "i_try": 1,
+                        "success_stage": "init_proof", "has_timeout": False,
+                        "extra_calls": 0, "has_sc": False,
+                        "final_script": f"by simp{char}"})
+    config = write_config(tmp_path)
+    assert main(["report", str(path), "--config", config]) == 0
+    summary = _record_from_stdout(capsys)
+    assert (summary["n_problems"], summary["n_success"]) == (1, 1)
 
 
 @pytest.mark.parametrize("config_text", [

@@ -14,7 +14,14 @@ from proofseek.cli import RunConfig
 from proofseek.curate import TheoremProofPair
 from proofseek.engine import AttemptRecord, BudgetConfig
 from proofseek.formalize import FormalizationRecord
-from proofseek.jsonl import read_rows, typed, write_jsonl
+from proofseek.jsonl import (
+    append_jsonl,
+    read_jsonl,
+    read_rows,
+    text_values,
+    typed,
+    write_jsonl,
+)
 from proofseek.model import ModelParams
 from proofseek.prover import MockOutcome, ProverConfig
 
@@ -72,6 +79,27 @@ def test_read_rows_numbers_lines_past_blank_ones(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{path}:3: field 'flag'"):
         read_rows(path, Row)
+
+
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+def test_a_value_holding_a_unicode_line_break_reads_back_equal(tmp_path, char):
+    # Both writers keep these characters raw (ensure_ascii=False), and
+    # str.splitlines() ended a line at each of them, mid-value.
+    rows = [{"text": f"a{char}b"}, {"text": char}]
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, rows[:1])
+    append_jsonl(path, rows[1])
+    assert read_jsonl(path) == rows
+    assert [value for _, value in text_values(path, path.read_text(
+        encoding="utf-8"))] == rows
+
+
+def test_a_crlf_terminated_file_still_reads(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n\r\n{"a": 2}\r\n')
+    assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
+    assert list(text_values(path, path.read_bytes().decode("utf-8"))) == [
+        (f"{path}:1", {"a": 1}), (f"{path}:3", {"a": 2})]
 
 
 def test_formalization_record_round_trip_and_bench_spec(tmp_path):

@@ -65,6 +65,12 @@ def test_parse_missing_statement():
     assert err.value.field == "Statement"
 
 
+def test_parse_rejects_an_empty_statement_list():
+    with pytest.raises(PolicyFormatError) as err:
+        parse_policy('{"Statement": []}')
+    assert err.value.field == "Statement"
+
+
 def test_parse_rejects_negations():
     with pytest.raises(PolicyFormatError) as err:
         parse_policy('{"Statement":[{"Effect":"Allow","NotAction":"a:B",'
